@@ -14,7 +14,6 @@ from .geometry import (
     user_position_pdf,
 )
 from .antenna import (
-    SectorizedPattern,
     UlaArray,
     array_response,
     array_response_derivative,

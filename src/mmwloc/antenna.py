@@ -25,36 +25,20 @@ def sector_gain(theta: float, in_main_lobe: bool, cfg: NetworkConfig) -> float:
     The pattern conserves total radiated power:
     gain_main * theta + gain_side * (2*pi - theta) == 2*pi * G0.
     """
-    if not 0.0 < theta <= TWO_PI:
+    main = main_lobe_gain(theta, cfg)
+    return main if in_main_lobe else sidelobe_gain(cfg)
+
+
+def main_lobe_gain(theta, cfg: NetworkConfig):
+    """Main-lobe gain of the two-level pattern; theta may be an array."""
+    valid = (0.0 < theta) & (theta <= TWO_PI)
+    if not (valid if isinstance(valid, bool) else valid.all()):
         raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
-    if in_main_lobe:
-        return cfg.g0 * (TWO_PI - (TWO_PI - theta) * cfg.eps_sidelobe) / theta
-    return cfg.g0 * cfg.eps_sidelobe
-
-
-def main_lobe_gain(theta: float, cfg: NetworkConfig) -> float:
-    return sector_gain(theta, True, cfg)
+    return cfg.g0 * (TWO_PI - (TWO_PI - theta) * cfg.eps_sidelobe) / theta
 
 
 def sidelobe_gain(cfg: NetworkConfig) -> float:
     return cfg.g0 * cfg.eps_sidelobe
-
-
-@dataclass(frozen=True)
-class SectorizedPattern:
-    """Beam of width theta under the two-level model."""
-
-    theta: float
-    g0: float
-    eps: float
-
-    @property
-    def main(self) -> float:
-        return self.g0 * (TWO_PI - (TWO_PI - self.theta) * self.eps) / self.theta
-
-    @property
-    def side(self) -> float:
-        return self.g0 * self.eps
 
 
 @dataclass(frozen=True)

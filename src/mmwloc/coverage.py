@@ -26,19 +26,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
+from scipy.special import comb, gamma
 
 from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .dictionary import beam_boundaries, row_beamwidth
 from .errors import NumericError
+from .geometry import nakagami_shape, path_loss_exponent
 from .localization import (
     _cell_grid,
     aoa_variance,
+    beam_selection_profile,
     nu_threshold,
+    p_misalignment,
     ranging_variance,
 )
-from .numerics import gauss_legendre, qfunc, reciprocal_power, split_panel
+from .numerics import gauss_legendre, reciprocal_power, split_panel
 
 LOS_NODES = 24
 NLOS_NODES = 32
@@ -82,9 +85,10 @@ class CoverageResult:
     stderr: float = 0.0
 
 
-def alzer_eta(n: int) -> float:
-    """eta = N * (N!)^(-1/N); equals 1 for the exponential case."""
-    return n * math.gamma(n + 1) ** (-1.0 / n)
+def alzer_eta(n):
+    """eta = N * (N!)^(-1/N); equals 1 for the exponential case. N may be
+    an array."""
+    return n * gamma(n + 1) ** (-1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -118,51 +122,26 @@ class _InterferenceTables:
         self.nlos_qpow = (y * y + h2) ** (-0.5 * cfg.alpha_nlos)
         self.nlos_wt = wt / (t * t)
 
-    def exponents(self, w: np.ndarray) -> np.ndarray:
-        """A_LOS + A_NLOS for per-position threshold weights w."""
-        cfg = self.cfg
+    def _los_sum(self, w: np.ndarray) -> np.ndarray:
+        """LOS integral before the 2*lambda factor; 0 where x >= d_S."""
         out = np.zeros_like(w)
         if np.any(self.los_mask):
-            shape = int(cfg.n_los)
+            shape = int(self.cfg.n_los)
             base = 1.0 + w[self.los_mask, None] * self.los_qpow / shape
             out[self.los_mask] = np.sum(
                 (1.0 - reciprocal_power(base, shape)) * self.los_wt, axis=-1)
-        shape = int(cfg.n_nlos)
+        return out
+
+    def _nlos_sum(self, w: np.ndarray) -> np.ndarray:
+        """NLOS integral before the 2*lambda factor."""
+        shape = int(self.cfg.n_nlos)
         base = 1.0 + w[..., None] * self.nlos_qpow / shape
-        out += np.sum((1.0 - reciprocal_power(base, shape)) * self.nlos_wt,
+        return np.sum((1.0 - reciprocal_power(base, shape)) * self.nlos_wt,
                       axis=-1)
-        return 2.0 * cfg.bs_density * out
 
-
-def _los_exponent(x, w, cfg: NetworkConfig):
-    """LOS interference exponent for positions x (w broadcast to x)."""
-    x = np.asarray(x, dtype=float)
-    w = np.broadcast_to(np.asarray(w, dtype=float), x.shape)
-    out = np.zeros_like(x)
-    mask = x < cfg.d_s
-    if np.any(mask):
-        y, wt = gauss_legendre(x[mask], cfg.d_s, LOS_NODES)
-        q2 = y * y + cfg.h_b * cfg.h_b
-        shape = int(cfg.n_los)
-        base = 1.0 + w[mask, None] * q2 ** (-0.5 * cfg.alpha_los) / shape
-        integrand = 1.0 - reciprocal_power(base, shape)
-        out[mask] = 2.0 * cfg.bs_density * np.sum(integrand * wt, axis=-1)
-    return out
-
-
-def _nlos_exponent(x, w, cfg: NetworkConfig):
-    """NLOS interference exponent via the 1/y tail substitution."""
-    x = np.asarray(x, dtype=float)
-    w = np.broadcast_to(np.asarray(w, dtype=float), x.shape)
-    y0 = np.maximum(x, cfg.d_s)
-    y_max = _nlos_y_max(cfg)
-    t, wt = gauss_legendre(1.0 / y_max, 1.0 / y0, NLOS_NODES)
-    y = 1.0 / t
-    q2 = y * y + cfg.h_b * cfg.h_b
-    shape = int(cfg.n_nlos)
-    base = 1.0 + w[..., None] * q2 ** (-0.5 * cfg.alpha_nlos) / shape
-    integrand = (1.0 - reciprocal_power(base, shape)) / (t * t)
-    return 2.0 * cfg.bs_density * np.sum(integrand * wt, axis=-1)
+    def exponents(self, w: np.ndarray) -> np.ndarray:
+        """A_LOS + A_NLOS for per-position threshold weights w."""
+        return 2.0 * self.cfg.bs_density * (self._los_sum(w) + self._nlos_sum(w))
 
 
 def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
@@ -176,13 +155,15 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
     """
     if serving_d < 0.0:
         raise ValueError("serving distance must be non-negative")
-    w = t_scaled * gain_product
+    tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg)
+    w = np.asarray([t_scaled * gain_product], dtype=float)
     if alpha_branch == cfg.alpha_los:
-        value = float(_los_exponent(np.asarray([serving_d]), w, cfg)[0])
+        integral = tables._los_sum(w)
     elif alpha_branch == cfg.alpha_nlos:
-        value = float(_nlos_exponent(np.asarray([serving_d]), w, cfg)[0])
+        integral = tables._nlos_sum(w)
     else:
         raise ValueError("alpha_branch must equal the LOS or NLOS exponent")
+    value = float(2.0 * cfg.bs_density * integral[0])
     if not np.isfinite(value):
         raise NumericError("interference exponent did not converge")
     return value
@@ -203,11 +184,9 @@ def _branch_values(x: np.ndarray, threshold: float, branch_gain: float,
     x = np.asarray(x, dtype=float)
     if tables is None:
         tables = _InterferenceTables(x, cfg)
-    los = x <= cfg.d_s
-    shape_x = np.where(los, cfg.n_los, cfg.n_nlos)
-    eta_x = np.where(los, alzer_eta(cfg.n_los), alzer_eta(cfg.n_nlos))
-    alpha_x = np.where(los, cfg.alpha_los, cfg.alpha_nlos)
-    z_pow = (x * x + cfg.h_b * cfg.h_b) ** (0.5 * alpha_x)
+    shape_x = nakagami_shape(x, cfg)
+    eta_x = alzer_eta(shape_x)
+    z_pow = (x * x + cfg.h_b * cfg.h_b) ** (0.5 * path_loss_exponent(x, cfg))
     g2 = sidelobe_gain(cfg) ** 2
     noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
     out = np.zeros_like(x)
@@ -251,40 +230,14 @@ def _mixture_values(x: np.ndarray, threshold: float, theta_k: float,
         p_bs = np.zeros_like(x)
     else:
         sigma_d = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
-        p_bs = beam_selection_profile_interval(x, sigma_d, d_left, d_right)
-    nu = nu_threshold(theta_k, theta_u, nu_rule)
-    var_psi = aoa_variance(x, gamma_b, theta_u, beta, cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_ma = np.where(np.isinf(var_psi), 1.0,
-                        2.0 * qfunc(nu / np.sqrt(np.maximum(var_psi, 1e-300))))
-    p_ma = np.where(var_psi == 0.0, 0.0, p_ma)
-    if nu == 0.0:
-        p_ma = np.ones_like(x)
+        p_bs = beam_selection_profile(x, sigma_d, d_left, d_right)
+    p_ma = p_misalignment(aoa_variance(x, gamma_b, theta_u, beta, cfg),
+                          nu_threshold(theta_k, theta_u, nu_rule))
     w0 = (1.0 - p_bs) * (1.0 - p_ma)
     wma = (1.0 - p_bs) * p_ma
     values = w0 * t0 + wma * tma + p_bs * tbs
     return values, {"aligned": t0, "misaligned": tma, "beam_error": tbs,
                     "w_aligned": w0, "w_misaligned": wma, "w_beam_error": p_bs}
-
-
-def beam_selection_profile_interval(x, sigma_d, d_left, d_right):
-    """beam_selection_profile with per-position interval bounds."""
-    x = np.asarray(x, dtype=float)
-    d_left = np.broadcast_to(np.asarray(d_left, dtype=float), x.shape)
-    d_right = np.broadcast_to(np.asarray(d_right, dtype=float), x.shape)
-    sigma = np.broadcast_to(np.asarray(sigma_d, dtype=float), x.shape)
-    out = np.empty_like(x)
-    infinite = np.isinf(sigma)
-    zero = sigma == 0.0
-    regular = ~(infinite | zero)
-    if np.any(regular):
-        out[regular] = (1.0 - qfunc((d_left[regular] - x[regular]) / sigma[regular])
-                        + qfunc((d_right[regular] - x[regular]) / sigma[regular]))
-    out[infinite] = 1.0
-    if np.any(zero):
-        inside = (x[zero] > d_left[zero]) & (x[zero] < d_right[zero])
-        out[zero] = np.where(inside, 0.0, 0.5)
-    return out
 
 
 # ---------------------------------------------------------------------------

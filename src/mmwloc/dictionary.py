@@ -10,7 +10,6 @@ to d_a exactly.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,22 +32,51 @@ class BeamEntry:
         return self.d_right - self.d_left
 
 
-def beam_boundaries(d_a: float, h_b: float, k: int) -> np.ndarray:
-    """The k+1 ground boundaries of row k: h_b*tan(j*theta_k), j = 0..k."""
-    if d_a <= 0.0 or h_b <= 0.0:
+def row_beamwidth(d_a, h_b: float, k):
+    """Beamwidth theta_k = atan(d_a / h_b) / k of row k; d_a and k may be
+    arrays (they broadcast)."""
+    out = np.arctan2(d_a, h_b) / k
+    return out if out.ndim else float(out)
+
+
+def _edge(j, theta_k, d_a, h_b: float, k):
+    """Ground boundary j of row k; the last one is pinned to the cell edge."""
+    return np.where(j >= k, d_a, h_b * np.tan(j * theta_k))
+
+
+def beam_boundaries(d_a, h_b: float, k: int) -> np.ndarray:
+    """The k+1 ground boundaries of row k: h_b*tan(j*theta_k), j = 0..k.
+
+    ``d_a`` may be an array of cell sizes; the boundaries then run along a
+    trailing axis of length k+1.
+    """
+    d_a = np.asarray(d_a, dtype=float)[..., None]
+    if np.any(d_a <= 0.0) or h_b <= 0.0:
         raise ValueError("cell size and BS height must be positive")
     if k < 1:
         raise ValueError("dictionary size must be >= 1")
-    theta_1 = math.atan2(d_a, h_b)
-    angles = np.arange(k + 1) * (theta_1 / k)
-    bounds = h_b * np.tan(angles)
-    bounds[0] = 0.0
-    bounds[-1] = d_a
-    return bounds
+    return _edge(np.arange(k + 1), row_beamwidth(d_a, h_b, k), d_a, h_b, k)
 
 
-def row_beamwidth(d_a: float, h_b: float, k: int) -> float:
-    return math.atan2(d_a, h_b) / k
+def containing_beam(d, d_a, h_b: float, k) -> tuple:
+    """(j, d_left, d_right): the beam of row k whose ground interval holds
+    d, with its edges; d, d_a and k broadcast.
+
+    Ties go to the left beam, so d_left <= d <= d_right and d equals d_left
+    only in the first beam. The beam comes from the angular construction,
+    j = ceil(atan(d / h_b) / theta_k); where atan and tan round differently
+    at an edge that lands one beam off, and one step towards d corrects it.
+    """
+    theta_k = row_beamwidth(d_a, h_b, k)
+    j = np.minimum(np.maximum(np.ceil(np.arctan2(d, h_b) / theta_k), 1),
+                   k).astype(int)
+    d_left = _edge(j - 1, theta_k, d_a, h_b, k)
+    d_right = _edge(j, theta_k, d_a, h_b, k)
+    if ((d <= d_left) | (d > d_right)).any():
+        j = j + ((d > d_right) & (j < k)) - ((d <= d_left) & (j > 1))
+        d_left = _edge(j - 1, theta_k, d_a, h_b, k)
+        d_right = _edge(j, theta_k, d_a, h_b, k)
+    return j, d_left, d_right
 
 
 @dataclass(frozen=True)
@@ -59,10 +87,6 @@ class BeamDictionary:
     h_b: float
     n_max: int
     rows: tuple  # rows[k-1] is a tuple of k BeamEntry values
-
-    @property
-    def theta_1(self) -> float:
-        return math.atan2(self.d_a, self.h_b)
 
     def row(self, k: int) -> tuple:
         if not 1 <= k <= self.n_max:
@@ -98,11 +122,11 @@ def build_dictionary(d_a: float, h_b: float, n_max: int) -> BeamDictionary:
 def lookup_index(d_a: float, h_b: float, k: int, d_hat: float) -> int:
     """1-based beam index in row k containing d_hat; right-boundary ties
     resolve to the left beam."""
+    if d_a <= 0.0 or h_b <= 0.0 or k < 1:
+        raise ValueError("d_a, h_b must be positive and k >= 1")
     if not 0.0 <= d_hat <= d_a:
         raise OutOfCellError(f"estimate {d_hat} outside cell [0, {d_a}]")
-    bounds = beam_boundaries(d_a, h_b, k)
-    j = int(np.searchsorted(bounds, d_hat, side="left"))
-    return max(1, min(j, k))
+    return int(containing_beam(d_hat, d_a, h_b, k)[0])
 
 
 def lookup_beam(dictionary: BeamDictionary, k: int, d_hat: float) -> BeamEntry:

@@ -35,6 +35,7 @@ from .localization import avg_beam_selection_error, avg_misalignment_error
 from .montecarlo import simulate_coverage
 from .optimizer import (
     OptimizationSpec,
+    default_beta_grid,
     optimize_beamwidth,
     ue_beamwidth_for_dictionary,
 )
@@ -196,18 +197,13 @@ def _run_error_vs_dictionary(spec: ExperimentSpec):
     return [out]
 
 
-def _beta_grid(spec: ExperimentSpec):
-    step = float(spec.overrides.get("experiment.beta_step", 0.02))
-    n = int(round(1.0 / step))
-    return [round(i * step, 10) for i in range(1, n + 1)]
-
-
 def _run_rate_vs_beta(spec: ExperimentSpec):
     r0 = float(spec.overrides.get("experiment.r0", 1.0e8))
     ks = spec.overrides.get("experiment.k_list", "4,16")
     if isinstance(ks, str):
         ks = [int(v) for v in ks.split(",")]
-    betas = _beta_grid(spec)
+    betas = default_beta_grid(
+        spec.overrides.get("experiment.beta_step", 0.02))
 
     def point(item):
         k, beta = item

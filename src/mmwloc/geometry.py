@@ -88,8 +88,10 @@ def path_loss_exponent(d_ground, cfg: NetworkConfig):
     return out if out.ndim else float(out)
 
 
-def nakagami_shape(d_ground: float, cfg: NetworkConfig) -> int:
-    return cfg.n_los if d_ground <= cfg.d_s else cfg.n_nlos
+def nakagami_shape(d_ground, cfg: NetworkConfig):
+    """Vectorized LOS/NLOS Nakagami shape selection for ground distances."""
+    out = np.where(np.asarray(d_ground) <= cfg.d_s, cfg.n_los, cfg.n_nlos)
+    return out if out.ndim else int(out)
 
 
 def snr_localization(geom: UserGeometry, gain_b: float, gain_u: float,

@@ -28,9 +28,14 @@ import numpy as np
 
 from .antenna import beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
-from .dictionary import BeamDictionary
-from .localization import aoa_variance, nu_threshold, ranging_variance
-from .numerics import qfunc
+from .dictionary import BeamDictionary, containing_beam, row_beamwidth
+from .localization import (
+    aoa_variance,
+    beam_selection_profile,
+    nu_threshold,
+    p_misalignment,
+    ranging_variance,
+)
 
 DEFAULT_UE_GRID = tuple(math.pi / 2 ** i for i in range(1, 9))
 
@@ -100,34 +105,17 @@ class AccessTrace:
 # Beam selection rules
 # ---------------------------------------------------------------------------
 
-def _row_error_at(d_a: float, h_b: float, ks: np.ndarray, d_hat: float,
-                  sigma_d: float) -> np.ndarray:
-    """Selection-error probability of the beam containing d_hat, per row."""
-    theta_1 = math.atan2(d_a, h_b)
-    theta_k = theta_1 / ks
-    angle = math.atan2(d_hat, h_b)
-    j = np.clip(np.ceil(angle / theta_k).astype(int), 1, ks)
-    d_left = h_b * np.tan((j - 1) * theta_k)
-    d_right = np.where(j == ks, d_a, h_b * np.tan(j * theta_k))
-    if sigma_d == 0.0:
-        interior = (d_hat > d_left) & (d_hat < d_right)
-        return np.where(interior, 0.0, 0.5)
-    return (1.0 - qfunc((d_left - d_hat) / sigma_d)
-            + qfunc((d_right - d_hat) / sigma_d))
-
-
 def _select_row(d_a: float, h_b: float, n_max: int, d_hat: float,
                 sigma_d2: float, delta_bs: float) -> tuple:
     """Largest row whose containing beam meets the selection-error cap."""
     ks = np.arange(2, n_max + 1)
-    theta_1 = math.atan2(d_a, h_b)
     if ks.size and math.isfinite(sigma_d2):
-        errors = _row_error_at(d_a, h_b, ks, d_hat, math.sqrt(sigma_d2))
-        feasible = ks[errors <= delta_bs]
+        j, d_left, d_right = containing_beam(d_hat, d_a, h_b, ks)
+        errors = beam_selection_profile(d_hat, math.sqrt(sigma_d2),
+                                        d_left, d_right)
+        feasible = (errors <= delta_bs).nonzero()[0]
         if feasible.size:
-            k = int(feasible.max())
-            j = max(1, min(int(math.ceil(math.atan2(d_hat, h_b) / (theta_1 / k))), k))
-            return k, j
+            return int(ks[feasible[-1]]), int(j[feasible[-1]])
     return 1, 1
 
 
@@ -153,11 +141,10 @@ def select_ue_beam(theta_k: float, sigma_psi2: float, delta_ma: float,
         return widest
     if sigma_psi2 < 0.0:
         raise ValueError("variance must be non-negative")
-    sigma = math.sqrt(sigma_psi2)
-    feasible = [t for t in grid
-                if sigma == 0.0
-                or 2.0 * qfunc(nu_threshold(theta_k, t, nu_rule) / sigma) <= delta_ma]
-    return min(feasible) if feasible else widest
+    widths = np.asarray(grid, dtype=float)
+    errors = p_misalignment(sigma_psi2, nu_threshold(theta_k, widths, nu_rule))
+    feasible = widths[errors <= delta_ma]
+    return float(feasible.min()) if feasible.size else widest
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,7 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
 
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
     pilot_bw = policy.pilot_bandwidth if policy.pilot_bandwidth is not None else cfg.bandwidth
-    theta_1 = math.atan2(cell_size, cfg.h_b)
+    theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
 
     info_d = 1.0 / policy.initial_sigma_d2
     info_psi = 0.0

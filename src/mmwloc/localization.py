@@ -34,9 +34,9 @@ import numpy as np
 
 from .antenna import UlaArray, aoa_fisher_factor, beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
-from .dictionary import BeamEntry
+from .dictionary import BeamEntry, beam_boundaries, row_beamwidth
 from .errors import NumericError, UnidentifiableAngleError
-from .geometry import UserGeometry
+from .geometry import UserGeometry, path_loss_exponent
 from .numerics import (
     SPEED_OF_LIGHT,
     exponential_cell_nodes,
@@ -46,6 +46,9 @@ from .numerics import (
 
 CELL_NODES = 64
 BEAM_NODES = 32
+# Estimation spreads are floored here, so a zero spread is evaluated as its
+# limit (no 0/0 on an interval edge) while no real bound is affected.
+SIGMA_FLOOR = 1e-150
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,20 @@ class ErrorThresholds:
             raise ValueError(f"unknown nu rule: {self.nu_rule}")
 
 
-def nu_threshold(theta_b: float, theta_u: float, rule: str = "ue_half") -> float:
-    """Beam-pair alignment threshold nu(theta_b, theta_u).
+def nu_threshold(theta_b, theta_u, rule: str = "ue_half"):
+    """Beam-pair alignment threshold nu(theta_b, theta_u); arrays broadcast.
 
     Default: the pair stays aligned while the pointing error sits inside
     the UE main lobe (theta_u / 2); 'min_half' instead requires it inside
     the narrower of the two lobes.
     """
     if rule == "ue_half":
-        return 0.5 * theta_u
-    if rule == "min_half":
-        return 0.5 * min(theta_b, theta_u)
-    raise ValueError(f"unknown nu rule: {rule}")
+        nu = 0.5 * np.asarray(theta_u, dtype=float)
+    elif rule == "min_half":
+        nu = 0.5 * np.minimum(theta_b, theta_u)
+    else:
+        raise ValueError(f"unknown nu rule: {rule}")
+    return nu if nu.ndim else float(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +111,7 @@ def observation_energy(x, beta: float, cfg: NetworkConfig,
     if observation_time < 0.0:
         raise ValueError("observation time must be non-negative")
     z2 = x * x + cfg.h_b * cfg.h_b
-    alpha = np.where(x <= cfg.d_s, cfg.alpha_los, cfg.alpha_nlos)
-    atten = z2 ** (-0.5 * alpha)
+    atten = z2 ** (-0.5 * path_loss_exponent(x, cfg))
     out = 2.0 * cfg.k_pl * cfg.p_t * atten * observation_time / cfg.noise_psd
     return out if out.ndim else float(out)
 
@@ -204,27 +208,15 @@ def localization_bounds(geom: UserGeometry, theta_b: float, theta_u: float,
 # Error probabilities
 # ---------------------------------------------------------------------------
 
-def beam_selection_profile(x, sigma_d, d_left: float, d_right: float):
+def beam_selection_profile(x, sigma_d, d_left, d_right):
     """P(estimate outside [d_left, d_right]) for Gaussian estimates centered
-    at positions x with std sigma_d (elementwise; handles 0 and inf)."""
-    x = np.asarray(x, dtype=float)
-    sigma = np.broadcast_to(np.asarray(sigma_d, dtype=float), x.shape).copy()
-    out = np.empty_like(x)
-    zero = sigma == 0.0
-    infinite = np.isinf(sigma)
-    regular = ~(zero | infinite)
-    if np.any(regular):
-        s = sigma[regular]
-        xs = x[regular]
-        out[regular] = (1.0 - qfunc((d_left - xs) / s)
-                        + qfunc((d_right - xs) / s))
-    if np.any(zero):
-        xs = x[zero]
-        boundary = (xs == d_left) | (xs == d_right)
-        inside = (xs > d_left) & (xs < d_right)
-        out[zero] = np.where(boundary, 0.5, np.where(inside, 0.0, 1.0))
-    out[infinite] = 1.0
-    return out
+    at positions x with std sigma_d; all four broadcast.
+
+    sigma_d == 0 is the limit of a vanishing spread (0 inside the interval,
+    1/2 on an edge, 1 outside); sigma_d == inf gives 1.
+    """
+    sigma = np.maximum(sigma_d, SIGMA_FLOOR)
+    return 1.0 - qfunc((d_left - x) / sigma) + qfunc((d_right - x) / sigma)
 
 
 def p_beam_selection(d: float, sigma_d2: float, beam: BeamEntry) -> float:
@@ -233,24 +225,21 @@ def p_beam_selection(d: float, sigma_d2: float, beam: BeamEntry) -> float:
         raise ValueError("true position must lie inside the beam interval")
     if sigma_d2 < 0.0:
         raise ValueError("variance must be non-negative")
-    sigma = math.sqrt(sigma_d2)
-    return float(beam_selection_profile(np.asarray([d]), sigma,
-                                        beam.d_left, beam.d_right)[0])
+    return float(beam_selection_profile(d, math.sqrt(sigma_d2),
+                                        beam.d_left, beam.d_right))
 
 
-def p_misalignment(sigma_psi2: float, nu: float) -> float:
-    """2 Q(nu / sigma_psi); 1 when nu == 0, 0 in the perfect-estimate limit."""
-    if nu < 0.0:
+def p_misalignment(sigma_psi2, nu):
+    """2 Q(nu / sigma_psi); arrays broadcast. It is 1 when nu == 0, 0 in the
+    perfect-estimate limit sigma_psi2 == 0 and 1 for an infinite variance."""
+    nu = np.asarray(nu, dtype=float)
+    sigma_psi2 = np.asarray(sigma_psi2, dtype=float)
+    if nu.min() < 0.0:
         raise ValueError("threshold must be non-negative")
-    if sigma_psi2 < 0.0:
+    if sigma_psi2.min() < 0.0:
         raise ValueError("variance must be non-negative")
-    if nu == 0.0:
-        return 1.0
-    if sigma_psi2 == 0.0:
-        return 0.0
-    if math.isinf(sigma_psi2):
-        return 1.0
-    return float(2.0 * qfunc(nu / math.sqrt(sigma_psi2)))
+    out = 2.0 * qfunc(nu / np.maximum(np.sqrt(sigma_psi2), SIGMA_FLOOR))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +257,8 @@ def _cell_grid(k: int, cfg: NetworkConfig):
     """
     da_nodes, da_weights = exponential_cell_nodes(
         2.0 * cfg.bs_density, CELL_NODES, split=cfg.d_s)
-    theta_k = np.arctan2(da_nodes, cfg.h_b) / k
-    angles = np.arange(k + 1) * theta_k[:, None]
-    bounds = cfg.h_b * np.tan(angles)
-    bounds[:, 0] = 0.0
-    bounds[:, -1] = da_nodes
+    theta_k = row_beamwidth(da_nodes, cfg.h_b, k)
+    bounds = beam_boundaries(da_nodes, cfg.h_b, k)
     x, w = split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s, BEAM_NODES)
     pos_w = w / da_nodes[:, None, None]
     for arr in (da_nodes, da_weights, theta_k, bounds, x, pos_w):
@@ -300,21 +286,16 @@ def avg_beam_selection_error(k: int, beta: float, theta_u: float,
         return 0.0
     if beta == 1.0 and sigma_d2_override is None:
         return 1.0  # no localization resources: estimates carry no information
-    da_nodes, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
-    gamma_u = main_lobe_gain(theta_u, cfg)
-    total = 0.0
-    for i in range(da_nodes.size):
-        gamma_b = main_lobe_gain(float(theta_k[i]), cfg)
-        if sigma_d2_override is None:
-            sigma = np.sqrt(ranging_variance(x[i], gamma_b, gamma_u, beta, cfg))
-        else:
-            sigma = np.full(x[i].shape, math.sqrt(sigma_d2_override))
-        cell_val = 0.0
-        for j in range(k):
-            p = beam_selection_profile(x[i, j], sigma[j],
-                                       float(bounds[i, j]), float(bounds[i, j + 1]))
-            cell_val += float(np.dot(p, pos_w[i, j]))
-        total += da_weights[i] * cell_val
+    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    if sigma_d2_override is None:
+        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+        gamma_u = main_lobe_gain(theta_u, cfg)
+        sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
+    else:
+        sigma = math.sqrt(sigma_d2_override)
+    p = beam_selection_profile(x, sigma, bounds[:, :-1, None],
+                               bounds[:, 1:, None])
+    total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
     return _check_finite(min(max(total, 0.0), 1.0), "beam-selection")
 
 
@@ -328,21 +309,13 @@ def avg_misalignment_error(k: int, theta_u: float, beta: float,
         raise ValueError("dictionary size must be >= 1")
     if beta == 1.0 and sigma_psi2_override is None:
         return 1.0
-    da_nodes, da_weights, theta_k, _, x, pos_w = _cell_grid(k, cfg)
-    total = 0.0
-    for i in range(da_nodes.size):
-        nu = nu_threshold(float(theta_k[i]), theta_u, nu_rule)
-        if nu == 0.0:
-            total += da_weights[i]
-            continue
-        gamma_b = main_lobe_gain(float(theta_k[i]), cfg)
-        if sigma_psi2_override is None:
-            var = aoa_variance(x[i], gamma_b, theta_u, beta, cfg)
-        else:
-            var = np.full(x[i].shape, float(sigma_psi2_override))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(var > 0.0, nu / np.sqrt(var), np.inf)
-        p = np.where(np.isinf(var), 1.0, 2.0 * qfunc(ratio))
-        p = np.where(var == 0.0, 0.0, p)
-        total += da_weights[i] * float(np.sum(p * pos_w[i]))
+    _, da_weights, theta_k, _, x, pos_w = _cell_grid(k, cfg)
+    if sigma_psi2_override is None:
+        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+        var = aoa_variance(x, gamma_b, theta_u, beta, cfg)
+    else:
+        var = float(sigma_psi2_override)
+    nu = nu_threshold(theta_k[:, None, None], theta_u, nu_rule)
+    p = p_misalignment(var, nu)
+    total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
     return _check_finite(min(max(total, 0.0), 1.0), "misalignment")

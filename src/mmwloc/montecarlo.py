@@ -23,9 +23,9 @@ import numpy as np
 from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .coverage import CoverageQuery, CoverageResult
-from .geometry import UserGeometry
-from .localization import aoa_variance, ranging_variance
-from .numerics import kahan_sum
+from .dictionary import beam_boundaries, containing_beam, row_beamwidth
+from .geometry import UserGeometry, nakagami_shape, path_loss_exponent
+from .localization import aoa_variance, nu_threshold, ranging_variance
 
 BATCH_SIZE = 8192
 
@@ -72,7 +72,7 @@ def sample_realization(cfg: NetworkConfig, seed: int,
     if count == 0:
         raise ValueError("empty deployment draw; enlarge the window")
     serving = int(np.argmin(np.abs(positions)))
-    shapes = np.where(np.abs(positions) <= cfg.d_s, cfg.n_los, cfg.n_nlos)
+    shapes = nakagami_shape(np.abs(positions), cfg)
     fading = rng.standard_gamma(shapes) / shapes
     user = UserGeometry(d=abs(float(positions[serving])), h_b=cfg.h_b)
     return Realization(seed=seed, bs_positions=positions, serving_index=serving,
@@ -90,12 +90,12 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
         return out
     owner = np.repeat(np.arange(d.shape[0]), counts)
     y = d[owner] + rng.uniform(0.0, 1.0, size=total) * span[owner]
-    shapes = np.where(y <= cfg.d_s, cfg.n_los, cfg.n_nlos)
+    shapes = nakagami_shape(y, cfg)
     fade = rng.standard_gamma(shapes) / shapes
-    alpha = np.where(y <= cfg.d_s, cfg.alpha_los, cfg.alpha_nlos)
     q2 = y * y + cfg.h_b * cfg.h_b
     g2 = sidelobe_gain(cfg) ** 2
-    powers = cfg.p_t * cfg.k_pl * g2 * fade * q2 ** (-0.5 * alpha)
+    powers = (cfg.p_t * cfg.k_pl * g2 * fade
+              * q2 ** (-0.5 * path_loss_exponent(y, cfg)))
     return np.bincount(owner, weights=powers, minlength=d.shape[0])
 
 
@@ -113,37 +113,9 @@ def simulate_laplace(serving_d: float, weight: float, cfg: NetworkConfig,
         g2 = sidelobe_gain(cfg) ** 2
         values.append(np.exp(-weight * sums / (cfg.p_t * cfg.k_pl * g2)))
     values = np.concatenate(values)
-    mean = kahan_sum(values) / trials
+    mean = math.fsum(values) / trials
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
     return mean, stderr
-
-
-def _row_geometry(d_a: np.ndarray, k: int, cfg: NetworkConfig):
-    """Beam boundaries (n, k+1) and beamwidth (n,) for per-trial cells."""
-    theta_k = np.arctan2(d_a, cfg.h_b) / k
-    angles = np.arange(k + 1) * theta_k[:, None]
-    bounds = cfg.h_b * np.tan(angles)
-    bounds[:, 0] = 0.0
-    bounds[:, -1] = d_a
-    return bounds, theta_k
-
-
-def _containing_beam(d: np.ndarray, theta_k: np.ndarray, k: int,
-                     cfg: NetworkConfig) -> np.ndarray:
-    """1-based beam index per trial; boundary ties resolve to the left beam.
-
-    Uses the angular construction directly: beam j covers ground angles
-    ((j-1)*theta_k, j*theta_k]."""
-    angle = np.arctan2(d, cfg.h_b)
-    return np.clip(np.ceil(angle / theta_k).astype(int), 1, k)
-
-
-def _nu_vector(theta_k: np.ndarray, theta_u: float, rule: str) -> np.ndarray:
-    if rule == "min_half":
-        return 0.5 * np.minimum(theta_k, theta_u)
-    if rule == "ue_half":
-        return np.full_like(theta_k, 0.5 * theta_u)
-    raise ValueError(f"unknown nu rule: {rule}")
 
 
 def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
@@ -162,19 +134,16 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
             d_a = np.full(size, cfg.mean_cell_size)
         else:
             d_a = rng.exponential(cfg.mean_cell_size, size=size)
-        bounds, theta_k = _row_geometry(d_a, query.k, cfg)
+        theta_k = row_beamwidth(d_a, cfg.h_b, query.k)
         if query.j is not None:
-            d_left = bounds[:, query.j - 1]
-            d_right = bounds[:, query.j]
+            bounds = beam_boundaries(d_a, cfg.h_b, query.k)
+            d_left, d_right = bounds[:, query.j - 1], bounds[:, query.j]
             d = d_left + rng.uniform(0.0, 1.0, size=size) * (d_right - d_left)
         else:
             d = rng.uniform(0.0, 1.0, size=size) * d_a
-            idx = _containing_beam(d, theta_k, query.k, cfg)
-            d_left = bounds[np.arange(size), idx - 1]
-            d_right = bounds[np.arange(size), idx]
+            _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, query.k)
 
-        gamma_b = (cfg.g0 * (2.0 * math.pi - (2.0 * math.pi - theta_k)
-                             * cfg.eps_sidelobe) / theta_k)
+        gamma_b = main_lobe_gain(theta_k, cfg)
         sigma_d2 = ranging_variance(d, gamma_b, gamma_u, query.beta, cfg)
         sigma_psi2 = aoa_variance(d, gamma_b, query.theta_u, query.beta, cfg)
 
@@ -184,7 +153,7 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
         else:
             d_hat = d + np.sqrt(sigma_d2) * rng.standard_normal(size)
             bs_error = (d_hat < d_left) | (d_hat > d_right)
-        nu = _nu_vector(theta_k, query.theta_u, nu_rule)
+        nu = nu_threshold(theta_k, query.theta_u, nu_rule)
         psi_err = np.abs(np.sqrt(sigma_psi2) * rng.standard_normal(size))
         ma_error = psi_err >= nu
 
@@ -193,11 +162,11 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
         gain = np.where(bs_error, g * g,
                         np.where(ma_error, gamma_b * g, gamma_b * gamma_u))
 
-        alpha_s = np.where(d <= cfg.d_s, cfg.alpha_los, cfg.alpha_nlos)
-        shape_s = np.where(d <= cfg.d_s, cfg.n_los, cfg.n_nlos)
+        shape_s = nakagami_shape(d, cfg)
         fade = rng.standard_gamma(shape_s) / shape_s
         z2 = d * d + cfg.h_b * cfg.h_b
-        signal = cfg.p_t * cfg.k_pl * gain * fade * z2 ** (-0.5 * alpha_s)
+        signal = (cfg.p_t * cfg.k_pl * gain * fade
+                  * z2 ** (-0.5 * path_loss_exponent(d, cfg)))
         interference = _interference_sums(rng, d, cfg)
         sinr = signal / (cfg.noise_power + interference)
         ok = sinr >= query.threshold
@@ -229,13 +198,10 @@ def simulate_error_probabilities(k: int, beta: float, theta_u: float,
     gamma_u = main_lobe_gain(theta_u, cfg)
     for rng, size in _batch_streams(seed, trials):
         d_a = rng.exponential(cfg.mean_cell_size, size=size)
-        bounds, theta_k = _row_geometry(d_a, k, cfg)
+        theta_k = row_beamwidth(d_a, cfg.h_b, k)
         d = rng.uniform(0.0, 1.0, size=size) * d_a
-        idx = _containing_beam(d, theta_k, k, cfg)
-        d_left = bounds[np.arange(size), idx - 1]
-        d_right = bounds[np.arange(size), idx]
-        gamma_b = (cfg.g0 * (2.0 * math.pi - (2.0 * math.pi - theta_k)
-                             * cfg.eps_sidelobe) / theta_k)
+        _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, k)
+        gamma_b = main_lobe_gain(theta_k, cfg)
         if sigma_override is None:
             sigma_d = np.sqrt(ranging_variance(d, gamma_b, gamma_u, beta, cfg))
             sigma_psi = np.sqrt(aoa_variance(d, gamma_b, theta_u, beta, cfg))
@@ -247,7 +213,7 @@ def simulate_error_probabilities(k: int, beta: float, theta_u: float,
             bs_count += int(((d_hat < d_left) | (d_hat > d_right)).sum())
         else:
             rng.standard_normal(size)
-        nu = _nu_vector(theta_k, theta_u, nu_rule)
+        nu = nu_threshold(theta_k, theta_u, nu_rule)
         psi_err = np.abs(sigma_psi * rng.standard_normal(size))
         ma_count += int((psi_err >= nu).sum())
     p_bs = bs_count / trials

@@ -1,4 +1,4 @@
-"""Small numerical helpers: Gaussian tail functions, quadrature grids, sums.
+"""Small numerical helpers: Gaussian tail functions, quadrature grids, units.
 
 Everything here is deterministic and vectorized; the fixed-order
 Gauss-Legendre rules are validated against adaptive quadrature in the
@@ -110,18 +110,6 @@ def reciprocal_power(base, n: int):
     for _ in range(n - 1):
         out = out * inv
     return out
-
-
-def kahan_sum(values) -> float:
-    """Compensated sum; order-stable accumulation for reductions."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def db_to_linear(db: float) -> float:

@@ -17,6 +17,7 @@ from .antenna import main_lobe_gain
 from .config import NetworkConfig
 from .coverage import rate_coverage
 from .dictionary import row_beamwidth
+from .errors import ConfigError
 from .initial_access import DEFAULT_UE_GRID, select_ue_beam
 from .localization import (
     aoa_variance,
@@ -47,7 +48,17 @@ def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig,
 
 
 def default_beta_grid(step: float = 0.02) -> tuple:
-    """The inner-search grid over (0, 1]."""
+    """The inner-search grid i * step, i = 1..round(1/step), over (0, 1].
+
+    ``step`` may be the raw text of a config value; one that does not parse
+    or lies outside (0, 1] raises ConfigError.
+    """
+    try:
+        step = float(step)
+    except (TypeError, ValueError):
+        raise ConfigError(f"beta step must be a number, got {step!r}") from None
+    if not 0.0 < step <= 1.0:
+        raise ConfigError(f"beta step must be in (0, 1], got {step}")
     n = int(round(1.0 / step))
     return tuple(round(i * step, 10) for i in range(1, n + 1))
 

@@ -80,6 +80,13 @@ class TestCliRuns:
                          "--network.lambda_per_m", "not-a-number"])
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["0", "1.5", "-0.1", "abc"])
+    def test_bad_beta_step_exits_2(self, tmp_path, capsys, step):
+        code = cli.main(["run", "rate-vs-beta", "--out", str(tmp_path),
+                         "--set", f"experiment.beta_step={step}"])
+        assert code == 2
+        assert "beta step" in capsys.readouterr().err
+
     def test_numeric_error_exits_3(self, tmp_path, monkeypatch):
         def boom(spec):
             raise NumericError("quadrature failed in test")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from mmwloc import build_dictionary, lookup_beam
-from mmwloc.dictionary import beam_boundaries, lookup_index, row_beamwidth
+from mmwloc.dictionary import (
+    beam_boundaries,
+    containing_beam,
+    lookup_index,
+    row_beamwidth,
+)
 from mmwloc.errors import OutOfCellError
 
 
@@ -81,13 +86,22 @@ class TestLookup:
                 lookup_beam(d, 2, bad)
 
     def test_lookup_consistent_with_intervals(self):
+        # random points plus every edge and its 1-ulp neighbours, where the
+        # angular rule and the tan-built edges round differently
         rng = np.random.default_rng(17)
-        d_a, h_b = 64.0, 9.0
-        for k in (3, 7, 19):
+        for d_a, h_b, k in ((64.0, 9.0, 3), (64.0, 9.0, 7), (64.0, 9.0, 19),
+                            (37.3, 10.0, 256), (212.0, 10.0, 1024)):
             bounds = beam_boundaries(d_a, h_b, k)
-            for d_hat in rng.uniform(0, d_a, size=40):
-                j = lookup_index(d_a, h_b, k, float(d_hat))
-                assert bounds[j - 1] <= d_hat <= bounds[j]
+            edges = np.concatenate([bounds, np.nextafter(bounds, -np.inf),
+                                    np.nextafter(bounds, np.inf)])
+            points = np.concatenate([rng.uniform(0, d_a, size=40),
+                                     edges[(edges >= 0.0) & (edges <= d_a)]])
+            j, d_left, d_right = containing_beam(points, d_a, h_b, k)
+            for d_hat, jj, left, right in zip(points, j, d_left, d_right):
+                assert lookup_index(d_a, h_b, k, float(d_hat)) == jj
+                assert (left, right) == (bounds[jj - 1], bounds[jj])
+                assert left <= d_hat <= right
+                assert d_hat > left or jj == 1  # ties go to the left beam
 
 
 class TestCsvDump:
