@@ -31,7 +31,6 @@ from .dictionary import (
     lookup_beam,
 )
 from .localization import (
-    ErrorThresholds,
     LocalizationBounds,
     avg_beam_selection_error,
     avg_misalignment_error,

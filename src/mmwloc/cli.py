@@ -12,11 +12,11 @@ failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .config import (
-    NetworkConfig,
     boundary_keys,
     from_boundary_mapping,
     parse_config_text,
@@ -35,14 +35,25 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def _within(convert, lo: float, hi: float = math.inf):
+    """argparse type: ``convert`` the text, then require lo < value < hi."""
+    def parse(text: str):
+        value = convert(text)
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(
+                f"must be in ({lo}, {hi}), got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value config file (boundary units)")
     parser.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trials", type=int, default=100_000)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--seed", type=_within(int, -1), default=1)
+    parser.add_argument("--trials", type=_within(int, 0), default=100_000)
     for key in boundary_keys():
         parser.add_argument(f"--{key}", dest=key, default=None,
                             metavar="V", help=argparse.SUPPRESS)
@@ -62,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump_p = sub.add_parser("dump-dictionary", help="export the beam database")
     _add_common(dump_p)
-    dump_p.add_argument("--cell-size", type=float, default=None)
-    dump_p.add_argument("--n-max", type=int, default=32)
+    dump_p.add_argument("--cell-size", type=_within(float, 0.0), default=None)
+    dump_p.add_argument("--n-max", type=_within(int, 0), default=32)
 
     opt_p = sub.add_parser("optimize", help="optimal beamwidth and frame split")
     _add_common(opt_p)
-    opt_p.add_argument("--r0", type=float, default=1.0e8)
-    opt_p.add_argument("--eps-bs", type=float, default=0.1)
-    opt_p.add_argument("--eps-ma", type=float, default=0.1)
+    opt_p.add_argument("--r0", type=_within(float, 0.0), default=1.0e8)
+    opt_p.add_argument("--eps-bs", type=_within(float, 0.0, 1.0), default=0.1)
+    opt_p.add_argument("--eps-ma", type=_within(float, 0.0, 1.0), default=0.1)
 
     val_p = sub.add_parser("validate",
                            help="analytical vs Monte Carlo validation grid")
@@ -106,21 +117,17 @@ def _split_sections(entries: dict) -> tuple:
     return network, experiment
 
 
-def _build_config(entries: dict) -> NetworkConfig:
-    return from_boundary_mapping(entries)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         entries = _collect_overrides(args)
         network_entries, experiment_entries = _split_sections(entries)
-        cfg = _build_config(network_entries)
+        cfg = from_boundary_mapping(network_entries)
 
         if args.command == "run":
             spec = ExperimentSpec(name=args.experiment, cfg=cfg,
                                   out_dir=args.out, seed=args.seed,
-                                  trials=args.trials, threads=args.threads,
+                                  trials=args.trials,
                                   overrides=experiment_entries)
             outputs = run_experiment(spec)
             for path in outputs:
@@ -152,7 +159,7 @@ def main(argv=None) -> int:
         elif args.command == "validate":
             spec = ExperimentSpec(name="validate-analytical", cfg=cfg,
                                   out_dir=args.out, seed=args.seed,
-                                  trials=args.trials, threads=args.threads,
+                                  trials=args.trials,
                                   overrides=experiment_entries)
             for path in run_experiment(spec):
                 print(path)

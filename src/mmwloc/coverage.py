@@ -30,18 +30,18 @@ from scipy.special import comb, gamma
 
 from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
-from .dictionary import beam_boundaries, row_beamwidth
 from .errors import NumericError
 from .geometry import nakagami_shape, path_loss_exponent
 from .localization import (
     _cell_grid,
+    _cell_panels,
     aoa_variance,
     beam_selection_profile,
     nu_threshold,
     p_misalignment,
     ranging_variance,
 )
-from .numerics import gauss_legendre, reciprocal_power, split_panel
+from .numerics import gauss_legendre, reciprocal_power
 
 LOS_NODES = 24
 NLOS_NODES = 32
@@ -207,8 +207,7 @@ def _branch_values(x: np.ndarray, threshold: float, branch_gain: float,
 
 def _mixture_values(x: np.ndarray, threshold: float, theta_k: float,
                     theta_u: float, beta: float, k: int, d_left, d_right,
-                    cfg: NetworkConfig, exhaustive: bool,
-                    nu_rule: str) -> tuple:
+                    cfg: NetworkConfig, exhaustive: bool) -> tuple:
     """Pointwise coverage mixing the three branches by the error profile.
 
     d_left/d_right broadcast against x (the serving beam interval per
@@ -232,7 +231,7 @@ def _mixture_values(x: np.ndarray, threshold: float, theta_k: float,
         sigma_d = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
         p_bs = beam_selection_profile(x, sigma_d, d_left, d_right)
     p_ma = p_misalignment(aoa_variance(x, gamma_b, theta_u, beta, cfg),
-                          nu_threshold(theta_k, theta_u, nu_rule))
+                          nu_threshold(theta_u))
     w0 = (1.0 - p_bs) * (1.0 - p_ma)
     wma = (1.0 - p_bs) * p_ma
     values = w0 * t0 + wma * tma + p_bs * tbs
@@ -244,21 +243,17 @@ def _mixture_values(x: np.ndarray, threshold: float, theta_k: float,
 # Public coverage operations
 # ---------------------------------------------------------------------------
 
-def _resolve_cell(query: CoverageQuery, cfg: NetworkConfig) -> float:
-    return query.cell_size if query.cell_size is not None else cfg.mean_cell_size
-
-
 def _single_beam_coverage(query: CoverageQuery, cfg: NetworkConfig,
-                          exhaustive: bool, nu_rule: str) -> CoverageResult:
-    d_a = _resolve_cell(query, cfg)
-    bounds = beam_boundaries(d_a, cfg.h_b, query.k)
-    d_left, d_right = float(bounds[query.j - 1]), float(bounds[query.j])
-    theta_k = row_beamwidth(d_a, cfg.h_b, query.k)
-    x, w = split_panel(d_left, d_right, cfg.d_s, 32)
-    w = w / (d_right - d_left)  # conditional on the user being in this beam
-    values, parts = _mixture_values(x, query.threshold, theta_k, query.theta_u,
+                          exhaustive: bool) -> CoverageResult:
+    d_a = query.cell_size if query.cell_size is not None else cfg.mean_cell_size
+    theta_k, bounds, x, pos_w = _cell_panels(np.asarray([d_a]), query.k, cfg)
+    d_left, d_right = float(bounds[0, query.j - 1]), float(bounds[0, query.j])
+    # conditional on the user being in this beam
+    w = pos_w[0, query.j - 1] * (d_a / (d_right - d_left))
+    values, parts = _mixture_values(x[0, query.j - 1], query.threshold,
+                                    float(theta_k[0]), query.theta_u,
                                     query.beta, query.k, d_left, d_right, cfg,
-                                    exhaustive, nu_rule)
+                                    exhaustive)
     prob = float(np.dot(values, w))
     breakdown = {
         name: float(np.dot(parts[f"w_{name}"] * parts[name], w))
@@ -269,13 +264,12 @@ def _single_beam_coverage(query: CoverageQuery, cfg: NetworkConfig,
                           breakdown=breakdown)
 
 
-def coverage_probability(query: CoverageQuery, cfg: NetworkConfig,
-                         nu_rule: str = "ue_half") -> CoverageResult:
+def coverage_probability(query: CoverageQuery, cfg: NetworkConfig) -> CoverageResult:
     """Coverage of a user served by beam j of row k (conditional on the
     user lying in that beam's ground interval)."""
     if query.j is None:
         raise ValueError("coverage_probability requires a beam index j")
-    return _single_beam_coverage(query, cfg, exhaustive=False, nu_rule=nu_rule)
+    return _single_beam_coverage(query, cfg, exhaustive=False)
 
 
 def coverage_probability_exhaustive(query: CoverageQuery, cfg: NetworkConfig) -> CoverageResult:
@@ -283,45 +277,28 @@ def coverage_probability_exhaustive(query: CoverageQuery, cfg: NetworkConfig) ->
     beam-selection nor misalignment errors."""
     if query.j is None:
         raise ValueError("coverage_probability_exhaustive requires a beam index j")
-    return _single_beam_coverage(query, cfg, exhaustive=True, nu_rule="ue_half")
-
-
-def _fixed_cell_overall(threshold: float, k: int, theta_u: float, beta: float,
-                        cfg: NetworkConfig, d_a: float, exhaustive: bool,
-                        nu_rule: str) -> float:
-    bounds = beam_boundaries(d_a, cfg.h_b, k)
-    theta_k = row_beamwidth(d_a, cfg.h_b, k)
-    x, w = split_panel(bounds[:-1], bounds[1:], cfg.d_s, 32)   # (k, 32)
-    pos_w = w / d_a
-    d_left = np.broadcast_to(bounds[:-1, None], x.shape)
-    d_right = np.broadcast_to(bounds[1:, None], x.shape)
-    values, _ = _mixture_values(x.ravel(), threshold, theta_k, theta_u, beta,
-                                k, d_left.ravel(), d_right.ravel(), cfg,
-                                exhaustive, nu_rule)
-    return float(np.dot(values, pos_w.ravel()))
+    return _single_beam_coverage(query, cfg, exhaustive=True)
 
 
 def overall_coverage(threshold: float, k: int, theta_u: float, beta: float,
-                     cfg: NetworkConfig, cell_size: float | None = None,
-                     exhaustive: bool = False,
-                     nu_rule: str = "ue_half") -> float:
+                     cfg: NetworkConfig, cell_size: float | None = None) -> float:
     """Cell-level coverage across all k beams; expectation over the cell
     size distribution unless a fixed cell size is supplied."""
     if threshold <= 0.0:
         raise ValueError("SINR threshold must be positive")
-    if cell_size is not None:
-        prob = _fixed_cell_overall(threshold, k, theta_u, beta, cfg,
-                                   cell_size, exhaustive, nu_rule)
-        return min(max(prob, 0.0), 1.0)
-    da_nodes, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    if cell_size is None:
+        _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    else:
+        da_weights = (1.0,)
+        theta_k, bounds, x, pos_w = _cell_panels(np.asarray([cell_size]), k, cfg)
     total = 0.0
-    for i in range(da_nodes.size):
+    for i, da_weight in enumerate(da_weights):
         d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
         d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
         values, _ = _mixture_values(x[i].ravel(), threshold, float(theta_k[i]),
                                     theta_u, beta, k, d_left.ravel(),
-                                    d_right.ravel(), cfg, exhaustive, nu_rule)
-        total += da_weights[i] * float(np.dot(values, pos_w[i].ravel()))
+                                    d_right.ravel(), cfg, exhaustive=False)
+        total += da_weight * float(np.dot(values, pos_w[i].ravel()))
     if not np.isfinite(total):
         raise NumericError("overall coverage quadrature failed")
     return min(max(total, 0.0), 1.0)
@@ -340,8 +317,7 @@ def rate_to_sinr_threshold(r0: float, beta: float, cfg: NetworkConfig) -> float:
 
 
 def rate_coverage(r0: float, beta: float, k: int, theta_u: float,
-                  cfg: NetworkConfig, cell_size: float | None = None,
-                  nu_rule: str = "ue_half") -> float:
+                  cfg: NetworkConfig) -> float:
     """P(effective rate >= r0): coverage at the equivalent SINR threshold.
 
     The effective rate discounts the frame overhead by beta*T_F/(T_I+T_F).
@@ -350,5 +326,4 @@ def rate_coverage(r0: float, beta: float, k: int, theta_u: float,
     threshold = rate_to_sinr_threshold(r0, beta, cfg)
     if math.isinf(threshold):
         return 0.0
-    return overall_coverage(threshold, k, theta_u, beta, cfg,
-                            cell_size=cell_size, nu_rule=nu_rule)
+    return overall_coverage(threshold, k, theta_u, beta, cfg)

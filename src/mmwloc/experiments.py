@@ -2,9 +2,8 @@
 
 Each experiment writes one CSV of plain columnar data (comma-separated,
 header row, '.' decimals) plus a run manifest sufficient to reproduce the
-run exactly. Sweep points are computed (optionally in a thread pool) and
-always emitted in sorted sweep-key order, so outputs are byte-identical
-for a given (config, seed) regardless of scheduling.
+run exactly. Sweep points are emitted in sorted sweep-key order, so
+outputs are byte-identical for a given (config, seed).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,21 +59,12 @@ class ExperimentSpec:
     out_dir: Path = Path(".")
     seed: int = 1
     trials: int = 100_000
-    threads: int = 1
     overrides: dict = field(default_factory=dict)  # experiment.* knobs
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment: {self.name}")
         self.out_dir = Path(self.out_dir)
-
-
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map, optionally threaded."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -97,7 +86,6 @@ def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
         "experiment": spec.name,
         "seed": spec.seed,
         "trials": spec.trials,
-        "threads": spec.threads,
         "overrides": spec.overrides,
         "config": spec.cfg.to_dict(),
         "outputs": [str(p) for p in outputs],
@@ -152,7 +140,7 @@ def _run_access_delay(spec: ExperimentSpec):
                 iterative * 1e3, exhaustive * 1e3, trace.final_k,
                 trace.final_theta_u, trace.terminated)
 
-    rows = _parallel_map(point, list(_lambda_grid(spec)), spec.threads)
+    rows = [point(lam) for lam in _lambda_grid(spec)]
     rows.sort(key=lambda r: r[0])
     out = spec.out_dir / "access_delay.csv"
     _write_csv(out, ["lambda", "steps", "proposed_ms", "iterative_ms",
@@ -191,7 +179,7 @@ def _run_error_vs_dictionary(spec: ExperimentSpec):
                 avg_beam_selection_error(k, beta, tu, spec.cfg),
                 avg_misalignment_error(k, tu, beta, spec.cfg))
 
-    rows = _parallel_map(point, list(range(1, k_max + 1)), spec.threads)
+    rows = [point(k) for k in range(1, k_max + 1)]
     out = spec.out_dir / "error_vs_dictionary.csv"
     _write_csv(out, ["k", "theta_u", "p_bs", "p_ma"], rows)
     return [out]
@@ -214,22 +202,18 @@ def _run_rate_vs_beta(spec: ExperimentSpec):
                 avg_misalignment_error(k, tu, beta, spec.cfg))
 
     items = [(k, b) for k in sorted(ks) for b in betas]
-    rows = _parallel_map(point, items, spec.threads)
+    rows = [point(item) for item in items]
     out = spec.out_dir / "rate_vs_beta.csv"
     _write_csv(out, ["k", "beta", "theta_u", "rate_coverage", "p_bs", "p_ma"],
                rows)
-    return [out]
+    return [out], rows
 
 
 def _run_rate_vs_pbs(spec: ExperimentSpec):
-    outputs = _run_rate_vs_beta(spec)
-    src = outputs[0]
-    rows = []
-    with open(src) as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["k"]), float(rec["p_bs"]),
-                         float(rec["rate_coverage"]), float(rec["beta"])))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    outputs, beta_rows = _run_rate_vs_beta(spec)
+    rows = sorted(((k, p_bs, rate, beta)
+                   for k, beta, _, rate, p_bs, _ in beta_rows),
+                  key=lambda r: (r[0], r[1]))
     out = spec.out_dir / "rate_vs_pbs.csv"
     _write_csv(out, ["k", "p_bs", "rate_coverage", "beta"], rows)
     return outputs + [out]
@@ -266,7 +250,7 @@ def _run_optimal_maps(spec: ExperimentSpec, value: str):
                 res.objective if res.objective is not None else "")
 
     items = [(lam, dbw) for lam in lams for dbw in noises]
-    rows = _parallel_map(point, items, spec.threads)
+    rows = [point(item) for item in items]
     rows.sort(key=lambda r: (r[0], r[1]))
     out = spec.out_dir / f"optimal_{value}_map.csv"
     _write_csv(out, ["lambda", "noise_dbw", "feasible", "k_star", "beta_star",
@@ -296,7 +280,7 @@ def _run_validate_analytical(spec: ExperimentSpec):
 
     items = [(lam, k, b) for lam in sorted(lams) for k in (4, 16)
              for b in (0.5, 0.9)]
-    rows = _parallel_map(point, items, spec.threads)
+    rows = [point(item) for item in items]
     out = spec.out_dir / "validate_analytical.csv"
     _write_csv(out, ["lambda", "k", "beta", "threshold_db", "analytical",
                      "montecarlo", "stderr", "tolerance", "status"], rows)
@@ -307,7 +291,7 @@ _RUNNERS = {
     "access-delay": _run_access_delay,
     "access-resolution": _run_access_resolution,
     "error-vs-dictionary": _run_error_vs_dictionary,
-    "rate-vs-beta": _run_rate_vs_beta,
+    "rate-vs-beta": lambda s: _run_rate_vs_beta(s)[0],
     "rate-vs-pbs": _run_rate_vs_pbs,
     "optimal-beta-map": lambda s: _run_optimal_maps(s, "beta"),
     "optimal-k-map": lambda s: _run_optimal_maps(s, "k"),

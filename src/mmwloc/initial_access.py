@@ -131,9 +131,8 @@ def select_bs_beam(dictionary: BeamDictionary, d_hat: float, sigma_d2: float,
                        d_hat, sigma_d2, delta_bs)
 
 
-def select_ue_beam(theta_k: float, sigma_psi2: float, delta_ma: float,
-                   grid: tuple = DEFAULT_UE_GRID,
-                   nu_rule: str = "ue_half") -> float:
+def select_ue_beam(sigma_psi2: float, delta_ma: float,
+                   grid: tuple = DEFAULT_UE_GRID) -> float:
     """Thinnest candidate beamwidth keeping misalignment under the cap;
     the widest candidate is the fallback when none qualifies."""
     widest = max(grid)
@@ -142,7 +141,7 @@ def select_ue_beam(theta_k: float, sigma_psi2: float, delta_ma: float,
     if sigma_psi2 < 0.0:
         raise ValueError("variance must be non-negative")
     widths = np.asarray(grid, dtype=float)
-    errors = p_misalignment(sigma_psi2, nu_threshold(theta_k, widths, nu_rule))
+    errors = p_misalignment(sigma_psi2, nu_threshold(widths))
     feasible = widths[errors <= delta_ma]
     return float(feasible.min()) if feasible.size else widest
 
@@ -202,8 +201,7 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
             k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
                         policy.n_max))
         else:
-            theta_k_now = theta_1 / k
-            theta_sel = select_ue_beam(theta_k_now, sigma_psi2, policy.delta_ma,
+            theta_sel = select_ue_beam(sigma_psi2, policy.delta_ma,
                                        policy.theta_u_grid)
             grid_sorted = sorted(policy.theta_u_grid, reverse=True)
             pos = grid_sorted.index(theta_u)
@@ -239,9 +237,8 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     final_k, _ = _select_row(cell_size, cfg.h_b, policy.n_max, d,
                              sigma_d2, policy.delta_bs)
     final_k = max(final_k, k)
-    final_theta_u = min(theta_u,
-                        select_ue_beam(theta_1 / final_k, sigma_psi2,
-                                       policy.delta_ma, policy.theta_u_grid))
+    final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
+                                                policy.theta_u_grid))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
                        total_delay=total_symbols * policy.symbol_duration,
                        terminated=terminated, final_k=final_k,

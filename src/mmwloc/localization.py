@@ -20,7 +20,7 @@ Beam-selection error: the ranging estimate, Gaussian around the true
 position, leaves the serving beam's ground interval. Misalignment: the
 angle estimate misses by more than the alignment threshold nu. Both are
 averaged over the cell-size distribution and the uniform user position
-with fixed Gauss-Legendre grids (64 cell nodes on the 0.999-quantile
+with fixed Gauss-Legendre grids (64 cell nodes on the 0.9999-quantile
 truncated exponential, 32 nodes per beam interval).
 """
 
@@ -60,42 +60,10 @@ class LocalizationBounds:
     zeta: float
 
 
-@dataclass(frozen=True)
-class ErrorThresholds:
-    """Alignment threshold rule plus the access / optimization caps."""
-
-    nu_rule: str = "ue_half"      # 'ue_half': theta_u/2; 'min_half': min(theta_b, theta_u)/2
-    delta_bs: float = 0.05        # per-step beam-selection cap
-    delta_ma: float = 0.05        # per-step misalignment cap
-    delta_d: float = 0.1          # ranging termination accuracy [m, rms]
-    delta_psi: float = 0.02       # angle termination accuracy [rad, rms]
-    eps_bs: float = 0.1           # optimization constraint cap
-    eps_ma: float = 0.1
-
-    def __post_init__(self):
-        for name in ("delta_bs", "delta_ma", "eps_bs", "eps_ma"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        if self.delta_d <= 0.0 or self.delta_psi <= 0.0:
-            raise ValueError("termination accuracies must be positive")
-        if self.nu_rule not in ("min_half", "ue_half"):
-            raise ValueError(f"unknown nu rule: {self.nu_rule}")
-
-
-def nu_threshold(theta_b, theta_u, rule: str = "ue_half"):
-    """Beam-pair alignment threshold nu(theta_b, theta_u); arrays broadcast.
-
-    Default: the pair stays aligned while the pointing error sits inside
-    the UE main lobe (theta_u / 2); 'min_half' instead requires it inside
-    the narrower of the two lobes.
-    """
-    if rule == "ue_half":
-        nu = 0.5 * np.asarray(theta_u, dtype=float)
-    elif rule == "min_half":
-        nu = 0.5 * np.minimum(theta_b, theta_u)
-    else:
-        raise ValueError(f"unknown nu rule: {rule}")
-    return nu if nu.ndim else float(nu)
+def nu_threshold(theta_u):
+    """Beam-pair alignment threshold: the pair stays aligned while the
+    pointing error sits inside the UE main lobe, nu = theta_u / 2."""
+    return 0.5 * theta_u
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +214,33 @@ def p_misalignment(sigma_psi2, nu):
 # Cell-averaged errors
 # ---------------------------------------------------------------------------
 
+def _cell_panels(d_a, k: int, cfg: NetworkConfig):
+    """Beam panels of row k for cell sizes d_a, shape (nc,).
+
+    Returns (theta_k, bounds, x, pos_w) with shapes (nc,), (nc, k+1),
+    (nc, k, nb), (nc, k, nb), nb = BEAM_NODES; pos_w already includes the
+    uniform 1/d_a position density. Beam panels straddling the LOS-ball
+    edge are split there (the variance profiles jump).
+    """
+    theta_k = row_beamwidth(d_a, cfg.h_b, k)
+    bounds = beam_boundaries(d_a, cfg.h_b, k)
+    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s, BEAM_NODES)
+    return theta_k, bounds, x, w / d_a[:, None, None]
+
+
 @lru_cache(maxsize=64)
 def _cell_grid(k: int, cfg: NetworkConfig):
     """Quadrature grid over (cell size, position-within-beam) for row k.
 
-    Returns (da_nodes, da_weights, theta_k, bounds, x, pos_w) with shapes
-    (nc,), (nc,), (nc,), (nc, k+1), (nc, k, nb), (nc, k, nb); pos_w already
-    includes the uniform 1/d_a position density. Beam panels straddling
-    the LOS-ball edge are split there (the variance profiles jump).
+    Returns (da_nodes, da_weights, theta_k, bounds, x, pos_w): the cell-size
+    nodes and weights, shapes (nc,), followed by ``_cell_panels`` at them.
     """
     da_nodes, da_weights = exponential_cell_nodes(
         2.0 * cfg.bs_density, CELL_NODES, split=cfg.d_s)
-    theta_k = row_beamwidth(da_nodes, cfg.h_b, k)
-    bounds = beam_boundaries(da_nodes, cfg.h_b, k)
-    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s, BEAM_NODES)
-    pos_w = w / da_nodes[:, None, None]
-    for arr in (da_nodes, da_weights, theta_k, bounds, x, pos_w):
+    grid = (da_nodes, da_weights) + _cell_panels(da_nodes, k, cfg)
+    for arr in grid:
         arr.setflags(write=False)
-    return da_nodes, da_weights, theta_k, bounds, x, pos_w
+    return grid
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -301,8 +278,7 @@ def avg_beam_selection_error(k: int, beta: float, theta_u: float,
 
 def avg_misalignment_error(k: int, theta_u: float, beta: float,
                            cfg: NetworkConfig, *,
-                           sigma_psi2_override: float | None = None,
-                           nu_rule: str = "ue_half") -> float:
+                           sigma_psi2_override: float | None = None) -> float:
     """Misalignment error averaged over cell sizes, positions, and arrival
     angles (the angle average is trivial: the bound is angle-independent)."""
     if k < 1:
@@ -315,7 +291,6 @@ def avg_misalignment_error(k: int, theta_u: float, beta: float,
         var = aoa_variance(x, gamma_b, theta_u, beta, cfg)
     else:
         var = float(sigma_psi2_override)
-    nu = nu_threshold(theta_k[:, None, None], theta_u, nu_rule)
-    p = p_misalignment(var, nu)
+    p = p_misalignment(var, nu_threshold(theta_u))
     total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
     return _check_finite(min(max(total, 0.0), 1.0), "misalignment")

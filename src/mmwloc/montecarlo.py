@@ -119,7 +119,7 @@ def simulate_laplace(serving_d: float, weight: float, cfg: NetworkConfig,
 
 
 def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
-                      seed: int, nu_rule: str = "ue_half") -> CoverageResult:
+                      seed: int) -> CoverageResult:
     """Empirical P(SINR >= T) under the full error-aware branch logic."""
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -153,9 +153,8 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
         else:
             d_hat = d + np.sqrt(sigma_d2) * rng.standard_normal(size)
             bs_error = (d_hat < d_left) | (d_hat > d_right)
-        nu = nu_threshold(theta_k, query.theta_u, nu_rule)
         psi_err = np.abs(np.sqrt(sigma_psi2) * rng.standard_normal(size))
-        ma_error = psi_err >= nu
+        ma_error = psi_err >= nu_threshold(query.theta_u)
 
         aligned = ~bs_error & ~ma_error
         misaligned = ~bs_error & ma_error
@@ -182,8 +181,7 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
 
 
 def simulate_error_probabilities(k: int, beta: float, theta_u: float,
-                                 cfg: NetworkConfig, trials: int, seed: int,
-                                 nu_rule: str = "ue_half", *,
+                                 cfg: NetworkConfig, trials: int, seed: int, *,
                                  sigma_override: float | None = None) -> dict:
     """Empirical beam-selection and misalignment frequencies.
 
@@ -213,9 +211,8 @@ def simulate_error_probabilities(k: int, beta: float, theta_u: float,
             bs_count += int(((d_hat < d_left) | (d_hat > d_right)).sum())
         else:
             rng.standard_normal(size)
-        nu = nu_threshold(theta_k, theta_u, nu_rule)
         psi_err = np.abs(sigma_psi * rng.standard_normal(size))
-        ma_count += int((psi_err >= nu).sum())
+        ma_count += int((psi_err >= nu_threshold(theta_u)).sum())
     p_bs = bs_count / trials
     p_ma = ma_count / trials
     return {

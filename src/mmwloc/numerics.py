@@ -20,13 +20,6 @@ def qfunc(x):
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
-def qfunc_inv(p: float) -> float:
-    """Inverse of the Gaussian tail probability on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"Q^-1 argument must be in (0, 1), got {p}")
-    return float(np.sqrt(2.0) * special.erfcinv(2.0 * p))
-
-
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -116,13 +109,5 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * np.log10(x)
-
-
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(w: float) -> float:
-    return 10.0 * np.log10(w) + 30.0

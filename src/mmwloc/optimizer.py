@@ -26,25 +26,21 @@ from .localization import (
 )
 
 
-def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig,
-                                grid: tuple = DEFAULT_UE_GRID,
-                                cell_size: float | None = None,
-                                beta_ref: float = 0.5,
-                                delta_ma: float = 0.05) -> float:
+def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig) -> float:
     """UE beamwidth paired with dictionary size k.
 
     Evaluates the angle-error bound at the reference geometry (mid-cell of
-    the mean cell) and returns the thinnest grid beamwidth keeping the
-    misalignment probability under ``delta_ma`` there.
+    the mean cell, beta = 0.5) and returns the thinnest grid beamwidth
+    keeping the misalignment probability under 0.05 there.
     """
     if k < 1:
         raise ValueError("dictionary size must be >= 1")
-    d_a = cell_size if cell_size is not None else cfg.mean_cell_size
+    d_a = cfg.mean_cell_size
     theta_k = row_beamwidth(d_a, cfg.h_b, k)
     gamma_b = main_lobe_gain(theta_k, cfg)
     x_ref = 0.5 * d_a
-    sigma2 = float(aoa_variance(x_ref, gamma_b, max(grid), beta_ref, cfg))
-    return select_ue_beam(theta_k, sigma2, delta_ma, grid)
+    sigma2 = float(aoa_variance(x_ref, gamma_b, max(DEFAULT_UE_GRID), 0.5, cfg))
+    return select_ue_beam(sigma2, 0.05)
 
 
 def default_beta_grid(step: float = 0.02) -> tuple:
@@ -70,8 +66,6 @@ class OptimizationSpec:
     eps_ma: float = 0.1                     # averaged misalignment cap
     k_candidates: tuple = (1, 2, 4, 8, 16, 32)
     beta_grid: tuple = field(default_factory=default_beta_grid)
-    theta_u: float | None = None            # None: per-k pairing rule
-    nu_rule: str = "ue_half"
 
     def __post_init__(self):
         if self.r0 <= 0.0:
@@ -110,20 +104,18 @@ class OptimizationResult:
 def optimize_beta(k: int, spec: OptimizationSpec, cfg: NetworkConfig) -> BetaOptimum:
     """Best feasible beta for dictionary size k; ties go to the larger beta
     (more data resources once localization constraints are met)."""
-    theta_u = (spec.theta_u if spec.theta_u is not None
-               else ue_beamwidth_for_dictionary(k, cfg))
+    theta_u = ue_beamwidth_for_dictionary(k, cfg)
     best_beta = None
     best_obj = -1.0
     best_errors = (None, None)
     feasible_count = 0
     for beta in spec.beta_grid:
         p_bs = avg_beam_selection_error(k, beta, theta_u, cfg)
-        p_ma = avg_misalignment_error(k, theta_u, beta, cfg,
-                                      nu_rule=spec.nu_rule)
+        p_ma = avg_misalignment_error(k, theta_u, beta, cfg)
         if p_bs > spec.eps_bs or p_ma > spec.eps_ma:
             continue
         feasible_count += 1
-        obj = rate_coverage(spec.r0, beta, k, theta_u, cfg, nu_rule=spec.nu_rule)
+        obj = rate_coverage(spec.r0, beta, k, theta_u, cfg)
         if obj >= best_obj:
             best_obj = obj
             best_beta = beta

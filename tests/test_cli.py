@@ -94,14 +94,29 @@ class TestCliRuns:
         code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path)])
         assert code == 3
 
-    def test_validate_outputs_are_bit_identical_across_threads(self, tmp_path):
-        # determinism guarantee: same (config, seed) regenerates the same
-        # bytes regardless of the thread count
+    @pytest.mark.parametrize("argv", [
+        ["run", "error-vs-dictionary", "--trials", "0"],
+        ["run", "error-vs-dictionary", "--trials", "-5"],
+        ["validate", "--seed", "-1"],
+        ["optimize", "--eps-bs", "0"],
+        ["optimize", "--eps-ma", "1"],
+        ["optimize", "--r0", "-1"],
+        ["dump-dictionary", "--n-max", "0"],
+        ["dump-dictionary", "--cell-size", "-1"],
+        ["validate", "--threads", "2"],
+    ])
+    def test_bad_flag_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_validate_outputs_are_bit_identical_across_reruns(self, tmp_path):
+        # determinism guarantee: same (config, seed) regenerates the same bytes
         args = ["validate", "--seed", "9", "--trials", "4000",
                 "--set", "experiment.lambdas=0.05"]
-        code = cli.main(args + ["--out", str(tmp_path / "a"), "--threads", "1"])
+        code = cli.main(args + ["--out", str(tmp_path / "a")])
         assert code == 0
-        code = cli.main(args + ["--out", str(tmp_path / "b"), "--threads", "4"])
+        code = cli.main(args + ["--out", str(tmp_path / "b")])
         assert code == 0
         a = (tmp_path / "a" / "validate_analytical.csv").read_bytes()
         b = (tmp_path / "b" / "validate_analytical.csv").read_bytes()

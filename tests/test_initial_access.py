@@ -57,20 +57,20 @@ class TestSelectBsBeam:
 
 class TestSelectUeBeam:
     def test_perfect_estimate_takes_thinnest(self):
-        assert select_ue_beam(0.3, 0.0, 0.05) == min(DEFAULT_UE_GRID)
+        assert select_ue_beam(0.0, 0.05) == min(DEFAULT_UE_GRID)
 
     def test_vacuous_cap_takes_thinnest(self):
-        assert select_ue_beam(0.3, 0.5, 1.0) == min(DEFAULT_UE_GRID)
+        assert select_ue_beam(0.5, 1.0) == min(DEFAULT_UE_GRID)
 
     def test_q_inverse_example(self):
         # sigma = 0.05 rad, cap 0.1 under the UE-lobe rule: need
         # theta/2 >= sigma * Qinv(0.05) = 0.0822 -> thinnest grid is pi/16
-        got = select_ue_beam(0.3, 0.05 ** 2, 0.1, nu_rule="ue_half")
+        got = select_ue_beam(0.05 ** 2, 0.1)
         assert got == pytest.approx(math.pi / 16)
 
     def test_fallback_to_widest(self):
-        assert select_ue_beam(0.3, 10.0, 1e-6) == max(DEFAULT_UE_GRID)
-        assert select_ue_beam(0.3, math.inf, 0.05) == max(DEFAULT_UE_GRID)
+        assert select_ue_beam(10.0, 1e-6) == max(DEFAULT_UE_GRID)
+        assert select_ue_beam(math.inf, 0.05) == max(DEFAULT_UE_GRID)
 
 
 class TestRefinementLoop:

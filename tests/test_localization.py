@@ -159,10 +159,7 @@ class TestMisalignmentProbability:
         assert p_misalignment(0.01, 0.1) == pytest.approx(0.3173, abs=1e-4)
 
     def test_nu_rules(self):
-        assert nu_threshold(0.2, 0.5) == 0.25
-        assert nu_threshold(0.2, 0.5, "min_half") == 0.1
-        with pytest.raises(ValueError):
-            nu_threshold(0.2, 0.5, "bogus")
+        assert nu_threshold(0.5) == 0.25
 
 
 class TestAveragedErrors:
