@@ -123,6 +123,10 @@ def main(argv=None) -> int:
         entries = _collect_overrides(args)
         network_entries, experiment_entries = _split_sections(entries)
         cfg = from_boundary_mapping(network_entries)
+        if experiment_entries and args.command in ("dump-dictionary",
+                                                   "optimize"):
+            raise ConfigError(f"{args.command} reads no experiment knobs, "
+                              f"got {sorted(experiment_entries)[0]}")
 
         if args.command == "run":
             spec = ExperimentSpec(name=args.experiment, cfg=cfg,

@@ -33,6 +33,7 @@ from .config import NetworkConfig
 from .errors import NumericError
 from .geometry import nakagami_shape, path_loss_exponent
 from .localization import (
+    BEAM_NODES,
     _cell_grid,
     _cell_panels,
     aoa_variance,
@@ -41,11 +42,16 @@ from .localization import (
     p_misalignment,
     ranging_variance,
 )
-from .numerics import gauss_legendre, reciprocal_power
+from .numerics import checked_probability, gauss_legendre
 
 LOS_NODES = 24
 NLOS_NODES = 32
 _EXP_FLOOR = -745.0  # exp underflows below this
+# Kernel entries (beta, position) per chunk. Each node array the kernel
+# holds, entries x NLOS_NODES float64, stays at 2^15 elements (256 kB);
+# doubling it saved under 10% of the optimizer's time and added 3-4 MB to
+# its peak memory.
+_CHUNK_ENTRIES = 2 ** 15 // NLOS_NODES
 
 
 @dataclass(frozen=True)
@@ -99,21 +105,55 @@ def _nlos_y_max(cfg: NetworkConfig) -> float:
     return cfg.d_s + 20.0 / cfg.bs_density
 
 
+def _node_sum(w: np.ndarray, qpow: np.ndarray, wt: np.ndarray,
+              shape: int) -> np.ndarray:
+    """sum_nodes (1 - (1 + w * qpow / N)^-N) * wt per entry, for weights w
+    (E,) and node tables (E, nodes); the tables are overwritten in place,
+    so pass fresh copies (gathers)."""
+    base = qpow
+    base *= w[:, None]
+    base /= shape
+    base += 1.0
+    inv = np.divide(1.0, base, out=base)
+    tail = inv.copy()
+    for _ in range(shape - 1):
+        tail *= inv
+    np.subtract(1.0, tail, out=tail)
+    tail *= wt
+    return np.sum(tail, axis=-1)
+
+
 class _InterferenceTables:
-    """Per-position quadrature tables for the interference exponents.
+    """Per-position quadrature tables for the interference exponents, plus
+    the serving-link profile of each position.
 
     The node layout and path-loss profiles depend only on the positions,
-    so they are built once and reused across the branch gains and the
-    expansion terms (which only rescale the threshold weight w).
+    so they are built once and reused across the branch gains, the
+    expansion terms and the partition factors (which only rescale the
+    threshold weight w).
     """
 
     def __init__(self, x: np.ndarray, cfg: NetworkConfig):
         self.cfg = cfg
         x = np.asarray(x, dtype=float)
-        self.los_mask = x < cfg.d_s
+        shape_x = nakagami_shape(x, cfg)
+        self.eta = alzer_eta(shape_x)
+        self.z_pow = (x * x + cfg.h_b * cfg.h_b) ** (
+            0.5 * path_loss_exponent(x, cfg))
+        # (n, per-position coefficient) of the Alzer expansion terms
+        self.terms = []
+        for n in range(1, max(cfg.n_los, cfg.n_nlos) + 1):
+            active = n <= shape_x
+            if not np.any(active):
+                break
+            self.terms.append(
+                (n, np.where(active, (-1.0) ** (n + 1) * comb(shape_x, n), 0.0)))
+        los_mask = x < cfg.d_s
+        # row of each position in the LOS tables, -1 beyond the LOS ball
+        self.los_row = np.where(los_mask, np.cumsum(los_mask) - 1, -1)
         h2 = cfg.h_b * cfg.h_b
-        if np.any(self.los_mask):
-            y, wt = gauss_legendre(x[self.los_mask], cfg.d_s, LOS_NODES)
+        if np.any(los_mask):
+            y, wt = gauss_legendre(x[los_mask], cfg.d_s, LOS_NODES)
             self.los_qpow = (y * y + h2) ** (-0.5 * cfg.alpha_los)
             self.los_wt = wt
         t, wt = gauss_legendre(1.0 / _nlos_y_max(cfg),
@@ -122,26 +162,27 @@ class _InterferenceTables:
         self.nlos_qpow = (y * y + h2) ** (-0.5 * cfg.alpha_nlos)
         self.nlos_wt = wt / (t * t)
 
-    def _los_sum(self, w: np.ndarray) -> np.ndarray:
+    def _los_sum(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """LOS integral before the 2*lambda factor; 0 where x >= d_S."""
         out = np.zeros_like(w)
-        if np.any(self.los_mask):
-            shape = int(self.cfg.n_los)
-            base = 1.0 + w[self.los_mask, None] * self.los_qpow / shape
-            out[self.los_mask] = np.sum(
-                (1.0 - reciprocal_power(base, shape)) * self.los_wt, axis=-1)
+        row = self.los_row[pos]
+        los = row >= 0
+        if np.any(los):
+            row = row[los]
+            out[los] = _node_sum(w[los], self.los_qpow[row], self.los_wt[row],
+                                 int(self.cfg.n_los))
         return out
 
-    def _nlos_sum(self, w: np.ndarray) -> np.ndarray:
+    def _nlos_sum(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """NLOS integral before the 2*lambda factor."""
-        shape = int(self.cfg.n_nlos)
-        base = 1.0 + w[..., None] * self.nlos_qpow / shape
-        return np.sum((1.0 - reciprocal_power(base, shape)) * self.nlos_wt,
-                      axis=-1)
+        return _node_sum(w, self.nlos_qpow[pos], self.nlos_wt[pos],
+                         int(self.cfg.n_nlos))
 
-    def exponents(self, w: np.ndarray) -> np.ndarray:
-        """A_LOS + A_NLOS for per-position threshold weights w."""
-        return 2.0 * self.cfg.bs_density * (self._los_sum(w) + self._nlos_sum(w))
+    def exponents(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """A_LOS + A_NLOS for 1-D threshold weights w at the table
+        positions ``pos`` (one index per weight)."""
+        return 2.0 * self.cfg.bs_density * (self._los_sum(w, pos)
+                                            + self._nlos_sum(w, pos))
 
 
 def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
@@ -157,10 +198,11 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
         raise ValueError("serving distance must be non-negative")
     tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg)
     w = np.asarray([t_scaled * gain_product], dtype=float)
+    pos = np.zeros(1, dtype=int)
     if alpha_branch == cfg.alpha_los:
-        integral = tables._los_sum(w)
+        integral = tables._los_sum(w, pos)
     elif alpha_branch == cfg.alpha_nlos:
-        integral = tables._nlos_sum(w)
+        integral = tables._nlos_sum(w, pos)
     else:
         raise ValueError("alpha_branch must equal the LOS or NLOS exponent")
     value = float(2.0 * cfg.bs_density * integral[0])
@@ -173,49 +215,58 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
 # Per-branch conditional coverage
 # ---------------------------------------------------------------------------
 
-def _branch_values(x: np.ndarray, threshold: float, branch_gain: float,
-                   cfg: NetworkConfig,
+def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
                    tables: "_InterferenceTables | None" = None) -> np.ndarray:
-    """P(SINR >= T) at positions x for a serving-link gain product.
+    """P(SINR >= T) at 1-D positions x for a serving-link gain product.
 
-    Vectorized over mixed serving classes: the fading shape, its expansion
-    constant, and the path-loss exponent switch at the LOS-ball edge.
+    ``threshold`` and ``branch_gain`` broadcast against x along its last
+    axis: a (B, 1) column of thresholds gives (B, P) values. Vectorized
+    over mixed serving classes: the fading shape, its expansion constant,
+    and the path-loss exponent switch at the LOS-ball edge.
+
+    An entry whose noise term alone reaches -_EXP_FLOOR skips the kernel:
+    the interference exponent is never negative (positive node weights
+    times 1 - (1 + u)^-N >= 0), so its floored exponent is _EXP_FLOOR
+    whatever the interference is, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if tables is None:
         tables = _InterferenceTables(x, cfg)
-    shape_x = nakagami_shape(x, cfg)
-    eta_x = alzer_eta(shape_x)
-    z_pow = (x * x + cfg.h_b * cfg.h_b) ** (0.5 * path_loss_exponent(x, cfg))
     g2 = sidelobe_gain(cfg) ** 2
     noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
-    out = np.zeros_like(x)
-    for n in range(1, max(cfg.n_los, cfg.n_nlos) + 1):
-        active = n <= shape_x
-        if not np.any(active):
-            break
-        coef = np.where(active, (-1.0) ** (n + 1) * comb(shape_x, n), 0.0)
-        scale = n * eta_x * threshold * z_pow / branch_gain
-        exponent = np.maximum(
-            -(scale * noise_over_ref + tables.exponents(scale * g2)),
-            _EXP_FLOOR)
+    out = np.zeros(np.broadcast_shapes(x.shape, np.shape(threshold),
+                                       np.shape(branch_gain)))
+    for n, coef in tables.terms:
+        scale = n * tables.eta * threshold * tables.z_pow / branch_gain
+        noise = scale * noise_over_ref
+        exponent = np.full(noise.shape, _EXP_FLOOR)
+        live = noise < -_EXP_FLOOR
+        if np.any(live):
+            pos = np.nonzero(live)[-1]
+            exponent[live] = np.maximum(
+                -(noise[live] + tables.exponents(scale[live] * g2, pos)),
+                _EXP_FLOOR)
         out = out + coef * np.exp(exponent)
     if not np.all(np.isfinite(out)):
         raise NumericError("branch coverage produced non-finite values")
     return out
 
 
-def _mixture_values(x: np.ndarray, threshold: float, theta_k: float,
-                    theta_u: float, beta: float, k: int, d_left, d_right,
-                    cfg: NetworkConfig, exhaustive: bool) -> tuple:
+def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
+                    beta, k: int, d_left, d_right, cfg: NetworkConfig,
+                    exhaustive: bool,
+                    tables: "_InterferenceTables | None" = None) -> tuple:
     """Pointwise coverage mixing the three branches by the error profile.
 
-    d_left/d_right broadcast against x (the serving beam interval per
-    position). Returns (values, branch contributions)."""
+    theta_k, d_left and d_right broadcast against the 1-D positions x (the
+    serving row beamwidth and beam interval per position); threshold and
+    beta may be (B, 1) columns of pairs, giving (B, P) values. Returns
+    (values, branch contributions)."""
     gamma_b = main_lobe_gain(theta_k, cfg)
     gamma_u = main_lobe_gain(theta_u, cfg)
     g = sidelobe_gain(cfg)
-    tables = _InterferenceTables(np.asarray(x, dtype=float), cfg)
+    if tables is None:
+        tables = _InterferenceTables(x, cfg)
     t0 = _branch_values(x, threshold, gamma_b * gamma_u, cfg, tables)
     if exhaustive:
         return t0, {"aligned": t0, "misaligned": np.zeros_like(t0),
@@ -259,7 +310,7 @@ def _single_beam_coverage(query: CoverageQuery, cfg: NetworkConfig,
         name: float(np.dot(parts[f"w_{name}"] * parts[name], w))
         for name in ("aligned", "misaligned", "beam_error")
     }
-    prob = min(max(prob, 0.0), 1.0)
+    prob = checked_probability(prob, "beam coverage")
     return CoverageResult(probability=prob, method="analytical",
                           breakdown=breakdown)
 
@@ -280,50 +331,84 @@ def coverage_probability_exhaustive(query: CoverageQuery, cfg: NetworkConfig) ->
     return _single_beam_coverage(query, cfg, exhaustive=True)
 
 
-def overall_coverage(threshold: float, k: int, theta_u: float, beta: float,
-                     cfg: NetworkConfig, cell_size: float | None = None) -> float:
+def overall_coverage(threshold, k: int, theta_u: float, beta,
+                     cfg: NetworkConfig, cell_size: float | None = None):
     """Cell-level coverage across all k beams; expectation over the cell
-    size distribution unless a fixed cell size is supplied."""
-    if threshold <= 0.0:
+    size distribution unless a fixed cell size is supplied.
+
+    ``threshold`` and ``beta`` may be equal-length 1-D arrays of
+    (threshold, beta) pairs, which are evaluated in one pass and returned
+    as an array; scalars give a float.
+
+    The grid is walked in chunks of whole cells, each evaluated for groups
+    of pairs, with at most _CHUNK_ENTRIES (pair, position) entries. Every
+    pair's result is summed per cell along the cell's positions and then
+    over cells, so it does not depend on the other pairs in the batch.
+    """
+    scalar = np.ndim(threshold) == 0 and np.ndim(beta) == 0
+    thresholds, betas = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(threshold, dtype=float)),
+        np.atleast_1d(np.asarray(beta, dtype=float)))
+    if np.any(thresholds <= 0.0):
         raise ValueError("SINR threshold must be positive")
     if cell_size is None:
         _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
     else:
-        da_weights = (1.0,)
+        da_weights = np.ones(1)
         theta_k, bounds, x, pos_w = _cell_panels(np.asarray([cell_size]), k, cfg)
-    total = 0.0
-    for i, da_weight in enumerate(da_weights):
-        d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
-        d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
-        values, _ = _mixture_values(x[i].ravel(), threshold, float(theta_k[i]),
-                                    theta_u, beta, k, d_left.ravel(),
-                                    d_right.ravel(), cfg, exhaustive=False)
-        total += da_weight * float(np.dot(values, pos_w[i].ravel()))
-    if not np.isfinite(total):
-        raise NumericError("overall coverage quadrature failed")
-    return min(max(total, 0.0), 1.0)
+    n_cells, per_cell = len(da_weights), k * BEAM_NODES
+    pos_w = pos_w.reshape(n_cells, per_cell)
+    cells_per_chunk = min(n_cells, max(1, _CHUNK_ENTRIES // per_cell))
+    pairs_per_chunk = max(1, _CHUNK_ENTRIES // (cells_per_chunk * per_cell))
+    cell_sums = np.empty((len(betas), n_cells))
+    for c in range(0, n_cells, cells_per_chunk):
+        cells = slice(c, c + cells_per_chunk)
+        xc = x[cells].ravel()
+        shape = x[cells].shape
+        theta = np.broadcast_to(theta_k[cells, None, None], shape).ravel()
+        d_left = np.broadcast_to(bounds[cells, :-1, None], shape).ravel()
+        d_right = np.broadcast_to(bounds[cells, 1:, None], shape).ravel()
+        tables = _InterferenceTables(xc, cfg)
+        for b in range(0, len(betas), pairs_per_chunk):
+            pairs = slice(b, b + pairs_per_chunk)
+            values, _ = _mixture_values(
+                xc, thresholds[pairs, None], theta, theta_u, betas[pairs, None],
+                k, d_left, d_right, cfg, exhaustive=False, tables=tables)
+            values = values.reshape(-1, shape[0], per_cell)
+            cell_sums[pairs, cells] = np.sum(values * pos_w[cells], axis=-1)
+    total = checked_probability(np.sum(cell_sums * da_weights, axis=-1),
+                                "overall coverage")
+    return float(total[0]) if scalar else total
 
 
-def rate_to_sinr_threshold(r0: float, beta: float, cfg: NetworkConfig) -> float:
-    """SINR threshold equivalent to an effective-rate target r0."""
+def rate_to_sinr_threshold(r0: float, beta, cfg: NetworkConfig):
+    """SINR threshold equivalent to an effective-rate target r0 (inf where
+    it saturates); beta may be an array."""
     if r0 <= 0.0:
         raise ValueError("rate threshold must be positive")
-    if not 0.0 < beta <= 1.0:
+    beta = np.asarray(beta, dtype=float)
+    if np.any((beta <= 0.0) | (beta > 1.0)):
         raise ValueError("beta must be in (0, 1]")
     exponent = r0 * (cfg.t_init + cfg.t_frame) / (beta * cfg.t_frame * cfg.bandwidth)
-    if exponent > 900.0:
-        return math.inf
-    return 2.0 ** exponent - 1.0
+    with np.errstate(over="ignore"):
+        out = np.where(exponent > 900.0, np.inf, 2.0 ** exponent - 1.0)
+    return out if out.ndim else float(out)
 
 
-def rate_coverage(r0: float, beta: float, k: int, theta_u: float,
-                  cfg: NetworkConfig) -> float:
+def rate_coverage(r0: float, beta, k: int, theta_u: float,
+                  cfg: NetworkConfig):
     """P(effective rate >= r0): coverage at the equivalent SINR threshold.
 
     The effective rate discounts the frame overhead by beta*T_F/(T_I+T_F).
     A saturated threshold (tiny beta * bandwidth) yields probability 0.
+    ``beta`` may be a 1-D array, evaluated in one ``overall_coverage``
+    pass and returned as an array; a scalar gives a float.
     """
-    threshold = rate_to_sinr_threshold(r0, beta, cfg)
-    if math.isinf(threshold):
-        return 0.0
-    return overall_coverage(threshold, k, theta_u, beta, cfg)
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    thresholds = rate_to_sinr_threshold(r0, betas, cfg)
+    out = np.zeros(betas.shape)
+    finite = np.isfinite(thresholds)
+    if np.any(finite):
+        out[finite] = overall_coverage(thresholds[finite], k, theta_u,
+                                       betas[finite], cfg)
+    return out if np.ndim(beta) else float(out[0])

@@ -65,6 +65,57 @@ class ExperimentSpec:
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment: {self.name}")
         self.out_dir = Path(self.out_dir)
+        known = {f"experiment.{name}" for name in _KNOBS[self.name]}
+        unknown = sorted(set(self.overrides) - known)
+        if unknown:
+            raise ConfigError(f"unknown knob for {self.name}: {unknown[0]} "
+                              f"(known: {', '.join(sorted(known))})")
+
+
+def _list_of(convert):
+    """Parser of a comma-separated text (or a sequence) into a list."""
+    def parse(value) -> list:
+        items = value.split(",") if isinstance(value, str) else value
+        return [convert(v) for v in items]
+    return parse
+
+
+_RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8), "k_list": (_list_of(int), "4,16"),
+                       "beta_step": (default_beta_grid, 0.02)}
+# The maps probe the demanding-rate regime where the partition trade-off
+# stays active even at the quiet end of the noise grid.
+_MAP_KNOBS = {"lambda_min": (float, 0.01), "lambda_max": (float, 0.2),
+              "lambda_points": (int, 5),
+              "noise_dbw": (_list_of(float), "-50,-40,-30,-20"),
+              "r0": (float, 6.0e9), "eps_bs": (float, 0.1),
+              "eps_ma": (float, 0.1)}
+# experiment -> {knob: (parse, default)}: every ``experiment.<knob>``
+# override an experiment reads; any other key is rejected.
+_KNOBS = {
+    "access-delay": {"delta_d": (float, 0.1), "lambda_min": (float, 0.005),
+                     "lambda_max": (float, 0.2), "lambda_points": (int, 9)},
+    "access-resolution": {"lambdas": (_list_of(float), "0.01,0.02,0.05,0.1"),
+                          "delta_d": (float, 0.01)},
+    "error-vs-dictionary": {"beta": (float, 0.5), "k_max": (int, 32)},
+    "rate-vs-beta": _RATE_VS_BETA_KNOBS,
+    "rate-vs-pbs": _RATE_VS_BETA_KNOBS,
+    "optimal-beta-map": _MAP_KNOBS,
+    "optimal-k-map": _MAP_KNOBS,
+    "validate-analytical": {"lambdas": (_list_of(float), "0.005,0.02,0.1"),
+                            "threshold_db": (float, 5.0)},
+}
+
+
+def _knob(spec: ExperimentSpec, name: str):
+    """The parsed value of ``experiment.<name>`` (or its default); a value
+    that does not parse raises ConfigError."""
+    parse, default = _KNOBS[spec.name][name]
+    value = spec.overrides.get(f"experiment.{name}", default)
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment.{name}: cannot parse {value!r} "
+                          f"({exc})") from None
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -104,11 +155,9 @@ def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
     return path
 
 
-def _lambda_grid(spec: ExperimentSpec, default=(0.005, 0.2, 9)):
-    lo = float(spec.overrides.get("experiment.lambda_min", default[0]))
-    hi = float(spec.overrides.get("experiment.lambda_max", default[1]))
-    n = int(spec.overrides.get("experiment.lambda_points", default[2]))
-    return np.geomspace(lo, hi, n)
+def _lambda_grid(spec: ExperimentSpec):
+    return np.geomspace(_knob(spec, "lambda_min"), _knob(spec, "lambda_max"),
+                        _knob(spec, "lambda_points"))
 
 
 def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
@@ -123,8 +172,7 @@ def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _run_access_delay(spec: ExperimentSpec):
-    policy = AccessPolicy(
-        delta_d=float(spec.overrides.get("experiment.delta_d", 0.1)))
+    policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
 
     def point(lam):
         cfg = spec.cfg.with_overrides(bs_density=float(lam))
@@ -150,13 +198,9 @@ def _run_access_delay(spec: ExperimentSpec):
 
 
 def _run_access_resolution(spec: ExperimentSpec):
-    lams = spec.overrides.get("experiment.lambdas", "0.01,0.02,0.05,0.1")
-    if isinstance(lams, str):
-        lams = [float(v) for v in lams.split(",")]
-    policy = AccessPolicy(
-        delta_d=float(spec.overrides.get("experiment.delta_d", 0.01)))
+    policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
     rows = []
-    for lam in sorted(lams):
+    for lam in sorted(_knob(spec, "lambdas")):
         cfg = spec.cfg.with_overrides(bs_density=lam)
         d_ref, d_a = access_reference_geometry(lam, cfg)
         trace = run_initial_access(d_ref, d_a, policy, cfg)
@@ -170,8 +214,8 @@ def _run_access_resolution(spec: ExperimentSpec):
 
 
 def _run_error_vs_dictionary(spec: ExperimentSpec):
-    beta = float(spec.overrides.get("experiment.beta", 0.5))
-    k_max = int(spec.overrides.get("experiment.k_max", 32))
+    beta = _knob(spec, "beta")
+    k_max = _knob(spec, "k_max")
 
     def point(k):
         tu = ue_beamwidth_for_dictionary(k, spec.cfg)
@@ -186,23 +230,16 @@ def _run_error_vs_dictionary(spec: ExperimentSpec):
 
 
 def _run_rate_vs_beta(spec: ExperimentSpec):
-    r0 = float(spec.overrides.get("experiment.r0", 1.0e8))
-    ks = spec.overrides.get("experiment.k_list", "4,16")
-    if isinstance(ks, str):
-        ks = [int(v) for v in ks.split(",")]
-    betas = default_beta_grid(
-        spec.overrides.get("experiment.beta_step", 0.02))
-
-    def point(item):
-        k, beta = item
+    r0 = _knob(spec, "r0")
+    betas = _knob(spec, "beta_step")
+    rows = []
+    for k in sorted(_knob(spec, "k_list")):
         tu = ue_beamwidth_for_dictionary(k, spec.cfg)
-        return (k, beta, tu,
-                rate_coverage(r0, beta, k, tu, spec.cfg),
-                avg_beam_selection_error(k, beta, tu, spec.cfg),
-                avg_misalignment_error(k, tu, beta, spec.cfg))
-
-    items = [(k, b) for k in sorted(ks) for b in betas]
-    rows = [point(item) for item in items]
+        rates = rate_coverage(r0, np.array(betas), k, tu, spec.cfg)
+        rows += [(k, beta, tu, float(rate),
+                  avg_beam_selection_error(k, beta, tu, spec.cfg),
+                  avg_misalignment_error(k, tu, beta, spec.cfg))
+                 for beta, rate in zip(betas, rates)]
     out = spec.out_dir / "rate_vs_beta.csv"
     _write_csv(out, ["k", "beta", "theta_u", "rate_coverage", "p_bs", "p_ma"],
                rows)
@@ -219,23 +256,12 @@ def _run_rate_vs_pbs(spec: ExperimentSpec):
     return outputs + [out]
 
 
-def _noise_grid(spec: ExperimentSpec):
-    grid = spec.overrides.get("experiment.noise_dbw", "-50,-40,-30,-20")
-    if isinstance(grid, str):
-        grid = [float(v) for v in grid.split(",")]
-    return sorted(grid)
-
-
 def _run_optimal_maps(spec: ExperimentSpec, value: str):
-    lams = _lambda_grid(spec, default=(0.01, 0.2, 5))
-    noises = _noise_grid(spec)
-    # The maps probe the demanding-rate regime where the partition
-    # trade-off stays active even at the quiet end of the noise grid.
-    opt_spec = OptimizationSpec(
-        r0=float(spec.overrides.get("experiment.r0", 6.0e9)),
-        eps_bs=float(spec.overrides.get("experiment.eps_bs", 0.1)),
-        eps_ma=float(spec.overrides.get("experiment.eps_ma", 0.1)),
-    )
+    lams = _lambda_grid(spec)
+    noises = sorted(_knob(spec, "noise_dbw"))
+    opt_spec = OptimizationSpec(r0=_knob(spec, "r0"),
+                                eps_bs=_knob(spec, "eps_bs"),
+                                eps_ma=_knob(spec, "eps_ma"))
 
     def point(item):
         lam, dbw = item
@@ -259,10 +285,8 @@ def _run_optimal_maps(spec: ExperimentSpec, value: str):
 
 
 def _run_validate_analytical(spec: ExperimentSpec):
-    lams = spec.overrides.get("experiment.lambdas", "0.005,0.02,0.1")
-    if isinstance(lams, str):
-        lams = [float(v) for v in lams.split(",")]
-    threshold_db = float(spec.overrides.get("experiment.threshold_db", 5.0))
+    lams = _knob(spec, "lambdas")
+    threshold_db = _knob(spec, "threshold_db")
     threshold = 10.0 ** (threshold_db / 10.0)
 
     def point(item):

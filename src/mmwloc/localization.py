@@ -35,10 +35,11 @@ import numpy as np
 from .antenna import UlaArray, aoa_fisher_factor, beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
 from .dictionary import BeamEntry, beam_boundaries, row_beamwidth
-from .errors import NumericError, UnidentifiableAngleError
+from .errors import UnidentifiableAngleError
 from .geometry import UserGeometry, path_loss_exponent
 from .numerics import (
     SPEED_OF_LIGHT,
+    checked_probability,
     exponential_cell_nodes,
     qfunc,
     split_panel,
@@ -70,13 +71,17 @@ def nu_threshold(theta_u):
 # Observation energy and variance profiles (vectorized over positions)
 # ---------------------------------------------------------------------------
 
-def observation_energy(x, beta: float, cfg: NetworkConfig,
-                       observation_time: float | None = None):
-    """zeta over ground positions x; observation_time defaults to (1-beta)*T_F."""
+def observation_energy(x, beta, cfg: NetworkConfig, observation_time=None):
+    """zeta over ground positions x; observation_time defaults to (1-beta)*T_F.
+
+    beta (or observation_time) may be a NumPy array broadcasting against
+    x, e.g. a (B, 1) column of partition factors against P positions.
+    """
     x = np.asarray(x, dtype=float)
     if observation_time is None:
         observation_time = (1.0 - beta) * cfg.t_frame
-    if observation_time < 0.0:
+    negative = observation_time < 0.0  # a bool on the access loop's scalars
+    if negative if isinstance(negative, bool) else negative.any():
         raise ValueError("observation time must be non-negative")
     z2 = x * x + cfg.h_b * cfg.h_b
     atten = z2 ** (-0.5 * path_loss_exponent(x, cfg))
@@ -94,10 +99,13 @@ def _aoa_factor(m: int) -> float:
     return aoa_fisher_factor(UlaArray(m))
 
 
-def ranging_variance(x, gamma_b: float, gamma_u: float, beta: float,
-                     cfg: NetworkConfig, observation_time: float | None = None,
+def ranging_variance(x, gamma_b, gamma_u: float, beta, cfg: NetworkConfig,
+                     observation_time: float | None = None,
                      pilot_bandwidth: float | None = None):
-    """sigma_d^2 over positions; inf when the observation time is zero."""
+    """sigma_d^2 over positions; inf when the observation time is zero.
+
+    gamma_b and beta broadcast against x as in ``observation_energy``.
+    """
     zeta = observation_energy(x, beta, cfg, observation_time)
     info = zeta * gamma_b * gamma_u * _ranging_curvature(cfg, pilot_bandwidth)
     with np.errstate(divide="ignore"):
@@ -111,8 +119,8 @@ def sounding_elements(theta_u: float, cfg: NetworkConfig) -> int:
     return min(beamwidth_to_elements(theta_u), cfg.ue_sounding_elements)
 
 
-def aoa_variance(x, gamma_b: float, theta_u: float, beta: float,
-                 cfg: NetworkConfig, observation_time: float | None = None,
+def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
+                 observation_time: float | None = None,
                  elements: int | None = None):
     """sigma_psi^2 over positions; inf for a single-element aperture.
 
@@ -120,14 +128,17 @@ def aoa_variance(x, gamma_b: float, theta_u: float, beta: float,
     the localization phase (so beta -> 1 starves it to zero). ``elements``
     overrides the estimation aperture (the access loop sweeps with the
     full beam aperture rather than the in-service sounding panel).
+    gamma_b and beta broadcast against x as in ``observation_energy``.
     """
     m = sounding_elements(theta_u, cfg) if elements is None else elements
     factor = _aoa_factor(m)
     if factor == 0.0:
-        shape = np.shape(np.asarray(x, dtype=float))
+        shape = np.broadcast_shapes(np.shape(x), np.shape(gamma_b),
+                                    np.shape(beta))
         return np.full(shape, np.inf) if shape else np.inf
     if observation_time is None:
-        observation_time = min(cfg.aoa_sounding_time, (1.0 - beta) * cfg.t_frame)
+        observation_time = np.minimum(cfg.aoa_sounding_time,
+                                      (1.0 - beta) * cfg.t_frame)
     zeta = observation_energy(x, beta, cfg, observation_time)
     info = zeta * gamma_b * factor
     with np.errstate(divide="ignore"):
@@ -243,12 +254,6 @@ def _cell_grid(k: int, cfg: NetworkConfig):
     return grid
 
 
-def _check_finite(value: float, what: str) -> float:
-    if not np.isfinite(value):
-        raise NumericError(f"{what} quadrature produced a non-finite value")
-    return value
-
-
 def avg_beam_selection_error(k: int, beta: float, theta_u: float,
                              cfg: NetworkConfig, *,
                              sigma_d2_override: float | None = None) -> float:
@@ -273,7 +278,7 @@ def avg_beam_selection_error(k: int, beta: float, theta_u: float,
     p = beam_selection_profile(x, sigma, bounds[:, :-1, None],
                                bounds[:, 1:, None])
     total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
-    return _check_finite(min(max(total, 0.0), 1.0), "beam-selection")
+    return checked_probability(total, "averaged beam-selection error")
 
 
 def avg_misalignment_error(k: int, theta_u: float, beta: float,
@@ -293,4 +298,4 @@ def avg_misalignment_error(k: int, theta_u: float, beta: float,
         var = float(sigma_psi2_override)
     p = p_misalignment(var, nu_threshold(theta_u))
     total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
-    return _check_finite(min(max(total, 0.0), 1.0), "misalignment")
+    return checked_probability(total, "averaged misalignment error")

@@ -12,7 +12,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
+from .errors import NumericError
+
 SPEED_OF_LIGHT = 299_792_458.0
+# Rounding may carry a quadrature-averaged probability this far outside
+# [0, 1]; anything farther is a numerical fault, not rounding.
+PROBABILITY_SLACK = 1e-9
 
 
 def qfunc(x):
@@ -92,17 +97,20 @@ def split_panel(a, b, cut: float, n: int):
     return np.where(mask, x_split, x_plain), np.where(mask, w_split, w_plain)
 
 
-def reciprocal_power(base, n: int):
-    """(base)^(-n) for integer n >= 1 via repeated multiplication.
+def checked_probability(p, what: str):
+    """p clipped into [0, 1] (p may be an array).
 
-    Substantially faster than np.power for the small Nakagami shapes used
-    in the interference integrals.
+    Raises NumericError when p is not finite or lies more than
+    PROBABILITY_SLACK outside [0, 1].
     """
-    inv = 1.0 / base
-    out = inv
-    for _ in range(n - 1):
-        out = out * inv
-    return out
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise NumericError(f"{what} is not finite")
+    if np.any(p < -PROBABILITY_SLACK) or np.any(p > 1.0 + PROBABILITY_SLACK):
+        raise NumericError(f"{what} lies outside [0, 1] by more than "
+                           f"{PROBABILITY_SLACK}: {p.min()!r}..{p.max()!r}")
+    out = np.clip(p, 0.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def db_to_linear(db: float) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .antenna import main_lobe_gain
 from .config import NetworkConfig
 from .coverage import rate_coverage
@@ -102,30 +104,26 @@ class OptimizationResult:
 
 
 def optimize_beta(k: int, spec: OptimizationSpec, cfg: NetworkConfig) -> BetaOptimum:
-    """Best feasible beta for dictionary size k; ties go to the larger beta
-    (more data resources once localization constraints are met)."""
+    """Best feasible beta for dictionary size k; ties go to the later beta of
+    the grid (the larger one: more data resources once localization
+    constraints are met). All feasible betas share one coverage pass."""
     theta_u = ue_beamwidth_for_dictionary(k, cfg)
-    best_beta = None
-    best_obj = -1.0
-    best_errors = (None, None)
-    feasible_count = 0
+    feasible = []
     for beta in spec.beta_grid:
         p_bs = avg_beam_selection_error(k, beta, theta_u, cfg)
         p_ma = avg_misalignment_error(k, theta_u, beta, cfg)
-        if p_bs > spec.eps_bs or p_ma > spec.eps_ma:
-            continue
-        feasible_count += 1
-        obj = rate_coverage(spec.r0, beta, k, theta_u, cfg)
-        if obj >= best_obj:
-            best_obj = obj
-            best_beta = beta
-            best_errors = (p_bs, p_ma)
-    if best_beta is None:
+        if p_bs <= spec.eps_bs and p_ma <= spec.eps_ma:
+            feasible.append((beta, p_bs, p_ma))
+    if not feasible:
         return BetaOptimum(k=k, theta_u=theta_u, feasible=False, beta_star=None,
                            objective=None, p_bs=None, p_ma=None, feasible_count=0)
-    return BetaOptimum(k=k, theta_u=theta_u, feasible=True, beta_star=best_beta,
-                       objective=best_obj, p_bs=best_errors[0],
-                       p_ma=best_errors[1], feasible_count=feasible_count)
+    objectives = rate_coverage(spec.r0, np.array([f[0] for f in feasible]),
+                               k, theta_u, cfg)
+    best = max(range(len(feasible)), key=lambda i: (objectives[i], i))
+    beta, p_bs, p_ma = feasible[best]
+    return BetaOptimum(k=k, theta_u=theta_u, feasible=True, beta_star=beta,
+                       objective=float(objectives[best]), p_bs=p_bs, p_ma=p_ma,
+                       feasible_count=len(feasible))
 
 
 def optimize_beamwidth(spec: OptimizationSpec, cfg: NetworkConfig) -> OptimizationResult:

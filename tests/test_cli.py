@@ -87,6 +87,31 @@ class TestCliRuns:
         assert code == 2
         assert "beta step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "error-vs-dictionary", "--set", "experiment.k_max=abc"],
+         "experiment.k_max"),
+        (["run", "error-vs-dictionary", "--set", "experiment.typo=3"],
+         "experiment.typo"),
+        (["run", "access-delay", "--set", "experiment.lambda_points=2.5"],
+         "experiment.lambda_points"),
+        (["run", "rate-vs-beta", "--set", "experiment.k_list=4,x"],
+         "experiment.k_list"),
+        (["run", "optimal-k-map", "--set", "experiment.noise_dbw=-50,loud"],
+         "experiment.noise_dbw"),
+        (["validate", "--set", "experiment.lambdas=0.01,"],
+         "experiment.lambdas"),
+        # a knob of another experiment is unknown here
+        (["run", "access-delay", "--set", "experiment.k_max=4"],
+         "experiment.k_max"),
+        (["optimize", "--set", "experiment.typo=3"], "experiment.typo"),
+    ])
+    def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
+                                         message):
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_numeric_error_exits_3(self, tmp_path, monkeypatch):
         def boom(spec):
             raise NumericError("quadrature failed in test")

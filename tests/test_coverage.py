@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mmwloc import CoverageQuery, NetworkConfig
+from mmwloc import CoverageQuery, NetworkConfig, coverage
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.coverage import (
+    _EXP_FLOOR,
+    _InterferenceTables,
     _branch_values,
+    _mixture_values,
     alzer_eta,
     coverage_probability,
     coverage_probability_exhaustive,
@@ -19,6 +22,9 @@ from mmwloc.coverage import (
     rate_to_sinr_threshold,
 )
 from mmwloc.dictionary import beam_boundaries, row_beamwidth
+from mmwloc.errors import NumericError
+from mmwloc.localization import _cell_grid, _cell_panels
+from mmwloc.optimizer import ue_beamwidth_for_dictionary
 
 
 @pytest.fixture
@@ -54,6 +60,25 @@ def _quadrature_misses(cfg, alpha, shape, xs, region):
             if abs(got - ref) > QUAD_REL_BOUND * ref:
                 misses.add((x, w))
     return misses
+
+
+def _cell_loop_reference(threshold, k, theta_u, beta, cfg, cell_size=None):
+    """overall_coverage one cell node and one (threshold, beta) pair at a
+    time, with a dot product per cell: the loop the batched pass replaced."""
+    if cell_size is None:
+        _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    else:
+        da_weights = (1.0,)
+        theta_k, bounds, x, pos_w = _cell_panels(np.asarray([cell_size]), k, cfg)
+    total = 0.0
+    for i, da_weight in enumerate(da_weights):
+        d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
+        d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
+        values, _ = _mixture_values(x[i].ravel(), threshold, float(theta_k[i]),
+                                    theta_u, beta, k, d_left.ravel(),
+                                    d_right.ravel(), cfg, exhaustive=False)
+        total += da_weight * float(np.dot(values, pos_w[i].ravel()))
+    return min(max(total, 0.0), 1.0)
 
 
 class TestAlzerEta:
@@ -196,6 +221,74 @@ class TestOverallCoverage:
         for t in (1e-6, 1.0, 1e4):
             v = overall_coverage(t, 8, math.pi / 16, 0.5, cfg)
             assert 0.0 <= v <= 1.0
+
+
+class TestBatchedCoverage:
+    # noise_psd = 1e-10 sends about 70% of the kernel entries to the exp floor
+    @pytest.mark.parametrize("k, cell_size, noise_psd", [
+        (1, None, 1e-12), (4, None, 1e-12), (32, None, 1e-12),
+        (4, 18.0, 1e-12), (4, None, 1e-10)])
+    def test_batch_matches_single_pairs_and_cell_loop(self, k, cell_size,
+                                                      noise_psd):
+        cfg = NetworkConfig(noise_psd=noise_psd)
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        betas = np.array([0.1, 0.5, 0.9, 1.0])
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        batch = overall_coverage(thresholds, k, tu, betas, cfg,
+                                 cell_size=cell_size)
+        assert batch.shape == betas.shape
+        for t, beta, got in zip(thresholds, betas, batch):
+            single = overall_coverage(float(t), k, tu, float(beta), cfg,
+                                      cell_size=cell_size)
+            assert isinstance(single, float) and single == got
+            ref = _cell_loop_reference(t, k, tu, beta, cfg, cell_size)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_rate_batch_matches_single_and_saturates_to_zero(self, cfg):
+        # beta = 1e-4 drives the rate threshold past 2^900 (saturated)
+        tu = ue_beamwidth_for_dictionary(4, cfg)
+        betas = np.array([1e-4, 0.3, 0.7, 0.95])
+        rates = rate_coverage(1.0e8, betas, 4, tu, cfg)
+        assert math.isinf(rate_to_sinr_threshold(1.0e8, 1e-4, cfg))
+        assert rates[0] == 0.0 and np.all(rates[1:] > 0.0)
+        for beta, rate in zip(betas, rates):
+            single = rate_coverage(1.0e8, float(beta), 4, tu, cfg)
+            assert isinstance(single, float) and single == rate
+
+    def test_exp_floor_skip_is_exact(self):
+        # every entry evaluated through the kernel and then floored, against
+        # _branch_values, which skips the entries whose noise term alone
+        # reaches the floor
+        cfg = NetworkConfig(noise_psd=1e-10)
+        x = np.linspace(0.0, 400.0, 301)
+        gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
+        thresholds = np.array([[0.5], [3.16], [100.0]])
+        tables = _InterferenceTables(x, cfg)
+        noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
+        g2 = sidelobe_gain(cfg) ** 2
+        ref, skipped, entries = 0.0, 0, 0
+        for n, coef in tables.terms:
+            scale = n * tables.eta * thresholds * tables.z_pow / gain
+            noise = scale * noise_over_ref
+            pos = np.broadcast_to(np.arange(x.size), scale.shape).ravel()
+            a = tables.exponents((scale * g2).ravel(), pos).reshape(scale.shape)
+            ref = ref + coef * np.exp(np.maximum(-(noise + a), _EXP_FLOOR))
+            skipped += np.count_nonzero(noise >= -_EXP_FLOOR)
+            entries += noise.size
+        assert skipped > 0.5 * entries
+        assert np.array_equal(_branch_values(x, thresholds, gain, cfg), ref)
+
+    def test_overshoot_beyond_slack_raises(self, cfg, monkeypatch):
+        real = coverage._mixture_values
+
+        def inflated(*args, **kwargs):
+            values, parts = real(*args, **kwargs)
+            return values * 1.05, parts
+
+        # the true value is 0.98, so the inflated one exceeds 1 by 3%
+        monkeypatch.setattr(coverage, "_mixture_values", inflated)
+        with pytest.raises(NumericError):
+            overall_coverage(1e-9, 4, math.pi / 8, 0.5, cfg)
 
 
 class TestRateCoverage:

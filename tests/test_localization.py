@@ -229,3 +229,24 @@ class TestObservationEnergy:
 
     def test_ranging_variance_infinite_without_time(self, cfg):
         assert math.isinf(ranging_variance(5.0, 100.0, 100.0, 1.0, cfg))
+
+    def test_beta_column_matches_scalar_calls(self, cfg):
+        # a (B, 1) column of betas against P positions gives (B, P), each
+        # row bit-identical to the scalar-beta call
+        x = np.array([0.0, 5.0, 19.9, 20.0, 35.0, 120.0])
+        betas = np.array([0.02, 0.5, 0.9994, 1.0])
+        gamma_b = main_lobe_gain(np.array([0.1, 0.1, 0.2, 0.2, 0.3, 0.3]), cfg)
+        batched = (observation_energy(x, betas[:, None], cfg),
+                   ranging_variance(x, gamma_b, 50.0, betas[:, None], cfg),
+                   aoa_variance(x, gamma_b, math.pi / 8, betas[:, None], cfg))
+        for i, beta in enumerate(betas):
+            single = (observation_energy(x, beta, cfg),
+                      ranging_variance(x, gamma_b, 50.0, beta, cfg),
+                      aoa_variance(x, gamma_b, math.pi / 8, beta, cfg))
+            for got, want in zip(batched, single):
+                assert got.shape == (len(betas), len(x))
+                assert np.array_equal(got[i], want)
+
+    def test_negative_observation_time_in_a_batch_rejected(self, cfg):
+        with pytest.raises(ValueError):
+            observation_energy(5.0, np.array([0.5, 1.5]), cfg)
