@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass, field
@@ -80,42 +81,79 @@ def _list_of(convert):
     return parse
 
 
-_RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8), "k_list": (_list_of(int), "4,16"),
-                       "beta_step": (default_beta_grid, 0.02)}
+@dataclass(frozen=True)
+class _Range:
+    """The interval a knob's value (each item of a list knob) must lie in:
+    open unless ``closed``; NaN lies in none."""
+
+    lo: float
+    hi: float
+    closed: bool = False
+
+    def __contains__(self, value) -> bool:
+        if self.closed:
+            return self.lo <= value <= self.hi
+        return self.lo < value < self.hi
+
+    def __str__(self) -> str:
+        left, right = "[]" if self.closed else "()"
+        return f"{left}{self.lo}, {self.hi}{right}"
+
+
+_POSITIVE = _Range(0.0, math.inf)
+_FINITE = _Range(-math.inf, math.inf)
+_PROBABILITY = _Range(0.0, 1.0, closed=True)
+_CAP = _Range(0.0, 1.0)
+
+_RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8, _POSITIVE),
+                       "k_list": (_list_of(int), "4,16", _POSITIVE),
+                       "beta_step": (default_beta_grid, 0.02, _PROBABILITY)}
 # The maps probe the demanding-rate regime where the partition trade-off
 # stays active even at the quiet end of the noise grid.
-_MAP_KNOBS = {"lambda_min": (float, 0.01), "lambda_max": (float, 0.2),
-              "lambda_points": (int, 5),
-              "noise_dbw": (_list_of(float), "-50,-40,-30,-20"),
-              "r0": (float, 6.0e9), "eps_bs": (float, 0.1),
-              "eps_ma": (float, 0.1)}
-# experiment -> {knob: (parse, default)}: every ``experiment.<knob>``
-# override an experiment reads; any other key is rejected.
+_MAP_KNOBS = {"lambda_min": (float, 0.01, _POSITIVE),
+              "lambda_max": (float, 0.2, _POSITIVE),
+              "lambda_points": (int, 5, _POSITIVE),
+              "noise_dbw": (_list_of(float), "-50,-40,-30,-20", _FINITE),
+              "r0": (float, 6.0e9, _POSITIVE), "eps_bs": (float, 0.1, _CAP),
+              "eps_ma": (float, 0.1, _CAP)}
+# experiment -> {knob: (parse, default, range)}: every ``experiment.<knob>``
+# override an experiment reads; any other key is rejected. beta_step parses
+# to its beta grid, and the range applies to the grid's betas.
 _KNOBS = {
-    "access-delay": {"delta_d": (float, 0.1), "lambda_min": (float, 0.005),
-                     "lambda_max": (float, 0.2), "lambda_points": (int, 9)},
-    "access-resolution": {"lambdas": (_list_of(float), "0.01,0.02,0.05,0.1"),
-                          "delta_d": (float, 0.01)},
-    "error-vs-dictionary": {"beta": (float, 0.5), "k_max": (int, 32)},
+    "access-delay": {"delta_d": (float, 0.1, _POSITIVE),
+                     "lambda_min": (float, 0.005, _POSITIVE),
+                     "lambda_max": (float, 0.2, _POSITIVE),
+                     "lambda_points": (int, 9, _POSITIVE)},
+    "access-resolution": {"lambdas": (_list_of(float), "0.01,0.02,0.05,0.1",
+                                      _POSITIVE),
+                          "delta_d": (float, 0.01, _POSITIVE)},
+    "error-vs-dictionary": {"beta": (float, 0.5, _PROBABILITY),
+                            "k_max": (int, 32, _POSITIVE)},
     "rate-vs-beta": _RATE_VS_BETA_KNOBS,
     "rate-vs-pbs": _RATE_VS_BETA_KNOBS,
     "optimal-beta-map": _MAP_KNOBS,
     "optimal-k-map": _MAP_KNOBS,
-    "validate-analytical": {"lambdas": (_list_of(float), "0.005,0.02,0.1"),
-                            "threshold_db": (float, 5.0)},
+    "validate-analytical": {"lambdas": (_list_of(float), "0.005,0.02,0.1",
+                                        _POSITIVE),
+                            "threshold_db": (float, 5.0, _FINITE)},
 }
 
 
 def _knob(spec: ExperimentSpec, name: str):
     """The parsed value of ``experiment.<name>`` (or its default); a value
-    that does not parse raises ConfigError."""
-    parse, default = _KNOBS[spec.name][name]
+    that does not parse or lies outside the knob's range raises
+    ConfigError."""
+    parse, default, valid = _KNOBS[spec.name][name]
     value = spec.overrides.get(f"experiment.{name}", default)
     try:
-        return parse(value)
+        parsed = parse(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"experiment.{name}: cannot parse {value!r} "
                           f"({exc})") from None
+    items = parsed if isinstance(parsed, (list, tuple)) else (parsed,)
+    if not all(item in valid for item in items):
+        raise ConfigError(f"experiment.{name}: {value!r} is outside {valid}")
+    return parsed
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -138,6 +176,8 @@ def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
         "seed": spec.seed,
         "trials": spec.trials,
         "overrides": spec.overrides,
+        # every knob the experiment reads, at the value the run used
+        "knobs": {name: _knob(spec, name) for name in _KNOBS[spec.name]},
         "config": spec.cfg.to_dict(),
         "outputs": [str(p) for p in outputs],
         "versions": {

@@ -68,6 +68,10 @@ class AccessPolicy:
             raise ValueError("initial UE beam is quasi-omnidirectional (<= pi/2)")
         if self.max_steps < 1 or self.n_max < 1:
             raise ValueError("step budget and dictionary depth must be >= 1")
+        # the access loop tabulates every level, reached or not
+        if not self.theta_u_grid or not all(
+                0.0 < t <= 2.0 * math.pi for t in self.theta_u_grid):
+            raise ValueError("UE grid beamwidths must be in (0, 2*pi]")
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,18 @@ class AccessTrace:
 # Beam selection rules
 # ---------------------------------------------------------------------------
 
-def _select_row(d_a: float, h_b: float, n_max: int, d_hat: float,
-                sigma_d2: float, delta_bs: float) -> tuple:
-    """Largest row whose containing beam meets the selection-error cap."""
+def _row_table(d_hat: float, d_a: float, h_b: float, n_max: int) -> tuple:
+    """(d_hat, ks, j, d_left, d_right): the beam holding d_hat in every row
+    ks = 2..n_max, with its edges."""
     ks = np.arange(2, n_max + 1)
+    return (d_hat, ks) + containing_beam(d_hat, d_a, h_b, ks)
+
+
+def _select_row(table: tuple, sigma_d2: float, delta_bs: float) -> tuple:
+    """Largest row of a ``_row_table`` whose containing beam meets the
+    selection-error cap."""
+    d_hat, ks, j, d_left, d_right = table
     if ks.size and math.isfinite(sigma_d2):
-        j, d_left, d_right = containing_beam(d_hat, d_a, h_b, ks)
         errors = beam_selection_profile(d_hat, math.sqrt(sigma_d2),
                                         d_left, d_right)
         feasible = (errors <= delta_bs).nonzero()[0]
@@ -127,8 +137,8 @@ def select_bs_beam(dictionary: BeamDictionary, d_hat: float, sigma_d2: float,
     """
     if not 0.0 <= d_hat <= dictionary.d_a:
         return 1, 1
-    return _select_row(dictionary.d_a, dictionary.h_b, dictionary.n_max,
-                       d_hat, sigma_d2, delta_bs)
+    table = _row_table(d_hat, dictionary.d_a, dictionary.h_b, dictionary.n_max)
+    return _select_row(table, sigma_d2, delta_bs)
 
 
 def select_ue_beam(sigma_psi2: float, delta_ma: float,
@@ -175,6 +185,21 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
     pilot_bw = policy.pilot_bandwidth if policy.pilot_bandwidth is not None else cfg.bandwidth
     theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
+    grid = sorted(policy.theta_u_grid, reverse=True)
+
+    # Everything below depends on the user alone, so it is tabulated once:
+    # the beam holding d in every row, and both variances for every
+    # (UE grid level, dictionary row) pair, entry by entry the same IEEE
+    # operations as a scalar call at that pair.
+    rows = _row_table(d, cell_size, cfg.h_b, policy.n_max)
+    gamma_b = main_lobe_gain(theta_1 / np.arange(1, policy.n_max + 1), cfg)
+    levels = np.array(grid)[:, None]
+    var_d_table = ranging_variance(d, gamma_b, main_lobe_gain(levels, cfg),
+                                   0.0, cfg, observation_time=obs_time,
+                                   pilot_bandwidth=pilot_bw)
+    elements = np.array([beamwidth_to_elements(t) for t in grid])[:, None]
+    var_psi_table = aoa_variance(d, gamma_b, levels, 0.0, cfg,
+                                 observation_time=obs_time, elements=elements)
 
     info_d = 1.0 / policy.initial_sigma_d2
     info_psi = 0.0
@@ -190,33 +215,26 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
         side = "BS" if step % 2 == 1 else "UE"
 
         if side == "BS":
-            d_hat = d
+            bs_rows = rows
             if mode == "stochastic":
                 d_hat = d + math.sqrt(sigma_d2) * rng.standard_normal()
                 if not 0.0 <= d_hat <= cell_size:
                     d_hat = min(max(d_hat, 0.0), cell_size)
                     fallbacks += 1
-            k_sel, _ = _select_row(cell_size, cfg.h_b, policy.n_max, d_hat,
-                                   sigma_d2, policy.delta_bs)
+                bs_rows = _row_table(d_hat, cell_size, cfg.h_b, policy.n_max)
+            k_sel, _ = _select_row(bs_rows, sigma_d2, policy.delta_bs)
             k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
                         policy.n_max))
         else:
             theta_sel = select_ue_beam(sigma_psi2, policy.delta_ma,
                                        policy.theta_u_grid)
-            grid_sorted = sorted(policy.theta_u_grid, reverse=True)
-            pos = grid_sorted.index(theta_u)
-            one_down = grid_sorted[min(pos + 1, len(grid_sorted) - 1)]
+            pos = grid.index(theta_u)
+            one_down = grid[min(pos + 1, len(grid) - 1)]
             theta_u = min(theta_u, max(theta_sel, one_down))
 
-        theta_k = theta_1 / k
-        gamma_b = main_lobe_gain(theta_k, cfg)
-        gamma_u = main_lobe_gain(theta_u, cfg)
-        var_d = float(ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
-                                       observation_time=obs_time,
-                                       pilot_bandwidth=pilot_bw))
-        var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, cfg,
-                                     observation_time=obs_time,
-                                     elements=beamwidth_to_elements(theta_u)))
+        level = grid.index(theta_u)
+        var_d = float(var_d_table[level, k - 1])
+        var_psi = float(var_psi_table[level, k - 1])
         info_d += 1.0 / var_d
         if math.isfinite(var_psi):
             info_psi += 1.0 / var_psi
@@ -234,8 +252,7 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     total_symbols = steps[-1].symbols if steps else 0
     # Service beam pair: the selection the final accuracy supports (the
     # sweep baselines must reach this same resolution).
-    final_k, _ = _select_row(cell_size, cfg.h_b, policy.n_max, d,
-                             sigma_d2, policy.delta_bs)
+    final_k, _ = _select_row(rows, sigma_d2, policy.delta_bs)
     final_k = max(final_k, k)
     final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
                                                 policy.theta_u_grid))

@@ -127,15 +127,20 @@ def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
     The default observation window is the angle-sounding time clipped to
     the localization phase (so beta -> 1 starves it to zero). ``elements``
     overrides the estimation aperture (the access loop sweeps with the
-    full beam aperture rather than the in-service sounding panel).
+    full beam aperture rather than the in-service sounding panel); it may
+    be an integer array broadcasting like gamma_b, one aperture per entry.
     gamma_b and beta broadcast against x as in ``observation_energy``.
     """
     m = sounding_elements(theta_u, cfg) if elements is None else elements
-    factor = _aoa_factor(m)
-    if factor == 0.0:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(gamma_b),
-                                    np.shape(beta))
-        return np.full(shape, np.inf) if shape else np.inf
+    if isinstance(m, np.ndarray):
+        # a zero factor (m == 1) gives info == 0, hence inf, like the scalar path
+        factor = np.array([_aoa_factor(int(v)) for v in m.flat]).reshape(m.shape)
+    else:
+        factor = _aoa_factor(m)
+        if factor == 0.0:
+            shape = np.broadcast_shapes(np.shape(x), np.shape(gamma_b),
+                                        np.shape(beta))
+            return np.full(shape, np.inf) if shape else np.inf
     if observation_time is None:
         observation_time = np.minimum(cfg.aoa_sounding_time,
                                       (1.0 - beta) * cfg.t_frame)

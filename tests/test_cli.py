@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -53,6 +54,14 @@ class TestCliRuns:
         manifest = json.loads((tmp_path / "error-vs-dictionary_manifest.json").read_text())
         assert manifest["experiment"] == "error-vs-dictionary"
         assert manifest["config"]["bs_density"] == pytest.approx(0.05)
+        # the knobs the run used, the default beta included
+        assert manifest["knobs"] == {"beta": 0.5, "k_max": 6}
+
+    def test_beta_one_is_valid(self, tmp_path):
+        code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
+                         "--set", "experiment.beta=1", "--set",
+                         "experiment.k_max=2"])
+        assert code == 0
 
     def test_dotted_network_flag(self, tmp_path):
         code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
@@ -104,10 +113,33 @@ class TestCliRuns:
         (["run", "access-delay", "--set", "experiment.k_max=4"],
          "experiment.k_max"),
         (["optimize", "--set", "experiment.typo=3"], "experiment.typo"),
+        # values that parse but lie outside the knob's range
+        (["run", "access-delay", "--set", "experiment.delta_d=-1"],
+         "experiment.delta_d"),
+        (["run", "access-delay", "--set", "experiment.delta_d=0"],
+         "experiment.delta_d"),
+        (["run", "access-resolution", "--set", "experiment.delta_d=-1"],
+         "experiment.delta_d"),
+        (["run", "access-resolution", "--set", "experiment.delta_d=0"],
+         "experiment.delta_d"),
+        (["run", "optimal-k-map", "--set", "experiment.eps_bs=2"],
+         "experiment.eps_bs"),
+        (["run", "error-vs-dictionary", "--set", "experiment.beta=1.5"],
+         "experiment.beta"),
+        (["run", "access-delay", "--set", "experiment.lambda_points=0"],
+         "experiment.lambda_points"),
+        (["run", "error-vs-dictionary", "--set", "experiment.k_max=0"],
+         "experiment.k_max"),
+        (["run", "access-delay", "--set", "experiment.lambda_min=0"],
+         "experiment.lambda_min"),
+        (["run", "optimal-beta-map", "--set", "experiment.lambda_max=-0.1"],
+         "experiment.lambda_max"),
     ])
     def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
                                          message):
-        code = cli.main(argv + ["--out", str(tmp_path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv + ["--out", str(tmp_path)])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))

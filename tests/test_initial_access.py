@@ -6,15 +6,25 @@ import numpy as np
 import pytest
 
 from mmwloc import AccessPolicy, NetworkConfig, build_dictionary
+from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
+from mmwloc.dictionary import containing_beam, row_beamwidth
 from mmwloc.initial_access import (
     DEFAULT_UE_GRID,
+    AccessStep,
+    AccessTrace,
+    _grid_floor,
     delay_exhaustive,
     delay_iterative,
     run_initial_access,
     select_bs_beam,
     select_ue_beam,
 )
-from mmwloc.localization import p_beam_selection
+from mmwloc.localization import (
+    aoa_variance,
+    beam_selection_profile,
+    p_beam_selection,
+    ranging_variance,
+)
 
 
 @pytest.fixture
@@ -122,6 +132,122 @@ class TestRefinementLoop:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("iter,side,k,theta_u")
         assert len(lines) == 1 + len(trace.steps)
+
+
+def _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, delta_bs):
+    """Largest row meeting the cap, from a full row search at d_hat."""
+    ks = np.arange(2, n_max + 1)
+    if ks.size and math.isfinite(sigma_d2):
+        j, d_left, d_right = containing_beam(d_hat, d_a, h_b, ks)
+        errors = beam_selection_profile(d_hat, math.sqrt(sigma_d2),
+                                        d_left, d_right)
+        feasible = (errors <= delta_bs).nonzero()[0]
+        if feasible.size:
+            return int(ks[feasible[-1]])
+    return 1
+
+
+def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
+    """The refinement loop evaluated step by step: a full row search and
+    scalar variance calls at every step. run_initial_access tabulates
+    these per user and must reproduce this loop bit for bit."""
+    obs_time = policy.symbol_duration * policy.pilot_energy_scale
+    pilot_bw = (policy.pilot_bandwidth if policy.pilot_bandwidth is not None
+                else cfg.bandwidth)
+    theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
+    info_d = 1.0 / policy.initial_sigma_d2
+    info_psi = 0.0
+    k = 1
+    theta_u = _grid_floor(policy.initial_theta_u, policy.theta_u_grid)
+    steps = []
+    fallbacks = 0
+    terminated = "max_iter"
+    for step in range(1, policy.max_steps + 1):
+        sigma_d2 = 1.0 / info_d
+        sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
+        side = "BS" if step % 2 == 1 else "UE"
+        if side == "BS":
+            d_hat = d
+            if mode == "stochastic":
+                d_hat = d + math.sqrt(sigma_d2) * rng.standard_normal()
+                if not 0.0 <= d_hat <= cell_size:
+                    d_hat = min(max(d_hat, 0.0), cell_size)
+                    fallbacks += 1
+            k_sel = _reference_row(cell_size, cfg.h_b, policy.n_max, d_hat,
+                                   sigma_d2, policy.delta_bs)
+            k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
+                        policy.n_max))
+        else:
+            theta_sel = select_ue_beam(sigma_psi2, policy.delta_ma,
+                                       policy.theta_u_grid)
+            grid_sorted = sorted(policy.theta_u_grid, reverse=True)
+            pos = grid_sorted.index(theta_u)
+            one_down = grid_sorted[min(pos + 1, len(grid_sorted) - 1)]
+            theta_u = min(theta_u, max(theta_sel, one_down))
+        gamma_b = main_lobe_gain(theta_1 / k, cfg)
+        gamma_u = main_lobe_gain(theta_u, cfg)
+        var_d = float(ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
+                                       observation_time=obs_time,
+                                       pilot_bandwidth=pilot_bw))
+        var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, cfg,
+                                     observation_time=obs_time,
+                                     elements=beamwidth_to_elements(theta_u)))
+        info_d += 1.0 / var_d
+        if math.isfinite(var_psi):
+            info_psi += 1.0 / var_psi
+        sigma_d2 = 1.0 / info_d
+        sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
+        steps.append(AccessStep(index=step, side=side, k=k, theta_u=theta_u,
+                                sigma_d2=sigma_d2, sigma_psi2=sigma_psi2,
+                                symbols=step))
+        if (math.sqrt(sigma_d2) <= policy.delta_d
+                and math.sqrt(sigma_psi2) <= policy.delta_psi):
+            terminated = "accuracy_met"
+            break
+    total_symbols = steps[-1].symbols if steps else 0
+    final_k = max(_reference_row(cell_size, cfg.h_b, policy.n_max, d,
+                                 sigma_d2, policy.delta_bs), k)
+    final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
+                                                policy.theta_u_grid))
+    return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
+                       total_delay=total_symbols * policy.symbol_duration,
+                       terminated=terminated, final_k=final_k,
+                       final_theta_u=final_theta_u, fallback_events=fallbacks)
+
+
+class TestTabulatedLoop:
+    """run_initial_access against the step-by-step reference loop."""
+
+    # (d, cell_size) at the default d_s = 20 m: cell edge, d = 0, mid-cell
+    # inside the LOS ball, mid-cell beyond it
+    GEOMETRIES = ((30.0, 30.0), (0.0, 30.0), (7.5, 15.0), (45.0, 90.0))
+    # an unsorted grid, a start level off it, a set pilot band
+    CUSTOM = dict(theta_u_grid=(math.pi / 8, math.pi / 2, 0.05, math.pi / 3,
+                                0.2, math.pi / 32),
+                  initial_theta_u=1.3, pilot_bandwidth=2.0e8)
+
+    # a 3-step budget ends at a coarse variance, where the final row
+    # selection depends on which position it is made at
+    @pytest.mark.parametrize("max_steps", [3, 60])
+    @pytest.mark.parametrize("custom", [False, True])
+    @pytest.mark.parametrize("n_max", [1, 2, 64, 1024])
+    @pytest.mark.parametrize("d, cell_size", GEOMETRIES)
+    @pytest.mark.parametrize("mode", ["bound", "stochastic"])
+    def test_bit_identical_to_reference(self, cfg, mode, d, cell_size, n_max,
+                                        custom, max_steps):
+        policy = AccessPolicy(delta_d=0.002, max_steps=max_steps, n_max=n_max,
+                              **(self.CUSTOM if custom else {}))
+        rngs = [np.random.default_rng(11) if mode == "stochastic" else None
+                for _ in range(2)]
+        got = run_initial_access(d, cell_size, policy, cfg, mode, rngs[0])
+        want = _reference_access(d, cell_size, policy, cfg, mode, rngs[1])
+        assert repr(got) == repr(want)
+        assert len(got.steps) > 2
+
+    def test_grid_levels_checked(self):
+        for grid in ((math.pi / 2, 0.0), (7.0, math.pi / 4), ()):
+            with pytest.raises(ValueError):
+                AccessPolicy(theta_u_grid=grid)
 
 
 class TestBaselineDelays:

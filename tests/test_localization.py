@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erfc
 
 from mmwloc import NetworkConfig, UserGeometry
-from mmwloc.antenna import main_lobe_gain
+from mmwloc.antenna import UlaArray, aoa_fisher_factor, main_lobe_gain
 from mmwloc.dictionary import build_dictionary
 from mmwloc.errors import UnidentifiableAngleError
 from mmwloc.localization import (
@@ -96,6 +96,33 @@ class TestAoaBound:
         g = localization_bounds(UserGeometry.from_config(5.0, cfg), 0.3,
                                 math.pi / 4, 0.5, cfg)
         assert g.sigma_psi2 > 0.0 and math.isfinite(g.sigma_psi2)
+
+    def test_elements_array_matches_scalar_calls(self, cfg):
+        # an (L, 1) aperture column against P beam gains gives (L, P), each
+        # entry bit-identical to the scalar call; m == 1 stays inf
+        gamma_b = main_lobe_gain(np.array([0.05, 0.3, 1.2]), cfg)
+        elements = np.array([1, 2, 5, 64])[:, None]
+        for x, beta, t_obs in ((5.0, 0.0, 1.43e-8), (35.0, 0.5, None),
+                               (0.0, 1.0, None)):
+            table = aoa_variance(x, gamma_b, math.pi / 4, beta, cfg,
+                                 observation_time=t_obs, elements=elements)
+            assert table.shape == (4, 3)
+            for i, m in enumerate(elements[:, 0]):
+                for j, g in enumerate(gamma_b):
+                    single = aoa_variance(x, float(g), math.pi / 4, beta, cfg,
+                                          observation_time=t_obs,
+                                          elements=int(m))
+                    assert isinstance(single, float)
+                    assert table[i, j] == single
+            assert np.isinf(table[0]).all()
+
+    def test_scalar_elements_path(self, cfg):
+        gamma_b = main_lobe_gain(0.3, cfg)
+        assert aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg,
+                            elements=1) == math.inf
+        got = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg, elements=8)
+        zeta = observation_energy(5.0, 0.5, cfg, cfg.aoa_sounding_time)
+        assert got == 1.0 / (zeta * gamma_b * aoa_fisher_factor(UlaArray(8)))
 
     def test_beta_starves_sounding(self, cfg):
         g = UserGeometry.from_config(5.0, cfg)
