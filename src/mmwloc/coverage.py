@@ -17,7 +17,22 @@ Monte Carlo simulator.
 
 Fixed-order Gauss-Legendre rules (with a 1/y substitution for the NLOS
 tail) replace adaptive quadrature in these hot paths; their accuracy is
-pinned against scipy.integrate.quad in the test suite.
+pinned against scipy.integrate.quad in the test suite. The node rules are
+evaluated in one of two ways, both free of cancellation. With
+v = w * q^-alpha = N * u, the binomial series
+
+    1 - (1 + u)^-N = sum_{j>=1} (-1)^(j+1) C(N+j-1, j) u^j
+
+turns each rule into a polynomial in w whose coefficients are moments
+sum_nodes wt * q^(-alpha*j), tabulated per position for j = 1..J
+(J = SERIES_TERMS = 8). It serves every entry whose largest node v is at
+most SERIES_RADIUS = r = 0.01. There the terms alternate and each is at
+most v times the one before, so the omitted tail is below
+C(N+J, J+1) (v/N)^(J+1) <= v^(J+1), and 1 - (1 + u)^-N >= v (1 - v): the
+truncation is below r^J / (1 - r) = 1.01e-16 relative for every N.
+Entries beyond the radius sum the nodes as u * sum_{i=1..N} (1 + u)^-i,
+whose terms are all positive. Both forms are tested against mpmath and an
+expm1/log1p reference at 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -46,12 +61,17 @@ from .numerics import checked_probability, gauss_legendre
 
 LOS_NODES = 24
 NLOS_NODES = 32
+# Terms J of the moment series, and its radius in v = w * q^-alpha: the
+# series serves an entry whose largest node v is at most SERIES_RADIUS.
+SERIES_TERMS = 8
+SERIES_RADIUS = 0.01
 _EXP_FLOOR = -745.0  # exp underflows below this
-# Kernel entries (beta, position) per chunk. Each node array the kernel
-# holds, entries x NLOS_NODES float64, stays at 2^15 elements (256 kB);
-# doubling it saved under 10% of the optimizer's time and added 3-4 MB to
-# its peak memory.
-_CHUNK_ENTRIES = 2 ** 15 // NLOS_NODES
+# Kernel entries (beta, position) per chunk, 2^10. The coverage pass holds
+# a few dozen arrays of one float64 per entry, and a fallback entry gathers
+# NLOS_NODES node values, so no array exceeds 2^15 elements (256 kB).
+# Four times the chunk ran `mmwloc optimize` about 25% faster but raised
+# its peak memory from 63 to 73 MB.
+_CHUNK_ENTRIES = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -105,35 +125,57 @@ def _nlos_y_max(cfg: NetworkConfig) -> float:
     return cfg.d_s + 20.0 / cfg.bs_density
 
 
+def _series_coefficients(qpow: np.ndarray, wt: np.ndarray,
+                         shape: int) -> np.ndarray:
+    """(rows, SERIES_TERMS) coefficients c_j of the node rule
+    sum_nodes wt * (1 - (1 + w * qpow / N)^-N) = sum_j c_j w^j, from the
+    binomial series 1 - (1 + u)^-N = sum_j (-1)^(j+1) C(N+j-1, j) u^j."""
+    coef = np.empty(qpow.shape[:-1] + (SERIES_TERMS,))
+    moment = wt.copy()
+    for j in range(1, SERIES_TERMS + 1):
+        moment *= qpow
+        coef[:, j - 1] = np.sum(moment, axis=-1)
+        coef[:, j - 1] *= (-1.0) ** (j + 1) * math.comb(shape + j - 1, j) / shape ** j
+    return coef
+
+
 def _node_sum(w: np.ndarray, qpow: np.ndarray, wt: np.ndarray,
               shape: int) -> np.ndarray:
-    """sum_nodes (1 - (1 + w * qpow / N)^-N) * wt per entry, for weights w
-    (E,) and node tables (E, nodes); the tables are overwritten in place,
-    so pass fresh copies (gathers)."""
-    base = qpow
-    base *= w[:, None]
-    base /= shape
-    base += 1.0
-    inv = np.divide(1.0, base, out=base)
-    tail = inv.copy()
+    """sum_nodes (1 - (1 + u)^-N) * wt, u = w * qpow / N, per entry, for
+    weights w (E,) and node tables (E, nodes); qpow is overwritten in
+    place, so pass a fresh copy (a gather). Evaluated as
+    u * sum_{i=1..N} (1 + u)^-i, whose terms are all positive, so it does
+    not cancel for small u."""
+    u = qpow
+    u *= w[:, None] / shape
+    inv = 1.0 / (1.0 + u)
+    power = inv.copy()
+    total = inv.copy()
     for _ in range(shape - 1):
-        tail *= inv
-    np.subtract(1.0, tail, out=tail)
-    tail *= wt
-    return np.sum(tail, axis=-1)
+        power *= inv
+        total += power
+    total *= u
+    total *= wt
+    return np.sum(total, axis=-1)
 
 
 class _InterferenceTables:
-    """Per-position quadrature tables for the interference exponents, plus
-    the serving-link profile of each position.
+    """Per-position tables for the interference exponents, plus the
+    serving-link profile of each position.
 
-    The node layout and path-loss profiles depend only on the positions,
-    so they are built once and reused across the branch gains, the
-    expansion terms and the partition factors (which only rescale the
-    threshold weight w).
+    Each interferer class (LOS, NLOS) has a Gauss-Legendre node rule per
+    position; ``rules`` holds (row of each position or -1, q^-alpha at the
+    nodes, node weights times 2*lambda, N). From the rules, each position
+    also gets the moment-series coefficients (``coef``, summed over the
+    classes) and its reach, the largest q^-alpha of its nodes. Everything
+    depends only on the positions, so the tables are built once and
+    reused across the branch gains, the expansion terms and the partition
+    factors (which only rescale the threshold weight w). ``classes``
+    limits the tables to some interferer classes.
     """
 
-    def __init__(self, x: np.ndarray, cfg: NetworkConfig):
+    def __init__(self, x: np.ndarray, cfg: NetworkConfig,
+                 classes: tuple = ("los", "nlos")):
         self.cfg = cfg
         x = np.asarray(x, dtype=float)
         shape_x = nakagami_shape(x, cfg)
@@ -148,41 +190,61 @@ class _InterferenceTables:
                 break
             self.terms.append(
                 (n, np.where(active, (-1.0) ** (n + 1) * comb(shape_x, n), 0.0)))
-        los_mask = x < cfg.d_s
-        # row of each position in the LOS tables, -1 beyond the LOS ball
-        self.los_row = np.where(los_mask, np.cumsum(los_mask) - 1, -1)
         h2 = cfg.h_b * cfg.h_b
-        if np.any(los_mask):
+        two_lambda = 2.0 * cfg.bs_density
+        self.rules = []
+        los_mask = x < cfg.d_s
+        if "los" in classes and np.any(los_mask):
             y, wt = gauss_legendre(x[los_mask], cfg.d_s, LOS_NODES)
-            self.los_qpow = (y * y + h2) ** (-0.5 * cfg.alpha_los)
-            self.los_wt = wt
-        t, wt = gauss_legendre(1.0 / _nlos_y_max(cfg),
-                               1.0 / np.maximum(x, cfg.d_s), NLOS_NODES)
-        y = 1.0 / t
-        self.nlos_qpow = (y * y + h2) ** (-0.5 * cfg.alpha_nlos)
-        self.nlos_wt = wt / (t * t)
+            self.rules.append((np.where(los_mask, np.cumsum(los_mask) - 1, -1),
+                               (y * y + h2) ** (-0.5 * cfg.alpha_los),
+                               two_lambda * wt, int(cfg.n_los)))
+        if "nlos" in classes:
+            t, wt = gauss_legendre(1.0 / _nlos_y_max(cfg),
+                                   1.0 / np.maximum(x, cfg.d_s), NLOS_NODES)
+            y = 1.0 / t
+            self.rules.append((np.arange(x.size),
+                               (y * y + h2) ** (-0.5 * cfg.alpha_nlos),
+                               two_lambda * wt / (t * t), int(cfg.n_nlos)))
+        self.coef = np.zeros((x.size, SERIES_TERMS))
+        self.reach = np.zeros(x.size)
+        for row, qpow, wt, shape in self.rules:
+            has = row >= 0
+            self.coef[has] += _series_coefficients(qpow, wt, shape)
+            self.reach[has] = np.maximum(self.reach[has], np.max(qpow, axis=-1))
 
-    def _los_sum(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """LOS integral before the 2*lambda factor; 0 where x >= d_S."""
-        out = np.zeros_like(w)
-        row = self.los_row[pos]
-        los = row >= 0
-        if np.any(los):
-            row = row[los]
-            out[los] = _node_sum(w[los], self.los_qpow[row], self.los_wt[row],
-                                 int(self.cfg.n_los))
+    def _series(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Horner evaluation of the moment series at weights w."""
+        coef = self.coef[pos]
+        out = coef[:, -1] * w
+        for j in range(SERIES_TERMS - 2, -1, -1):
+            out += coef[:, j]
+            out *= w
         return out
 
-    def _nlos_sum(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """NLOS integral before the 2*lambda factor."""
-        return _node_sum(w, self.nlos_qpow[pos], self.nlos_wt[pos],
-                         int(self.cfg.n_nlos))
+    def _nodes(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The node rules summed over the classes at weights w."""
+        out = np.zeros_like(w)
+        for rows, qpow, wt, shape in self.rules:
+            row = rows[pos]
+            has = row >= 0
+            row = row[has]
+            out[has] += _node_sum(w[has], qpow[row], wt[row], shape)
+        return out
 
     def exponents(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """A_LOS + A_NLOS for 1-D threshold weights w at the table
-        positions ``pos`` (one index per weight)."""
-        return 2.0 * self.cfg.bs_density * (self._los_sum(w, pos)
-                                            + self._nlos_sum(w, pos))
+        positions ``pos`` (one index per weight): the moment series where
+        w * reach <= SERIES_RADIUS, the node rules beyond. Every entry is
+        evaluated on its own, so it gets the same bits in any batch."""
+        far = w * self.reach[pos] > SERIES_RADIUS
+        if not np.any(far):
+            return self._series(w, pos)
+        out = np.empty_like(w)
+        near = ~far
+        out[near] = self._series(w[near], pos[near])
+        out[far] = self._nodes(w[far], pos[far])
+        return out
 
 
 def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
@@ -196,16 +258,16 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
     """
     if serving_d < 0.0:
         raise ValueError("serving distance must be non-negative")
-    tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg)
-    w = np.asarray([t_scaled * gain_product], dtype=float)
-    pos = np.zeros(1, dtype=int)
     if alpha_branch == cfg.alpha_los:
-        integral = tables._los_sum(w, pos)
+        classes = ("los",)
     elif alpha_branch == cfg.alpha_nlos:
-        integral = tables._nlos_sum(w, pos)
+        classes = ("nlos",)
     else:
         raise ValueError("alpha_branch must equal the LOS or NLOS exponent")
-    value = float(2.0 * cfg.bs_density * integral[0])
+    tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg,
+                                 classes)
+    w = np.asarray([t_scaled * gain_product], dtype=float)
+    value = float(tables.exponents(w, np.zeros(1, dtype=int))[0])
     if not np.isfinite(value):
         raise NumericError("interference exponent did not converge")
     return value
@@ -225,9 +287,11 @@ def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
     and the path-loss exponent switch at the LOS-ball edge.
 
     An entry whose noise term alone reaches -_EXP_FLOOR skips the kernel:
-    the interference exponent is never negative (positive node weights
-    times 1 - (1 + u)^-N >= 0), so its floored exponent is _EXP_FLOOR
-    whatever the interference is, bit for bit.
+    the interference exponent is never negative (the node form sums
+    positive terms; the series form keeps an even number of alternating,
+    shrinking terms, so it is at least its first term minus its second,
+    which is >= 0), so its floored exponent is _EXP_FLOOR whatever the
+    interference is, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if tables is None:

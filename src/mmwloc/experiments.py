@@ -275,11 +275,12 @@ def _run_rate_vs_beta(spec: ExperimentSpec):
     rows = []
     for k in sorted(_knob(spec, "k_list")):
         tu = ue_beamwidth_for_dictionary(k, spec.cfg)
-        rates = rate_coverage(r0, np.array(betas), k, tu, spec.cfg)
-        rows += [(k, beta, tu, float(rate),
-                  avg_beam_selection_error(k, beta, tu, spec.cfg),
-                  avg_misalignment_error(k, tu, beta, spec.cfg))
-                 for beta, rate in zip(betas, rates)]
+        grid = np.array(betas)
+        rates = rate_coverage(r0, grid, k, tu, spec.cfg)
+        p_bs = avg_beam_selection_error(k, grid, tu, spec.cfg)
+        p_ma = avg_misalignment_error(k, tu, grid, spec.cfg)
+        rows += [(k, beta, tu, float(rate), float(bs), float(ma))
+                 for beta, rate, bs, ma in zip(betas, rates, p_bs, p_ma)]
     out = spec.out_dir / "rate_vs_beta.csv"
     _write_csv(out, ["k", "beta", "theta_u", "rate_coverage", "p_bs", "p_ma"],
                rows)

@@ -60,14 +60,23 @@ class AccessPolicy:
     bs_growth: float = 1.5          # per-step cap on dictionary-row growth
 
     def __post_init__(self):
+        # every float check is written so that NaN fails it
         if not 0.0 < self.delta_bs <= 1.0 or not 0.0 < self.delta_ma <= 1.0:
             raise ValueError("error caps must be in (0, 1]")
-        if self.delta_d <= 0.0 or self.delta_psi <= 0.0:
+        if not self.delta_d > 0.0 or not self.delta_psi > 0.0:
             raise ValueError("termination accuracies must be positive")
-        if self.initial_theta_u > math.pi / 2 + 1e-12:
-            raise ValueError("initial UE beam is quasi-omnidirectional (<= pi/2)")
+        if not 0.0 < self.initial_theta_u <= math.pi / 2 + 1e-12:
+            raise ValueError("initial UE beam must be in (0, pi/2]")
         if self.max_steps < 1 or self.n_max < 1:
             raise ValueError("step budget and dictionary depth must be >= 1")
+        if not self.symbol_duration > 0.0 or not self.initial_sigma_d2 > 0.0:
+            raise ValueError("symbol duration and initial variance must be "
+                             "positive")
+        if self.pilot_bandwidth is not None and not self.pilot_bandwidth > 0.0:
+            raise ValueError("pilot bandwidth must be positive")
+        if not self.pilot_energy_scale > 0.0 or not self.bs_growth > 0.0:
+            raise ValueError("pilot energy scale and row growth must be "
+                             "positive")
         # the access loop tabulates every level, reached or not
         if not self.theta_u_grid or not all(
                 0.0 < t <= 2.0 * math.pi for t in self.theta_u_grid):

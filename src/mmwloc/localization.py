@@ -47,6 +47,10 @@ from .numerics import (
 
 CELL_NODES = 64
 BEAM_NODES = 32
+# (beta, grid position) entries per chunk of a batched cell average: the
+# grid of row k = 32 for one beta, so a batch holds no larger array than a
+# single beta of the largest default row.
+_AVG_CHUNK_ENTRIES = 2 ** 16
 # Estimation spreads are floored here, so a zero spread is evaluated as its
 # limit (no 0/0 on an interval edge) while no real bound is affected.
 SIGMA_FLOOR = 1e-150
@@ -259,10 +263,38 @@ def _cell_grid(k: int, cfg: NetworkConfig):
     return grid
 
 
-def avg_beam_selection_error(k: int, beta: float, theta_u: float,
+def _cell_average(k: int, beta, cfg: NetworkConfig, profile, what: str,
+                  uninformed: bool):
+    """An error profile averaged over row k's cell grid, per beta.
+
+    ``profile(theta_k, bounds, x, betas)`` gives the error probability on
+    the grid for a (B, 1, 1, 1) column of betas. ``beta`` may be a 1-D
+    array, returned as an array of averages; a scalar gives a float. With
+    ``uninformed``, beta == 1 leaves no localization resources and gives 1.
+
+    The betas run in chunks of at most _AVG_CHUNK_ENTRIES (beta, position)
+    entries, and each beta is summed per cell and then over cells, so it
+    gets the same bits alone or in any batch.
+    """
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    out = np.ones(betas.shape)
+    todo = np.flatnonzero(betas != 1.0) if uninformed else np.arange(betas.size)
+    step = max(1, _AVG_CHUNK_ENTRIES // x.size)
+    for c in range(0, todo.size, step):
+        chunk = todo[c:c + step]
+        p = profile(theta_k, bounds, x, betas[chunk, None, None, None])
+        cell_sums = np.sum(p * pos_w, axis=(-2, -1))
+        out[chunk] = np.sum(cell_sums * da_weights, axis=-1)
+    out = checked_probability(out, what)
+    return out if np.ndim(beta) else float(out[0])
+
+
+def avg_beam_selection_error(k: int, beta, theta_u: float,
                              cfg: NetworkConfig, *,
-                             sigma_d2_override: float | None = None) -> float:
-    """Beam-selection error averaged over cell sizes and user positions.
+                             sigma_d2_override: float | None = None):
+    """Beam-selection error averaged over cell sizes and user positions;
+    ``beta`` may be a 1-D array (see ``_cell_average``).
 
     For k == 1 the single beam spans the whole cell and estimates are
     clamped to the cell support, so the error is exactly zero.
@@ -270,37 +302,38 @@ def avg_beam_selection_error(k: int, beta: float, theta_u: float,
     if k < 1:
         raise ValueError("dictionary size must be >= 1")
     if k == 1:
-        return 0.0
-    if beta == 1.0 and sigma_d2_override is None:
-        return 1.0  # no localization resources: estimates carry no information
-    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
-    if sigma_d2_override is None:
-        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
-        gamma_u = main_lobe_gain(theta_u, cfg)
-        sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
-    else:
-        sigma = math.sqrt(sigma_d2_override)
-    p = beam_selection_profile(x, sigma, bounds[:, :-1, None],
-                               bounds[:, 1:, None])
-    total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
-    return checked_probability(total, "averaged beam-selection error")
+        return np.zeros(np.shape(beta)) if np.ndim(beta) else 0.0
+    gamma_u = main_lobe_gain(theta_u, cfg)
+
+    def profile(theta_k, bounds, x, betas):
+        if sigma_d2_override is None:
+            gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+            sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, betas, cfg))
+        else:
+            sigma = math.sqrt(sigma_d2_override)
+        return beam_selection_profile(x, sigma, bounds[:, :-1, None],
+                                      bounds[:, 1:, None])
+
+    return _cell_average(k, beta, cfg, profile, "averaged beam-selection error",
+                         uninformed=sigma_d2_override is None)
 
 
-def avg_misalignment_error(k: int, theta_u: float, beta: float,
-                           cfg: NetworkConfig, *,
-                           sigma_psi2_override: float | None = None) -> float:
+def avg_misalignment_error(k: int, theta_u: float, beta, cfg: NetworkConfig,
+                           *, sigma_psi2_override: float | None = None):
     """Misalignment error averaged over cell sizes, positions, and arrival
-    angles (the angle average is trivial: the bound is angle-independent)."""
+    angles (the angle average is trivial: the bound is angle-independent);
+    ``beta`` may be a 1-D array (see ``_cell_average``)."""
     if k < 1:
         raise ValueError("dictionary size must be >= 1")
-    if beta == 1.0 and sigma_psi2_override is None:
-        return 1.0
-    _, da_weights, theta_k, _, x, pos_w = _cell_grid(k, cfg)
-    if sigma_psi2_override is None:
-        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
-        var = aoa_variance(x, gamma_b, theta_u, beta, cfg)
-    else:
-        var = float(sigma_psi2_override)
-    p = p_misalignment(var, nu_threshold(theta_u))
-    total = float(da_weights @ np.sum(p * pos_w, axis=(1, 2)))
-    return checked_probability(total, "averaged misalignment error")
+    nu = nu_threshold(theta_u)
+
+    def profile(theta_k, bounds, x, betas):
+        if sigma_psi2_override is None:
+            gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+            var = aoa_variance(x, gamma_b, theta_u, betas, cfg)
+        else:
+            var = float(sigma_psi2_override)
+        return p_misalignment(var, nu)
+
+    return _cell_average(k, beta, cfg, profile, "averaged misalignment error",
+                         uninformed=sigma_psi2_override is None)

@@ -106,24 +106,23 @@ class OptimizationResult:
 def optimize_beta(k: int, spec: OptimizationSpec, cfg: NetworkConfig) -> BetaOptimum:
     """Best feasible beta for dictionary size k; ties go to the later beta of
     the grid (the larger one: more data resources once localization
-    constraints are met). All feasible betas share one coverage pass."""
+    constraints are met). The caps are evaluated for the whole grid in one
+    call each, and all feasible betas share one coverage pass."""
     theta_u = ue_beamwidth_for_dictionary(k, cfg)
-    feasible = []
-    for beta in spec.beta_grid:
-        p_bs = avg_beam_selection_error(k, beta, theta_u, cfg)
-        p_ma = avg_misalignment_error(k, theta_u, beta, cfg)
-        if p_bs <= spec.eps_bs and p_ma <= spec.eps_ma:
-            feasible.append((beta, p_bs, p_ma))
-    if not feasible:
+    betas = np.array(spec.beta_grid, dtype=float)
+    p_bs = avg_beam_selection_error(k, betas, theta_u, cfg)
+    p_ma = avg_misalignment_error(k, theta_u, betas, cfg)
+    feasible = np.flatnonzero((p_bs <= spec.eps_bs) & (p_ma <= spec.eps_ma))
+    if not feasible.size:
         return BetaOptimum(k=k, theta_u=theta_u, feasible=False, beta_star=None,
                            objective=None, p_bs=None, p_ma=None, feasible_count=0)
-    objectives = rate_coverage(spec.r0, np.array([f[0] for f in feasible]),
-                               k, theta_u, cfg)
-    best = max(range(len(feasible)), key=lambda i: (objectives[i], i))
-    beta, p_bs, p_ma = feasible[best]
-    return BetaOptimum(k=k, theta_u=theta_u, feasible=True, beta_star=beta,
-                       objective=float(objectives[best]), p_bs=p_bs, p_ma=p_ma,
-                       feasible_count=len(feasible))
+    objectives = rate_coverage(spec.r0, betas[feasible], k, theta_u, cfg)
+    best = max(range(feasible.size), key=lambda i: (objectives[i], i))
+    i = feasible[best]
+    return BetaOptimum(k=k, theta_u=theta_u, feasible=True,
+                       beta_star=spec.beta_grid[i],
+                       objective=float(objectives[best]), p_bs=float(p_bs[i]),
+                       p_ma=float(p_ma[i]), feasible_count=int(feasible.size))
 
 
 def optimize_beamwidth(spec: OptimizationSpec, cfg: NetworkConfig) -> OptimizationResult:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,6 +11,7 @@ from mmwloc import CoverageQuery, NetworkConfig, coverage
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.coverage import (
     _EXP_FLOOR,
+    SERIES_RADIUS,
     _InterferenceTables,
     _branch_values,
     _mixture_values,
@@ -24,6 +26,7 @@ from mmwloc.coverage import (
 from mmwloc.dictionary import beam_boundaries, row_beamwidth
 from mmwloc.errors import NumericError
 from mmwloc.localization import _cell_grid, _cell_panels
+from mmwloc.numerics import dbm_to_watt
 from mmwloc.optimizer import ue_beamwidth_for_dictionary
 
 
@@ -36,11 +39,9 @@ def cfg():
 # quadrature, for threshold weights w from 1 to 1e20.
 QUAD_REL_BOUND = 1e-9
 QUAD_W_GRID = tuple(10.0 ** np.arange(21))
-# (x, w) points where the NLOS rule misses the budget (up to 6.3e-9): the
-# integrand's poles come close to the 1/y panel at w ~ 1e10-1e11, and
-# 1 - (1 + u)^-N cancels for the small u of distant interferers at small w.
-KNOWN_NLOS_MISSES = {(5.0, 1e10), (5.0, 1e11), (60.0, 1.0), (90.0, 1.0),
-                     (90.0, 10.0)}
+# (x, w) points where the NLOS node rule misses the budget (up to 5.2e-9):
+# at w ~ 1e10-1e11 the integrand's poles come close to the 1/y panel.
+KNOWN_NLOS_MISSES = {(5.0, 1e10), (5.0, 1e11)}
 
 
 def _quadrature_misses(cfg, alpha, shape, xs, region):
@@ -123,6 +124,93 @@ class TestLaplaceInterference:
     def test_unknown_branch_rejected(self, cfg):
         with pytest.raises(ValueError):
             laplace_interference(5.0, 1.0, 0.1, 3.0, cfg)
+
+
+def _series_chunk(cfg, monkeypatch):
+    """(tables, w, pos, series indices) of the kernel call of a batched
+    rate-coverage pass at k = 8 that holds the largest series entry."""
+    calls = []
+    real = _InterferenceTables.exponents
+
+    def spy(self, w, pos):
+        calls.append((self, w.copy(), pos.copy()))
+        return real(self, w, pos)
+
+    monkeypatch.setattr(_InterferenceTables, "exponents", spy)
+    tu = ue_beamwidth_for_dictionary(8, cfg)
+    rate_coverage(1.0e8, np.array([0.3, 0.6, 0.9]), 8, tu, cfg)
+    monkeypatch.undo()
+
+    def series_v(call):
+        tables, w, pos = call
+        v = w * tables.reach[pos]
+        return np.where(v <= SERIES_RADIUS, v, 0.0)
+
+    tables, w, pos = max(calls, key=lambda call: series_v(call).max())
+    v = series_v((tables, w, pos))
+    return tables, w, pos, np.flatnonzero(v > 0.0), v
+
+
+def _node_rule(tables, w, p, rule_value):
+    """sum over classes and nodes of wt * rule_value(u, N) at one entry."""
+    total = 0
+    for rows, qpow, wt, shape in tables.rules:
+        if rows[p] >= 0:
+            for q, weight in zip(qpow[rows[p]], wt[rows[p]]):
+                total += weight * rule_value(w * q / shape, shape)
+    return total
+
+
+class TestInterferenceKernel:
+    def test_batch_straddling_radius_matches_single_entries(self, cfg):
+        x = np.linspace(0.0, 400.0, 81)
+        tables = _InterferenceTables(x, cfg)
+        rng = np.random.default_rng(3)
+        pos = rng.integers(0, x.size, 400)
+        # v = w * reach spread over 1e-6 .. 1e4 around the radius
+        w = SERIES_RADIUS / tables.reach[pos] * 10.0 ** rng.uniform(-4, 6, 400)
+        far = w * tables.reach[pos] > SERIES_RADIUS
+        assert 0.2 < np.mean(far) < 0.8
+        batch = tables.exponents(w, pos)
+        single = [tables.exponents(w[i:i + 1], pos[i:i + 1])[0]
+                  for i in range(w.size)]
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("noise_psd", [1e-12, dbm_to_watt(-174.0)],
+                             ids=["default", "thermal"])
+    def test_series_matches_mpmath(self, noise_psd, monkeypatch):
+        cfg = NetworkConfig(noise_psd=noise_psd)
+        tables, w, pos, series, v = _series_chunk(cfg, monkeypatch)
+        got = tables.exponents(w, pos)
+        # the 30 entries nearest the radius and 30 more at random
+        rng = np.random.default_rng(5)
+        picks = np.concatenate([series[np.argsort(v[series])[-30:]],
+                                rng.choice(series, size=30)])
+        assert v[picks].max() > 1e-2 * SERIES_RADIUS
+        with mpmath.workdps(40):
+            def exact(u, shape):
+                return 1 - (1 + mpmath.mpf(u)) ** -shape
+
+            for i in picks:
+                ref = _node_rule(tables, mpmath.mpf(w[i]), pos[i], exact)
+                assert abs(got[i] - ref) <= 1e-14 * ref
+
+    def test_fallback_matches_log1p_reference(self, cfg):
+        x = np.linspace(0.0, 400.0, 41)
+        tables = _InterferenceTables(x, cfg)
+        pos = np.repeat(np.arange(x.size), 11)
+        # largest node u = w * reach / N from 0.01 to 1e3
+        u_max = np.tile(10.0 ** np.linspace(-2, 3, 11), x.size)
+        w = u_max * cfg.n_nlos / tables.reach[pos]
+        assert np.all(w * tables.reach[pos] > SERIES_RADIUS)
+        got = tables.exponents(w, pos)
+
+        def stable(u, shape):
+            return -math.expm1(-shape * math.log1p(u))
+
+        for i in range(w.size):
+            ref = _node_rule(tables, w[i], pos[i], stable)
+            assert abs(got[i] - ref) <= 1e-14 * ref
 
 
 class TestBranchOrdering:

@@ -249,6 +249,19 @@ class TestTabulatedLoop:
             with pytest.raises(ValueError):
                 AccessPolicy(theta_u_grid=grid)
 
+    @pytest.mark.parametrize("field", [
+        "delta_bs", "delta_ma", "delta_d", "delta_psi", "symbol_duration",
+        "initial_sigma_d2", "initial_theta_u", "pilot_bandwidth",
+        "pilot_energy_scale", "bs_growth"])
+    def test_nan_float_rejected(self, field):
+        # a NaN accuracy used to pass, and the loop ran to max_steps
+        with pytest.raises(ValueError):
+            AccessPolicy(**{field: float("nan")})
+
+    def test_nan_grid_level_rejected(self):
+        with pytest.raises(ValueError):
+            AccessPolicy(theta_u_grid=(math.pi / 2, float("nan")))
+
 
 class TestBaselineDelays:
     def test_exhaustive_grid_example(self):

@@ -213,6 +213,30 @@ class TestAveragedErrors:
                               avg_misalignment_error(k, tu, beta, cfg)):
                     assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("k", [1, 2, 8, 32])
+    def test_beta_batch_matches_single_calls(self, cfg, k):
+        # 16 betas per chunk at k = 2, one per chunk at k = 32
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        betas = np.array([0.02, 0.3, 0.5, 0.98, 1.0] + [0.44] * 40)
+        batches = (avg_beam_selection_error(k, betas, tu, cfg),
+                   avg_misalignment_error(k, tu, betas, cfg),
+                   avg_beam_selection_error(k, betas, tu, cfg,
+                                            sigma_d2_override=0.5),
+                   avg_misalignment_error(k, tu, betas, cfg,
+                                          sigma_psi2_override=0.01))
+        for i, beta in enumerate(betas):
+            singles = (avg_beam_selection_error(k, beta, tu, cfg),
+                       avg_misalignment_error(k, tu, beta, cfg),
+                       avg_beam_selection_error(k, beta, tu, cfg,
+                                                sigma_d2_override=0.5),
+                       avg_misalignment_error(k, tu, beta, cfg,
+                                              sigma_psi2_override=0.01))
+            for batch, single in zip(batches, singles):
+                assert batch.shape == betas.shape
+                assert isinstance(single, float) and single == batch[i]
+        # beta = 1 leaves no localization resources unless overridden
+        assert batches[1][4] == 1.0 and batches[3][4] < 1.0
+
     def test_beam_selection_grows_with_beta(self, cfg):
         tu = ue_beamwidth_for_dictionary(8, cfg)
         values = [avg_beam_selection_error(8, b, tu, cfg) for b in (0.2, 0.5, 0.8)]
