@@ -199,7 +199,7 @@ class TestInterferenceKernel:
         x = np.linspace(0.0, 400.0, 41)
         tables = _InterferenceTables(x, cfg)
         pos = np.repeat(np.arange(x.size), 11)
-        # largest node u = w * reach / N from 0.01 to 1e3
+        # u at the near end of the regions, w * reach / N, from 0.01 to 1e3
         u_max = np.tile(10.0 ** np.linspace(-2, 3, 11), x.size)
         w = u_max * cfg.n_nlos / tables.reach[pos]
         assert np.all(w * tables.reach[pos] > SERIES_RADIUS)
