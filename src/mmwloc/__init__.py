@@ -5,22 +5,12 @@ coverage, initial-access delay, and the optimal beamwidth / frame split.
 """
 
 from .config import NetworkConfig
-from .geometry import (
-    LinkState,
-    UserGeometry,
-    cell_size_pdf,
-    link_state,
-    snr_localization,
-    user_position_pdf,
-)
 from .antenna import (
     UlaArray,
     array_response,
     array_response_derivative,
-    beamforming_gain,
     beamwidth_to_elements,
     main_lobe_gain,
-    sector_gain,
     sidelobe_gain,
 )
 from .dictionary import (
@@ -28,32 +18,22 @@ from .dictionary import (
     BeamEntry,
     beam_boundaries,
     build_dictionary,
-    lookup_beam,
 )
 from .localization import (
-    LocalizationBounds,
     avg_beam_selection_error,
     avg_misalignment_error,
-    crlb_aoa,
-    crlb_distance,
-    localization_bounds,
     nu_threshold,
-    p_beam_selection,
     p_misalignment,
 )
 from .coverage import (
     CoverageQuery,
     CoverageResult,
-    coverage_probability,
-    coverage_probability_exhaustive,
     laplace_interference,
     overall_coverage,
     rate_coverage,
     rate_to_sinr_threshold,
 )
 from .montecarlo import (
-    Realization,
-    sample_realization,
     simulate_coverage,
     simulate_error_probabilities,
     simulate_laplace,
@@ -65,7 +45,6 @@ from .initial_access import (
     delay_exhaustive,
     delay_iterative,
     run_initial_access,
-    select_bs_beam,
     select_ue_beam,
 )
 from .optimizer import (
@@ -75,11 +54,6 @@ from .optimizer import (
     optimize_beta,
     ue_beamwidth_for_dictionary,
 )
-from .errors import (
-    ConfigError,
-    NumericError,
-    OutOfCellError,
-    UnidentifiableAngleError,
-)
+from .errors import ConfigError, NumericError
 
 __version__ = "0.1.0"

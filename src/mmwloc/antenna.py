@@ -18,19 +18,14 @@ from .numerics import SPEED_OF_LIGHT
 TWO_PI = 2.0 * math.pi
 
 
-def sector_gain(theta: float, in_main_lobe: bool, cfg: NetworkConfig) -> float:
-    """Two-level sectorized gain for a beam of angular width theta.
-
-    Main lobe: G0 * (2*pi - (2*pi - theta) * eps) / theta; sidelobe: G0 * eps.
-    The pattern conserves total radiated power:
-    gain_main * theta + gain_side * (2*pi - theta) == 2*pi * G0.
-    """
-    main = main_lobe_gain(theta, cfg)
-    return main if in_main_lobe else sidelobe_gain(cfg)
-
-
 def main_lobe_gain(theta, cfg: NetworkConfig):
-    """Main-lobe gain of the two-level pattern; theta may be an array."""
+    """Main-lobe gain G0 * (2*pi - (2*pi - theta) * eps) / theta of the
+    two-level sectorized pattern for a beam of angular width theta; theta
+    may be an array.
+
+    With the sidelobe gain G0 * eps the pattern conserves total radiated
+    power: gain_main * theta + gain_side * (2*pi - theta) == 2*pi * G0.
+    """
     valid = (0.0 < theta) & (theta <= TWO_PI)
     if not (valid if isinstance(valid, bool) else valid.all()):
         raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
@@ -80,14 +75,6 @@ def array_response_derivative(array: UlaArray, angle: float) -> np.ndarray:
     n = np.arange(array.n_elements)
     slope = 1j * n * array.phase_scale * math.cos(angle)
     return slope * array_response(array, angle)
-
-
-def beamforming_gain(array: UlaArray, steer_angle: float, actual_angle: float) -> float:
-    """Power gain of conjugate steering toward steer_angle for a signal at
-    actual_angle; equals n_elements when matched, bounded by [0, n_elements]."""
-    a = array_response(array, actual_angle)
-    w = array_response(array, steer_angle)
-    return array.n_elements * abs(np.vdot(a, w)) ** 2
 
 
 def aoa_fisher_factor(array: UlaArray, angle: float = 0.0) -> float:

@@ -92,7 +92,8 @@ class CoverageQuery:
     cell_size: float | None = None
 
     def __post_init__(self):
-        if self.threshold <= 0.0:
+        # every float check is written so that NaN fails it
+        if not self.threshold > 0.0:
             raise ValueError("SINR threshold must be positive")
         if self.k < 1:
             raise ValueError("dictionary size must be >= 1")
@@ -100,16 +101,17 @@ class CoverageQuery:
             raise ValueError("beam index must satisfy 1 <= j <= k")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.cell_size is not None and self.cell_size <= 0.0:
+        if self.cell_size is not None and not self.cell_size > 0.0:
             raise ValueError("cell size must be positive")
 
 
 @dataclass(frozen=True)
 class CoverageResult:
+    """A Monte Carlo coverage estimate (``montecarlo.simulate_coverage``)."""
+
     probability: float
-    method: str                 # 'analytical' | 'montecarlo'
     breakdown: dict             # contributions of the aligned/MA/BS branches
-    stderr: float = 0.0
+    stderr: float
 
 
 def alzer_eta(n):
@@ -330,26 +332,18 @@ def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
 
 def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
                     beta, k: int, d_left, d_right, cfg: NetworkConfig,
-                    exhaustive: bool,
-                    tables: "_InterferenceTables | None" = None) -> tuple:
+                    tables: "_InterferenceTables | None" = None) -> np.ndarray:
     """Pointwise coverage mixing the three branches by the error profile.
 
     theta_k, d_left and d_right broadcast against the 1-D positions x (the
     serving row beamwidth and beam interval per position); threshold and
-    beta may be (B, 1) columns of pairs, giving (B, P) values. Returns
-    (values, branch contributions)."""
+    beta may be (B, 1) columns of pairs, giving (B, P) values."""
     gamma_b = main_lobe_gain(theta_k, cfg)
     gamma_u = main_lobe_gain(theta_u, cfg)
     g = sidelobe_gain(cfg)
     if tables is None:
         tables = _InterferenceTables(x, cfg)
     t0 = _branch_values(x, threshold, gamma_b * gamma_u, cfg, tables)
-    if exhaustive:
-        return t0, {"aligned": t0, "misaligned": np.zeros_like(t0),
-                    "beam_error": np.zeros_like(t0),
-                    "w_aligned": np.ones_like(t0),
-                    "w_misaligned": np.zeros_like(t0),
-                    "w_beam_error": np.zeros_like(t0)}
     tma = _branch_values(x, threshold, gamma_b * g, cfg, tables)
     tbs = _branch_values(x, threshold, g * g, cfg, tables)
     if k == 1:
@@ -361,51 +355,12 @@ def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
                           nu_threshold(theta_u))
     w0 = (1.0 - p_bs) * (1.0 - p_ma)
     wma = (1.0 - p_bs) * p_ma
-    values = w0 * t0 + wma * tma + p_bs * tbs
-    return values, {"aligned": t0, "misaligned": tma, "beam_error": tbs,
-                    "w_aligned": w0, "w_misaligned": wma, "w_beam_error": p_bs}
+    return w0 * t0 + wma * tma + p_bs * tbs
 
 
 # ---------------------------------------------------------------------------
 # Public coverage operations
 # ---------------------------------------------------------------------------
-
-def _single_beam_coverage(query: CoverageQuery, cfg: NetworkConfig,
-                          exhaustive: bool) -> CoverageResult:
-    d_a = query.cell_size if query.cell_size is not None else cfg.mean_cell_size
-    theta_k, bounds, x, pos_w = _cell_panels(np.asarray([d_a]), query.k, cfg)
-    d_left, d_right = float(bounds[0, query.j - 1]), float(bounds[0, query.j])
-    # conditional on the user being in this beam
-    w = pos_w[0, query.j - 1] * (d_a / (d_right - d_left))
-    values, parts = _mixture_values(x[0, query.j - 1], query.threshold,
-                                    float(theta_k[0]), query.theta_u,
-                                    query.beta, query.k, d_left, d_right, cfg,
-                                    exhaustive)
-    prob = float(np.dot(values, w))
-    breakdown = {
-        name: float(np.dot(parts[f"w_{name}"] * parts[name], w))
-        for name in ("aligned", "misaligned", "beam_error")
-    }
-    prob = checked_probability(prob, "beam coverage")
-    return CoverageResult(probability=prob, method="analytical",
-                          breakdown=breakdown)
-
-
-def coverage_probability(query: CoverageQuery, cfg: NetworkConfig) -> CoverageResult:
-    """Coverage of a user served by beam j of row k (conditional on the
-    user lying in that beam's ground interval)."""
-    if query.j is None:
-        raise ValueError("coverage_probability requires a beam index j")
-    return _single_beam_coverage(query, cfg, exhaustive=False)
-
-
-def coverage_probability_exhaustive(query: CoverageQuery, cfg: NetworkConfig) -> CoverageResult:
-    """Error-free variant: an exhaustive beam sweep suffers neither
-    beam-selection nor misalignment errors."""
-    if query.j is None:
-        raise ValueError("coverage_probability_exhaustive requires a beam index j")
-    return _single_beam_coverage(query, cfg, exhaustive=True)
-
 
 def overall_coverage(threshold, k: int, theta_u: float, beta,
                      cfg: NetworkConfig, cell_size: float | None = None):
@@ -425,7 +380,7 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
     thresholds, betas = np.broadcast_arrays(
         np.atleast_1d(np.asarray(threshold, dtype=float)),
         np.atleast_1d(np.asarray(beta, dtype=float)))
-    if np.any(thresholds <= 0.0):
+    if not np.all(thresholds > 0.0):
         raise ValueError("SINR threshold must be positive")
     if cell_size is None:
         _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
@@ -447,9 +402,9 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
         tables = _InterferenceTables(xc, cfg)
         for b in range(0, len(betas), pairs_per_chunk):
             pairs = slice(b, b + pairs_per_chunk)
-            values, _ = _mixture_values(
+            values = _mixture_values(
                 xc, thresholds[pairs, None], theta, theta_u, betas[pairs, None],
-                k, d_left, d_right, cfg, exhaustive=False, tables=tables)
+                k, d_left, d_right, cfg, tables=tables)
             values = values.reshape(-1, shape[0], per_cell)
             cell_sums[pairs, cells] = np.sum(values * pos_w[cells], axis=-1)
     total = checked_probability(np.sum(cell_sums * da_weights, axis=-1),
@@ -460,10 +415,10 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
 def rate_to_sinr_threshold(r0: float, beta, cfg: NetworkConfig):
     """SINR threshold equivalent to an effective-rate target r0 (inf where
     it saturates); beta may be an array."""
-    if r0 <= 0.0:
+    if not r0 > 0.0:
         raise ValueError("rate threshold must be positive")
     beta = np.asarray(beta, dtype=float)
-    if np.any((beta <= 0.0) | (beta > 1.0)):
+    if not np.all((beta > 0.0) & (beta <= 1.0)):
         raise ValueError("beta must be in (0, 1]")
     exponent = r0 * (cfg.t_init + cfg.t_frame) / (beta * cfg.t_frame * cfg.bandwidth)
     with np.errstate(over="ignore"):

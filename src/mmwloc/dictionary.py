@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfCellError
-
 
 @dataclass(frozen=True)
 class BeamEntry:
@@ -118,18 +116,3 @@ def build_dictionary(d_a: float, h_b: float, n_max: int) -> BeamDictionary:
         ))
     return BeamDictionary(d_a=d_a, h_b=h_b, n_max=n_max, rows=tuple(rows))
 
-
-def lookup_index(d_a: float, h_b: float, k: int, d_hat: float) -> int:
-    """1-based beam index in row k containing d_hat; right-boundary ties
-    resolve to the left beam."""
-    if d_a <= 0.0 or h_b <= 0.0 or k < 1:
-        raise ValueError("d_a, h_b must be positive and k >= 1")
-    if not 0.0 <= d_hat <= d_a:
-        raise OutOfCellError(f"estimate {d_hat} outside cell [0, {d_a}]")
-    return int(containing_beam(d_hat, d_a, h_b, k)[0])
-
-
-def lookup_beam(dictionary: BeamDictionary, k: int, d_hat: float) -> BeamEntry:
-    """The unique beam of row k whose ground interval contains d_hat."""
-    j = lookup_index(dictionary.d_a, dictionary.h_b, k, d_hat)
-    return dictionary.row(k)[j - 1]

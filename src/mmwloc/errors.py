@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class OutOfCellError(ValueError):
-    """An estimated or true position falls outside the serving cell."""
-
-
-class UnidentifiableAngleError(ValueError):
-    """The receive array carries no angle information (single element)."""
-
-
 class NumericError(RuntimeError):
     """A quadrature or series evaluation failed to produce a finite result."""
 

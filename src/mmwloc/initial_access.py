@@ -28,7 +28,7 @@ import numpy as np
 
 from .antenna import beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
-from .dictionary import BeamDictionary, containing_beam, row_beamwidth
+from .dictionary import containing_beam, row_beamwidth
 from .localization import (
     aoa_variance,
     beam_selection_profile,
@@ -136,18 +136,6 @@ def _select_row(table: tuple, sigma_d2: float, delta_bs: float) -> tuple:
         if feasible.size:
             return int(ks[feasible[-1]]), int(j[feasible[-1]])
     return 1, 1
-
-
-def select_bs_beam(dictionary: BeamDictionary, d_hat: float, sigma_d2: float,
-                   delta_bs: float) -> tuple:
-    """(k, j) of the thinnest dictionary beam meeting the error cap.
-
-    Estimates outside the cell fall back to the single whole-cell beam.
-    """
-    if not 0.0 <= d_hat <= dictionary.d_a:
-        return 1, 1
-    table = _row_table(d_hat, dictionary.d_a, dictionary.h_b, dictionary.n_max)
-    return _select_row(table, sigma_d2, delta_bs)
 
 
 def select_ue_beam(sigma_psi2: float, delta_ma: float,

@@ -27,16 +27,14 @@ truncated exponential, 32 nodes per beam interval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .antenna import UlaArray, aoa_fisher_factor, beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
-from .dictionary import BeamEntry, beam_boundaries, row_beamwidth
-from .errors import UnidentifiableAngleError
-from .geometry import UserGeometry, path_loss_exponent
+from .dictionary import beam_boundaries, row_beamwidth
+from .geometry import path_loss_exponent
 from .numerics import (
     SPEED_OF_LIGHT,
     checked_probability,
@@ -54,15 +52,6 @@ _AVG_CHUNK_ENTRIES = 2 ** 16
 # Estimation spreads are floored here, so a zero spread is evaluated as its
 # limit (no 0/0 on an interval edge) while no real bound is affected.
 SIGMA_FLOOR = 1e-150
-
-
-@dataclass(frozen=True)
-class LocalizationBounds:
-    """Ranging / angle error variances and the energy factor behind them."""
-
-    sigma_d2: float
-    sigma_psi2: float
-    zeta: float
 
 
 def nu_threshold(theta_u):
@@ -123,6 +112,12 @@ def sounding_elements(theta_u: float, cfg: NetworkConfig) -> int:
     return min(beamwidth_to_elements(theta_u), cfg.ue_sounding_elements)
 
 
+def _sounding_time(beta, cfg: NetworkConfig):
+    """The angle-sounding window: ``aoa_sounding_time`` clipped to the
+    localization phase (1 - beta) * T_F; beta may be an array."""
+    return np.minimum(cfg.aoa_sounding_time, (1.0 - beta) * cfg.t_frame)
+
+
 def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
                  observation_time: float | None = None,
                  elements: int | None = None):
@@ -146,50 +141,12 @@ def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
                                         np.shape(beta))
             return np.full(shape, np.inf) if shape else np.inf
     if observation_time is None:
-        observation_time = np.minimum(cfg.aoa_sounding_time,
-                                      (1.0 - beta) * cfg.t_frame)
+        observation_time = _sounding_time(beta, cfg)
     zeta = observation_energy(x, beta, cfg, observation_time)
     info = zeta * gamma_b * factor
     with np.errstate(divide="ignore"):
         out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
     return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Point bounds (public operations)
-# ---------------------------------------------------------------------------
-
-def crlb_distance(geom: UserGeometry, theta_b: float, theta_u: float,
-                  beta: float, cfg: NetworkConfig) -> float:
-    """Ranging error variance for the beam pair (theta_b, theta_u)."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must be in [0, 1); beta = 1 leaves no "
-                         "localization resources (infinite variance)")
-    gamma_b = main_lobe_gain(theta_b, cfg)
-    gamma_u = main_lobe_gain(theta_u, cfg)
-    return float(ranging_variance(geom.d, gamma_b, gamma_u, beta, cfg))
-
-
-def crlb_aoa(geom: UserGeometry, theta_b: float, theta_u: float,
-             beta: float, cfg: NetworkConfig) -> float:
-    """Arrival-angle error variance; the estimation aperture follows
-    theta_u up to the sounding-subarray cap."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must be in [0, 1)")
-    if sounding_elements(theta_u, cfg) < 2:
-        raise UnidentifiableAngleError(
-            "a single-element aperture carries no angle information")
-    gamma_b = main_lobe_gain(theta_b, cfg)
-    return float(aoa_variance(geom.d, gamma_b, theta_u, beta, cfg))
-
-
-def localization_bounds(geom: UserGeometry, theta_b: float, theta_u: float,
-                        beta: float, cfg: NetworkConfig) -> LocalizationBounds:
-    return LocalizationBounds(
-        sigma_d2=crlb_distance(geom, theta_b, theta_u, beta, cfg),
-        sigma_psi2=crlb_aoa(geom, theta_b, theta_u, beta, cfg),
-        zeta=float(observation_energy(geom.d, beta, cfg)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +162,6 @@ def beam_selection_profile(x, sigma_d, d_left, d_right):
     """
     sigma = np.maximum(sigma_d, SIGMA_FLOOR)
     return 1.0 - qfunc((d_left - x) / sigma) + qfunc((d_right - x) / sigma)
-
-
-def p_beam_selection(d: float, sigma_d2: float, beam: BeamEntry) -> float:
-    """Probability the ranging estimate leaves the serving beam's interval."""
-    if not beam.d_left <= d <= beam.d_right:
-        raise ValueError("true position must lie inside the beam interval")
-    if sigma_d2 < 0.0:
-        raise ValueError("variance must be non-negative")
-    return float(beam_selection_profile(d, math.sqrt(sigma_d2),
-                                        beam.d_left, beam.d_right))
 
 
 def p_misalignment(sigma_psi2, nu):
@@ -263,14 +210,13 @@ def _cell_grid(k: int, cfg: NetworkConfig):
     return grid
 
 
-def _cell_average(k: int, beta, cfg: NetworkConfig, profile, what: str,
-                  uninformed: bool):
+def _cell_average(k: int, beta, cfg: NetworkConfig, profile, what: str):
     """An error profile averaged over row k's cell grid, per beta.
 
     ``profile(theta_k, bounds, x, betas)`` gives the error probability on
     the grid for a (B, 1, 1, 1) column of betas. ``beta`` may be a 1-D
-    array, returned as an array of averages; a scalar gives a float. With
-    ``uninformed``, beta == 1 leaves no localization resources and gives 1.
+    array, returned as an array of averages; a scalar gives a float.
+    beta == 1 leaves no localization resources and gives 1.
 
     The betas run in chunks of at most _AVG_CHUNK_ENTRIES (beta, position)
     entries, and each beta is summed per cell and then over cells, so it
@@ -279,7 +225,7 @@ def _cell_average(k: int, beta, cfg: NetworkConfig, profile, what: str,
     betas = np.atleast_1d(np.asarray(beta, dtype=float))
     _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
     out = np.ones(betas.shape)
-    todo = np.flatnonzero(betas != 1.0) if uninformed else np.arange(betas.size)
+    todo = np.flatnonzero(betas != 1.0)
     step = max(1, _AVG_CHUNK_ENTRIES // x.size)
     for c in range(0, todo.size, step):
         chunk = todo[c:c + step]
@@ -291,8 +237,7 @@ def _cell_average(k: int, beta, cfg: NetworkConfig, profile, what: str,
 
 
 def avg_beam_selection_error(k: int, beta, theta_u: float,
-                             cfg: NetworkConfig, *,
-                             sigma_d2_override: float | None = None):
+                             cfg: NetworkConfig):
     """Beam-selection error averaged over cell sizes and user positions;
     ``beta`` may be a 1-D array (see ``_cell_average``).
 
@@ -306,34 +251,34 @@ def avg_beam_selection_error(k: int, beta, theta_u: float,
     gamma_u = main_lobe_gain(theta_u, cfg)
 
     def profile(theta_k, bounds, x, betas):
-        if sigma_d2_override is None:
-            gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
-            sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, betas, cfg))
-        else:
-            sigma = math.sqrt(sigma_d2_override)
+        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+        sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, betas, cfg))
         return beam_selection_profile(x, sigma, bounds[:, :-1, None],
                                       bounds[:, 1:, None])
 
-    return _cell_average(k, beta, cfg, profile, "averaged beam-selection error",
-                         uninformed=sigma_d2_override is None)
+    return _cell_average(k, beta, cfg, profile, "averaged beam-selection error")
 
 
-def avg_misalignment_error(k: int, theta_u: float, beta, cfg: NetworkConfig,
-                           *, sigma_psi2_override: float | None = None):
+def avg_misalignment_error(k: int, theta_u: float, beta, cfg: NetworkConfig):
     """Misalignment error averaged over cell sizes, positions, and arrival
     angles (the angle average is trivial: the bound is angle-independent);
-    ``beta`` may be a 1-D array (see ``_cell_average``)."""
+    ``beta`` may be a 1-D array (see ``_cell_average``).
+
+    The error depends on beta only through the sounding window, so one
+    beta per distinct window is averaged and the result scattered back;
+    49 of the 50 default betas share one window.
+    """
     if k < 1:
         raise ValueError("dictionary size must be >= 1")
     nu = nu_threshold(theta_u)
 
     def profile(theta_k, bounds, x, betas):
-        if sigma_psi2_override is None:
-            gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
-            var = aoa_variance(x, gamma_b, theta_u, betas, cfg)
-        else:
-            var = float(sigma_psi2_override)
-        return p_misalignment(var, nu)
+        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+        return p_misalignment(aoa_variance(x, gamma_b, theta_u, betas, cfg), nu)
 
-    return _cell_average(k, beta, cfg, profile, "averaged misalignment error",
-                         uninformed=sigma_psi2_override is None)
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    _, first, inverse = np.unique(_sounding_time(betas, cfg),
+                                  return_index=True, return_inverse=True)
+    out = _cell_average(k, betas[first], cfg, profile,
+                        "averaged misalignment error")[inverse]
+    return out if np.ndim(beta) else float(out[0])

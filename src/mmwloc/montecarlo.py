@@ -16,7 +16,6 @@ side-to-side lobe gains and per-link Nakagami power fading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +23,10 @@ from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .coverage import CoverageQuery, CoverageResult
 from .dictionary import beam_boundaries, containing_beam, row_beamwidth
-from .geometry import UserGeometry, nakagami_shape, path_loss_exponent
+from .geometry import nakagami_shape, path_loss_exponent
 from .localization import aoa_variance, nu_threshold, ranging_variance
 
 BATCH_SIZE = 8192
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One deployment draw around a typical user at the origin."""
-
-    seed: int
-    bs_positions: np.ndarray   # sorted ground coordinates on [-W, W]
-    serving_index: int
-    user: UserGeometry
-    fading: np.ndarray         # per-BS power draws, unit mean
-
-    @property
-    def serving_distance(self) -> float:
-        return abs(float(self.bs_positions[self.serving_index]))
 
 
 def _batch_streams(seed: int, trials: int):
@@ -57,26 +41,6 @@ def _batch_streams(seed: int, trials: int):
 def window_half_width(cfg: NetworkConfig) -> float:
     """Deployment window: wide enough that truncated interference is < 0.1%."""
     return max(10.0 / cfg.bs_density, cfg.d_s + 500.0)
-
-
-def sample_realization(cfg: NetworkConfig, seed: int,
-                       half_width: float | None = None) -> Realization:
-    """Draw a deployment on [-W, W] plus fading, user at the origin."""
-    w = window_half_width(cfg) if half_width is None else half_width
-    if w < 10.0 / cfg.bs_density:
-        import warnings
-        warnings.warn("window half-width below 10/lambda: truncation bias likely")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    count = rng.poisson(2.0 * cfg.bs_density * w)
-    positions = np.sort(rng.uniform(-w, w, size=count))
-    if count == 0:
-        raise ValueError("empty deployment draw; enlarge the window")
-    serving = int(np.argmin(np.abs(positions)))
-    shapes = nakagami_shape(np.abs(positions), cfg)
-    fading = rng.standard_gamma(shapes) / shapes
-    user = UserGeometry(d=abs(float(positions[serving])), h_b=cfg.h_b)
-    return Realization(seed=seed, bs_positions=positions, serving_index=serving,
-                       user=user, fading=fading)
 
 
 def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
@@ -176,13 +140,11 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
     p = successes / trials
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     breakdown = {k_: v / trials for k_, v in branch_hits.items()}
-    return CoverageResult(probability=p, method="montecarlo",
-                          breakdown=breakdown, stderr=stderr)
+    return CoverageResult(probability=p, breakdown=breakdown, stderr=stderr)
 
 
 def simulate_error_probabilities(k: int, beta: float, theta_u: float,
-                                 cfg: NetworkConfig, trials: int, seed: int, *,
-                                 sigma_override: float | None = None) -> dict:
+                                 cfg: NetworkConfig, trials: int, seed: int) -> dict:
     """Empirical beam-selection and misalignment frequencies.
 
     Mirrors the averaged analytical errors: cells from the cell-size
@@ -200,12 +162,8 @@ def simulate_error_probabilities(k: int, beta: float, theta_u: float,
         d = rng.uniform(0.0, 1.0, size=size) * d_a
         _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, k)
         gamma_b = main_lobe_gain(theta_k, cfg)
-        if sigma_override is None:
-            sigma_d = np.sqrt(ranging_variance(d, gamma_b, gamma_u, beta, cfg))
-            sigma_psi = np.sqrt(aoa_variance(d, gamma_b, theta_u, beta, cfg))
-        else:
-            sigma_d = np.full(size, math.sqrt(sigma_override))
-            sigma_psi = np.full(size, math.sqrt(sigma_override))
+        sigma_d = np.sqrt(ranging_variance(d, gamma_b, gamma_u, beta, cfg))
+        sigma_psi = np.sqrt(aoa_variance(d, gamma_b, theta_u, beta, cfg))
         if k > 1:
             d_hat = d + sigma_d * rng.standard_normal(size)
             bs_count += int(((d_hat < d_left) | (d_hat > d_right)).sum())

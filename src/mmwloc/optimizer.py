@@ -70,7 +70,8 @@ class OptimizationSpec:
     beta_grid: tuple = field(default_factory=default_beta_grid)
 
     def __post_init__(self):
-        if self.r0 <= 0.0:
+        # every float check is written so that NaN fails it
+        if not self.r0 > 0.0:
             raise ValueError("rate target must be positive")
         if not 0.0 < self.eps_bs < 1.0 or not 0.0 < self.eps_ma < 1.0:
             raise ValueError("constraint caps must be in (0, 1)")

@@ -10,10 +10,8 @@ from mmwloc.antenna import (
     aoa_fisher_factor,
     array_response,
     array_response_derivative,
-    beamforming_gain,
     beamwidth_to_elements,
     main_lobe_gain,
-    sector_gain,
     sidelobe_gain,
 )
 
@@ -23,23 +21,23 @@ TWO_PI = 2 * math.pi
 class TestSectorGain:
     def test_omnidirectional_limit(self):
         cfg = NetworkConfig(g0=3.7)
-        assert sector_gain(TWO_PI, True, cfg) == pytest.approx(3.7)
+        assert main_lobe_gain(TWO_PI, cfg) == pytest.approx(3.7)
 
     def test_sidelobe_value(self):
         cfg = NetworkConfig(g0=1.0, eps_sidelobe=0.01)
-        assert sector_gain(0.5, False, cfg) == pytest.approx(0.01)
+        assert sidelobe_gain(cfg) == pytest.approx(0.01)
 
     def test_half_circle_example(self):
         cfg = NetworkConfig(g0=1.0, eps_sidelobe=0.01)
         # (2*pi - pi*0.01)/pi = 1.99
-        assert sector_gain(math.pi, True, cfg) == pytest.approx(1.99, rel=1e-12)
+        assert main_lobe_gain(math.pi, cfg) == pytest.approx(1.99, rel=1e-12)
 
     def test_power_conservation_identity(self):
         # gain_main*theta + gain_side*(2*pi - theta) == 2*pi*G0, exactly
         cfg = NetworkConfig(g0=31.6227766, eps_sidelobe=0.05)
         rng = np.random.default_rng(3)
         for theta in rng.uniform(1e-3, TWO_PI, size=200):
-            total = (sector_gain(theta, True, cfg) * theta
+            total = (main_lobe_gain(theta, cfg) * theta
                      + sidelobe_gain(cfg) * (TWO_PI - theta))
             assert total == pytest.approx(TWO_PI * cfg.g0, rel=1e-12)
 
@@ -51,9 +49,9 @@ class TestSectorGain:
     def test_domain_error(self):
         cfg = NetworkConfig()
         with pytest.raises(ValueError):
-            sector_gain(0.0, True, cfg)
+            main_lobe_gain(0.0, cfg)
         with pytest.raises(ValueError):
-            sector_gain(7.0, True, cfg)
+            main_lobe_gain(7.0, cfg)
 
 
 class TestBeamwidthToElements:
@@ -110,35 +108,6 @@ class TestArrayResponse:
                 err = np.linalg.norm(numeric - analytic)
                 scale = max(np.linalg.norm(analytic), 1.0)
                 assert err / scale < 1e-6
-
-
-class TestBeamformingGain:
-    def test_matched_gain_equals_element_count(self):
-        rng = np.random.default_rng(9)
-        for m in (1, 4, 8, 32):
-            for angle in rng.uniform(-1.0, 1.0, size=4):
-                g = beamforming_gain(UlaArray(m), angle, angle)
-                assert g == pytest.approx(m, rel=1e-12)
-
-    def test_single_element_flat(self):
-        for steer, actual in [(0.0, 1.0), (0.5, -0.5)]:
-            assert beamforming_gain(UlaArray(1), steer, actual) == pytest.approx(1.0)
-
-    def test_brute_force_sum(self):
-        # |sum_n exp(i*pi*n*(sin 0 - sin pi/6))|^2 / m by direct summation
-        m, steer, actual = 4, 0.0, math.pi / 6
-        phases = np.pi * np.arange(m) * (math.sin(steer) - math.sin(actual))
-        expected = abs(np.exp(1j * phases).sum()) ** 2 / m
-        assert beamforming_gain(UlaArray(m), steer, actual) == pytest.approx(
-            expected, abs=1e-12)
-
-    def test_bounded_by_element_count(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            m = int(rng.integers(1, 40))
-            g = beamforming_gain(UlaArray(m), rng.uniform(-1.5, 1.5),
-                                 rng.uniform(-1.5, 1.5))
-            assert -1e-12 <= g <= m + 1e-9
 
 
 class TestAoaFisherFactor:

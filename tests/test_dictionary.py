@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mmwloc import build_dictionary, lookup_beam
-from mmwloc.dictionary import (
-    beam_boundaries,
-    containing_beam,
-    lookup_index,
-    row_beamwidth,
-)
-from mmwloc.errors import OutOfCellError
+from mmwloc import build_dictionary
+from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 
 
 class TestConstruction:
@@ -61,33 +55,24 @@ class TestConstruction:
 
 class TestLookup:
     def test_origin_maps_to_first_beam(self):
-        d = build_dictionary(42.0, 10.0, 8)
         for k in range(1, 9):
-            assert lookup_beam(d, k, 0.0).j == 1
+            assert containing_beam(0.0, 42.0, 10.0, k)[0] == 1
 
     def test_cell_edge_maps_to_last_beam(self):
-        d = build_dictionary(42.0, 10.0, 8)
         for k in range(1, 9):
-            assert lookup_beam(d, k, 42.0).j == k
+            assert containing_beam(42.0, 42.0, 10.0, k)[0] == k
 
     def test_interior_example(self):
-        d = build_dictionary(10.0, 10.0, 2)
-        assert lookup_beam(d, 2, 5.0).j == 2  # 4.1421 < 5
+        assert containing_beam(5.0, 10.0, 10.0, 2)[0] == 2  # 4.1421 < 5
 
     def test_right_boundary_tie_goes_left(self):
-        d = build_dictionary(10.0, 10.0, 2)
-        boundary = d.row(2)[0].d_right
-        assert lookup_beam(d, 2, boundary).j == 1
-
-    def test_out_of_cell_raises(self):
-        d = build_dictionary(10.0, 10.0, 2)
-        for bad in (-0.1, 10.1):
-            with pytest.raises(OutOfCellError):
-                lookup_beam(d, 2, bad)
+        boundary = build_dictionary(10.0, 10.0, 2).row(2)[0].d_right
+        assert containing_beam(boundary, 10.0, 10.0, 2)[0] == 1
 
     def test_lookup_consistent_with_intervals(self):
         # random points plus every edge and its 1-ulp neighbours, where the
-        # angular rule and the tan-built edges round differently
+        # angular rule and the tan-built edges round differently; a batch
+        # of points must agree with one call per point
         rng = np.random.default_rng(17)
         for d_a, h_b, k in ((64.0, 9.0, 3), (64.0, 9.0, 7), (64.0, 9.0, 19),
                             (37.3, 10.0, 256), (212.0, 10.0, 1024)):
@@ -98,7 +83,7 @@ class TestLookup:
                                      edges[(edges >= 0.0) & (edges <= d_a)]])
             j, d_left, d_right = containing_beam(points, d_a, h_b, k)
             for d_hat, jj, left, right in zip(points, j, d_left, d_right):
-                assert lookup_index(d_a, h_b, k, float(d_hat)) == jj
+                assert containing_beam(float(d_hat), d_a, h_b, k)[0] == jj
                 assert (left, right) == (bounds[jj - 1], bounds[jj])
                 assert left <= d_hat <= right
                 assert d_hat > left or jj == 1  # ties go to the left beam

@@ -1,19 +1,10 @@
-"""Geometry: distributions, blockage classification, localization SNR."""
-
-import math
+"""Geometry: the LOS-ball blockage switch."""
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from mmwloc import NetworkConfig, LinkState, UserGeometry
-from mmwloc.geometry import (
-    cell_size_pdf,
-    link_state,
-    path_loss_exponent,
-    snr_localization,
-    user_position_pdf,
-)
+from mmwloc import NetworkConfig
+from mmwloc.geometry import nakagami_shape, path_loss_exponent
 
 
 @pytest.fixture
@@ -21,105 +12,10 @@ def cfg():
     return NetworkConfig()
 
 
-class TestCellSizePdf:
-    def test_density_at_origin_is_twice_density(self):
-        cfg = NetworkConfig(bs_density=0.01)
-        assert cell_size_pdf(0.0, cfg) == pytest.approx(0.02)
-
-    def test_direct_evaluation(self):
-        cfg = NetworkConfig(bs_density=0.01)
-        # 2*lambda*exp(-2*lambda*50) evaluated independently
-        expected = 0.02 * math.exp(-1.0)
-        assert cell_size_pdf(50.0, cfg) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(0.0073575888, abs=1e-9)
-
-    def test_normalization_with_adaptive_quadrature(self, cfg):
-        total, err = integrate.quad(lambda x: cell_size_pdf(x, cfg), 0.0, np.inf)
-        assert abs(total - 1.0) < 1e-9
-
-    def test_negative_argument_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            cell_size_pdf(-1.0, cfg)
-
-
-class TestUserPositionPdf:
-    def test_uniform_density(self):
-        assert user_position_pdf(30.0, 100.0) == pytest.approx(0.01)
-
-    def test_outside_support(self):
-        assert user_position_pdf(150.0, 100.0) == 0.0
-
-    def test_normalization(self):
-        total, _ = integrate.quad(lambda y: user_position_pdf(y, 100.0), 0, 100)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_cell(self):
-        with pytest.raises(ValueError):
-            user_position_pdf(1.0, 0.0)
-
-
 class TestLinkState:
-    def test_inside_ball(self, cfg):
-        assert link_state(10.0, cfg) is LinkState.LOS
-
-    def test_boundary_is_los(self, cfg):
-        assert link_state(cfg.d_s, cfg) is LinkState.LOS
-
-    def test_outside_ball(self, cfg):
-        assert link_state(25.0, cfg) is LinkState.NLOS
-
     def test_exponent_selection(self, cfg):
-        alphas = path_loss_exponent(np.array([5.0, 20.0, 25.0]), cfg)
-        np.testing.assert_allclose(alphas, [2.0, 2.0, 4.0])
-
-
-class TestUserGeometry:
-    def test_angle_identity(self, cfg):
-        # psi + phi + o == pi exactly for any orientation
-        for d, o in [(5.0, 0.3), (0.0, -1.2), (40.0, 2.0)]:
-            g = UserGeometry(d=d, orientation=o, h_b=cfg.h_b)
-            assert g.psi + g.phi + o == pytest.approx(math.pi, abs=1e-12)
-
-    def test_departure_angle_range(self, cfg):
-        for d in (0.0, 1.0, 10.0, 1e4):
-            g = UserGeometry(d=d, h_b=cfg.h_b)
-            assert 0.0 <= g.phi <= math.pi / 2
-
-    def test_slant_range_and_delay(self):
-        g = UserGeometry(d=30.0, h_b=40.0)
-        assert g.z == pytest.approx(50.0)
-        assert g.tau == pytest.approx(50.0 / 299792458.0)
-
-
-class TestSnrLocalization:
-    def test_linear_in_transmit_power(self, cfg):
-        g = UserGeometry.from_config(10.0, cfg)
-        base = snr_localization(g, 2.0, 3.0, cfg)
-        doubled = snr_localization(g, 2.0, 3.0, cfg.with_overrides(p_t=2 * cfg.p_t))
-        assert doubled == pytest.approx(2 * base, rel=1e-12)
-
-    def test_overhead_point(self, cfg):
-        g = UserGeometry.from_config(0.0, cfg)
-        expected = (cfg.k_pl * cfg.p_t * cfg.h_b ** (-cfg.alpha_los)
-                    / (cfg.noise_psd * cfg.pilot_bandwidth))
-        assert snr_localization(g, 1.0, 1.0, cfg) == pytest.approx(expected, rel=1e-12)
-
-    def test_hand_evaluation_at_15m(self, cfg):
-        # independent scalar evaluation of the pilot-SNR formula
-        g = UserGeometry.from_config(15.0, cfg)
-        z2 = 15.0 ** 2 + cfg.h_b ** 2
-        expected = cfg.k_pl * cfg.p_t * z2 ** (-1.0) / (cfg.noise_psd * cfg.pilot_bandwidth)
-        assert snr_localization(g, 1.0, 1.0, cfg) == pytest.approx(expected, rel=1e-12)
-
-    def test_strictly_decreasing_in_distance(self, cfg):
-        los = [snr_localization(UserGeometry.from_config(d, cfg), 1.0, 1.0, cfg)
-               for d in (0.0, 5.0, 10.0, 19.0)]
-        nlos = [snr_localization(UserGeometry.from_config(d, cfg), 1.0, 1.0, cfg)
-                for d in (21.0, 30.0, 60.0)]
-        assert all(a > b for a, b in zip(los, los[1:]))
-        assert all(a > b for a, b in zip(nlos, nlos[1:]))
-
-    def test_rejects_nonpositive_gains(self, cfg):
-        g = UserGeometry.from_config(5.0, cfg)
-        with pytest.raises(ValueError):
-            snr_localization(g, 0.0, 1.0, cfg)
+        # the LOS ball is closed: d_s = 20 m itself is LOS
+        x = np.array([5.0, 20.0, 25.0])
+        np.testing.assert_allclose(path_loss_exponent(x, cfg), [2.0, 2.0, 4.0])
+        shaped = cfg.with_overrides(n_los=3, n_nlos=1)
+        assert list(nakagami_shape(x, shaped)) == [3, 3, 1]

@@ -13,16 +13,16 @@ from mmwloc.initial_access import (
     AccessStep,
     AccessTrace,
     _grid_floor,
+    _row_table,
+    _select_row,
     delay_exhaustive,
     delay_iterative,
     run_initial_access,
-    select_bs_beam,
     select_ue_beam,
 )
 from mmwloc.localization import (
     aoa_variance,
     beam_selection_profile,
-    p_beam_selection,
     ranging_variance,
 )
 
@@ -34,13 +34,11 @@ def cfg():
 
 class TestSelectBsBeam:
     def test_perfect_ranging_takes_thinnest(self):
-        d = build_dictionary(100.0, 10.0, 32)
-        k, j = select_bs_beam(d, 50.0, 0.0, 0.05)
+        k, j = _select_row(_row_table(50.0, 100.0, 10.0, 32), 0.0, 0.05)
         assert k == 32
 
     def test_vacuous_cap_takes_thinnest(self):
-        d = build_dictionary(100.0, 10.0, 32)
-        k, _ = select_bs_beam(d, 50.0, 25.0, 1.0)
+        k, _ = _select_row(_row_table(50.0, 100.0, 10.0, 32), 25.0, 1.0)
         assert k == 32
 
     def test_matches_exhaustive_row_scan(self):
@@ -53,16 +51,13 @@ class TestSelectBsBeam:
             beam = next(b for b in row
                         if b.d_left <= d_hat <= b.d_right
                         and (d_hat < b.d_right or b.j == k))
-            if p_beam_selection(d_hat, sigma_d2, beam) <= cap:
+            if beam_selection_profile(d_hat, math.sqrt(sigma_d2), beam.d_left,
+                                      beam.d_right) <= cap:
                 best = max(best, k)
-        got_k, got_j = select_bs_beam(d, d_hat, sigma_d2, cap)
+        got_k, got_j = _select_row(_row_table(d_hat, 100.0, 10.0, 64),
+                                   sigma_d2, cap)
         assert got_k == best
         assert d.row(got_k)[got_j - 1].d_left <= d_hat <= d.row(got_k)[got_j - 1].d_right
-
-    def test_out_of_cell_falls_back(self):
-        d = build_dictionary(100.0, 10.0, 16)
-        assert select_bs_beam(d, 120.0, 1.0, 0.05) == (1, 1)
-        assert select_bs_beam(d, -3.0, 1.0, 0.05) == (1, 1)
 
 
 class TestSelectUeBeam:
