@@ -73,8 +73,9 @@ def observation_energy(x, beta, cfg: NetworkConfig, observation_time=None):
     x = np.asarray(x, dtype=float)
     if observation_time is None:
         observation_time = (1.0 - beta) * cfg.t_frame
-    negative = observation_time < 0.0  # a bool on the access loop's scalars
-    if negative if isinstance(negative, bool) else negative.any():
+    # written so that NaN fails it; a bool on the access loop's scalars
+    valid = observation_time >= 0.0
+    if not (valid if isinstance(valid, bool) else valid.all()):
         raise ValueError("observation time must be non-negative")
     z2 = x * x + cfg.h_b * cfg.h_b
     atten = z2 ** (-0.5 * path_loss_exponent(x, cfg))

@@ -110,6 +110,57 @@ class TestArrayResponse:
                 assert err / scale < 1e-6
 
 
+class TestArrayFactor:
+    """The conjugate-steering gain m * |a(steer)^H a(actual)|^2 of the
+    responses the angle bound is built from."""
+
+    @staticmethod
+    def gain(m, steer, actual):
+        arr = UlaArray(m)
+        return m * abs(np.vdot(array_response(arr, steer),
+                               array_response(arr, actual))) ** 2
+
+    def test_matched_gain_equals_element_count(self):
+        rng = np.random.default_rng(9)
+        for m in (1, 4, 8, 32):
+            for angle in rng.uniform(-1.0, 1.0, size=4):
+                assert self.gain(m, angle, angle) == pytest.approx(m, rel=1e-12)
+
+    def test_single_element_flat(self):
+        for steer, actual in [(0.0, 1.0), (0.5, -0.5)]:
+            assert self.gain(1, steer, actual) == pytest.approx(1.0)
+
+    def test_brute_force_sum(self):
+        # |sum_n exp(i*pi*n*(sin 0 - sin pi/6))|^2 / m by direct summation
+        m, steer, actual = 4, 0.0, math.pi / 6
+        phases = np.pi * np.arange(m) * (math.sin(steer) - math.sin(actual))
+        expected = abs(np.exp(1j * phases).sum()) ** 2 / m
+        assert self.gain(m, steer, actual) == pytest.approx(expected, abs=1e-12)
+
+    def test_bounded_by_element_count(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            m = int(rng.integers(1, 40))
+            g = self.gain(m, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            assert -1e-12 <= g <= m + 1e-9
+
+
+class TestUlaArray:
+    def test_half_wavelength_default_spacing(self):
+        arr = UlaArray(4, f_c=60.0e9)
+        assert arr.kappa == pytest.approx(299_792_458.0 / 120.0e9, rel=1e-15)
+        assert arr.phase_scale == pytest.approx(math.pi, rel=1e-15)
+
+    def test_explicit_spacing_scales_phase(self):
+        # a full-wavelength spacing doubles the per-element phase slope
+        arr = UlaArray(4, f_c=28.0e9, kappa=299_792_458.0 / 28.0e9)
+        assert arr.phase_scale == pytest.approx(2 * math.pi, rel=1e-15)
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(ValueError):
+            UlaArray(0)
+
+
 class TestAoaFisherFactor:
     def test_closed_form(self):
         # (phase_scale*cos)^2 * (m^2 - 1) / 12

@@ -101,8 +101,10 @@ NAN = float("nan")
     lambda cfg: overall_coverage(NAN, 4, math.pi / 8, 0.5, cfg),
     lambda cfg: overall_coverage(np.array([3.16, NAN]), 4, math.pi / 8,
                                  np.array([0.5, 0.5]), cfg),
+    lambda cfg: overall_coverage(3.16, 4, math.pi / 8, NAN, cfg),
 ], ids=["spec-r0", "query-threshold", "query-cell-size", "rate-r0",
-        "rate-beta", "overall-threshold", "overall-threshold-batch"])
+        "rate-beta", "overall-threshold", "overall-threshold-batch",
+        "overall-beta"])
 def test_nan_input_rejected(cfg, call):
     # each check used to be written as x <= 0.0, which NaN passes; a NaN
     # rate target then gave a "feasible" optimum with objective 0.0
@@ -257,6 +259,23 @@ class TestBranchOrdering:
 
 
 class TestCoverageProbability:
+    def test_threshold_to_zero_gives_certainty(self, cfg):
+        # side-to-side at 120 m NLOS needs T ~ 1e-18 to clear the noise
+        x = np.linspace(0.0, 120.0, 25)
+        for gain in (main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg),
+                     sidelobe_gain(cfg) ** 2):
+            np.testing.assert_allclose(_branch_values(x, 1e-18, gain, cfg),
+                                       1.0, atol=1e-6)
+
+    def test_monotone_in_threshold(self, cfg):
+        # a (B, 1) column of thresholds: every position's coverage falls
+        x = np.linspace(0.0, 120.0, 25)
+        t = np.array([0.1, 1.0, 3.16, 10.0, 100.0])[:, None]
+        gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
+        vals = _branch_values(x, t, gain, cfg)
+        assert vals.shape == (5, 25)
+        assert np.all(np.diff(vals, axis=0) <= 1e-12)
+
     def test_degenerate_noise_limited_reduction(self):
         # Rayleigh serving fading, no errors, vanishing sidelobes and
         # density: the aligned branch averaged over a beam reduces to the

@@ -271,3 +271,44 @@ class TestObservationEnergy:
     def test_negative_observation_time_in_a_batch_rejected(self, cfg):
         with pytest.raises(ValueError):
             observation_energy(5.0, np.array([0.5, 1.5]), cfg)
+
+    def test_linear_in_transmit_power(self, cfg):
+        x = np.array([0.0, 10.0, 40.0])
+        base = observation_energy(x, 0.5, cfg)
+        doubled = observation_energy(x, 0.5, cfg.with_overrides(p_t=2 * cfg.p_t))
+        np.testing.assert_allclose(doubled, 2 * base, rtol=1e-14)
+
+    def test_overhead_point(self, cfg):
+        # x = 0: slant range h_b, LOS exponent, explicit observation time
+        expected = (2 * cfg.k_pl * cfg.p_t * cfg.h_b ** (-cfg.alpha_los)
+                    * 1e-4 / cfg.noise_psd)
+        got = observation_energy(0.0, 0.5, cfg, observation_time=1e-4)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_nlos_hand_evaluation_at_30m(self, cfg):
+        z2 = 30.0 ** 2 + cfg.h_b ** 2
+        expected = (2 * cfg.k_pl * cfg.p_t * z2 ** -2.0
+                    * 0.25 * cfg.t_frame / cfg.noise_psd)
+        assert observation_energy(30.0, 0.75, cfg) == pytest.approx(expected, rel=1e-12)
+
+    def test_strictly_decreasing_in_distance(self, cfg):
+        # within each propagation class; the LOS-ball edge is a drop too
+        x = np.array([0.0, 5.0, 10.0, 19.0, 20.0, 21.0, 30.0, 60.0])
+        assert np.all(np.diff(observation_energy(x, 0.5, cfg)) < 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: observation_energy(5.0, NAN, cfg),
+    lambda cfg: observation_energy(5.0, 0.5, cfg, observation_time=NAN),
+    lambda cfg: avg_beam_selection_error(4, NAN, math.pi / 8, cfg),
+    lambda cfg: avg_misalignment_error(4, math.pi / 8, NAN, cfg),
+    lambda cfg: avg_misalignment_error(4, math.pi / 8, np.array([0.5, NAN]), cfg),
+], ids=["energy-beta", "energy-time", "avg-bs", "avg-ma", "avg-ma-batch"])
+def test_nan_partition_rejected(cfg, call):
+    # a NaN observation time used to pass the "< 0" check and read as no
+    # information: infinite variances and an error probability of 1
+    with pytest.raises(ValueError):
+        call(cfg)

@@ -7,11 +7,15 @@ import pytest
 from scipy import integrate, stats
 
 from mmwloc import CoverageQuery, NetworkConfig
-from mmwloc.antenna import main_lobe_gain
+from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.dictionary import beam_boundaries, row_beamwidth
 from mmwloc.montecarlo import (
+    BATCH_SIZE,
+    _batch_streams,
+    _interference_sums,
     simulate_coverage,
     simulate_error_probabilities,
+    simulate_laplace,
     window_half_width,
 )
 
@@ -56,6 +60,54 @@ class TestDeployment:
         ks = stats.kstest(nearest, lambda x: 1 - np.exp(-2 * cfg.bs_density * x))
         assert ks.statistic < 0.02
 
+    @pytest.mark.parametrize("d", [5.0, 40.0])
+    def test_mean_interference_matches_campbell(self, cfg, d):
+        # Campbell: E[I] = 2 lambda Integral_d^w P K g^2 E[f] q^-alpha dy
+        # with unit-mean fading, so a wrong intensity, window or fading
+        # normalization moves the empirical mean
+        shaped = cfg.with_overrides(n_los=3, n_nlos=1)
+        rng = np.random.default_rng(31)
+        sums = _interference_sums(rng, np.full(40_000, d), shaped)
+        w = window_half_width(shaped)
+        ref_g2 = shaped.p_t * shaped.k_pl * sidelobe_gain(shaped) ** 2
+
+        def density(y):
+            alpha = shaped.alpha_los if y <= shaped.d_s else shaped.alpha_nlos
+            return (y * y + shaped.h_b ** 2) ** (-0.5 * alpha)
+
+        integral, _ = integrate.quad(density, d, w, points=[shaped.d_s],
+                                     limit=200)
+        want = 2 * shaped.bs_density * ref_g2 * integral
+        stderr = sums.std(ddof=1) / math.sqrt(sums.size)
+        assert abs(sums.mean() - want) <= 4 * stderr
+
+    def test_no_interferers_beyond_the_window(self, cfg):
+        rng = np.random.default_rng(1)
+        w = window_half_width(cfg)
+        sums = _interference_sums(rng, np.array([w, w + 1.0]), cfg)
+        assert np.array_equal(sums, [0.0, 0.0])
+
+    def test_window_half_width(self, cfg):
+        assert window_half_width(cfg) == max(10.0 / cfg.bs_density,
+                                             cfg.d_s + 500.0)
+        dense = cfg.with_overrides(bs_density=1.0)
+        assert window_half_width(dense) == dense.d_s + 500.0
+
+
+class TestBatchStreams:
+    def test_sizes_cover_the_trials(self):
+        sizes = [size for _, size in _batch_streams(3, 2 * BATCH_SIZE + 5)]
+        assert sizes == [BATCH_SIZE, BATCH_SIZE, 5]
+
+    def test_substreams_fixed_by_seed_and_batch_index(self):
+        # batch b draws the same numbers whatever the trial count, and the
+        # batches of one seed differ from each other
+        short = [rng.random(4) for rng, _ in _batch_streams(3, BATCH_SIZE + 1)]
+        long = [rng.random(4) for rng, _ in _batch_streams(3, 3 * BATCH_SIZE)]
+        assert np.array_equal(short[0], long[0])
+        assert np.array_equal(short[1], long[1])
+        assert not np.array_equal(long[0], long[1])
+
 
 class TestDegenerateLimits:
     def test_zero_threshold_certain(self, cfg):
@@ -88,8 +140,48 @@ class TestDegenerateLimits:
         ref /= bounds[j] - bounds[j - 1]
         assert abs(res.probability - ref) <= max(3 * res.stderr, 0.005)
 
+    def test_laplace_at_zero_weight(self, cfg):
+        assert simulate_laplace(10.0, 0.0, cfg, 1_000, seed=2) == (1.0, 0.0)
+
+    def test_no_localization_resources(self, cfg):
+        # beta = 1 leaves no observation time: both estimates are useless
+        res = simulate_error_probabilities(8, 1.0, math.pi / 8, cfg, 5_000, seed=4)
+        assert res["p_bs"] == 1.0 and res["p_ma"] == 1.0
+
     def test_stderr_formula(self, cfg):
         q = CoverageQuery(threshold=3.16, k=4, j=2, theta_u=math.pi / 8, beta=0.5)
         res = simulate_coverage(q, cfg, 10_000, seed=21)
         p = res.probability
         assert res.stderr == pytest.approx(math.sqrt(p * (1 - p) / 10_000), rel=1e-12)
+
+
+class TestCoverageEstimate:
+    def test_monotone_in_threshold_under_common_draws(self, cfg):
+        # the draws do not depend on the threshold, so with one seed the
+        # success count can only fall as the threshold rises
+        probs = [simulate_coverage(
+            CoverageQuery(threshold=t, k=4, theta_u=math.pi / 8, beta=0.5),
+            cfg, 5_000, seed=6).probability for t in (0.1, 1.0, 3.16, 100.0)]
+        assert all(a >= b for a, b in zip(probs, probs[1:]))
+        assert probs[0] > probs[-1]
+
+    def test_breakdown_partitions_the_successes(self, cfg):
+        q = CoverageQuery(threshold=1e-6, k=8, theta_u=math.pi / 8, beta=0.999)
+        res = simulate_coverage(q, cfg, 5_000, seed=12)
+        assert min(res.breakdown.values()) > 0.0
+        assert sum(res.breakdown.values()) == pytest.approx(res.probability,
+                                                           rel=1e-12)
+
+    def test_single_row_has_no_beam_error_branch(self, cfg):
+        q = CoverageQuery(threshold=1e-6, k=1, theta_u=math.pi / 8, beta=0.999)
+        assert simulate_coverage(q, cfg, 5_000, seed=12).breakdown["beam_error"] == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: simulate_coverage(CoverageQuery(threshold=1.0, k=4), cfg,
+                                      0, seed=1),
+        lambda cfg: simulate_error_probabilities(0, 0.5, 1.0, cfg, 10, seed=1),
+        lambda cfg: simulate_error_probabilities(4, 0.5, 1.0, cfg, 0, seed=1),
+    ], ids=["coverage-trials", "errors-k", "errors-trials"])
+    def test_invalid_sizes_rejected(self, cfg, call):
+        with pytest.raises(ValueError):
+            call(cfg)
