@@ -30,12 +30,14 @@ from .antenna import beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
 from .dictionary import containing_beam, row_beamwidth
 from .localization import (
+    SIGMA_FLOOR,
     aoa_variance,
     beam_selection_profile,
     nu_threshold,
     p_misalignment,
     ranging_variance,
 )
+from .numerics import q_inverse
 
 DEFAULT_UE_GRID = tuple(math.pi / 2 ** i for i in range(1, 9))
 
@@ -118,39 +120,73 @@ class AccessTrace:
 # Beam selection rules
 # ---------------------------------------------------------------------------
 
+_REL_GUARD, _ABS_GUARD = 1e-6, 1e-14   # slack of the tail bracket
+
+
+def _tail_bracket(sigma: float, cap: float) -> tuple:
+    """(lo, hi): a margin below lo surely misses the cap, one at or above
+    hi surely meets it; only those in between need erfc.
+
+    Both selections take their error from erfc at t = margin / s, s =
+    max(sigma, SIGMA_FLOOR): the BS side's fl(fl(1 - Q(a)) + Q(b)) with
+    -a s = d_hat - d_left, b s = d_right - d_hat (the margin is the
+    smaller), the UE side's 2 Q(nu / s). As 1 - Q(a) = Q(-a) and both
+    addends are >= 0, each lies in [Q(t), 2 Q(t)] up to rounding: a
+    relative part (erfc, t, z s, erfcinv; < 1e-12 while Q(t) is normal)
+    that g = _REL_GUARD covers, and the absolute rounding of 1 - Q(a), a
+    few units of 2^-53, dominant for tiny caps, that h = _ABS_GUARD
+    covers. So lo = s Qinv(cap (1 + g) + h) and hi =
+    s Qinv((cap - h) / (2 (1 + g))) decide as the full evaluation does.
+    On a beam edge (margin 0) the error is >= 1/2 and hi > 0 for every
+    cap <= 1: the floor keeps an edge from being sure at zero spread.
+    """
+    s = max(sigma, SIGMA_FLOOR)
+    return (s * q_inverse(cap * (1.0 + _REL_GUARD) + _ABS_GUARD),
+            s * q_inverse((cap - _ABS_GUARD) / (2.0 * (1.0 + _REL_GUARD))))
+
+
 def _row_table(d_hat: float, d_a: float, h_b: float, n_max: int) -> tuple:
-    """(d_hat, ks, j, d_left, d_right): the beam holding d_hat in every row
-    ks = 2..n_max, with its edges."""
+    """(d_hat, ks, j, d_left, d_right, margin): the beam holding d_hat in
+    every row ks = 2..n_max, its edges and d_hat's distance to the nearer."""
     ks = np.arange(2, n_max + 1)
-    return (d_hat, ks) + containing_beam(d_hat, d_a, h_b, ks)
+    j, left, right = containing_beam(d_hat, d_a, h_b, ks)
+    return d_hat, ks, j, left, right, np.minimum(d_hat - left, right - d_hat)
 
 
 def _select_row(table: tuple, sigma_d2: float, delta_bs: float) -> tuple:
     """Largest row of a ``_row_table`` whose containing beam meets the
-    selection-error cap."""
-    d_hat, ks, j, d_left, d_right = table
+    selection-error cap; erfc runs only where ``_tail_bracket`` cannot tell."""
+    d_hat, ks, j, d_left, d_right, margin = table
     if ks.size and math.isfinite(sigma_d2):
-        errors = beam_selection_profile(d_hat, math.sqrt(sigma_d2),
-                                        d_left, d_right)
-        feasible = (errors <= delta_bs).nonzero()[0]
-        if feasible.size:
-            return int(ks[feasible[-1]]), int(j[feasible[-1]])
+        sigma = math.sqrt(sigma_d2)
+        lo, hi = _tail_bracket(sigma, delta_bs)
+        sure = (margin >= hi).nonzero()[0]
+        start = int(sure[-1]) + 1 if sure.size else 0
+        rows = start + (margin[start:] >= lo).nonzero()[0]
+        if rows.size:
+            rows = rows[beam_selection_profile(d_hat, sigma, d_left[rows],
+                                               d_right[rows]) <= delta_bs]
+        best = int(rows[-1]) if rows.size else start - 1
+        if best >= 0:
+            return int(ks[best]), int(j[best])
     return 1, 1
 
 
 def select_ue_beam(sigma_psi2: float, delta_ma: float,
                    grid: tuple = DEFAULT_UE_GRID) -> float:
-    """Thinnest candidate beamwidth keeping misalignment under the cap;
-    the widest candidate is the fallback when none qualifies."""
-    widest = max(grid)
-    if not math.isfinite(sigma_psi2):
-        return widest
-    if sigma_psi2 < 0.0:
-        raise ValueError("variance must be non-negative")
-    widths = np.asarray(grid, dtype=float)
-    errors = p_misalignment(sigma_psi2, nu_threshold(widths))
-    feasible = widths[errors <= delta_ma]
-    return float(feasible.min()) if feasible.size else widest
+    """Thinnest candidate beamwidth keeping misalignment under the cap, the
+    widest if none does; erfc runs only where ``_tail_bracket`` cannot tell."""
+    if not (0.0 < delta_ma <= 1.0 and sigma_psi2 >= 0.0):   # NaN fails
+        raise ValueError("need a cap in (0, 1] and a non-negative variance")
+    if sigma_psi2 == math.inf:
+        return max(grid)
+    lo, hi = _tail_bracket(math.sqrt(sigma_psi2), delta_ma)
+    best = min((w for w in grid if nu_threshold(w) >= hi), default=math.inf)
+    widths = np.array([w for w in grid if w < best and nu_threshold(w) >= lo])
+    if widths.size:
+        errors = p_misalignment(sigma_psi2, nu_threshold(widths))
+        best = widths[errors <= delta_ma].min(initial=best)
+    return float(best) if best < math.inf else max(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +195,7 @@ def select_ue_beam(sigma_psi2: float, delta_ma: float,
 
 def _grid_floor(value: float, grid: tuple) -> float:
     """Snap to the nearest grid level at or above value (widest if above all)."""
-    candidates = [t for t in sorted(grid) if t >= value - 1e-15]
-    return candidates[0] if candidates else max(grid)
+    return min((t for t in grid if t >= value - 1e-15), default=max(grid))
 
 
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
@@ -249,8 +284,7 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     total_symbols = steps[-1].symbols if steps else 0
     # Service beam pair: the selection the final accuracy supports (the
     # sweep baselines must reach this same resolution).
-    final_k, _ = _select_row(rows, sigma_d2, policy.delta_bs)
-    final_k = max(final_k, k)
+    final_k = max(_select_row(rows, sigma_d2, policy.delta_bs)[0], k)
     final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
                                                 policy.theta_u_grid))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,

@@ -25,6 +25,12 @@ def qfunc(x):
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
+@lru_cache(maxsize=64)
+def q_inverse(p: float) -> float:
+    """x with Q(x) = p; inf for p <= 0 and -inf for p >= 1."""
+    return float(np.sqrt(2.0) * special.erfcinv(2.0 * min(max(p, 0.0), 1.0)))
+
+
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
