@@ -127,18 +127,16 @@ def _tail_bracket(sigma: float, cap: float) -> tuple:
     """(lo, hi): a margin below lo surely misses the cap, one at or above
     hi surely meets it; only those in between need erfc.
 
-    Both selections take their error from erfc at t = margin / s, s =
-    max(sigma, SIGMA_FLOOR): the BS side's fl(fl(1 - Q(a)) + Q(b)) with
-    -a s = d_hat - d_left, b s = d_right - d_hat (the margin is the
-    smaller), the UE side's 2 Q(nu / s). As 1 - Q(a) = Q(-a) and both
-    addends are >= 0, each lies in [Q(t), 2 Q(t)] up to rounding: a
-    relative part (erfc, t, z s, erfcinv; < 1e-12 while Q(t) is normal)
-    that g = _REL_GUARD covers, and the absolute rounding of 1 - Q(a), a
-    few units of 2^-53, dominant for tiny caps, that h = _ABS_GUARD
-    covers. So lo = s Qinv(cap (1 + g) + h) and hi =
-    s Qinv((cap - h) / (2 (1 + g))) decide as the full evaluation does.
-    On a beam edge (margin 0) the error is >= 1/2 and hi > 0 for every
-    cap <= 1: the floor keeps an edge from being sure at zero spread.
+    Both errors come from erfc at t = margin / s, s = max(sigma,
+    SIGMA_FLOOR): the UE side's 2 Q(nu / s), and the BS side's
+    fl(fl(1 - Q(a)) + Q(b)) with -a s, b s the distances to the beam
+    edges, the smaller being the margin. Both addends are >= 0, so each
+    error lies in [Q(t), 2 Q(t)] up to a relative rounding (erfc, t, z s,
+    erfcinv; < 1e-12 for normal Q(t)) that g = _REL_GUARD covers and the
+    absolute one of 1 - Q(a) (a few 2^-53; it dominates for tiny caps)
+    that h = _ABS_GUARD covers: lo = s Qinv(cap (1 + g) + h) and
+    hi = s Qinv((cap - h) / (2 (1 + g))). An edge (margin 0) has error
+    >= 1/2 and hi > 0 for any cap <= 1: with the floor it is never sure.
     """
     s = max(sigma, SIGMA_FLOOR)
     return (s * q_inverse(cap * (1.0 + _REL_GUARD) + _ABS_GUARD),
@@ -195,7 +193,8 @@ def select_ue_beam(sigma_psi2: float, delta_ma: float,
 
 def _grid_floor(value: float, grid: tuple) -> float:
     """Snap to the nearest grid level at or above value (widest if above all)."""
-    return min((t for t in grid if t >= value - 1e-15), default=max(grid))
+    candidates = [t for t in sorted(grid) if t >= value - 1e-15]
+    return candidates[0] if candidates else max(grid)
 
 
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
@@ -284,7 +283,8 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     total_symbols = steps[-1].symbols if steps else 0
     # Service beam pair: the selection the final accuracy supports (the
     # sweep baselines must reach this same resolution).
-    final_k = max(_select_row(rows, sigma_d2, policy.delta_bs)[0], k)
+    final_k, _ = _select_row(rows, sigma_d2, policy.delta_bs)
+    final_k = max(final_k, k)
     final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
                                                 policy.theta_u_grid))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,

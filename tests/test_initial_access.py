@@ -7,7 +7,7 @@ import pytest
 
 from mmwloc import AccessPolicy, NetworkConfig, build_dictionary
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
-from mmwloc.dictionary import containing_beam, row_beamwidth
+from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.initial_access import (
     DEFAULT_UE_GRID,
     AccessStep,
@@ -15,6 +15,7 @@ from mmwloc.initial_access import (
     _grid_floor,
     _row_table,
     _select_row,
+    _tail_bracket,
     delay_exhaustive,
     delay_iterative,
     run_initial_access,
@@ -23,6 +24,8 @@ from mmwloc.initial_access import (
 from mmwloc.localization import (
     aoa_variance,
     beam_selection_profile,
+    nu_threshold,
+    p_misalignment,
     ranging_variance,
 )
 
@@ -77,6 +80,14 @@ class TestSelectUeBeam:
         assert select_ue_beam(10.0, 1e-6) == max(DEFAULT_UE_GRID)
         assert select_ue_beam(math.inf, 0.05) == max(DEFAULT_UE_GRID)
 
+    # each used to return the widest beam, or the thinnest for cap 2
+    @pytest.mark.parametrize("sigma_psi2, cap", [
+        (math.nan, 0.05), (0.01, math.nan), (0.01, 0.0), (0.01, -1.0),
+        (0.01, 2.0), (-0.01, 0.05)])
+    def test_bad_input_rejected(self, sigma_psi2, cap):
+        with pytest.raises(ValueError):
+            select_ue_beam(sigma_psi2, cap)
+
 
 class TestRefinementLoop:
     def test_loose_targets_terminate_immediately(self, cfg):
@@ -130,7 +141,8 @@ class TestRefinementLoop:
 
 
 def _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, delta_bs):
-    """Largest row meeting the cap, from a full row search at d_hat."""
+    """(k, j) of the largest row meeting the cap, from the selection error
+    of every row at d_hat."""
     ks = np.arange(2, n_max + 1)
     if ks.size and math.isfinite(sigma_d2):
         j, d_left, d_right = containing_beam(d_hat, d_a, h_b, ks)
@@ -138,14 +150,26 @@ def _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, delta_bs):
                                         d_left, d_right)
         feasible = (errors <= delta_bs).nonzero()[0]
         if feasible.size:
-            return int(ks[feasible[-1]])
-    return 1
+            return int(ks[feasible[-1]]), int(j[feasible[-1]])
+    return 1, 1
+
+
+def _reference_ue_beam(sigma_psi2, delta_ma, grid):
+    """Thinnest level meeting the cap (the widest if none does), from the
+    misalignment of every grid level."""
+    if not math.isfinite(sigma_psi2):
+        return max(grid)
+    widths = np.asarray(grid, dtype=float)
+    errors = p_misalignment(sigma_psi2, nu_threshold(widths))
+    feasible = widths[errors <= delta_ma]
+    return float(feasible.min()) if feasible.size else max(grid)
 
 
 def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
-    """The refinement loop evaluated step by step: a full row search and
-    scalar variance calls at every step. run_initial_access tabulates
-    these per user and must reproduce this loop bit for bit."""
+    """The refinement loop evaluated step by step: a full row search, a
+    full grid search and scalar variance calls at every step.
+    run_initial_access tabulates these per user, brackets the searches,
+    and must reproduce this loop bit for bit."""
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
     pilot_bw = (policy.pilot_bandwidth if policy.pilot_bandwidth is not None
                 else cfg.bandwidth)
@@ -168,13 +192,13 @@ def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
                 if not 0.0 <= d_hat <= cell_size:
                     d_hat = min(max(d_hat, 0.0), cell_size)
                     fallbacks += 1
-            k_sel = _reference_row(cell_size, cfg.h_b, policy.n_max, d_hat,
-                                   sigma_d2, policy.delta_bs)
+            k_sel, _ = _reference_row(cell_size, cfg.h_b, policy.n_max,
+                                      d_hat, sigma_d2, policy.delta_bs)
             k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
                         policy.n_max))
         else:
-            theta_sel = select_ue_beam(sigma_psi2, policy.delta_ma,
-                                       policy.theta_u_grid)
+            theta_sel = _reference_ue_beam(sigma_psi2, policy.delta_ma,
+                                           policy.theta_u_grid)
             grid_sorted = sorted(policy.theta_u_grid, reverse=True)
             pos = grid_sorted.index(theta_u)
             one_down = grid_sorted[min(pos + 1, len(grid_sorted) - 1)]
@@ -201,9 +225,9 @@ def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
             break
     total_symbols = steps[-1].symbols if steps else 0
     final_k = max(_reference_row(cell_size, cfg.h_b, policy.n_max, d,
-                                 sigma_d2, policy.delta_bs), k)
-    final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
-                                                policy.theta_u_grid))
+                                 sigma_d2, policy.delta_bs)[0], k)
+    final_theta_u = min(theta_u, _reference_ue_beam(
+        sigma_psi2, policy.delta_ma, policy.theta_u_grid))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
                        total_delay=total_symbols * policy.symbol_duration,
                        terminated=terminated, final_k=final_k,
@@ -256,6 +280,93 @@ class TestTabulatedLoop:
     def test_nan_grid_level_rejected(self):
         with pytest.raises(ValueError):
             AccessPolicy(theta_u_grid=(math.pi / 2, float("nan")))
+
+
+# every cap the bracket treats differently: a tiny one (the absolute
+# rounding of 1 - Q dominates), middling ones, and those with lo <= 0
+CAPS = (1e-12, 1e-6, 0.05, 0.3, 0.5, 0.9, 1.0)
+
+
+def _nudged(value, ulps):
+    """value moved by |ulps| units in the last place, up or down."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+def _check_row(d_hat, d_a, h_b, n_max, sigma_d2, cap):
+    got = _select_row(_row_table(d_hat, d_a, h_b, n_max), sigma_d2, cap)
+    want = _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, cap)
+    assert got == want, (d_hat, d_a, h_b, n_max, sigma_d2, cap)
+
+
+def _check_ue(sigma_psi2, cap, grid=DEFAULT_UE_GRID):
+    got = select_ue_beam(sigma_psi2, cap, grid)
+    assert got == _reference_ue_beam(sigma_psi2, cap, grid), (
+        sigma_psi2, cap, grid)
+
+
+class TestTailBracket:
+    """The bracketed selections against a full evaluation of every row or
+    grid level, where the guards and the spread floor decide."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 1024])
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_random_tables(self, cap, n_max):
+        rng = np.random.default_rng(n_max)
+        for _ in range(40):
+            d_a = rng.uniform(1.0, 200.0)
+            d_hat = float(rng.choice([0.0, d_a] + list(rng.uniform(0, d_a, 4))))
+            sigma = d_a / n_max * 10.0 ** rng.uniform(-4.0, 1.0)
+            _check_row(d_hat, d_a, rng.uniform(2.0, 30.0), n_max,
+                       sigma * sigma, cap)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_random_ue_levels(self, cap):
+        rng = np.random.default_rng(7)
+        for i in range(200):
+            grid = (DEFAULT_UE_GRID if i % 2 else
+                    tuple(rng.uniform(0.01, 2 * math.pi, rng.integers(1, 10))))
+            _check_ue(10.0 ** rng.uniform(-8.0, 1.0), cap, grid)
+        _check_ue(0.0, cap)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 32, 1024])
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_estimate_on_edge(self, cap, n_max):
+        # margin 0 in the deepest row: its error is 1/2 at any spread
+        edges = beam_boundaries(100.0, 10.0, n_max)
+        for i in sorted({0, 1, n_max // 2, n_max - 1, n_max}):
+            for sigma_d2 in (0.0, 1e-18):
+                _check_row(float(edges[i]), 100.0, 10.0, n_max, sigma_d2, cap)
+
+    def test_edge_is_never_sure(self):
+        # with the unfloored zero spread the bracket took row 32 here
+        d_hat = float(beam_boundaries(100.0, 10.0, 32)[5])
+        assert _select_row(_row_table(d_hat, 100.0, 10.0, 32), 0.0,
+                           0.05) == (31, 5)
+
+    @pytest.mark.parametrize("n_max", [2, 1024])
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_margin_at_threshold(self, cap, n_max):
+        # a spread putting one row's margin at lo or hi, then a few ulps off
+        rng = np.random.default_rng(3)
+        for d_hat in rng.uniform(0.0, 100.0, 25):
+            margins = _row_table(d_hat, 100.0, 10.0, n_max)[5]
+            margin = margins[rng.integers(margins.size)]
+            for z in _tail_bracket(1.0, cap):
+                if 0.0 < z < math.inf and margin > 0.0:
+                    for ulps in range(-4, 5):
+                        _check_row(d_hat, 100.0, 10.0, n_max,
+                                   _nudged((margin / z) ** 2, ulps), cap)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_ue_margin_at_threshold(self, cap):
+        for width in DEFAULT_UE_GRID:
+            for z in _tail_bracket(1.0, cap):
+                if 0.0 < z < math.inf:
+                    for ulps in range(-4, 5):
+                        _check_ue(_nudged((nu_threshold(width) / z) ** 2,
+                                          ulps), cap)
 
 
 class TestBaselineDelays:
