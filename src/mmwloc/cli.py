@@ -85,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate",
                            help="analytical vs Monte Carlo validation grid")
     _add_common(val_p)
+    val_p.set_defaults(experiment="validate-analytical")
     return parser
 
 
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} reads no experiment knobs, "
                               f"got {sorted(experiment_entries)[0]}")
 
-        if args.command == "run":
+        if args.command in ("run", "validate"):
             spec = ExperimentSpec(name=args.experiment, cfg=cfg,
                                   out_dir=args.out, seed=args.seed,
                                   trials=args.trials,
@@ -160,13 +161,6 @@ def main(argv=None) -> int:
                                                 row.objective, row.p_bs,
                                                 row.p_ma)) + "\n")
             print(table)
-        elif args.command == "validate":
-            spec = ExperimentSpec(name="validate-analytical", cfg=cfg,
-                                  out_dir=args.out, seed=args.seed,
-                                  trials=args.trials,
-                                  overrides=experiment_entries)
-            for path in run_experiment(spec):
-                print(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,17 +48,8 @@ from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .errors import NumericError
 from .geometry import nakagami_shape, path_loss_exponent
-from .localization import (
-    BEAM_NODES,
-    _cell_grid,
-    _cell_panels,
-    aoa_variance,
-    beam_selection_profile,
-    nu_threshold,
-    p_misalignment,
-    ranging_variance,
-)
-from .numerics import checked_probability, gauss_legendre
+from .localization import beam_selection_error, cell_average, misalignment_error
+from .numerics import gauss_legendre
 
 LOS_NODES = 24
 NLOS_NODES = 32
@@ -332,7 +323,7 @@ def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
 
 def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
                     beta, k: int, d_left, d_right, cfg: NetworkConfig,
-                    tables: "_InterferenceTables | None" = None) -> np.ndarray:
+                    tables: _InterferenceTables) -> np.ndarray:
     """Pointwise coverage mixing the three branches by the error profile.
 
     theta_k, d_left and d_right broadcast against the 1-D positions x (the
@@ -341,18 +332,15 @@ def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
     gamma_b = main_lobe_gain(theta_k, cfg)
     gamma_u = main_lobe_gain(theta_u, cfg)
     g = sidelobe_gain(cfg)
-    if tables is None:
-        tables = _InterferenceTables(x, cfg)
     t0 = _branch_values(x, threshold, gamma_b * gamma_u, cfg, tables)
     tma = _branch_values(x, threshold, gamma_b * g, cfg, tables)
     tbs = _branch_values(x, threshold, g * g, cfg, tables)
     if k == 1:
         p_bs = np.zeros_like(x)
     else:
-        sigma_d = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
-        p_bs = beam_selection_profile(x, sigma_d, d_left, d_right)
-    p_ma = p_misalignment(aoa_variance(x, gamma_b, theta_u, beta, cfg),
-                          nu_threshold(theta_u))
+        p_bs = beam_selection_error(x, gamma_b, gamma_u, beta, d_left,
+                                    d_right, cfg)
+    p_ma = misalignment_error(x, gamma_b, theta_u, beta, cfg)
     w0 = (1.0 - p_bs) * (1.0 - p_ma)
     wma = (1.0 - p_bs) * p_ma
     return w0 * t0 + wma * tma + p_bs * tbs
@@ -363,18 +351,15 @@ def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
 # ---------------------------------------------------------------------------
 
 def overall_coverage(threshold, k: int, theta_u: float, beta,
-                     cfg: NetworkConfig, cell_size: float | None = None):
-    """Cell-level coverage across all k beams; expectation over the cell
-    size distribution unless a fixed cell size is supplied.
+                     cfg: NetworkConfig):
+    """Cell-level coverage across all k beams, averaged over the cell-size
+    distribution and the user position.
 
     ``threshold`` and ``beta`` may be equal-length 1-D arrays of
-    (threshold, beta) pairs, which are evaluated in one pass and returned
-    as an array; scalars give a float.
-
-    The grid is walked in chunks of whole cells, each evaluated for groups
-    of pairs, with at most _CHUNK_ENTRIES (pair, position) entries. Every
-    pair's result is summed per cell along the cell's positions and then
-    over cells, so it does not depend on the other pairs in the batch.
+    (threshold, beta) pairs, evaluated in one pass and returned as an
+    array; scalars give a float. ``localization.cell_average`` walks the
+    grid with _CHUNK_ENTRIES (pair, position) entries at a time; a cell
+    chunk's kernel tables serve every pair.
     """
     scalar = np.ndim(threshold) == 0 and np.ndim(beta) == 0
     thresholds, betas = np.broadcast_arrays(
@@ -382,33 +367,20 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
         np.atleast_1d(np.asarray(beta, dtype=float)))
     if not np.all(thresholds > 0.0):
         raise ValueError("SINR threshold must be positive")
-    if cell_size is None:
-        _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
-    else:
-        da_weights = np.ones(1)
-        theta_k, bounds, x, pos_w = _cell_panels(np.asarray([cell_size]), k, cfg)
-    n_cells, per_cell = len(da_weights), k * BEAM_NODES
-    pos_w = pos_w.reshape(n_cells, per_cell)
-    cells_per_chunk = min(n_cells, max(1, _CHUNK_ENTRIES // per_cell))
-    pairs_per_chunk = max(1, _CHUNK_ENTRIES // (cells_per_chunk * per_cell))
-    cell_sums = np.empty((len(betas), n_cells))
-    for c in range(0, n_cells, cells_per_chunk):
-        cells = slice(c, c + cells_per_chunk)
-        xc = x[cells].ravel()
-        shape = x[cells].shape
-        theta = np.broadcast_to(theta_k[cells, None, None], shape).ravel()
-        d_left = np.broadcast_to(bounds[cells, :-1, None], shape).ravel()
-        d_right = np.broadcast_to(bounds[cells, 1:, None], shape).ravel()
+
+    def evaluator(theta_k, bounds, x):
+        shape = x.shape
+        theta = np.broadcast_to(theta_k[:, None, None], shape).ravel()
+        d_left = np.broadcast_to(bounds[:, :-1, None], shape).ravel()
+        d_right = np.broadcast_to(bounds[:, 1:, None], shape).ravel()
+        xc = x.ravel()
         tables = _InterferenceTables(xc, cfg)
-        for b in range(0, len(betas), pairs_per_chunk):
-            pairs = slice(b, b + pairs_per_chunk)
-            values = _mixture_values(
-                xc, thresholds[pairs, None], theta, theta_u, betas[pairs, None],
-                k, d_left, d_right, cfg, tables=tables)
-            values = values.reshape(-1, shape[0], per_cell)
-            cell_sums[pairs, cells] = np.sum(values * pos_w[cells], axis=-1)
-    total = checked_probability(np.sum(cell_sums * da_weights, axis=-1),
-                                "overall coverage")
+        return lambda pairs: _mixture_values(
+            xc, thresholds[pairs, None], theta, theta_u, betas[pairs, None],
+            k, d_left, d_right, cfg, tables).reshape((-1,) + shape)
+
+    total = cell_average(k, len(betas), cfg, evaluator, _CHUNK_ENTRIES,
+                         "overall coverage")
     return float(total[0]) if scalar else total
 
 

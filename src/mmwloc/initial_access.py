@@ -20,7 +20,6 @@ deployment (lambda = 0.01 /m) reaches a 0.1 m ranging accuracy in about
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -106,15 +105,6 @@ class AccessTrace:
     final_theta_u: float
     fallback_events: int = 0
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "side", "k", "theta_u",
-                             "sigma_d2", "sigma_psi2", "cum_symbols"])
-            for s in self.steps:
-                writer.writerow([s.index, s.side, s.k, repr(s.theta_u),
-                                 repr(s.sigma_d2), repr(s.sigma_psi2), s.symbols])
-
 
 # ---------------------------------------------------------------------------
 # Beam selection rules
@@ -123,7 +113,7 @@ class AccessTrace:
 _REL_GUARD, _ABS_GUARD = 1e-6, 1e-14   # slack of the tail bracket
 
 
-def _tail_bracket(sigma: float, cap: float) -> tuple:
+def _tail_bracket(sigma: float, cap: float, tails: int) -> tuple:
     """(lo, hi): a margin below lo surely misses the cap, one at or above
     hi surely meets it; only those in between need erfc.
 
@@ -131,15 +121,16 @@ def _tail_bracket(sigma: float, cap: float) -> tuple:
     SIGMA_FLOOR): the UE side's 2 Q(nu / s), and the BS side's
     fl(fl(1 - Q(a)) + Q(b)) with -a s, b s the distances to the beam
     edges, the smaller being the margin. Both addends are >= 0, so each
-    error lies in [Q(t), 2 Q(t)] up to a relative rounding (erfc, t, z s,
-    erfcinv; < 1e-12 for normal Q(t)) that g = _REL_GUARD covers and the
-    absolute one of 1 - Q(a) (a few 2^-53; it dominates for tiny caps)
-    that h = _ABS_GUARD covers: lo = s Qinv(cap (1 + g) + h) and
+    error lies in [tails Q(t), 2 Q(t)], tails = 1 on the BS side and 2 on
+    the UE side, up to a relative rounding (erfc, t, z s, erfcinv; < 1e-12
+    for normal Q(t)) that g = _REL_GUARD covers and the absolute one of
+    1 - Q(a) (a few 2^-53; it dominates for tiny caps) that h = _ABS_GUARD
+    covers: lo = s Qinv((cap (1 + g) + h) / tails) and
     hi = s Qinv((cap - h) / (2 (1 + g))). An edge (margin 0) has error
     >= 1/2 and hi > 0 for any cap <= 1: with the floor it is never sure.
     """
     s = max(sigma, SIGMA_FLOOR)
-    return (s * q_inverse(cap * (1.0 + _REL_GUARD) + _ABS_GUARD),
+    return (s * q_inverse((cap * (1.0 + _REL_GUARD) + _ABS_GUARD) / tails),
             s * q_inverse((cap - _ABS_GUARD) / (2.0 * (1.0 + _REL_GUARD))))
 
 
@@ -157,7 +148,7 @@ def _select_row(table: tuple, sigma_d2: float, delta_bs: float) -> tuple:
     d_hat, ks, j, d_left, d_right, margin = table
     if ks.size and math.isfinite(sigma_d2):
         sigma = math.sqrt(sigma_d2)
-        lo, hi = _tail_bracket(sigma, delta_bs)
+        lo, hi = _tail_bracket(sigma, delta_bs, 1)
         sure = (margin >= hi).nonzero()[0]
         start = int(sure[-1]) + 1 if sure.size else 0
         rows = start + (margin[start:] >= lo).nonzero()[0]
@@ -178,7 +169,7 @@ def select_ue_beam(sigma_psi2: float, delta_ma: float,
         raise ValueError("need a cap in (0, 1] and a non-negative variance")
     if sigma_psi2 == math.inf:
         return max(grid)
-    lo, hi = _tail_bracket(math.sqrt(sigma_psi2), delta_ma)
+    lo, hi = _tail_bracket(math.sqrt(sigma_psi2), delta_ma, 2)
     best = min((w for w in grid if nu_threshold(w) >= hi), default=math.inf)
     widths = np.array([w for w in grid if w < best and nu_threshold(w) >= lo])
     if widths.size:

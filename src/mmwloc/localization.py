@@ -178,69 +178,99 @@ def p_misalignment(sigma_psi2, nu):
     return out if out.ndim else float(out)
 
 
+def beam_selection_error(x, gamma_b, gamma_u, beta, d_left, d_right,
+                         cfg: NetworkConfig):
+    """Beam-selection error at positions x in beams [d_left, d_right] with
+    main-lobe gains gamma_b, gamma_u; all broadcast."""
+    sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
+    return beam_selection_profile(x, sigma, d_left, d_right)
+
+
+def misalignment_error(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig):
+    """Misalignment error at positions x with BS main-lobe gain gamma_b and
+    UE beamwidth theta_u; x, gamma_b and beta broadcast."""
+    return p_misalignment(aoa_variance(x, gamma_b, theta_u, beta, cfg),
+                          nu_threshold(theta_u))
+
+
 # ---------------------------------------------------------------------------
-# Cell-averaged errors
+# Cell averages: the error averages and the walker coverage shares
 # ---------------------------------------------------------------------------
-
-def _cell_panels(d_a, k: int, cfg: NetworkConfig):
-    """Beam panels of row k for cell sizes d_a, shape (nc,).
-
-    Returns (theta_k, bounds, x, pos_w) with shapes (nc,), (nc, k+1),
-    (nc, k, nb), (nc, k, nb), nb = BEAM_NODES; pos_w already includes the
-    uniform 1/d_a position density. Beam panels straddling the LOS-ball
-    edge are split there (the variance profiles jump).
-    """
-    theta_k = row_beamwidth(d_a, cfg.h_b, k)
-    bounds = beam_boundaries(d_a, cfg.h_b, k)
-    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s, BEAM_NODES)
-    return theta_k, bounds, x, w / d_a[:, None, None]
-
 
 @lru_cache(maxsize=64)
 def _cell_grid(k: int, cfg: NetworkConfig):
     """Quadrature grid over (cell size, position-within-beam) for row k.
 
-    Returns (da_nodes, da_weights, theta_k, bounds, x, pos_w): the cell-size
-    nodes and weights, shapes (nc,), followed by ``_cell_panels`` at them.
+    Returns (d_a, da_weights, theta_k, bounds, x, pos_w), shapes (nc,),
+    (nc,), (nc,), (nc, k+1), (nc, k, nb), (nc, k, nb), nc = CELL_NODES,
+    nb = BEAM_NODES: cell-size nodes and weights, and per node cell its row
+    beamwidth, beam edges, positions and position weights (with the
+    uniform 1/d_a density). Beam panels straddling the LOS-ball edge are
+    split there (the variance profiles jump).
     """
-    da_nodes, da_weights = exponential_cell_nodes(
+    d_a, da_weights = exponential_cell_nodes(
         2.0 * cfg.bs_density, CELL_NODES, split=cfg.d_s)
-    grid = (da_nodes, da_weights) + _cell_panels(da_nodes, k, cfg)
+    bounds = beam_boundaries(d_a, cfg.h_b, k)
+    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s, BEAM_NODES)
+    grid = (d_a, da_weights, row_beamwidth(d_a, cfg.h_b, k), bounds, x,
+            w / d_a[:, None, None])
     for arr in grid:
         arr.setflags(write=False)
     return grid
 
 
-def _cell_average(k: int, beta, cfg: NetworkConfig, profile, what: str):
+def cell_average(k: int, n_items: int, cfg: NetworkConfig, evaluator,
+                 budget: int, what: str) -> np.ndarray:
+    """Probabilities of n_items batch items averaged over row k's grid.
+
+    The grid is walked in chunks of whole cells, each in slices of items,
+    with at most ``budget`` (item, position) entries per slice.
+    ``evaluator(theta_k, bounds, x)`` gets each chunk's part of the grid
+    (``_cell_grid``'s arrays for c cells) and returns a function giving
+    an item slice's values there, shape (items, c, k, nb). Each item is
+    summed per cell, then over cells: it gets the same bits in any batch.
+    """
+    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    n_cells, per_cell = x.shape[0], x[0].size
+    cells_step = min(n_cells, max(1, budget // per_cell))
+    items_step = max(1, budget // (cells_step * per_cell))
+    cell_sums = np.empty((n_items, n_cells))
+    for c in range(0, n_cells, cells_step):
+        cells = slice(c, c + cells_step)
+        values = evaluator(theta_k[cells], bounds[cells], x[cells])
+        for i in range(0, n_items, items_step):
+            items = slice(i, i + items_step)
+            cell_sums[items, cells] = np.sum(values(items) * pos_w[cells],
+                                             axis=(-2, -1))
+    return checked_probability(np.sum(cell_sums * da_weights, axis=-1), what)
+
+
+def _error_average(k: int, beta, cfg: NetworkConfig, profile, what: str):
     """An error profile averaged over row k's cell grid, per beta.
 
-    ``profile(theta_k, bounds, x, betas)`` gives the error probability on
-    the grid for a (B, 1, 1, 1) column of betas. ``beta`` may be a 1-D
-    array, returned as an array of averages; a scalar gives a float.
+    ``profile(gamma_b, bounds, x, betas)`` gives the error on a cell chunk
+    with its (c, 1, 1) BS main-lobe gains for a (B, 1, 1, 1) beta column.
+    ``beta`` may be a 1-D array, giving an array; a scalar gives a float.
     beta == 1 leaves no localization resources and gives 1.
-
-    The betas run in chunks of at most _AVG_CHUNK_ENTRIES (beta, position)
-    entries, and each beta is summed per cell and then over cells, so it
-    gets the same bits alone or in any batch.
     """
     betas = np.atleast_1d(np.asarray(beta, dtype=float))
-    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
     out = np.ones(betas.shape)
     todo = np.flatnonzero(betas != 1.0)
-    step = max(1, _AVG_CHUNK_ENTRIES // x.size)
-    for c in range(0, todo.size, step):
-        chunk = todo[c:c + step]
-        p = profile(theta_k, bounds, x, betas[chunk, None, None, None])
-        cell_sums = np.sum(p * pos_w, axis=(-2, -1))
-        out[chunk] = np.sum(cell_sums * da_weights, axis=-1)
-    out = checked_probability(out, what)
+    column = betas[todo, None, None, None]
+
+    def evaluator(theta_k, bounds, x):
+        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
+        return lambda items: profile(gamma_b, bounds, x, column[items])
+
+    out[todo] = cell_average(k, todo.size, cfg, evaluator,
+                             _AVG_CHUNK_ENTRIES, what)
     return out if np.ndim(beta) else float(out[0])
 
 
 def avg_beam_selection_error(k: int, beta, theta_u: float,
                              cfg: NetworkConfig):
     """Beam-selection error averaged over cell sizes and user positions;
-    ``beta`` may be a 1-D array (see ``_cell_average``).
+    ``beta`` may be a 1-D array (see ``_error_average``).
 
     For k == 1 the single beam spans the whole cell and estimates are
     clamped to the cell support, so the error is exactly zero.
@@ -251,19 +281,18 @@ def avg_beam_selection_error(k: int, beta, theta_u: float,
         return np.zeros(np.shape(beta)) if np.ndim(beta) else 0.0
     gamma_u = main_lobe_gain(theta_u, cfg)
 
-    def profile(theta_k, bounds, x, betas):
-        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
-        sigma = np.sqrt(ranging_variance(x, gamma_b, gamma_u, betas, cfg))
-        return beam_selection_profile(x, sigma, bounds[:, :-1, None],
-                                      bounds[:, 1:, None])
+    def profile(gamma_b, bounds, x, betas):
+        return beam_selection_error(x, gamma_b, gamma_u, betas,
+                                    bounds[:, :-1, None], bounds[:, 1:, None],
+                                    cfg)
 
-    return _cell_average(k, beta, cfg, profile, "averaged beam-selection error")
+    return _error_average(k, beta, cfg, profile, "averaged beam-selection error")
 
 
 def avg_misalignment_error(k: int, theta_u: float, beta, cfg: NetworkConfig):
     """Misalignment error averaged over cell sizes, positions, and arrival
     angles (the angle average is trivial: the bound is angle-independent);
-    ``beta`` may be a 1-D array (see ``_cell_average``).
+    ``beta`` may be a 1-D array (see ``_error_average``).
 
     The error depends on beta only through the sounding window, so one
     beta per distinct window is averaged and the result scattered back;
@@ -271,15 +300,13 @@ def avg_misalignment_error(k: int, theta_u: float, beta, cfg: NetworkConfig):
     """
     if k < 1:
         raise ValueError("dictionary size must be >= 1")
-    nu = nu_threshold(theta_u)
 
-    def profile(theta_k, bounds, x, betas):
-        gamma_b = main_lobe_gain(theta_k, cfg)[:, None, None]
-        return p_misalignment(aoa_variance(x, gamma_b, theta_u, betas, cfg), nu)
+    def profile(gamma_b, bounds, x, betas):
+        return misalignment_error(x, gamma_b, theta_u, betas, cfg)
 
     betas = np.atleast_1d(np.asarray(beta, dtype=float))
     _, first, inverse = np.unique(_sounding_time(betas, cfg),
                                   return_index=True, return_inverse=True)
-    out = _cell_average(k, betas[first], cfg, profile,
-                        "averaged misalignment error")[inverse]
+    out = _error_average(k, betas[first], cfg, profile,
+                         "averaged misalignment error")[inverse]
     return out if np.ndim(beta) else float(out[0])

@@ -82,6 +82,39 @@ def simulate_laplace(serving_d: float, weight: float, cfg: NetworkConfig,
     return mean, stderr
 
 
+def _draw_users(rng, size: int, k: int, theta_u: float, beta: float,
+                cfg: NetworkConfig, j: int | None = None,
+                cell_size: float | None = None) -> tuple:
+    """(d, gamma_b, bs_error, ma_error) of one batch: users uniform in a
+    cell from the cell-size distribution, or in beam j of row k of a fixed
+    cell (``cell_size``, else the mean cell), their serving BS gains and
+    their error events under Gaussian estimates drawn from the bounds.
+    """
+    if cell_size is None and j is None:
+        d_a = rng.exponential(cfg.mean_cell_size, size=size)
+    else:
+        d_a = np.full(size, float(cfg.mean_cell_size if cell_size is None
+                                  else cell_size))
+    theta_k = row_beamwidth(d_a, cfg.h_b, k)
+    if j is not None:
+        bounds = beam_boundaries(d_a, cfg.h_b, k)
+        d_left, d_right = bounds[:, j - 1], bounds[:, j]
+        d = d_left + rng.uniform(0.0, 1.0, size=size) * (d_right - d_left)
+    else:
+        d = rng.uniform(0.0, 1.0, size=size) * d_a
+        _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, k)
+    gamma_b = main_lobe_gain(theta_k, cfg)
+    gamma_u = main_lobe_gain(theta_u, cfg)
+    sigma_d = np.sqrt(ranging_variance(d, gamma_b, gamma_u, beta, cfg))
+    sigma_psi = np.sqrt(aoa_variance(d, gamma_b, theta_u, beta, cfg))
+    d_hat = d + sigma_d * rng.standard_normal(size)
+    # row 1's single clamped beam never misselects; its ranging draw is
+    # still made, so the stream layout does not depend on k
+    bs_error = (k > 1) & ((d_hat < d_left) | (d_hat > d_right))
+    psi_err = np.abs(sigma_psi * rng.standard_normal(size))
+    return d, gamma_b, bs_error, psi_err >= nu_threshold(theta_u)
+
+
 def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
                       seed: int) -> CoverageResult:
     """Empirical P(SINR >= T) under the full error-aware branch logic."""
@@ -92,36 +125,9 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
     gamma_u = main_lobe_gain(query.theta_u, cfg)
     g = sidelobe_gain(cfg)
     for rng, size in _batch_streams(seed, trials):
-        if query.cell_size is not None:
-            d_a = np.full(size, float(query.cell_size))
-        elif query.j is not None:
-            d_a = np.full(size, cfg.mean_cell_size)
-        else:
-            d_a = rng.exponential(cfg.mean_cell_size, size=size)
-        theta_k = row_beamwidth(d_a, cfg.h_b, query.k)
-        if query.j is not None:
-            bounds = beam_boundaries(d_a, cfg.h_b, query.k)
-            d_left, d_right = bounds[:, query.j - 1], bounds[:, query.j]
-            d = d_left + rng.uniform(0.0, 1.0, size=size) * (d_right - d_left)
-        else:
-            d = rng.uniform(0.0, 1.0, size=size) * d_a
-            _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, query.k)
-
-        gamma_b = main_lobe_gain(theta_k, cfg)
-        sigma_d2 = ranging_variance(d, gamma_b, gamma_u, query.beta, cfg)
-        sigma_psi2 = aoa_variance(d, gamma_b, query.theta_u, query.beta, cfg)
-
-        if query.k == 1:
-            bs_error = np.zeros(size, dtype=bool)
-            rng.standard_normal(size)  # keep the stream layout k-independent
-        else:
-            d_hat = d + np.sqrt(sigma_d2) * rng.standard_normal(size)
-            bs_error = (d_hat < d_left) | (d_hat > d_right)
-        psi_err = np.abs(np.sqrt(sigma_psi2) * rng.standard_normal(size))
-        ma_error = psi_err >= nu_threshold(query.theta_u)
-
-        aligned = ~bs_error & ~ma_error
-        misaligned = ~bs_error & ma_error
+        d, gamma_b, bs_error, ma_error = _draw_users(
+            rng, size, query.k, query.theta_u, query.beta, cfg, query.j,
+            query.cell_size)
         gain = np.where(bs_error, g * g,
                         np.where(ma_error, gamma_b * g, gamma_b * gamma_u))
 
@@ -134,8 +140,8 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
         sinr = signal / (cfg.noise_power + interference)
         ok = sinr >= query.threshold
         successes += int(ok.sum())
-        branch_hits["aligned"] += int((ok & aligned).sum())
-        branch_hits["misaligned"] += int((ok & misaligned).sum())
+        branch_hits["aligned"] += int((ok & ~bs_error & ~ma_error).sum())
+        branch_hits["misaligned"] += int((ok & ~bs_error & ma_error).sum())
         branch_hits["beam_error"] += int((ok & bs_error).sum())
     p = successes / trials
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
@@ -145,32 +151,17 @@ def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
 
 def simulate_error_probabilities(k: int, beta: float, theta_u: float,
                                  cfg: NetworkConfig, trials: int, seed: int) -> dict:
-    """Empirical beam-selection and misalignment frequencies.
-
-    Mirrors the averaged analytical errors: cells from the cell-size
-    distribution, users uniform inside, Gaussian estimate draws from the
-    per-position bounds. Row 1 never misselects (single clamped beam).
-    """
+    """Beam-selection and misalignment frequencies of the users a cell-level
+    ``simulate_coverage`` query draws: the averaged errors' oracle."""
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1 and trials >= 1")
     bs_count = 0
     ma_count = 0
-    gamma_u = main_lobe_gain(theta_u, cfg)
     for rng, size in _batch_streams(seed, trials):
-        d_a = rng.exponential(cfg.mean_cell_size, size=size)
-        theta_k = row_beamwidth(d_a, cfg.h_b, k)
-        d = rng.uniform(0.0, 1.0, size=size) * d_a
-        _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, k)
-        gamma_b = main_lobe_gain(theta_k, cfg)
-        sigma_d = np.sqrt(ranging_variance(d, gamma_b, gamma_u, beta, cfg))
-        sigma_psi = np.sqrt(aoa_variance(d, gamma_b, theta_u, beta, cfg))
-        if k > 1:
-            d_hat = d + sigma_d * rng.standard_normal(size)
-            bs_count += int(((d_hat < d_left) | (d_hat > d_right)).sum())
-        else:
-            rng.standard_normal(size)
-        psi_err = np.abs(sigma_psi * rng.standard_normal(size))
-        ma_count += int((psi_err >= nu_threshold(theta_u)).sum())
+        _, _, bs_error, ma_error = _draw_users(rng, size, k, theta_u, beta,
+                                               cfg)
+        bs_count += int(bs_error.sum())
+        ma_count += int(ma_error.sum())
     p_bs = bs_count / trials
     p_ma = ma_count / trials
     return {

@@ -179,6 +179,16 @@ class TestCliRuns:
         b = (tmp_path / "b" / "validate_analytical.csv").read_bytes()
         assert a == b
 
+    def test_validate_equals_run_validate_analytical(self, tmp_path):
+        args = ["--seed", "3", "--trials", "4000",
+                "--set", "experiment.lambdas=0.05"]
+        for argv, out in ((["validate"], "a"),
+                          (["run", "validate-analytical"], "b")):
+            assert cli.main(argv + args + ["--out", str(tmp_path / out)]) == 0
+        a = (tmp_path / "a" / "validate_analytical.csv").read_bytes()
+        b = (tmp_path / "b" / "validate_analytical.csv").read_bytes()
+        assert a == b
+
     def test_optimize_subcommand(self, tmp_path, capsys):
         code = cli.main(["optimize", "--out", str(tmp_path),
                          "--set", "network.lambda_per_m=0.05"])

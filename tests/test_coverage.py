@@ -26,7 +26,6 @@ from mmwloc.errors import NumericError
 from mmwloc.localization import (
     BEAM_NODES,
     _cell_grid,
-    _cell_panels,
     aoa_variance,
     beam_selection_profile,
     nu_threshold,
@@ -70,21 +69,18 @@ def _quadrature_misses(cfg, alpha, shape, xs, region):
     return misses
 
 
-def _cell_loop_reference(threshold, k, theta_u, beta, cfg, cell_size=None):
+def _cell_loop_reference(threshold, k, theta_u, beta, cfg):
     """overall_coverage one cell node and one (threshold, beta) pair at a
     time, with a dot product per cell: the loop the batched pass replaced."""
-    if cell_size is None:
-        _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
-    else:
-        da_weights = (1.0,)
-        theta_k, bounds, x, pos_w = _cell_panels(np.asarray([cell_size]), k, cfg)
+    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
     total = 0.0
     for i, da_weight in enumerate(da_weights):
         d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
         d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
         values = _mixture_values(x[i].ravel(), threshold, float(theta_k[i]),
                                  theta_u, beta, k, d_left.ravel(),
-                                 d_right.ravel(), cfg)
+                                 d_right.ravel(), cfg,
+                                 _InterferenceTables(x[i].ravel(), cfg))
         total += da_weight * float(np.dot(values, pos_w[i].ravel()))
     return min(max(total, 0.0), 1.0)
 
@@ -323,14 +319,17 @@ class TestOverallCoverage:
     # at t = 1e-3 and beta = 0.99 the error branches carry weight:
     # swapping them in the mixture moves the sum by 12%
     @pytest.mark.parametrize("t, beta", [(3.16, 0.6), (1e-3, 0.99)])
-    def test_fixed_cell_equals_direct_beam_sum(self, cfg, t, beta):
-        d_a, k, tu = 18.0, 4, math.pi / 8
-        total = overall_coverage(t, k, tu, beta, cfg, cell_size=d_a)
-        bounds = beam_boundaries(d_a, cfg.h_b, k)
+    def test_equals_direct_beam_sum(self, cfg, t, beta):
+        # every beam of every cell node, each mixed on its own
+        k, tu = 4, math.pi / 8
+        d_a, da_weights = _cell_grid(k, cfg)[:2]
         acc = 0.0
-        for j in range(1, k + 1):
-            weight = (bounds[j] - bounds[j - 1]) / d_a
-            acc += weight * _beam_coverage(t, k, j, tu, beta, d_a, cfg)
+        for cell, cell_weight in zip(d_a, da_weights):
+            bounds = beam_boundaries(cell, cfg.h_b, k)
+            for j in range(1, k + 1):
+                weight = cell_weight * (bounds[j] - bounds[j - 1]) / cell
+                acc += weight * _beam_coverage(t, k, j, tu, beta, cell, cfg)
+        total = overall_coverage(t, k, tu, beta, cfg)
         assert total == pytest.approx(acc, rel=1e-9)
 
     def test_monotone_in_threshold(self, cfg):
@@ -346,23 +345,19 @@ class TestOverallCoverage:
 
 class TestBatchedCoverage:
     # noise_psd = 1e-10 sends about 70% of the kernel entries to the exp floor
-    @pytest.mark.parametrize("k, cell_size, noise_psd", [
-        (1, None, 1e-12), (4, None, 1e-12), (32, None, 1e-12),
-        (4, 18.0, 1e-12), (4, None, 1e-10)])
-    def test_batch_matches_single_pairs_and_cell_loop(self, k, cell_size,
-                                                      noise_psd):
+    @pytest.mark.parametrize("k, noise_psd", [
+        (1, 1e-12), (4, 1e-12), (32, 1e-12), (4, 1e-10)])
+    def test_batch_matches_single_pairs_and_cell_loop(self, k, noise_psd):
         cfg = NetworkConfig(noise_psd=noise_psd)
         tu = ue_beamwidth_for_dictionary(k, cfg)
         betas = np.array([0.1, 0.5, 0.9, 1.0])
         thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
-        batch = overall_coverage(thresholds, k, tu, betas, cfg,
-                                 cell_size=cell_size)
+        batch = overall_coverage(thresholds, k, tu, betas, cfg)
         assert batch.shape == betas.shape
         for t, beta, got in zip(thresholds, betas, batch):
-            single = overall_coverage(float(t), k, tu, float(beta), cfg,
-                                      cell_size=cell_size)
+            single = overall_coverage(float(t), k, tu, float(beta), cfg)
             assert isinstance(single, float) and single == got
-            ref = _cell_loop_reference(t, k, tu, beta, cfg, cell_size)
+            ref = _cell_loop_reference(t, k, tu, beta, cfg)
             assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_rate_batch_matches_single_and_saturates_to_zero(self, cfg):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwloc import AccessPolicy, NetworkConfig, build_dictionary
+from mmwloc import AccessPolicy, NetworkConfig, build_dictionary, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.initial_access import (
@@ -28,6 +28,7 @@ from mmwloc.localization import (
     p_misalignment,
     ranging_variance,
 )
+from mmwloc.numerics import q_inverse
 
 
 @pytest.fixture
@@ -129,15 +130,6 @@ class TestRefinementLoop:
         b = run_initial_access(15.0, 30.0, pol, cfg, mode="stochastic",
                                rng=np.random.default_rng(3))
         assert a == b
-
-    def test_trace_csv(self, cfg, tmp_path):
-        pol = AccessPolicy(delta_d=0.05)
-        trace = run_initial_access(15.0, 30.0, pol, cfg)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("iter,side,k,theta_u")
-        assert len(lines) == 1 + len(trace.steps)
 
 
 def _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, delta_bs):
@@ -353,7 +345,7 @@ class TestTailBracket:
         for d_hat in rng.uniform(0.0, 100.0, 25):
             margins = _row_table(d_hat, 100.0, 10.0, n_max)[5]
             margin = margins[rng.integers(margins.size)]
-            for z in _tail_bracket(1.0, cap):
+            for z in _tail_bracket(1.0, cap, 1):
                 if 0.0 < z < math.inf and margin > 0.0:
                     for ulps in range(-4, 5):
                         _check_row(d_hat, 100.0, 10.0, n_max,
@@ -361,12 +353,37 @@ class TestTailBracket:
 
     @pytest.mark.parametrize("cap", CAPS)
     def test_ue_margin_at_threshold(self, cap):
+        # the bracket's edges, then levels with Q(t) in the band
+        # (cap / 2, cap], where 2 Q(t) already misses the cap
+        band = [q_inverse(r * cap) for r in (0.5, 0.51, 0.75, 0.99, 1.0)]
         for width in DEFAULT_UE_GRID:
-            for z in _tail_bracket(1.0, cap):
+            for z in list(_tail_bracket(1.0, cap, 2)) + band:
                 if 0.0 < z < math.inf:
                     for ulps in range(-4, 5):
                         _check_ue(_nudged((nu_threshold(width) / z) ** 2,
                                           ulps), cap)
+
+    # at cap 1 the band (1/2, 1] holds no level: it needs t < 0
+    @pytest.mark.parametrize("cap", CAPS[:-1])
+    def test_ue_band_levels_skip_erfc(self, cap, monkeypatch):
+        # a level with Q(t) well inside (cap / 2, cap] is a sure miss
+        evaluated = []
+
+        def counting(sigma_psi2, nu):
+            evaluated.extend(np.atleast_1d(nu))
+            return p_misalignment(sigma_psi2, nu)
+
+        monkeypatch.setattr(initial_access, "p_misalignment", counting)
+        levels = 0
+        for width in DEFAULT_UE_GRID:
+            for ratio in (0.51, 0.75, 0.99):
+                z = q_inverse(ratio * cap)
+                if 0.0 < z < math.inf:
+                    evaluated.clear()
+                    _check_ue((nu_threshold(width) / z) ** 2, cap)
+                    assert nu_threshold(width) not in evaluated
+                    levels += 1
+        assert levels > 0
 
 
 class TestBaselineDelays:

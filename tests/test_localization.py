@@ -189,10 +189,11 @@ class TestAveragedErrors:
                               avg_misalignment_error(k, tu, beta, cfg)):
                     assert 0.0 <= value <= 1.0
 
-    @pytest.mark.parametrize("k", [1, 2, 8, 32])
+    @pytest.mark.parametrize("k", [1, 2, 8, 32, 64])
     def test_beta_batch_matches_single_calls(self, cfg, k):
-        # 16 betas per chunk at k = 2, one per chunk at k = 32; beta = 0.999
-        # is the one beta here whose sounding window is cut short
+        # 16 betas per chunk at k = 2, one per chunk at k = 32, and at
+        # k = 64 one beta on half the cells; beta = 0.999 is the one beta
+        # here whose sounding window is cut short
         tu = ue_beamwidth_for_dictionary(k, cfg)
         betas = np.array([0.02, 0.3, 0.5, 0.98, 1.0, 0.999] + [0.44] * 40)
         batches = (avg_beam_selection_error(k, betas, tu, cfg),
