@@ -14,14 +14,18 @@ import numpy as np
 from .config import NetworkConfig
 
 
+def is_los(d_ground, cfg: NetworkConfig):
+    """Vectorized LOS test: ground distance inside the closed ball."""
+    return np.asarray(d_ground) <= cfg.d_s
+
+
 def path_loss_exponent(d_ground, cfg: NetworkConfig):
     """Vectorized LOS/NLOS exponent selection for ground distances."""
-    d_ground = np.asarray(d_ground, dtype=float)
-    out = np.where(d_ground <= cfg.d_s, cfg.alpha_los, cfg.alpha_nlos)
+    out = np.where(is_los(d_ground, cfg), cfg.alpha_los, cfg.alpha_nlos)
     return out if out.ndim else float(out)
 
 
 def nakagami_shape(d_ground, cfg: NetworkConfig):
     """Vectorized LOS/NLOS Nakagami shape selection for ground distances."""
-    out = np.where(np.asarray(d_ground) <= cfg.d_s, cfg.n_los, cfg.n_nlos)
+    out = np.where(is_los(d_ground, cfg), cfg.n_los, cfg.n_nlos)
     return out if out.ndim else int(out)

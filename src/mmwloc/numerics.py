@@ -55,9 +55,9 @@ def gauss_legendre(a, b, n: int):
     return x, w
 
 
-def exponential_cell_nodes(rate: float, n: int, quantile: float = 0.9999,
-                           split: float | None = None):
-    """Quadrature grid for E[f(X)] with X ~ Exp(rate), truncated + renormalized.
+def exponential_cell_nodes(rate: float, n: int, split: float | None = None):
+    """Quadrature grid for E[f(X)] with X ~ Exp(rate), truncated at its
+    0.9999 quantile and renormalized.
 
     Returns (nodes, weights) such that sum(w_i * f(x_i)) approximates the
     expectation of f over the truncated distribution. ``split`` places a
@@ -65,6 +65,7 @@ def exponential_cell_nodes(rate: float, n: int, quantile: float = 0.9999,
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
+    quantile = 0.9999
     x_max = -np.log1p(-quantile) / rate
     if split is not None and 0.0 < split < x_max:
         half = n // 2

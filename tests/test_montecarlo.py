@@ -1,14 +1,18 @@
 """Simulator invariants: determinism, deployment statistics, degenerate limits."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from mmwloc import CoverageQuery, NetworkConfig
+from mmwloc import CoverageQuery, NetworkConfig, montecarlo
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.dictionary import beam_boundaries, row_beamwidth
+from mmwloc.geometry import nakagami_shape, path_loss_exponent
 from mmwloc.montecarlo import (
     BATCH_SIZE,
     _batch_streams,
@@ -92,6 +96,56 @@ class TestDeployment:
                                              cfg.d_s + 500.0)
         dense = cfg.with_overrides(bs_density=1.0)
         assert window_half_width(dense) == dense.d_s + 500.0
+
+
+def one_shot_interference_sums(rng, d, cfg):
+    """The interference sums drawn and summed over the whole batch at once,
+    one gather per interferer: the reference the chunked form must match
+    bit for bit."""
+    w = window_half_width(cfg)
+    span = np.maximum(w - d, 0.0)
+    counts = rng.poisson(2.0 * cfg.bs_density * span)
+    total = int(counts.sum())
+    out = np.zeros(d.shape[0])
+    if total == 0:
+        return out
+    owner = np.repeat(np.arange(d.shape[0]), counts)
+    y = d[owner] + rng.uniform(0.0, 1.0, size=total) * span[owner]
+    shapes = nakagami_shape(y, cfg)
+    fade = rng.standard_gamma(shapes) / shapes
+    q2 = y * y + cfg.h_b * cfg.h_b
+    g2 = sidelobe_gain(cfg) ** 2
+    powers = (cfg.p_t * cfg.k_pl * g2 * fade
+              * q2 ** (-0.5 * path_loss_exponent(y, cfg)))
+    return np.bincount(owner, weights=powers, minlength=d.shape[0])
+
+
+class TestChunkedInterference:
+    # densities up to 50/m put about 52k interferers in one trial, more
+    # than a default chunk; distances past the window leave none at all
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shapes=st.one_of(st.integers(1, 4).map(lambda n: (n, n)),
+                            st.tuples(st.integers(1, 4), st.integers(1, 4))),
+           log_density=st.floats(-3.0, math.log10(50.0)),
+           fractions=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40),
+           chunk=st.sampled_from([1, 7, 1 << 10, montecarlo._CHUNK]))
+    @example(seed=3, shapes=(2, 2), log_density=math.log10(50.0),
+             fractions=[0.0, 0.2], chunk=montecarlo._CHUNK)
+    @example(seed=5, shapes=(3, 1), log_density=-1.0,
+             fractions=[1.0, 1.2, 1.5], chunk=montecarlo._CHUNK)
+    def test_matches_one_shot_sums_and_stream(self, seed, shapes,
+                                              log_density, fractions, chunk):
+        cfg = NetworkConfig(n_los=shapes[0], n_nlos=shapes[1],
+                            bs_density=10.0 ** log_density)
+        d = np.array(fractions) * window_half_width(cfg)
+        ref_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        want = one_shot_interference_sums(ref_rng, d, cfg)
+        with mock.patch.object(montecarlo, "_CHUNK", chunk):
+            got = _interference_sums(rng, d, cfg)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBatchStreams:

@@ -35,7 +35,7 @@ class TestExponentialCellNodes:
         def f(x):
             return np.where(x <= 20.0, x, 20.0 + 0.5 * (x - 20.0)) ** 2
 
-        x, w = exponential_cell_nodes(self.RATE, 64, quantile=q, split=20.0)
+        x, w = exponential_cell_nodes(self.RATE, 64, split=20.0)
         ref, _ = integrate.quad(
             lambda t: f(t) * self.RATE * math.exp(-self.RATE * t) / q,
             0.0, x_max, points=[20.0], epsabs=0.0, epsrel=1e-13)
@@ -45,7 +45,7 @@ class TestExponentialCellNodes:
         # E[X | X <= x_max] of Exp(r) is 1/r - x_max * (1 - q) / q
         q = 0.9999
         x_max = -math.log1p(-q) / self.RATE
-        x, w = exponential_cell_nodes(self.RATE, 64, quantile=q)
+        x, w = exponential_cell_nodes(self.RATE, 64)
         want = 1.0 / self.RATE - x_max * (1.0 - q) / q
         assert np.dot(w, x) == pytest.approx(want, rel=1e-12)
 
