@@ -3,7 +3,10 @@
 Trials run in fixed-size batches, each batch on its own counter-derived
 substream (SeedSequence spawn key = batch index), so results are
 bit-identical for a given (seed, config) regardless of how batches are
-scheduled. Aggregation uses exact integer success counts.
+scheduled. Inside a batch the interferers are drawn in one fixed stream
+order and processed in trial-aligned chunks, so the bits depend on
+neither the chunk size nor the scheduling. Aggregation uses exact
+integer success counts.
 
 The coverage simulator realizes the same conditional model the analysis
 integrates: a user at a uniform position inside the (drawn or given)

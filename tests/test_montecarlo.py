@@ -1,4 +1,5 @@
-"""Simulator invariants: determinism, deployment statistics, degenerate limits."""
+"""Simulator invariants: determinism, deployment statistics, degenerate limits,
+and the chunked interference sums against the one-shot form."""
 
 import math
 from unittest import mock
