@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from mmwloc import CoverageQuery, NetworkConfig, OptimizationSpec, coverage
@@ -343,6 +345,26 @@ class TestOverallCoverage:
             assert 0.0 <= v <= 1.0
 
 
+def _floored_branch_values(x, thresholds, gain, cfg):
+    """_branch_values without the skip: every entry through the kernel,
+    its exponent floored at _EXP_FLOOR. Returns the values, the mask of
+    values with at least one floored term, and the floored and total
+    kernel entries."""
+    tables = _InterferenceTables(x, cfg)
+    noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
+    g2 = sidelobe_gain(cfg) ** 2
+    ref, floored, skipped, entries = 0.0, False, 0, 0
+    for n, coef in tables.terms:
+        scale = n * tables.eta * thresholds * tables.z_pow / gain
+        noise = scale * noise_over_ref
+        pos = np.broadcast_to(np.arange(x.size), scale.shape).ravel()
+        a = tables.exponents((scale * g2).ravel(), pos).reshape(scale.shape)
+        ref = ref + coef * np.exp(np.maximum(-(noise + a), _EXP_FLOOR))
+        floored = floored | (noise >= -_EXP_FLOOR)
+        skipped += np.count_nonzero(noise >= -_EXP_FLOOR)
+        entries += noise.size
+    return ref, floored, skipped, entries
+
 class TestBatchedCoverage:
     # noise_psd = 1e-10 sends about 70% of the kernel entries to the exp floor
     @pytest.mark.parametrize("k, noise_psd", [
@@ -371,28 +393,51 @@ class TestBatchedCoverage:
             single = rate_coverage(1.0e8, float(beta), 4, tu, cfg)
             assert isinstance(single, float) and single == rate
 
-    def test_exp_floor_skip_is_exact(self):
-        # every entry evaluated through the kernel and then floored, against
-        # _branch_values, which skips the entries whose noise term alone
-        # reaches the floor
+    def test_exp_floor_skip_is_within_subnormal_bound(self):
+        # against every entry evaluated through the kernel and then floored;
+        # _branch_values drops the entries whose noise term alone reaches
+        # the floor, each worth at most C(N, n) * exp(-745)
         cfg = NetworkConfig(noise_psd=1e-10)
         x = np.linspace(0.0, 400.0, 301)
         gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
         thresholds = np.array([[0.5], [3.16], [100.0]])
-        tables = _InterferenceTables(x, cfg)
-        noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
-        g2 = sidelobe_gain(cfg) ** 2
-        ref, skipped, entries = 0.0, 0, 0
-        for n, coef in tables.terms:
-            scale = n * tables.eta * thresholds * tables.z_pow / gain
-            noise = scale * noise_over_ref
-            pos = np.broadcast_to(np.arange(x.size), scale.shape).ravel()
-            a = tables.exponents((scale * g2).ravel(), pos).reshape(scale.shape)
-            ref = ref + coef * np.exp(np.maximum(-(noise + a), _EXP_FLOOR))
-            skipped += np.count_nonzero(noise >= -_EXP_FLOOR)
-            entries += noise.size
+        ref, floored, skipped, entries = _floored_branch_values(
+            x, thresholds, gain, cfg)
         assert skipped > 0.5 * entries
-        assert np.array_equal(_branch_values(x, thresholds, gain, cfg), ref)
+        got = _branch_values(x, thresholds, gain, cfg)
+        assert np.all(np.abs(got - ref) <= 1e-322)
+        assert np.array_equal(got[~floored], ref[~floored])
+
+    # each threshold is set by the noise term of the first expansion term
+    # at the far end of the grid, so that most examples cross the floor
+    @settings(max_examples=60, deadline=None)
+    @given(log_noise_psd=st.floats(-16.0, -2.0),
+           log_far_noise=st.lists(st.floats(1.0, 4.0), min_size=1,
+                                  max_size=4),
+           log_gain=st.floats(-2.0, 3.0))
+    def test_exp_floor_skip_bound_property(self, log_noise_psd,
+                                           log_far_noise, log_gain):
+        cfg = NetworkConfig(noise_psd=10.0 ** log_noise_psd)
+        x = np.linspace(0.0, 400.0, 201)
+        gain = 10.0 ** log_gain
+        tables = _InterferenceTables(x, cfg)
+        far = (tables.eta[-1] * tables.z_pow[-1] / gain * cfg.noise_power
+               / (cfg.p_t * cfg.k_pl))
+        thresholds = (10.0 ** np.array(log_far_noise) / far)[:, None]
+        ref, floored, _, _ = _floored_branch_values(x, thresholds, gain, cfg)
+        got = _branch_values(x, thresholds, gain, cfg)
+        assert np.all(np.abs(got - ref) <= 1e-322)
+        assert np.array_equal(got[~floored], ref[~floored])
+
+    def test_all_floored_entries_give_exact_zero(self):
+        # the floored form leaves 2 * exp(-745) - exp(-745) = 5e-324 (N = 2)
+        cfg = NetworkConfig(noise_psd=1e-3)
+        x = np.linspace(0.0, 400.0, 41)
+        gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
+        ref, floored, _, _ = _floored_branch_values(x, 1e6, gain, cfg)
+        assert np.all(floored) and np.all(ref > 0.0)
+        got = _branch_values(x, 1e6, gain, cfg)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
     def test_overshoot_beyond_slack_raises(self, cfg, monkeypatch):
         real = coverage._mixture_values
