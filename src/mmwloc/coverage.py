@@ -302,7 +302,10 @@ def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
     term grows with n, so an entry's floored terms follow its live ones,
     and an entry without one keeps the bits of the floored form. M dropped
     addends sum to at most M * 2^-1022, so a rounded cell sum S can change
-    only if S < about M * 2e-292, a coverage of essentially zero.
+    only if S < about M * 2e-292, a coverage of essentially zero. Where
+    every candidate's objective is subnormal, objectives that differed by
+    a few 4.9e-324 can collapse to 0.0, so the optimizer's beta or k falls
+    to its tie-break and may differ from that of the floored form.
     """
     x = np.asarray(x, dtype=float)
     if tables is None:
@@ -321,10 +324,7 @@ def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
         exponent = np.maximum(
             -(noise[live] + tables.exponents(scale[live] * g2, pos)),
             _EXP_FLOOR)
-        if np.all(live):
-            out += coef * np.exp(exponent).reshape(out.shape)
-        else:
-            out[live] += np.broadcast_to(coef, out.shape)[live] * np.exp(exponent)
+        out[live] += np.broadcast_to(coef, out.shape)[live] * np.exp(exponent)
     if not np.all(np.isfinite(out)):
         raise NumericError("branch coverage produced non-finite values")
     return out
