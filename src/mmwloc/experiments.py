@@ -212,23 +212,28 @@ def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _run_access_delay(spec: ExperimentSpec):
+    # The loop never reads bs_density: one config serves all densities, and
+    # those clamped to one geometry share its row's columns (not its trace).
     policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
+    cfg = spec.cfg
+    columns = {}
 
     def point(lam):
-        cfg = spec.cfg.with_overrides(bs_density=float(lam))
-        d_ref, d_a = access_reference_geometry(float(lam), cfg)
-        trace = run_initial_access(d_ref, d_a, policy, cfg)
-        theta_b = row_beamwidth(d_a, cfg.h_b, trace.final_k)
-        proposed = trace.total_delay
-        iterative = delay_iterative(trace.final_k, trace.final_theta_u,
-                                    policy.symbol_duration)
-        exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
-                                      policy.symbol_duration)
-        return (float(lam), trace.total_symbols, proposed * 1e3,
-                iterative * 1e3, exhaustive * 1e3, trace.final_k,
-                trace.final_theta_u, trace.terminated)
+        d_ref, d_a = geometry = access_reference_geometry(lam, cfg)
+        if geometry not in columns:
+            trace = run_initial_access(d_ref, d_a, policy, cfg)
+            theta_b = row_beamwidth(d_a, cfg.h_b, trace.final_k)
+            iterative = delay_iterative(trace.final_k, trace.final_theta_u,
+                                        policy.symbol_duration)
+            exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
+                                          policy.symbol_duration)
+            columns[geometry] = (trace.total_symbols, trace.total_delay * 1e3,
+                                 iterative * 1e3, exhaustive * 1e3,
+                                 trace.final_k, trace.final_theta_u,
+                                 trace.terminated)
+        return (lam, *columns[geometry])
 
-    rows = [point(lam) for lam in _lambda_grid(spec)]
+    rows = [point(float(lam)) for lam in _lambda_grid(spec)]
     rows.sort(key=lambda r: r[0])
     out = spec.out_dir / "access_delay.csv"
     _write_csv(out, ["lambda", "steps", "proposed_ms", "iterative_ms",
@@ -241,9 +246,8 @@ def _run_access_resolution(spec: ExperimentSpec):
     policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
     rows = []
     for lam in sorted(_knob(spec, "lambdas")):
-        cfg = spec.cfg.with_overrides(bs_density=lam)
-        d_ref, d_a = access_reference_geometry(lam, cfg)
-        trace = run_initial_access(d_ref, d_a, policy, cfg)
+        d_ref, d_a = access_reference_geometry(lam, spec.cfg)
+        trace = run_initial_access(d_ref, d_a, policy, spec.cfg)
         for step in trace.steps:
             rows.append((lam, step.index, step.side, step.k, step.theta_u,
                          step.sigma_d2, step.sigma_psi2, step.symbols))

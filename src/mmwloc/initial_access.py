@@ -103,6 +103,8 @@ class AccessTrace:
     terminated: str      # 'accuracy_met' | 'max_iter'
     final_k: int         # service-beam row supported by the final accuracy
     final_theta_u: float
+    # always 0, as the loop tracks the bounds and clamps no estimate; kept
+    # because perfbench/spans.py reads it
     fallback_events: int = 0
 
 
@@ -135,30 +137,43 @@ def _tail_bracket(sigma: float, cap: float, tails: int) -> tuple:
 
 
 def _row_table(d_hat: float, d_a: float, h_b: float, n_max: int) -> tuple:
-    """(d_hat, ks, j, d_left, d_right, margin): the beam holding d_hat in
-    every row ks = 2..n_max, its edges and d_hat's distance to the nearer."""
-    ks = np.arange(2, n_max + 1)
-    j, left, right = containing_beam(d_hat, d_a, h_b, ks)
-    return d_hat, ks, j, left, right, np.minimum(d_hat - left, right - d_hat)
+    """(d_hat, d_left, d_right, margin, reach), entry r - 2 for row r =
+    2..n_max: the edges of the beam holding d_hat, d_hat's distance to the
+    nearer one, and the largest such distance in row r or any deeper row."""
+    _, left, right = containing_beam(d_hat, d_a, h_b, np.arange(2, n_max + 1))
+    margin = np.minimum(d_hat - left, right - d_hat)
+    return d_hat, left, right, margin, np.maximum.accumulate(margin[::-1])[::-1]
 
 
-def _select_row(table: tuple, sigma_d2: float, delta_bs: float) -> tuple:
-    """Largest row of a ``_row_table`` whose containing beam meets the
-    selection-error cap; erfc runs only where ``_tail_bracket`` cannot tell."""
-    d_hat, ks, j, d_left, d_right, margin = table
-    if ks.size and math.isfinite(sigma_d2):
-        sigma = math.sqrt(sigma_d2)
-        lo, hi = _tail_bracket(sigma, delta_bs, 1)
-        sure = (margin >= hi).nonzero()[0]
-        start = int(sure[-1]) + 1 if sure.size else 0
-        rows = start + (margin[start:] >= lo).nonzero()[0]
+def _select_row(table: tuple, sigma_d2: float, delta_bs: float, k: int,
+                c: int) -> int:
+    """min(max(k_sel, k), c), k_sel being the largest row of a ``_row_table``
+    whose containing beam meets the selection-error cap (1 if none does).
+
+    Only the rows that can move the result are decided: any row at or
+    above c, then the rows in (k, c) above the last surely feasible one.
+    erfc runs only where ``_tail_bracket`` cannot tell.
+    """
+    if c <= k or not math.isfinite(sigma_d2):
+        return min(k, c)
+    d_hat, d_left, d_right, margin, reach = table
+    sigma = math.sqrt(sigma_d2)
+    lo, hi = _tail_bracket(sigma, delta_bs, 1)
+
+    def feasible(rows):
         if rows.size:
             rows = rows[beam_selection_profile(d_hat, sigma, d_left[rows],
                                                d_right[rows]) <= delta_bs]
-        best = int(rows[-1]) if rows.size else start - 1
-        if best >= 0:
-            return int(ks[best]), int(j[best])
-    return 1, 1
+        return rows
+
+    if reach[c - 2] >= hi or feasible(c - 2 + (margin[c - 2:] >= lo)
+                                      .nonzero()[0]).size:
+        return c
+    window = margin[k - 1:c - 2]           # rows k + 1 .. c - 1
+    sure = (window >= hi).nonzero()[0]
+    start = int(sure[-1]) + 1 if sure.size else 0
+    rows = feasible(k - 1 + start + (window[start:] >= lo).nonzero()[0])
+    return int(rows[-1]) + 2 if rows.size else k + start
 
 
 def select_ue_beam(sigma_psi2: float, delta_ma: float,
@@ -189,18 +204,9 @@ def _grid_floor(value: float, grid: tuple) -> float:
 
 
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
-                       cfg: NetworkConfig, mode: str = "bound",
-                       rng: np.random.Generator | None = None) -> AccessTrace:
-    """Run the alternating refinement loop for a user at ground distance d
-    inside a cell of the given one-sided size.
-
-    mode 'bound' tracks the deterministic estimation bounds; 'stochastic'
-    additionally draws the position/angle estimates used for beam lookup.
-    """
-    if mode not in ("bound", "stochastic"):
-        raise ValueError("mode must be 'bound' or 'stochastic'")
-    if mode == "stochastic" and rng is None:
-        rng = np.random.default_rng(0)
+                       cfg: NetworkConfig) -> AccessTrace:
+    """Run the alternating refinement loop, on the estimation bounds, for a
+    user at ground distance d inside a cell of the given one-sided size."""
     if not 0.0 <= d <= cell_size:
         raise ValueError("user must lie inside the cell")
 
@@ -228,7 +234,6 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     k = 1
     theta_u = _grid_floor(policy.initial_theta_u, policy.theta_u_grid)
     steps = []
-    fallbacks = 0
     terminated = "max_iter"
 
     for step in range(1, policy.max_steps + 1):
@@ -237,16 +242,8 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
         side = "BS" if step % 2 == 1 else "UE"
 
         if side == "BS":
-            bs_rows = rows
-            if mode == "stochastic":
-                d_hat = d + math.sqrt(sigma_d2) * rng.standard_normal()
-                if not 0.0 <= d_hat <= cell_size:
-                    d_hat = min(max(d_hat, 0.0), cell_size)
-                    fallbacks += 1
-                bs_rows = _row_table(d_hat, cell_size, cfg.h_b, policy.n_max)
-            k_sel, _ = _select_row(bs_rows, sigma_d2, policy.delta_bs)
-            k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
-                        policy.n_max))
+            k = _select_row(rows, sigma_d2, policy.delta_bs, k, min(
+                math.ceil(policy.bs_growth * k), policy.n_max))
         else:
             theta_sel = select_ue_beam(sigma_psi2, policy.delta_ma,
                                        policy.theta_u_grid)
@@ -274,14 +271,13 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     total_symbols = steps[-1].symbols if steps else 0
     # Service beam pair: the selection the final accuracy supports (the
     # sweep baselines must reach this same resolution).
-    final_k, _ = _select_row(rows, sigma_d2, policy.delta_bs)
-    final_k = max(final_k, k)
+    final_k = _select_row(rows, sigma_d2, policy.delta_bs, k, policy.n_max)
     final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
                                                 policy.theta_u_grid))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
                        total_delay=total_symbols * policy.symbol_duration,
                        terminated=terminated, final_k=final_k,
-                       final_theta_u=final_theta_u, fallback_events=fallbacks)
+                       final_theta_u=final_theta_u)
 
 
 # ---------------------------------------------------------------------------

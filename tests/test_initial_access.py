@@ -21,6 +21,9 @@ from mmwloc.initial_access import (
     run_initial_access,
     select_ue_beam,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mmwloc.localization import (
     aoa_variance,
     beam_selection_profile,
@@ -38,12 +41,21 @@ def cfg():
 
 class TestSelectBsBeam:
     def test_perfect_ranging_takes_thinnest(self):
-        k, j = _select_row(_row_table(50.0, 100.0, 10.0, 32), 0.0, 0.05)
-        assert k == 32
+        table = _row_table(50.0, 100.0, 10.0, 32)
+        assert _select_row(table, 0.0, 0.05, 1, 32) == 32
 
     def test_vacuous_cap_takes_thinnest(self):
-        k, _ = _select_row(_row_table(50.0, 100.0, 10.0, 32), 25.0, 1.0)
-        assert k == 32
+        table = _row_table(50.0, 100.0, 10.0, 32)
+        assert _select_row(table, 25.0, 1.0, 1, 32) == 32
+
+    def test_window_bounds_the_row(self):
+        # every row is feasible here: the result is c, or k if c <= k
+        table = _row_table(50.0, 100.0, 10.0, 32)
+        assert _select_row(table, 0.0, 0.05, 4, 6) == 6
+        assert _select_row(table, 0.0, 0.05, 4, 4) == 4
+        assert _select_row(table, 0.0, 0.05, 4, 2) == 2
+        # an infinite variance meets no cap: the row stays at k
+        assert _select_row(table, math.inf, 0.05, 4, 6) == 4
 
     def test_matches_exhaustive_row_scan(self):
         # oracle: scan every row, evaluate the containing beam directly
@@ -58,10 +70,12 @@ class TestSelectBsBeam:
             if beam_selection_profile(d_hat, math.sqrt(sigma_d2), beam.d_left,
                                       beam.d_right) <= cap:
                 best = max(best, k)
-        got_k, got_j = _select_row(_row_table(d_hat, 100.0, 10.0, 64),
-                                   sigma_d2, cap)
-        assert got_k == best
-        assert d.row(got_k)[got_j - 1].d_left <= d_hat <= d.row(got_k)[got_j - 1].d_right
+        table = _row_table(d_hat, 100.0, 10.0, 64)
+        assert _select_row(table, sigma_d2, cap, 1, 64) == best
+        for k, c in ((1, 2), (1, best), (max(best - 1, 1), min(best + 1, 64)),
+                     (best, 64)):
+            assert _select_row(table, sigma_d2, cap, k, c) == _window(best, k,
+                                                                      c)
 
 
 class TestSelectUeBeam:
@@ -123,27 +137,34 @@ class TestRefinementLoop:
         assert trace.terminated == "max_iter"
         assert trace.total_symbols == 6
 
-    def test_stochastic_mode_reproducible(self, cfg):
-        pol = AccessPolicy(delta_d=0.05)
-        a = run_initial_access(15.0, 30.0, pol, cfg, mode="stochastic",
-                               rng=np.random.default_rng(3))
-        b = run_initial_access(15.0, 30.0, pol, cfg, mode="stochastic",
-                               rng=np.random.default_rng(3))
-        assert a == b
+    @pytest.mark.parametrize("d, cell_size", [(15.0, 30.0), (40.0, 80.0)])
+    def test_trace_ignores_bs_density(self, cfg, d, cell_size):
+        # the access sweeps run every density under one config
+        pol = AccessPolicy(delta_d=0.002)
+        traces = {repr(run_initial_access(
+            d, cell_size, pol, cfg.with_overrides(bs_density=lam)))
+            for lam in (1e-4, 0.005, 0.05, 0.2, 5.0)}
+        assert len(traces) == 1
 
 
 def _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, delta_bs):
-    """(k, j) of the largest row meeting the cap, from the selection error
-    of every row at d_hat."""
+    """The largest row meeting the cap (1 if none does), from the selection
+    error of every row at d_hat."""
     ks = np.arange(2, n_max + 1)
     if ks.size and math.isfinite(sigma_d2):
-        j, d_left, d_right = containing_beam(d_hat, d_a, h_b, ks)
+        _, d_left, d_right = containing_beam(d_hat, d_a, h_b, ks)
         errors = beam_selection_profile(d_hat, math.sqrt(sigma_d2),
                                         d_left, d_right)
         feasible = (errors <= delta_bs).nonzero()[0]
         if feasible.size:
-            return int(ks[feasible[-1]]), int(j[feasible[-1]])
-    return 1, 1
+            return int(ks[feasible[-1]])
+    return 1
+
+
+def _window(k_sel, k, c):
+    """The row a BS step keeps of the selection k_sel: at least the
+    current row k, at most c."""
+    return min(max(k_sel, k), c)
 
 
 def _reference_ue_beam(sigma_psi2, delta_ma, grid):
@@ -157,7 +178,7 @@ def _reference_ue_beam(sigma_psi2, delta_ma, grid):
     return float(feasible.min()) if feasible.size else max(grid)
 
 
-def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
+def _reference_access(d, cell_size, policy, cfg):
     """The refinement loop evaluated step by step: a full row search, a
     full grid search and scalar variance calls at every step.
     run_initial_access tabulates these per user, brackets the searches,
@@ -171,21 +192,14 @@ def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
     k = 1
     theta_u = _grid_floor(policy.initial_theta_u, policy.theta_u_grid)
     steps = []
-    fallbacks = 0
     terminated = "max_iter"
     for step in range(1, policy.max_steps + 1):
         sigma_d2 = 1.0 / info_d
         sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
         side = "BS" if step % 2 == 1 else "UE"
         if side == "BS":
-            d_hat = d
-            if mode == "stochastic":
-                d_hat = d + math.sqrt(sigma_d2) * rng.standard_normal()
-                if not 0.0 <= d_hat <= cell_size:
-                    d_hat = min(max(d_hat, 0.0), cell_size)
-                    fallbacks += 1
-            k_sel, _ = _reference_row(cell_size, cfg.h_b, policy.n_max,
-                                      d_hat, sigma_d2, policy.delta_bs)
+            k_sel = _reference_row(cell_size, cfg.h_b, policy.n_max, d,
+                                   sigma_d2, policy.delta_bs)
             k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
                         policy.n_max))
         else:
@@ -217,13 +231,13 @@ def _reference_access(d, cell_size, policy, cfg, mode="bound", rng=None):
             break
     total_symbols = steps[-1].symbols if steps else 0
     final_k = max(_reference_row(cell_size, cfg.h_b, policy.n_max, d,
-                                 sigma_d2, policy.delta_bs)[0], k)
+                                 sigma_d2, policy.delta_bs), k)
     final_theta_u = min(theta_u, _reference_ue_beam(
         sigma_psi2, policy.delta_ma, policy.theta_u_grid))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
                        total_delay=total_symbols * policy.symbol_duration,
                        terminated=terminated, final_k=final_k,
-                       final_theta_u=final_theta_u, fallback_events=fallbacks)
+                       final_theta_u=final_theta_u)
 
 
 class TestTabulatedLoop:
@@ -239,19 +253,20 @@ class TestTabulatedLoop:
 
     # a 3-step budget ends at a coarse variance, where the final row
     # selection depends on which position it is made at
+    # growth 1 never leaves row 1, 0.5 shrinks the window below the
+    # current row, 3 lets one step jump past most rows
     @pytest.mark.parametrize("max_steps", [3, 60])
     @pytest.mark.parametrize("custom", [False, True])
     @pytest.mark.parametrize("n_max", [1, 2, 64, 1024])
     @pytest.mark.parametrize("d, cell_size", GEOMETRIES)
-    @pytest.mark.parametrize("mode", ["bound", "stochastic"])
-    def test_bit_identical_to_reference(self, cfg, mode, d, cell_size, n_max,
-                                        custom, max_steps):
+    @pytest.mark.parametrize("bs_growth", [0.5, 1.0, 1.5, 3.0])
+    def test_bit_identical_to_reference(self, cfg, bs_growth, d, cell_size,
+                                        n_max, custom, max_steps):
         policy = AccessPolicy(delta_d=0.002, max_steps=max_steps, n_max=n_max,
+                              bs_growth=bs_growth,
                               **(self.CUSTOM if custom else {}))
-        rngs = [np.random.default_rng(11) if mode == "stochastic" else None
-                for _ in range(2)]
-        got = run_initial_access(d, cell_size, policy, cfg, mode, rngs[0])
-        want = _reference_access(d, cell_size, policy, cfg, mode, rngs[1])
+        got = run_initial_access(d, cell_size, policy, cfg)
+        want = _reference_access(d, cell_size, policy, cfg)
         assert repr(got) == repr(want)
         assert len(got.steps) > 2
 
@@ -287,9 +302,15 @@ def _nudged(value, ulps):
 
 
 def _check_row(d_hat, d_a, h_b, n_max, sigma_d2, cap):
-    got = _select_row(_row_table(d_hat, d_a, h_b, n_max), sigma_d2, cap)
+    """Every window (k, c) whose ends are row 1, n_max, or the reference
+    selection or a neighbour of it, shut windows (c <= k) included."""
+    table = _row_table(d_hat, d_a, h_b, n_max)
     want = _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, cap)
-    assert got == want, (d_hat, d_a, h_b, n_max, sigma_d2, cap)
+    ends = {1, want - 1, want, want + 1, n_max} & set(range(1, n_max + 1))
+    for k in ends:
+        for c in ends:
+            assert _select_row(table, sigma_d2, cap, k, c) == _window(
+                want, k, c), (d_hat, d_a, h_b, n_max, sigma_d2, cap, k, c)
 
 
 def _check_ue(sigma_psi2, cap, grid=DEFAULT_UE_GRID):
@@ -331,11 +352,59 @@ class TestTailBracket:
             for sigma_d2 in (0.0, 1e-18):
                 _check_row(float(edges[i]), 100.0, 10.0, n_max, sigma_d2, cap)
 
+    # c <= k, a window of one row, the default growth, the full selection
+    @settings(max_examples=300, deadline=None)
+    @given(d_a=st.floats(1.0, 200.0), at=st.floats(0.0, 1.0),
+           h_b=st.floats(2.0, 30.0), n_max=st.integers(1, 1024),
+           spread=st.floats(-4.0, 1.0), cap=st.sampled_from(CAPS),
+           k=st.integers(1, 1024), shut=st.integers(1, 1024),
+           window=st.sampled_from(["shut", "one", "growth", "full"]))
+    def test_window_matches_full_evaluation(self, d_a, at, h_b, n_max, spread,
+                                            cap, k, shut, window):
+        k = min(k, n_max)
+        c = min({"shut": min(shut, k), "one": k + 1,
+                 "growth": math.ceil(1.5 * k), "full": n_max}[window], n_max)
+        d_hat = at * d_a
+        sigma = d_a / n_max * 10.0 ** spread
+        table = _row_table(d_hat, d_a, h_b, n_max)
+        want = _reference_row(d_a, h_b, n_max, d_hat, sigma * sigma, cap)
+        assert _select_row(table, sigma * sigma, cap, k, c) == _window(
+            want, k, c)
+
+    def test_sure_row_at_or_above_c_skips_erfc(self, monkeypatch):
+        # a surely feasible row at or above c settles the step on its own,
+        # even where rows above the last sure one are undecided
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return beam_selection_profile(*args)
+
+        monkeypatch.setattr(initial_access, "beam_selection_profile", counting)
+        rng = np.random.default_rng(5)
+        settled = undecided_above = 0
+        for d_hat in rng.uniform(0.0, 100.0, 20):
+            table = _row_table(d_hat, 100.0, 10.0, 256)
+            margin = table[3]
+            for sigma_d2 in 10.0 ** rng.uniform(-6.0, 0.0, 5):
+                lo, hi = _tail_bracket(math.sqrt(sigma_d2), 0.05, 1)
+                sure = (margin >= hi).nonzero()[0]
+                if not sure.size:
+                    continue
+                undecided_above += bool((margin[sure[-1] + 1:] >= lo).any())
+                for c in (2, 3, 8, 64, 255, 256):
+                    if sure[-1] >= c - 2:
+                        calls.clear()
+                        assert _select_row(table, sigma_d2, 0.05, 1, c) == c
+                        assert not calls
+                        settled += 1
+        assert settled > 0 and undecided_above > 0
+
     def test_edge_is_never_sure(self):
         # with the unfloored zero spread the bracket took row 32 here
         d_hat = float(beam_boundaries(100.0, 10.0, 32)[5])
         assert _select_row(_row_table(d_hat, 100.0, 10.0, 32), 0.0,
-                           0.05) == (31, 5)
+                           0.05, 1, 32) == 31
 
     @pytest.mark.parametrize("n_max", [2, 1024])
     @pytest.mark.parametrize("cap", CAPS)
@@ -343,7 +412,7 @@ class TestTailBracket:
         # a spread putting one row's margin at lo or hi, then a few ulps off
         rng = np.random.default_rng(3)
         for d_hat in rng.uniform(0.0, 100.0, 25):
-            margins = _row_table(d_hat, 100.0, 10.0, n_max)[5]
+            margins = _row_table(d_hat, 100.0, 10.0, n_max)[3]
             margin = margins[rng.integers(margins.size)]
             for z in _tail_bracket(1.0, cap, 1):
                 if 0.0 < z < math.inf and margin > 0.0:
