@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwloc import AccessPolicy, NetworkConfig, build_dictionary, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
@@ -21,9 +23,6 @@ from mmwloc.initial_access import (
     run_initial_access,
     select_ue_beam,
 )
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from mmwloc.localization import (
     aoa_variance,
     beam_selection_profile,
@@ -253,8 +252,8 @@ class TestTabulatedLoop:
 
     # a 3-step budget ends at a coarse variance, where the final row
     # selection depends on which position it is made at
-    # growth 1 never leaves row 1, 0.5 shrinks the window below the
-    # current row, 3 lets one step jump past most rows
+    # growth 0.5 and 1 shut the window (c <= k) at every step, so k
+    # stays 1; 3 lets one step jump three times as deep
     @pytest.mark.parametrize("max_steps", [3, 60])
     @pytest.mark.parametrize("custom", [False, True])
     @pytest.mark.parametrize("n_max", [1, 2, 64, 1024])
