@@ -17,6 +17,7 @@ misalignment trade-offs are visible at these SINRs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 
 from .errors import ConfigError
@@ -54,18 +55,16 @@ class NetworkConfig:
             "t_frame", "t_init", "pilot_bandwidth", "aoa_sounding_time",
         )
         for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:   # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
         if self.eps_sidelobe >= 1.0:
             raise ConfigError("eps_sidelobe must be < 1")
         if self.alpha_nlos < self.alpha_los:
             raise ConfigError("alpha_nlos must be >= alpha_los")
-        if self.n_los < 1 or self.n_nlos < 1:
-            raise ConfigError("Nakagami shapes must be positive integers")
-        if self.n_los != int(self.n_los) or self.n_nlos != int(self.n_nlos):
-            raise ConfigError("Nakagami shapes must be integers")
-        if self.ue_sounding_elements < 1:
-            raise ConfigError("sounding subarray needs at least one element")
+        for name in ("n_los", "n_nlos", "ue_sounding_elements"):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 1):  # inf, NaN fail
+                raise ConfigError(f"{name} must be a positive integer")
 
     @property
     def noise_power(self) -> float:
@@ -84,6 +83,14 @@ class NetworkConfig:
         return asdict(self)
 
 
+def _integral(value) -> int:
+    """int(value) for an integral value; ValueError for 2.5, inf or NaN,
+    which int() would truncate or fail on with OverflowError."""
+    if not float(value).is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 # Keys accepted at the config boundary, with conversion into linear fields.
 # Value: (internal field, converter).
 _BOUNDARY_KEYS = {
@@ -94,8 +101,8 @@ _BOUNDARY_KEYS = {
     "network.k_pl_db": ("k_pl", db_to_linear),
     "network.alpha_los": ("alpha_los", float),
     "network.alpha_nlos": ("alpha_nlos", float),
-    "network.n_los": ("n_los", int),
-    "network.n_nlos": ("n_nlos", int),
+    "network.n_los": ("n_los", _integral),
+    "network.n_nlos": ("n_nlos", _integral),
     "network.d_s_m": ("d_s", float),
     "network.bandwidth_hz": ("bandwidth", float),
     "network.noise_dbm_hz": ("noise_psd", dbm_to_watt),
@@ -107,7 +114,7 @@ _BOUNDARY_KEYS = {
     "network.pilot_bandwidth_hz": ("pilot_bandwidth", float),
     "network.noise_dbw": ("noise_psd", None),  # total over the data band
     "network.aoa_sounding_time_s": ("aoa_sounding_time", float),
-    "network.ue_sounding_elements": ("ue_sounding_elements", int),
+    "network.ue_sounding_elements": ("ue_sounding_elements", _integral),
 }
 
 
@@ -125,7 +132,7 @@ def from_boundary_mapping(entries: dict, base: NetworkConfig | None = None) -> N
     """
     cfg = base if base is not None else NetworkConfig()
     updates = {}
-    noise_dbw = None
+    noise_w = None
     for key, raw in entries.items():
         if not key.startswith("network."):
             continue
@@ -136,14 +143,15 @@ def from_boundary_mapping(entries: dict, base: NetworkConfig | None = None) -> N
         try:
             value = float(raw) if not isinstance(raw, (int, float)) else raw
             if key == "network.noise_dbw":
-                noise_dbw = value
+                noise_w = db_to_linear(value)
             else:
                 updates[field] = conv(value)
-        except (TypeError, ValueError) as exc:
+        # OverflowError: a dB value of a few thousand overflows the float
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    if noise_dbw is not None:
+    if noise_w is not None:
         bandwidth = updates.get("bandwidth", cfg.bandwidth)
-        updates["noise_psd"] = db_to_linear(noise_dbw) / bandwidth
+        updates["noise_psd"] = noise_w / bandwidth
     return cfg.with_overrides(**updates) if updates else cfg
 
 

@@ -6,16 +6,15 @@ the estimation bounds under the current beam pair) accumulates into the
 running estimate variances, and the active side then re-selects its beam:
 the BS takes the largest dictionary row whose beam keeps the selection
 error under its cap (growing at most one refinement stage per step), the
-UE takes the thinnest grid beamwidth that keeps misalignment under its
-cap (at most one grid level per step). The procedure stops when both
+UE takes the thinnest ``UE_GRID`` beamwidth that keeps misalignment under
+its cap (at most one grid level per step). The procedure stops when both
 variances meet the termination accuracies, or at the step budget.
 
 The per-step observation model is the one under-specified piece of the
-refinement procedure; it is pinned here as: wideband access pilots
-(``pilot_bandwidth`` defaults to the data band) observed for one symbol
-scaled by ``pilot_energy_scale``, calibrated so that the reference sparse
-deployment (lambda = 0.01 /m) reaches a 0.1 m ranging accuracy in about
-3 steps and 0.01 m in about 20.
+refinement procedure; it is pinned here as: wideband access pilots over
+the data band, observed for one symbol scaled by ``pilot_energy_scale``,
+calibrated so that the reference sparse deployment (lambda = 0.01 /m)
+reaches a 0.1 m ranging accuracy in about 3 steps and 0.01 m in about 20.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ from .localization import (
 )
 from .numerics import q_inverse
 
-DEFAULT_UE_GRID = tuple(math.pi / 2 ** i for i in range(1, 9))
+# the UE beamwidths, widest first; each level halves the one above it
+UE_GRID = tuple(math.pi / 2 ** i for i in range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ class AccessPolicy:
     max_steps: int = 200
     symbol_duration: float = 14.3e-6
     initial_sigma_d2: float = 25.0  # coarse sub-6GHz ranging variance [m^2]
-    initial_theta_u: float = math.pi / 2
     n_max: int = 1024               # deepest dictionary row during access
-    theta_u_grid: tuple = DEFAULT_UE_GRID
-    pilot_bandwidth: float | None = None   # None: data bandwidth
     pilot_energy_scale: float = 1.0e-3     # calibrated per-step pilot budget
     bs_growth: float = 1.5          # per-step cap on dictionary-row growth
 
@@ -66,22 +63,14 @@ class AccessPolicy:
             raise ValueError("error caps must be in (0, 1]")
         if not self.delta_d > 0.0 or not self.delta_psi > 0.0:
             raise ValueError("termination accuracies must be positive")
-        if not 0.0 < self.initial_theta_u <= math.pi / 2 + 1e-12:
-            raise ValueError("initial UE beam must be in (0, pi/2]")
         if self.max_steps < 1 or self.n_max < 1:
             raise ValueError("step budget and dictionary depth must be >= 1")
         if not self.symbol_duration > 0.0 or not self.initial_sigma_d2 > 0.0:
             raise ValueError("symbol duration and initial variance must be "
                              "positive")
-        if self.pilot_bandwidth is not None and not self.pilot_bandwidth > 0.0:
-            raise ValueError("pilot bandwidth must be positive")
         if not self.pilot_energy_scale > 0.0 or not self.bs_growth > 0.0:
             raise ValueError("pilot energy scale and row growth must be "
                              "positive")
-        # the access loop tabulates every level, reached or not
-        if not self.theta_u_grid or not all(
-                0.0 < t <= 2.0 * math.pi for t in self.theta_u_grid):
-            raise ValueError("UE grid beamwidths must be in (0, 2*pi]")
 
 
 @dataclass(frozen=True)
@@ -176,32 +165,41 @@ def _select_row(table: tuple, sigma_d2: float, delta_bs: float, k: int,
     return int(rows[-1]) + 2 if rows.size else k + start
 
 
-def select_ue_beam(sigma_psi2: float, delta_ma: float,
-                   grid: tuple = DEFAULT_UE_GRID) -> float:
-    """Thinnest candidate beamwidth keeping misalignment under the cap, the
-    widest if none does; erfc runs only where ``_tail_bracket`` cannot tell."""
+def _ue_level(sigma_psi2: float, delta_ma: float, level: int,
+              last: int) -> int:
+    """min(max(l_sel, level), last), l_sel being the deepest ``UE_GRID``
+    level whose misalignment meets the cap (0 if none does).
+
+    Each level halves the width, so nu / s halves exactly from one level
+    to the next and the computed 2 Q(nu / s) cannot fall: the levels
+    meeting the cap form a prefix of the grid, and the levels below
+    ``level`` are decided one at a time up to the first miss. erfc runs
+    only where ``_tail_bracket`` cannot tell. An infinite variance keeps
+    the level, at any cap.
+    """
+    if last <= level or sigma_psi2 == math.inf:
+        return min(level, last)
+    lo, hi = _tail_bracket(math.sqrt(sigma_psi2), delta_ma, 2)
+    while level < last:
+        nu = nu_threshold(UE_GRID[level + 1])
+        if nu < hi and (nu < lo
+                        or p_misalignment(sigma_psi2, nu) > delta_ma):
+            break
+        level += 1
+    return level
+
+
+def select_ue_beam(sigma_psi2: float, delta_ma: float) -> float:
+    """Thinnest ``UE_GRID`` beamwidth keeping misalignment under the cap,
+    the widest if none does."""
     if not (0.0 < delta_ma <= 1.0 and sigma_psi2 >= 0.0):   # NaN fails
         raise ValueError("need a cap in (0, 1] and a non-negative variance")
-    if sigma_psi2 == math.inf:
-        return max(grid)
-    lo, hi = _tail_bracket(math.sqrt(sigma_psi2), delta_ma, 2)
-    best = min((w for w in grid if nu_threshold(w) >= hi), default=math.inf)
-    widths = np.array([w for w in grid if w < best and nu_threshold(w) >= lo])
-    if widths.size:
-        errors = p_misalignment(sigma_psi2, nu_threshold(widths))
-        best = widths[errors <= delta_ma].min(initial=best)
-    return float(best) if best < math.inf else max(grid)
+    return UE_GRID[_ue_level(sigma_psi2, delta_ma, 0, len(UE_GRID) - 1)]
 
 
 # ---------------------------------------------------------------------------
 # Refinement loop
 # ---------------------------------------------------------------------------
-
-def _grid_floor(value: float, grid: tuple) -> float:
-    """Snap to the nearest grid level at or above value (widest if above all)."""
-    candidates = [t for t in sorted(grid) if t >= value - 1e-15]
-    return candidates[0] if candidates else max(grid)
-
 
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
                        cfg: NetworkConfig) -> AccessTrace:
@@ -211,9 +209,8 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
         raise ValueError("user must lie inside the cell")
 
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
-    pilot_bw = policy.pilot_bandwidth if policy.pilot_bandwidth is not None else cfg.bandwidth
     theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
-    grid = sorted(policy.theta_u_grid, reverse=True)
+    last = len(UE_GRID) - 1
 
     # Everything below depends on the user alone, so it is tabulated once:
     # the beam holding d in every row, and both variances for every
@@ -221,18 +218,17 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     # operations as a scalar call at that pair.
     rows = _row_table(d, cell_size, cfg.h_b, policy.n_max)
     gamma_b = main_lobe_gain(theta_1 / np.arange(1, policy.n_max + 1), cfg)
-    levels = np.array(grid)[:, None]
+    levels = np.array(UE_GRID)[:, None]
     var_d_table = ranging_variance(d, gamma_b, main_lobe_gain(levels, cfg),
                                    0.0, cfg, observation_time=obs_time,
-                                   pilot_bandwidth=pilot_bw)
-    elements = np.array([beamwidth_to_elements(t) for t in grid])[:, None]
+                                   pilot_bandwidth=cfg.bandwidth)
+    elements = np.array([beamwidth_to_elements(t) for t in UE_GRID])[:, None]
     var_psi_table = aoa_variance(d, gamma_b, levels, 0.0, cfg,
                                  observation_time=obs_time, elements=elements)
 
     info_d = 1.0 / policy.initial_sigma_d2
     info_psi = 0.0
-    k = 1
-    theta_u = _grid_floor(policy.initial_theta_u, policy.theta_u_grid)
+    k, level = 1, 0
     steps = []
     terminated = "max_iter"
 
@@ -245,13 +241,9 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
             k = _select_row(rows, sigma_d2, policy.delta_bs, k, min(
                 math.ceil(policy.bs_growth * k), policy.n_max))
         else:
-            theta_sel = select_ue_beam(sigma_psi2, policy.delta_ma,
-                                       policy.theta_u_grid)
-            pos = grid.index(theta_u)
-            one_down = grid[min(pos + 1, len(grid) - 1)]
-            theta_u = min(theta_u, max(theta_sel, one_down))
+            level = _ue_level(sigma_psi2, policy.delta_ma, level,
+                              min(level + 1, last))
 
-        level = grid.index(theta_u)
         var_d = float(var_d_table[level, k - 1])
         var_psi = float(var_psi_table[level, k - 1])
         info_d += 1.0 / var_d
@@ -260,9 +252,9 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
 
         sigma_d2 = 1.0 / info_d
         sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
-        steps.append(AccessStep(index=step, side=side, k=k, theta_u=theta_u,
-                                sigma_d2=sigma_d2, sigma_psi2=sigma_psi2,
-                                symbols=step))
+        steps.append(AccessStep(index=step, side=side, k=k,
+                                theta_u=UE_GRID[level], sigma_d2=sigma_d2,
+                                sigma_psi2=sigma_psi2, symbols=step))
         if (math.sqrt(sigma_d2) <= policy.delta_d
                 and math.sqrt(sigma_psi2) <= policy.delta_psi):
             terminated = "accuracy_met"
@@ -272,12 +264,11 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     # Service beam pair: the selection the final accuracy supports (the
     # sweep baselines must reach this same resolution).
     final_k = _select_row(rows, sigma_d2, policy.delta_bs, k, policy.n_max)
-    final_theta_u = min(theta_u, select_ue_beam(sigma_psi2, policy.delta_ma,
-                                                policy.theta_u_grid))
+    final_level = _ue_level(sigma_psi2, policy.delta_ma, level, last)
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
                        total_delay=total_symbols * policy.symbol_duration,
                        terminated=terminated, final_k=final_k,
-                       final_theta_u=final_theta_u)
+                       final_theta_u=UE_GRID[final_level])
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +284,15 @@ def delay_exhaustive(theta_b: float, theta_u: float, symbol_duration: float) -> 
 
 
 def delay_iterative(target_k: int, target_theta_u: float,
-                    symbol_duration: float,
-                    initial_theta_u: float = math.pi / 2) -> float:
+                    symbol_duration: float) -> float:
     """Bisection search: two probing symbols per halving stage, first on
-    the BS side down to row target_k, then on the UE side down to the
-    target beamwidth."""
+    the BS side down to row target_k, then on the UE side from the widest
+    ``UE_GRID`` level down to the target beamwidth."""
     if target_k < 1:
         raise ValueError("target dictionary size must be >= 1")
-    if target_theta_u <= 0.0 or initial_theta_u <= 0.0:
+    if target_theta_u <= 0.0:
         raise ValueError("beamwidths must be positive")
     bs_stages = math.ceil(math.log2(target_k)) if target_k > 1 else 0
-    ratio = initial_theta_u / target_theta_u
+    ratio = UE_GRID[0] / target_theta_u
     ue_stages = max(0, math.ceil(math.log2(ratio))) if ratio > 1.0 else 0
     return 2.0 * (bs_stages + ue_stages) * symbol_duration

@@ -132,15 +132,11 @@ def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
     gamma_b and beta broadcast against x as in ``observation_energy``.
     """
     m = sounding_elements(theta_u, cfg) if elements is None else elements
+    # a one-element aperture has a zero factor: info == 0, hence inf
     if isinstance(m, np.ndarray):
-        # a zero factor (m == 1) gives info == 0, hence inf, like the scalar path
         factor = np.array([_aoa_factor(int(v)) for v in m.flat]).reshape(m.shape)
     else:
         factor = _aoa_factor(m)
-        if factor == 0.0:
-            shape = np.broadcast_shapes(np.shape(x), np.shape(gamma_b),
-                                        np.shape(beta))
-            return np.full(shape, np.inf) if shape else np.inf
     if observation_time is None:
         observation_time = _sounding_time(beta, cfg)
     zeta = observation_energy(x, beta, cfg, observation_time)

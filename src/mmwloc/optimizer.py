@@ -20,7 +20,7 @@ from .config import NetworkConfig
 from .coverage import rate_coverage
 from .dictionary import row_beamwidth
 from .errors import ConfigError
-from .initial_access import DEFAULT_UE_GRID, select_ue_beam
+from .initial_access import UE_GRID, select_ue_beam
 from .localization import (
     aoa_variance,
     avg_beam_selection_error,
@@ -41,7 +41,7 @@ def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig) -> float:
     theta_k = row_beamwidth(d_a, cfg.h_b, k)
     gamma_b = main_lobe_gain(theta_k, cfg)
     x_ref = 0.5 * d_a
-    sigma2 = float(aoa_variance(x_ref, gamma_b, max(DEFAULT_UE_GRID), 0.5, cfg))
+    sigma2 = float(aoa_variance(x_ref, gamma_b, UE_GRID[0], 0.5, cfg))
     return select_ue_beam(sigma2, 0.05)
 
 

@@ -7,7 +7,12 @@ import warnings
 import pytest
 
 from mmwloc import cli
-from mmwloc.config import NetworkConfig, from_boundary_mapping, parse_config_text
+from mmwloc.config import (
+    NetworkConfig,
+    boundary_keys,
+    from_boundary_mapping,
+    parse_config_text,
+)
 from mmwloc.errors import ConfigError, NumericError
 
 
@@ -38,8 +43,14 @@ class TestConfigBoundary:
             parse_config_text("just words\n")
 
     def test_invalid_values_surface_as_config_error(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(bs_density=-1.0)
+        # NetworkConfig(n_los=inf) used to raise OverflowError, and an
+        # infinite or fractional ue_sounding_elements passed
+        for bad in ({"bs_density": -1.0}, {"h_b": float("inf")},
+                    {"n_los": float("inf")}, {"n_nlos": 2.5},
+                    {"ue_sounding_elements": 2.5},
+                    {"ue_sounding_elements": float("inf")}):
+            with pytest.raises(ConfigError):
+                NetworkConfig(**bad)
 
 
 class TestCliRuns:
@@ -88,6 +99,24 @@ class TestCliRuns:
         code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
                          "--network.lambda_per_m", "not-a-number"])
         assert code == 2
+
+    # inf on lambda_per_km, lambda_per_m and h_b_m used to end in a
+    # ValueError traceback, on the integer keys in an OverflowError one,
+    # and on the rest it passed; 2.5 was truncated to 2; a dB value past
+    # the float range overflowed in the conversion
+    @pytest.mark.parametrize("key, value", [
+        *((key, "inf") for key in boundary_keys()),
+        *((key, "2.5") for key in ("network.n_los", "network.n_nlos",
+                                   "network.ue_sounding_elements")),
+        ("network.p_t_dbm", "4000"), ("network.noise_dbw", "4000")])
+    def test_non_finite_or_fractional_value_exits_2(self, tmp_path, capsys,
+                                                    key, value):
+        code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
+                         "--set", "experiment.k_max=2",
+                         "--set", f"{key}={value}"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("step", ["0", "1.5", "-0.1", "abc"])
     def test_bad_beta_step_exits_2(self, tmp_path, capsys, step):

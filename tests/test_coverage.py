@@ -25,10 +25,13 @@ from mmwloc.coverage import (
 )
 from mmwloc.dictionary import beam_boundaries, row_beamwidth
 from mmwloc.errors import NumericError
+from mmwloc.initial_access import UE_GRID
 from mmwloc.localization import (
     BEAM_NODES,
     _cell_grid,
     aoa_variance,
+    avg_beam_selection_error,
+    avg_misalignment_error,
     beam_selection_profile,
     nu_threshold,
     p_misalignment,
@@ -451,6 +454,49 @@ class TestBatchedCoverage:
         monkeypatch.setattr(coverage, "_mixture_values", inflated)
         with pytest.raises(NumericError):
             overall_coverage(1e-9, 4, math.pi / 8, 0.5, cfg)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# valid configs around the defaults, over every field the cell averages
+# read; the ones spanning decades are drawn on a log scale
+CONFIGS = st.builds(
+    NetworkConfig, bs_density=_log_uniform(-3.0, -0.7),
+    p_t=_log_uniform(-2.0, 1.0), h_b=st.floats(2.0, 30.0),
+    alpha_los=st.floats(1.8, 2.5), alpha_nlos=st.floats(2.5, 4.5),
+    n_los=st.integers(1, 4), n_nlos=st.integers(1, 4),
+    d_s=st.floats(5.0, 100.0), noise_psd=_log_uniform(-16.0, -8.0),
+    eps_sidelobe=_log_uniform(-3.0, -1.0), t_frame=_log_uniform(-4.0, -2.0),
+    pilot_bandwidth=_log_uniform(4.0, 8.0),
+    aoa_sounding_time=_log_uniform(-7.0, -4.0),
+    ue_sounding_elements=st.integers(1, 16))
+
+
+class TestRandomValidConfigs:
+    # per position each error rises with beta, as the localization phase
+    # (1 - beta) T_F shrinks; fixed-order sums with non-negative weights
+    # keep that order
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=CONFIGS, k=st.integers(1, 16), theta_u=st.sampled_from(UE_GRID),
+           steps=st.sets(st.integers(0, 50), min_size=1, max_size=6))
+    def test_error_averages_bounded_and_monotone_in_beta(self, cfg, k,
+                                                         theta_u, steps):
+        betas = np.array(sorted(steps)) / 50.0
+        for errors in (avg_beam_selection_error(k, betas, theta_u, cfg),
+                       avg_misalignment_error(k, theta_u, betas, cfg)):
+            assert np.all((errors >= 0.0) & (errors <= 1.0))
+            assert np.all(np.diff(errors) >= 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=CONFIGS, k=st.integers(1, 16), theta_u=st.sampled_from(UE_GRID),
+           threshold=_log_uniform(-3.0, 3.0), beta=st.floats(0.0, 1.0))
+    def test_overall_coverage_in_unit_interval(self, cfg, k, theta_u,
+                                               threshold, beta):
+        # a NumericError here would be an overshoot beyond rounding
+        value = overall_coverage(threshold, k, theta_u, beta, cfg)
+        assert 0.0 <= value <= 1.0
 
 
 class TestRateCoverage:

@@ -11,13 +11,13 @@ from mmwloc import AccessPolicy, NetworkConfig, build_dictionary, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.initial_access import (
-    DEFAULT_UE_GRID,
+    UE_GRID,
     AccessStep,
     AccessTrace,
-    _grid_floor,
     _row_table,
     _select_row,
     _tail_bracket,
+    _ue_level,
     delay_exhaustive,
     delay_iterative,
     run_initial_access,
@@ -79,10 +79,10 @@ class TestSelectBsBeam:
 
 class TestSelectUeBeam:
     def test_perfect_estimate_takes_thinnest(self):
-        assert select_ue_beam(0.0, 0.05) == min(DEFAULT_UE_GRID)
+        assert select_ue_beam(0.0, 0.05) == min(UE_GRID)
 
     def test_vacuous_cap_takes_thinnest(self):
-        assert select_ue_beam(0.5, 1.0) == min(DEFAULT_UE_GRID)
+        assert select_ue_beam(0.5, 1.0) == min(UE_GRID)
 
     def test_q_inverse_example(self):
         # sigma = 0.05 rad, cap 0.1 under the UE-lobe rule: need
@@ -91,8 +91,8 @@ class TestSelectUeBeam:
         assert got == pytest.approx(math.pi / 16)
 
     def test_fallback_to_widest(self):
-        assert select_ue_beam(10.0, 1e-6) == max(DEFAULT_UE_GRID)
-        assert select_ue_beam(math.inf, 0.05) == max(DEFAULT_UE_GRID)
+        assert select_ue_beam(10.0, 1e-6) == max(UE_GRID)
+        assert select_ue_beam(math.inf, 0.05) == max(UE_GRID)
 
     # each used to return the widest beam, or the thinnest for cap 2
     @pytest.mark.parametrize("sigma_psi2, cap", [
@@ -166,15 +166,15 @@ def _window(k_sel, k, c):
     return min(max(k_sel, k), c)
 
 
-def _reference_ue_beam(sigma_psi2, delta_ma, grid):
+def _reference_ue_beam(sigma_psi2, delta_ma):
     """Thinnest level meeting the cap (the widest if none does), from the
     misalignment of every grid level."""
     if not math.isfinite(sigma_psi2):
-        return max(grid)
-    widths = np.asarray(grid, dtype=float)
+        return max(UE_GRID)
+    widths = np.asarray(UE_GRID, dtype=float)
     errors = p_misalignment(sigma_psi2, nu_threshold(widths))
     feasible = widths[errors <= delta_ma]
-    return float(feasible.min()) if feasible.size else max(grid)
+    return float(feasible.min()) if feasible.size else max(UE_GRID)
 
 
 def _reference_access(d, cell_size, policy, cfg):
@@ -183,13 +183,11 @@ def _reference_access(d, cell_size, policy, cfg):
     run_initial_access tabulates these per user, brackets the searches,
     and must reproduce this loop bit for bit."""
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
-    pilot_bw = (policy.pilot_bandwidth if policy.pilot_bandwidth is not None
-                else cfg.bandwidth)
     theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
     info_d = 1.0 / policy.initial_sigma_d2
     info_psi = 0.0
     k = 1
-    theta_u = _grid_floor(policy.initial_theta_u, policy.theta_u_grid)
+    theta_u = max(UE_GRID)
     steps = []
     terminated = "max_iter"
     for step in range(1, policy.max_steps + 1):
@@ -202,17 +200,15 @@ def _reference_access(d, cell_size, policy, cfg):
             k = int(min(max(k_sel, k), math.ceil(policy.bs_growth * k),
                         policy.n_max))
         else:
-            theta_sel = _reference_ue_beam(sigma_psi2, policy.delta_ma,
-                                           policy.theta_u_grid)
-            grid_sorted = sorted(policy.theta_u_grid, reverse=True)
-            pos = grid_sorted.index(theta_u)
-            one_down = grid_sorted[min(pos + 1, len(grid_sorted) - 1)]
+            theta_sel = _reference_ue_beam(sigma_psi2, policy.delta_ma)
+            pos = UE_GRID.index(theta_u)
+            one_down = UE_GRID[min(pos + 1, len(UE_GRID) - 1)]
             theta_u = min(theta_u, max(theta_sel, one_down))
         gamma_b = main_lobe_gain(theta_1 / k, cfg)
         gamma_u = main_lobe_gain(theta_u, cfg)
         var_d = float(ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
                                        observation_time=obs_time,
-                                       pilot_bandwidth=pilot_bw))
+                                       pilot_bandwidth=cfg.bandwidth))
         var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, cfg,
                                      observation_time=obs_time,
                                      elements=beamwidth_to_elements(theta_u)))
@@ -231,8 +227,8 @@ def _reference_access(d, cell_size, policy, cfg):
     total_symbols = steps[-1].symbols if steps else 0
     final_k = max(_reference_row(cell_size, cfg.h_b, policy.n_max, d,
                                  sigma_d2, policy.delta_bs), k)
-    final_theta_u = min(theta_u, _reference_ue_beam(
-        sigma_psi2, policy.delta_ma, policy.theta_u_grid))
+    final_theta_u = min(theta_u, _reference_ue_beam(sigma_psi2,
+                                                    policy.delta_ma))
     return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
                        total_delay=total_symbols * policy.symbol_duration,
                        terminated=terminated, final_k=final_k,
@@ -245,47 +241,31 @@ class TestTabulatedLoop:
     # (d, cell_size) at the default d_s = 20 m: cell edge, d = 0, mid-cell
     # inside the LOS ball, mid-cell beyond it
     GEOMETRIES = ((30.0, 30.0), (0.0, 30.0), (7.5, 15.0), (45.0, 90.0))
-    # an unsorted grid, a start level off it, a set pilot band
-    CUSTOM = dict(theta_u_grid=(math.pi / 8, math.pi / 2, 0.05, math.pi / 3,
-                                0.2, math.pi / 32),
-                  initial_theta_u=1.3, pilot_bandwidth=2.0e8)
 
     # a 3-step budget ends at a coarse variance, where the final row
     # selection depends on which position it is made at
     # growth 0.5 and 1 shut the window (c <= k) at every step, so k
     # stays 1; 3 lets one step jump three times as deep
     @pytest.mark.parametrize("max_steps", [3, 60])
-    @pytest.mark.parametrize("custom", [False, True])
     @pytest.mark.parametrize("n_max", [1, 2, 64, 1024])
     @pytest.mark.parametrize("d, cell_size", GEOMETRIES)
     @pytest.mark.parametrize("bs_growth", [0.5, 1.0, 1.5, 3.0])
     def test_bit_identical_to_reference(self, cfg, bs_growth, d, cell_size,
-                                        n_max, custom, max_steps):
+                                        n_max, max_steps):
         policy = AccessPolicy(delta_d=0.002, max_steps=max_steps, n_max=n_max,
-                              bs_growth=bs_growth,
-                              **(self.CUSTOM if custom else {}))
+                              bs_growth=bs_growth)
         got = run_initial_access(d, cell_size, policy, cfg)
         want = _reference_access(d, cell_size, policy, cfg)
         assert repr(got) == repr(want)
         assert len(got.steps) > 2
 
-    def test_grid_levels_checked(self):
-        for grid in ((math.pi / 2, 0.0), (7.0, math.pi / 4), ()):
-            with pytest.raises(ValueError):
-                AccessPolicy(theta_u_grid=grid)
-
     @pytest.mark.parametrize("field", [
         "delta_bs", "delta_ma", "delta_d", "delta_psi", "symbol_duration",
-        "initial_sigma_d2", "initial_theta_u", "pilot_bandwidth",
-        "pilot_energy_scale", "bs_growth"])
+        "initial_sigma_d2", "pilot_energy_scale", "bs_growth"])
     def test_nan_float_rejected(self, field):
         # a NaN accuracy used to pass, and the loop ran to max_steps
         with pytest.raises(ValueError):
             AccessPolicy(**{field: float("nan")})
-
-    def test_nan_grid_level_rejected(self):
-        with pytest.raises(ValueError):
-            AccessPolicy(theta_u_grid=(math.pi / 2, float("nan")))
 
 
 # every cap the bracket treats differently: a tiny one (the absolute
@@ -312,10 +292,9 @@ def _check_row(d_hat, d_a, h_b, n_max, sigma_d2, cap):
                 want, k, c), (d_hat, d_a, h_b, n_max, sigma_d2, cap, k, c)
 
 
-def _check_ue(sigma_psi2, cap, grid=DEFAULT_UE_GRID):
-    got = select_ue_beam(sigma_psi2, cap, grid)
-    assert got == _reference_ue_beam(sigma_psi2, cap, grid), (
-        sigma_psi2, cap, grid)
+def _check_ue(sigma_psi2, cap):
+    got = select_ue_beam(sigma_psi2, cap)
+    assert got == _reference_ue_beam(sigma_psi2, cap), (sigma_psi2, cap)
 
 
 class TestTailBracket:
@@ -336,10 +315,8 @@ class TestTailBracket:
     @pytest.mark.parametrize("cap", CAPS)
     def test_random_ue_levels(self, cap):
         rng = np.random.default_rng(7)
-        for i in range(200):
-            grid = (DEFAULT_UE_GRID if i % 2 else
-                    tuple(rng.uniform(0.01, 2 * math.pi, rng.integers(1, 10))))
-            _check_ue(10.0 ** rng.uniform(-8.0, 1.0), cap, grid)
+        for _ in range(200):
+            _check_ue(10.0 ** rng.uniform(-8.0, 1.0), cap)
         _check_ue(0.0, cap)
 
     @pytest.mark.parametrize("n_max", [1, 2, 32, 1024])
@@ -424,7 +401,7 @@ class TestTailBracket:
         # the bracket's edges, then levels with Q(t) in the band
         # (cap / 2, cap], where 2 Q(t) already misses the cap
         band = [q_inverse(r * cap) for r in (0.5, 0.51, 0.75, 0.99, 1.0)]
-        for width in DEFAULT_UE_GRID:
+        for width in UE_GRID:
             for z in list(_tail_bracket(1.0, cap, 2)) + band:
                 if 0.0 < z < math.inf:
                     for ulps in range(-4, 5):
@@ -443,7 +420,7 @@ class TestTailBracket:
 
         monkeypatch.setattr(initial_access, "p_misalignment", counting)
         levels = 0
-        for width in DEFAULT_UE_GRID:
+        for width in UE_GRID:
             for ratio in (0.51, 0.75, 0.99):
                 z = q_inverse(ratio * cap)
                 if 0.0 < z < math.inf:
@@ -452,6 +429,57 @@ class TestTailBracket:
                     assert nu_threshold(width) not in evaluated
                     levels += 1
         assert levels > 0
+
+    # a UE step (last = level + 1), the final selection (last = 7) and
+    # shut windows (last <= level)
+    @settings(max_examples=300, deadline=None)
+    @given(sigma_psi2=st.one_of(st.sampled_from([0.0, math.inf]),
+                                st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)),
+           cap=st.sampled_from(CAPS), level=st.integers(0, len(UE_GRID) - 1),
+           last=st.integers(0, len(UE_GRID) - 1))
+    def test_ue_level_matches_full_evaluation(self, sigma_psi2, cap, level,
+                                              last):
+        level = min(level, last)
+        want = UE_GRID.index(_reference_ue_beam(sigma_psi2, cap))
+        assert _ue_level(sigma_psi2, cap, level, last) == min(max(want, level),
+                                                              last)
+
+    def test_ue_step_decides_at_most_one_level(self, cfg, monkeypatch):
+        # a UE step moves at most one level down: it decides only that
+        # level and hands erfc at most that one
+        decided, evaluated, per_step = [], [], []
+
+        def counting_nu(theta_u):
+            decided.append(np.size(theta_u))
+            return nu_threshold(theta_u)
+
+        def counting(sigma_psi2, nu):
+            evaluated.append(np.size(nu))
+            return p_misalignment(sigma_psi2, nu)
+
+        def step(sigma_psi2, cap, level, last):
+            decided.clear()
+            evaluated.clear()
+            out = _ue_level(sigma_psi2, cap, level, last)
+            if last == level + 1:
+                per_step.append((sum(decided), sum(evaluated)))
+            return out
+
+        monkeypatch.setattr(initial_access, "nu_threshold", counting_nu)
+        monkeypatch.setattr(initial_access, "p_misalignment", counting)
+        monkeypatch.setattr(initial_access, "_ue_level", step)
+        for d, cell_size in TestTabulatedLoop.GEOMETRIES:
+            for cap in CAPS:
+                run_initial_access(d, cell_size, AccessPolicy(
+                    delta_ma=cap, delta_d=0.002), cfg)
+        loop_steps = len(per_step)
+        # steps whose level below has 2 Q(t) at the cap: only erfc decides
+        for level in range(len(UE_GRID) - 1):
+            for cap in CAPS[:-1]:
+                nu = nu_threshold(UE_GRID[level + 1])
+                step((nu / q_inverse(cap / 2.0)) ** 2, cap, level, level + 1)
+        assert loop_steps > 100
+        assert max(per_step) == (1, 1)
 
 
 class TestBaselineDelays:

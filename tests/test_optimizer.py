@@ -17,9 +17,9 @@ def cfg():
 
 class TestUeBeamPairing:
     def test_within_grid(self, cfg):
-        from mmwloc.initial_access import DEFAULT_UE_GRID
+        from mmwloc.initial_access import UE_GRID
         for k in (1, 2, 8, 32):
-            assert ue_beamwidth_for_dictionary(k, cfg) in DEFAULT_UE_GRID
+            assert ue_beamwidth_for_dictionary(k, cfg) in UE_GRID
 
     def test_wider_at_higher_noise(self, cfg):
         noisy = cfg.with_overrides(noise_psd=10 * cfg.noise_psd)
