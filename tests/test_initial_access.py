@@ -241,19 +241,25 @@ class TestTabulatedLoop:
     # (d, cell_size) at the default d_s = 20 m: cell edge, d = 0, mid-cell
     # inside the LOS ball, mid-cell beyond it
     GEOMETRIES = ((30.0, 30.0), (0.0, 30.0), (7.5, 15.0), (45.0, 90.0))
+    # another prior (1 / (1 / 49) is 49 + 1 ulp), a tight row cap, a loose
+    # misalignment cap and a doubled pilot budget
+    OTHER = dict(initial_sigma_d2=49.0, delta_bs=0.01, delta_ma=0.2,
+                 pilot_energy_scale=2.0e-3)
 
     # a 3-step budget ends at a coarse variance, where the final row
     # selection depends on which position it is made at
     # growth 0.5 and 1 shut the window (c <= k) at every step, so k
     # stays 1; 3 lets one step jump three times as deep
     @pytest.mark.parametrize("max_steps", [3, 60])
+    @pytest.mark.parametrize("other", [False, True])
     @pytest.mark.parametrize("n_max", [1, 2, 64, 1024])
     @pytest.mark.parametrize("d, cell_size", GEOMETRIES)
     @pytest.mark.parametrize("bs_growth", [0.5, 1.0, 1.5, 3.0])
     def test_bit_identical_to_reference(self, cfg, bs_growth, d, cell_size,
-                                        n_max, max_steps):
+                                        n_max, other, max_steps):
         policy = AccessPolicy(delta_d=0.002, max_steps=max_steps, n_max=n_max,
-                              bs_growth=bs_growth)
+                              bs_growth=bs_growth,
+                              **(self.OTHER if other else {}))
         got = run_initial_access(d, cell_size, policy, cfg)
         want = _reference_access(d, cell_size, policy, cfg)
         assert repr(got) == repr(want)
