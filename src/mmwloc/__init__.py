@@ -13,12 +13,7 @@ from .antenna import (
     main_lobe_gain,
     sidelobe_gain,
 )
-from .dictionary import (
-    BeamDictionary,
-    BeamEntry,
-    beam_boundaries,
-    build_dictionary,
-)
+from .dictionary import beam_boundaries
 from .localization import (
     avg_beam_selection_error,
     avg_misalignment_error,

@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
-Subcommands: ``run <experiment>``, ``dump-dictionary``, ``optimize``,
-``validate``. Configuration comes from an optional flat key=value file
-(boundary units: dBm, dBm/Hz, per-km) plus dotted-key overrides, each of
-which is also exposed as a flag of the same dotted name.
+Subcommands: ``run <experiment>``, ``dump-dictionary`` and ``optimize``,
+one entry point per output (the analytic-versus-Monte-Carlo check is
+``run validate-analytical``). Configuration comes from an optional flat
+key=value file (boundary units: dBm, dBm/Hz, per-km) plus dotted-key
+overrides, each of which is also exposed as a flag of the same dotted
+name.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for numeric
 failures.
@@ -81,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt_p.add_argument("--r0", type=_within(float, 0.0), default=1.0e8)
     opt_p.add_argument("--eps-bs", type=_within(float, 0.0, 1.0), default=0.1)
     opt_p.add_argument("--eps-ma", type=_within(float, 0.0, 1.0), default=0.1)
-
-    val_p = sub.add_parser("validate",
-                           help="analytical vs Monte Carlo validation grid")
-    _add_common(val_p)
-    val_p.set_defaults(experiment="validate-analytical")
     return parser
 
 
@@ -129,7 +126,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} reads no experiment knobs, "
                               f"got {sorted(experiment_entries)[0]}")
 
-        if args.command in ("run", "validate"):
+        if args.command == "run":
             spec = ExperimentSpec(name=args.experiment, cfg=cfg,
                                   out_dir=args.out, seed=args.seed,
                                   trials=args.trials,

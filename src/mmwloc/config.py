@@ -39,7 +39,6 @@ class NetworkConfig:
     d_s: float = 20.0               # LOS ball radius [m]
     bandwidth: float = 1.0e9        # data bandwidth [Hz]
     noise_psd: float = 1.0e-12      # noise PSD [W/Hz] (-30 dBW over 1 GHz)
-    f_c: float = 28.0e9             # carrier frequency [Hz]
     g0: float = 31.6227766016838    # reference omni gain (15 dBi, linear)
     eps_sidelobe: float = 0.01      # sidelobe fraction, << 1
     t_frame: float = 1.0e-3         # service-phase duration T_F [s]
@@ -51,7 +50,7 @@ class NetworkConfig:
     def __post_init__(self):
         positive = (
             "bs_density", "p_t", "h_b", "k_pl", "alpha_los", "alpha_nlos",
-            "d_s", "bandwidth", "noise_psd", "f_c", "g0", "eps_sidelobe",
+            "d_s", "bandwidth", "noise_psd", "g0", "eps_sidelobe",
             "t_frame", "t_init", "pilot_bandwidth", "aoa_sounding_time",
         )
         for name in positive:
@@ -106,7 +105,6 @@ _BOUNDARY_KEYS = {
     "network.d_s_m": ("d_s", float),
     "network.bandwidth_hz": ("bandwidth", float),
     "network.noise_dbm_hz": ("noise_psd", dbm_to_watt),
-    "network.f_c_hz": ("f_c", float),
     "network.g0_dbi": ("g0", db_to_linear),
     "network.eps_sidelobe": ("eps_sidelobe", float),
     "network.t_frame_s": ("t_frame", float),

@@ -22,7 +22,7 @@ import scipy
 from . import __version__
 from .config import NetworkConfig
 from .coverage import CoverageQuery, overall_coverage, rate_coverage
-from .dictionary import build_dictionary, row_beamwidth
+from .dictionary import beam_boundaries, row_beamwidth
 from .errors import ConfigError
 from .initial_access import (
     AccessPolicy,
@@ -45,8 +45,7 @@ EXPERIMENT_NAMES = (
     "error-vs-dictionary",
     "rate-vs-beta",
     "rate-vs-pbs",
-    "optimal-beta-map",
-    "optimal-k-map",
+    "optimal-map",
     "validate-analytical",
 )
 
@@ -108,14 +107,6 @@ _CAP = _Range(0.0, 1.0)
 _RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8, _POSITIVE),
                        "k_list": (_list_of(int), "4,16", _POSITIVE),
                        "beta_step": (default_beta_grid, 0.02, _PROBABILITY)}
-# The maps probe the demanding-rate regime where the partition trade-off
-# stays active even at the quiet end of the noise grid.
-_MAP_KNOBS = {"lambda_min": (float, 0.01, _POSITIVE),
-              "lambda_max": (float, 0.2, _POSITIVE),
-              "lambda_points": (int, 5, _POSITIVE),
-              "noise_dbw": (_list_of(float), "-50,-40,-30,-20", _FINITE),
-              "r0": (float, 6.0e9, _POSITIVE), "eps_bs": (float, 0.1, _CAP),
-              "eps_ma": (float, 0.1, _CAP)}
 # experiment -> {knob: (parse, default, range)}: every ``experiment.<knob>``
 # override an experiment reads; any other key is rejected. beta_step parses
 # to its beta grid, and the range applies to the grid's betas.
@@ -131,8 +122,16 @@ _KNOBS = {
                             "k_max": (int, 32, _POSITIVE)},
     "rate-vs-beta": _RATE_VS_BETA_KNOBS,
     "rate-vs-pbs": _RATE_VS_BETA_KNOBS,
-    "optimal-beta-map": _MAP_KNOBS,
-    "optimal-k-map": _MAP_KNOBS,
+    # the map probes the demanding-rate regime where the partition
+    # trade-off stays active even at the quiet end of the noise grid
+    "optimal-map": {"lambda_min": (float, 0.01, _POSITIVE),
+                    "lambda_max": (float, 0.2, _POSITIVE),
+                    "lambda_points": (int, 5, _POSITIVE),
+                    "noise_dbw": (_list_of(float), "-50,-40,-30,-20",
+                                  _FINITE),
+                    "r0": (float, 6.0e9, _POSITIVE),
+                    "eps_bs": (float, 0.1, _CAP),
+                    "eps_ma": (float, 0.1, _CAP)},
     "validate-analytical": {"lambdas": (_list_of(float), "0.005,0.02,0.1",
                                         _POSITIVE),
                             "threshold_db": (float, 5.0, _FINITE)},
@@ -301,7 +300,7 @@ def _run_rate_vs_pbs(spec: ExperimentSpec):
     return outputs + [out]
 
 
-def _run_optimal_maps(spec: ExperimentSpec, value: str):
+def _run_optimal_map(spec: ExperimentSpec):
     lams = _lambda_grid(spec)
     noises = sorted(_knob(spec, "noise_dbw"))
     opt_spec = OptimizationSpec(r0=_knob(spec, "r0"),
@@ -323,7 +322,7 @@ def _run_optimal_maps(spec: ExperimentSpec, value: str):
     items = [(lam, dbw) for lam in lams for dbw in noises]
     rows = [point(item) for item in items]
     rows.sort(key=lambda r: (r[0], r[1]))
-    out = spec.out_dir / f"optimal_{value}_map.csv"
+    out = spec.out_dir / "optimal_map.csv"
     _write_csv(out, ["lambda", "noise_dbw", "feasible", "k_star", "beta_star",
                      "theta_star", "objective"], rows)
     return [out]
@@ -362,8 +361,7 @@ _RUNNERS = {
     "error-vs-dictionary": _run_error_vs_dictionary,
     "rate-vs-beta": lambda s: _run_rate_vs_beta(s)[0],
     "rate-vs-pbs": _run_rate_vs_pbs,
-    "optimal-beta-map": lambda s: _run_optimal_maps(s, "beta"),
-    "optimal-k-map": lambda s: _run_optimal_maps(s, "k"),
+    "optimal-map": _run_optimal_map,
     "validate-analytical": _run_validate_analytical,
 }
 
@@ -379,11 +377,21 @@ def run_experiment(spec: ExperimentSpec):
 
 def dump_dictionary(cfg: NetworkConfig, out_dir: Path, cell_size: float | None,
                     n_max: int) -> Path:
-    """Write the (k, j, theta_k, d_left, d_right) table for inspection."""
+    """Write the (k, j, theta_k, d_left, d_right) table of rows 1..n_max
+    for inspection, each value as its repr so that it reads back exactly."""
+    d_a = cell_size if cell_size is not None else cfg.mean_cell_size
+    if not (d_a > 0.0 and n_max >= 1):   # NaN fails too
+        raise ValueError("cell size must be positive and n_max >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    d_a = cell_size if cell_size is not None else cfg.mean_cell_size
-    dictionary = build_dictionary(d_a, cfg.h_b, n_max)
     path = out_dir / "beam_dictionary.csv"
-    dictionary.to_csv(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "j", "theta_k", "d_left", "d_right"])
+        for k in range(1, n_max + 1):
+            theta_k = repr(row_beamwidth(d_a, cfg.h_b, k))
+            edges = beam_boundaries(d_a, cfg.h_b, k).tolist()
+            for j in range(1, k + 1):
+                writer.writerow([k, j, theta_k, repr(edges[j - 1]),
+                                 repr(edges[j])])
     return path

@@ -63,8 +63,10 @@ class AccessPolicy:
             raise ValueError("error caps must be in (0, 1]")
         if not self.delta_d > 0.0 or not self.delta_psi > 0.0:
             raise ValueError("termination accuracies must be positive")
-        if self.max_steps < 1 or self.n_max < 1:
-            raise ValueError("step budget and dictionary depth must be >= 1")
+        for name in ("max_steps", "n_max"):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 1):  # inf, NaN fail
+                raise ValueError(f"{name} must be an integer >= 1")
         if not self.symbol_duration > 0.0 or not self.initial_sigma_d2 > 0.0:
             raise ValueError("symbol duration and initial variance must be "
                              "positive")

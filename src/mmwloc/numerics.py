@@ -55,26 +55,20 @@ def gauss_legendre(a, b, n: int):
     return x, w
 
 
-def exponential_cell_nodes(rate: float, n: int, split: float | None = None):
+def exponential_cell_nodes(rate: float, n: int, split: float):
     """Quadrature grid for E[f(X)] with X ~ Exp(rate), truncated at its
     0.9999 quantile and renormalized.
 
     Returns (nodes, weights) such that sum(w_i * f(x_i)) approximates the
-    expectation of f over the truncated distribution. ``split`` places a
-    panel boundary at a known kink of f (e.g. the LOS-ball edge).
+    expectation of f over the truncated distribution. The grid is split
+    (``split_panel``) at ``split``, a known kink of f such as the LOS-ball
+    edge, when it lies inside.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     quantile = 0.9999
     x_max = -np.log1p(-quantile) / rate
-    if split is not None and 0.0 < split < x_max:
-        half = n // 2
-        x1, w1 = gauss_legendre(0.0, split, half)
-        x2, w2 = gauss_legendre(split, x_max, n - half)
-        x = np.concatenate([x1, x2])
-        w = np.concatenate([w1, w2])
-    else:
-        x, w = gauss_legendre(0.0, x_max, n)
+    x, w = split_panel(0.0, x_max, split, n)
     pdf = rate * np.exp(-rate * x)
     weights = w * pdf / quantile
     return x, weights

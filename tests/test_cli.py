@@ -90,10 +90,12 @@ class TestCliRuns:
         assert len(lines) == 1 + 10
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
-                         "--set", "nonsense.key=1"])
-        assert code == 2
-        assert "nonsense.key" in capsys.readouterr().err
+        # nothing reads a carrier frequency, so network.f_c_hz is no key
+        for key in ("nonsense.key", "network.f_c_hz"):
+            code = cli.main(["run", "error-vs-dictionary",
+                             "--out", str(tmp_path), "--set", f"{key}=1"])
+            assert code == 2
+            assert f"unknown config key: {key}" in capsys.readouterr().err
 
     def test_bad_value_exits_2(self, tmp_path):
         code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
@@ -134,9 +136,10 @@ class TestCliRuns:
          "experiment.lambda_points"),
         (["run", "rate-vs-beta", "--set", "experiment.k_list=4,x"],
          "experiment.k_list"),
-        (["run", "optimal-k-map", "--set", "experiment.noise_dbw=-50,loud"],
+        (["run", "optimal-map", "--set", "experiment.noise_dbw=-50,loud"],
          "experiment.noise_dbw"),
-        (["validate", "--set", "experiment.lambdas=0.01,"],
+        (["run", "validate-analytical",
+          "--set", "experiment.lambdas=0.01,"],
          "experiment.lambdas"),
         # a knob of another experiment is unknown here
         (["run", "access-delay", "--set", "experiment.k_max=4"],
@@ -151,7 +154,7 @@ class TestCliRuns:
          "experiment.delta_d"),
         (["run", "access-resolution", "--set", "experiment.delta_d=0"],
          "experiment.delta_d"),
-        (["run", "optimal-k-map", "--set", "experiment.eps_bs=2"],
+        (["run", "optimal-map", "--set", "experiment.eps_bs=2"],
          "experiment.eps_bs"),
         (["run", "error-vs-dictionary", "--set", "experiment.beta=1.5"],
          "experiment.beta"),
@@ -161,7 +164,7 @@ class TestCliRuns:
          "experiment.k_max"),
         (["run", "access-delay", "--set", "experiment.lambda_min=0"],
          "experiment.lambda_min"),
-        (["run", "optimal-beta-map", "--set", "experiment.lambda_max=-0.1"],
+        (["run", "optimal-map", "--set", "experiment.lambda_max=-0.1"],
          "experiment.lambda_max"),
     ])
     def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
@@ -183,13 +186,17 @@ class TestCliRuns:
     @pytest.mark.parametrize("argv", [
         ["run", "error-vs-dictionary", "--trials", "0"],
         ["run", "error-vs-dictionary", "--trials", "-5"],
-        ["validate", "--seed", "-1"],
+        ["run", "validate-analytical", "--seed", "-1"],
         ["optimize", "--eps-bs", "0"],
         ["optimize", "--eps-ma", "1"],
         ["optimize", "--r0", "-1"],
         ["dump-dictionary", "--n-max", "0"],
         ["dump-dictionary", "--cell-size", "-1"],
-        ["validate", "--threads", "2"],
+        ["run", "validate-analytical", "--threads", "2"],
+        # retired entry points: one experiment per output, no alias
+        ["run", "optimal-k-map"],
+        ["run", "optimal-beta-map"],
+        ["validate"],
     ])
     def test_bad_flag_exits_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -198,22 +205,12 @@ class TestCliRuns:
 
     def test_validate_outputs_are_bit_identical_across_reruns(self, tmp_path):
         # determinism guarantee: same (config, seed) regenerates the same bytes
-        args = ["validate", "--seed", "9", "--trials", "4000",
-                "--set", "experiment.lambdas=0.05"]
+        args = ["run", "validate-analytical", "--seed", "9",
+                "--trials", "4000", "--set", "experiment.lambdas=0.05"]
         code = cli.main(args + ["--out", str(tmp_path / "a")])
         assert code == 0
         code = cli.main(args + ["--out", str(tmp_path / "b")])
         assert code == 0
-        a = (tmp_path / "a" / "validate_analytical.csv").read_bytes()
-        b = (tmp_path / "b" / "validate_analytical.csv").read_bytes()
-        assert a == b
-
-    def test_validate_equals_run_validate_analytical(self, tmp_path):
-        args = ["--seed", "3", "--trials", "4000",
-                "--set", "experiment.lambdas=0.05"]
-        for argv, out in ((["validate"], "a"),
-                          (["run", "validate-analytical"], "b")):
-            assert cli.main(argv + args + ["--out", str(tmp_path / out)]) == 0
         a = (tmp_path / "a" / "validate_analytical.csv").read_bytes()
         b = (tmp_path / "b" / "validate_analytical.csv").read_bytes()
         assert a == b

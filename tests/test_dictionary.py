@@ -1,56 +1,59 @@
 """Beam database: construction, tiling invariants, and lookups."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from mmwloc import build_dictionary
+from mmwloc import NetworkConfig
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
+from mmwloc.experiments import dump_dictionary
 
 
 class TestConstruction:
     def test_single_beam_covers_cell(self):
-        d = build_dictionary(37.5, 10.0, 1)
-        (beam,) = d.row(1)
-        assert beam.d_left == 0.0
-        assert beam.d_right == pytest.approx(37.5, rel=1e-12)
+        assert beam_boundaries(37.5, 10.0, 1).tolist() == [0.0, 37.5]
 
     def test_two_beam_example(self):
         # theta_1 = pi/4 at d_a == h_b == 10; first boundary 10*tan(pi/8)
-        d = build_dictionary(10.0, 10.0, 2)
-        first, second = d.row(2)
-        assert first.theta == pytest.approx(math.pi / 8, rel=1e-12)
-        assert first.d_right == pytest.approx(10 * math.tan(math.pi / 8), rel=1e-12)
-        assert first.d_right == pytest.approx(4.142135623730951, rel=1e-9)
-        assert second.d_right == pytest.approx(10.0, rel=1e-12)
+        assert row_beamwidth(10.0, 10.0, 2) == pytest.approx(math.pi / 8,
+                                                             rel=1e-12)
+        _, first, last = beam_boundaries(10.0, 10.0, 2)
+        assert first == pytest.approx(10 * math.tan(math.pi / 8), rel=1e-12)
+        assert first == pytest.approx(4.142135623730951, rel=1e-9)
+        assert last == pytest.approx(10.0, rel=1e-12)
 
     def test_rows_tile_the_cell(self):
-        d = build_dictionary(55.0, 12.0, 24)
         for k in range(1, 25):
-            row = d.row(k)
-            assert row[0].d_left == 0.0
-            assert row[-1].d_right == pytest.approx(55.0, rel=1e-9)
-            for left, right in zip(row, row[1:]):
-                assert right.d_left == left.d_right  # adjacency, exact
-            total = sum(b.coverage for b in row)
-            assert total == pytest.approx(55.0, rel=1e-9)
+            bounds = beam_boundaries(55.0, 12.0, k)
+            assert bounds.shape == (k + 1,)
+            assert bounds[0] == 0.0 and bounds[-1] == 55.0  # pinned, exact
+            assert np.all(np.diff(bounds) > 0.0)
+            assert np.diff(bounds).sum() == pytest.approx(55.0, rel=1e-9)
 
     def test_widths_grow_toward_cell_edge(self):
-        d = build_dictionary(80.0, 10.0, 16)
         for k in range(2, 17):
-            spans = [b.coverage for b in d.row(k)]
-            assert all(b > a for a, b in zip(spans, spans[1:]))
+            spans = np.diff(beam_boundaries(80.0, 10.0, k))
+            assert np.all(np.diff(spans) > 0.0)
 
     def test_monotone_refinement(self):
-        widest = [max(b.coverage for b in build_dictionary(60.0, 10.0, k).row(k))
+        widest = [np.diff(beam_boundaries(60.0, 10.0, k)).max()
                   for k in range(1, 33)]
         assert all(a > b for a, b in zip(widest, widest[1:]))
 
+    def test_array_of_cell_sizes_matches_one_call_each(self):
+        d_a = np.array([3.0, 47.0, 212.0])
+        bounds = beam_boundaries(d_a, 10.0, 5)
+        assert bounds.shape == (3, 6)
+        for row, one in zip(bounds, d_a):
+            assert np.array_equal(row, beam_boundaries(one, 10.0, 5))
+
     def test_invalid_arguments(self):
-        for args in [(0.0, 10.0, 4), (10.0, -1.0, 4), (10.0, 10.0, 0)]:
+        for args in [(0.0, 10.0, 4), (-1.0, 10.0, 4), (10.0, -1.0, 4),
+                     (10.0, 0.0, 4), (10.0, 10.0, 0)]:
             with pytest.raises(ValueError):
-                build_dictionary(*args)
+                beam_boundaries(*args)
 
 
 class TestLookup:
@@ -66,7 +69,7 @@ class TestLookup:
         assert containing_beam(5.0, 10.0, 10.0, 2)[0] == 2  # 4.1421 < 5
 
     def test_right_boundary_tie_goes_left(self):
-        boundary = build_dictionary(10.0, 10.0, 2).row(2)[0].d_right
+        boundary = beam_boundaries(10.0, 10.0, 2)[1]
         assert containing_beam(boundary, 10.0, 10.0, 2)[0] == 1
 
     def test_lookup_consistent_with_intervals(self):
@@ -91,13 +94,33 @@ class TestLookup:
 
 class TestCsvDump:
     def test_round_trippable_dump(self, tmp_path):
-        d = build_dictionary(25.0, 10.0, 5)
-        path = tmp_path / "db.csv"
-        d.to_csv(path)
+        path = dump_dictionary(NetworkConfig(), tmp_path, 25.0, 5)
+        assert path == tmp_path / "beam_dictionary.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,j,theta_k,d_left,d_right"
         assert len(lines) == 1 + sum(range(1, 6))
         k, j, theta, left, right = lines[1].split(",")
         assert (int(k), int(j)) == (1, 1)
-        assert float(right) == pytest.approx(25.0)
-        assert float(theta) == pytest.approx(row_beamwidth(25.0, 10.0, 1))
+        assert float(right) == 25.0
+        assert float(theta) == row_beamwidth(25.0, 10.0, 1)
+
+    def test_rows_read_back_exactly(self, tmp_path):
+        cfg = NetworkConfig(bs_density=0.02)   # mean cell size 25 m
+        with open(dump_dictionary(cfg, tmp_path, None, 9)) as fh:
+            rows = list(csv.DictReader(fh))
+        for k in range(1, 10):
+            row = [r for r in rows if int(r["k"]) == k]
+            assert [int(r["j"]) for r in row] == list(range(1, k + 1))
+            bounds = beam_boundaries(cfg.mean_cell_size, cfg.h_b, k)
+            assert [float(r["d_left"]) for r in row] == bounds[:-1].tolist()
+            assert [float(r["d_right"]) for r in row] == bounds[1:].tolist()
+            assert {float(r["theta_k"]) for r in row} == {
+                row_beamwidth(cfg.mean_cell_size, cfg.h_b, k)}
+
+    @pytest.mark.parametrize("cell_size, n_max", [(0.0, 4), (-1.0, 4),
+                                                  (math.nan, 4), (10.0, 0)])
+    def test_invalid_arguments_write_nothing(self, tmp_path, cell_size,
+                                             n_max):
+        with pytest.raises(ValueError):
+            dump_dictionary(NetworkConfig(), tmp_path, cell_size, n_max)
+        assert not (tmp_path / "beam_dictionary.csv").exists()

@@ -4,7 +4,9 @@ reproduce the committed CSVs in tests/golden/ byte for byte.
 An intended change to one of these numbers shows up as a reviewed diff of
 the golden file, recorded with ``mmwloc run <experiment> <args> --out
 tests/golden`` (the manifest it also writes is not kept). A second golden
-of one experiment is its CSV renamed.
+of one experiment is its CSV renamed. Every experiment has a golden. The
+beam dictionary's is recorded with ``mmwloc dump-dictionary --cell-size 20
+--n-max 8 --out tests/golden``.
 """
 
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from mmwloc import cli
+from mmwloc.experiments import EXPERIMENT_NAMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Arguments beyond the defaults, by golden file: the Monte Carlo oracle
@@ -27,13 +30,11 @@ ARGS = {
     "rate_vs_beta.csv": BETA_STEP,
     "rate_vs_pbs.csv": BETA_STEP,
     "error_vs_dictionary.csv": ["--set", "experiment.k_max=8"],
-    "optimal_k_map.csv": ["--set", "experiment.lambda_min=0.2",
-                          "--set", "experiment.lambda_points=1",
-                          "--set", "experiment.noise_dbw=-20"],
+    "optimal_map.csv": ["--set", "experiment.lambda_min=0.2",
+                        "--set", "experiment.lambda_points=1",
+                        "--set", "experiment.noise_dbw=-20"],
 }
-
-
-@pytest.mark.parametrize("experiment, name", [
+GOLDENS = [
     ("access-resolution", "access_resolution.csv"),
     ("access-delay", "access_delay.csv"),
     ("access-delay", "access_delay_1mm.csv"),
@@ -41,10 +42,26 @@ ARGS = {
     ("rate-vs-beta", "rate_vs_beta.csv"),
     ("rate-vs-pbs", "rate_vs_pbs.csv"),
     ("error-vs-dictionary", "error_vs_dictionary.csv"),
-    ("optimal-k-map", "optimal_k_map.csv"),
-])
+    ("optimal-map", "optimal_map.csv"),
+]
+
+
+@pytest.mark.parametrize("experiment, name", GOLDENS)
 def test_rerun_matches_golden_bytes(tmp_path, experiment, name):
     argv = ["run", experiment, *ARGS.get(name, []), "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     written = tmp_path / (experiment.replace("-", "_") + ".csv")
     assert written.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_every_experiment_has_a_golden():
+    # a new or renamed experiment cannot land without a golden file
+    assert set(EXPERIMENT_NAMES) == {experiment for experiment, _ in GOLDENS}
+
+
+def test_dump_dictionary_matches_golden_bytes(tmp_path):
+    argv = ["dump-dictionary", "--cell-size", "20", "--n-max", "8",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    written = (tmp_path / "beam_dictionary.csv").read_bytes()
+    assert written == (GOLDEN / "beam_dictionary.csv").read_bytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwloc import AccessPolicy, NetworkConfig, build_dictionary, initial_access
+from mmwloc import AccessPolicy, NetworkConfig, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.initial_access import (
@@ -57,17 +57,17 @@ class TestSelectBsBeam:
         assert _select_row(table, math.inf, 0.05, 4, 6) == 4
 
     def test_matches_exhaustive_row_scan(self):
-        # oracle: scan every row, evaluate the containing beam directly
-        d = build_dictionary(100.0, 10.0, 64)
+        # oracle: scan every row's intervals for the beam holding d_hat,
+        # then evaluate that beam directly
         d_hat, sigma_d2, cap = 50.0, 25.0, 0.1
         best = 1
         for k in range(2, 65):
-            row = d.row(k)
-            beam = next(b for b in row
-                        if b.d_left <= d_hat <= b.d_right
-                        and (d_hat < b.d_right or b.j == k))
-            if beam_selection_profile(d_hat, math.sqrt(sigma_d2), beam.d_left,
-                                      beam.d_right) <= cap:
+            bounds = beam_boundaries(100.0, 10.0, k).tolist()
+            left, right = next((lo, hi) for j, (lo, hi)
+                               in enumerate(zip(bounds, bounds[1:]), 1)
+                               if lo <= d_hat <= hi and (d_hat < hi or j == k))
+            if beam_selection_profile(d_hat, math.sqrt(sigma_d2), left,
+                                      right) <= cap:
                 best = max(best, k)
         table = _row_table(d_hat, 100.0, 10.0, 64)
         assert _select_row(table, sigma_d2, cap, 1, 64) == best
@@ -272,6 +272,14 @@ class TestTabulatedLoop:
         # a NaN accuracy used to pass, and the loop ran to max_steps
         with pytest.raises(ValueError):
             AccessPolicy(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 0])
+    @pytest.mark.parametrize("field", ["max_steps", "n_max"])
+    def test_non_integral_count_rejected(self, field, value):
+        # 2.5 and NaN used to pass and fail inside the loop (IndexError,
+        # ValueError from np.arange, TypeError from range)
+        with pytest.raises(ValueError, match=field):
+            AccessPolicy(**{field: value})
 
 
 # every cap the bracket treats differently: a tiny one (the absolute

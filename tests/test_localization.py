@@ -8,7 +8,7 @@ from scipy.special import erfc
 
 from mmwloc import NetworkConfig
 from mmwloc.antenna import UlaArray, aoa_fisher_factor, main_lobe_gain
-from mmwloc.dictionary import build_dictionary
+from mmwloc.dictionary import beam_boundaries
 from mmwloc.localization import (
     avg_beam_selection_error,
     avg_misalignment_error,
@@ -123,38 +123,38 @@ class TestAoaBound:
 class TestBeamSelectionProbability:
     def test_example_value(self):
         # 1 - Q((0-2)/2) + Q((4.1421-2)/2), computed from erfc directly
-        beam = build_dictionary(10.0, 10.0, 2).row(2)[0]
-        expected = 1.0 - qf((beam.d_left - 2.0) / 2.0) + qf((beam.d_right - 2.0) / 2.0)
-        got = beam_selection_profile(2.0, 2.0, beam.d_left, beam.d_right)
+        left, right = beam_boundaries(10.0, 10.0, 2)[:2]
+        expected = 1.0 - qf((left - 2.0) / 2.0) + qf((right - 2.0) / 2.0)
+        got = beam_selection_profile(2.0, 2.0, left, right)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.3008, abs=2e-4)
 
     def test_perfect_ranging_interior(self):
-        beam = build_dictionary(10.0, 10.0, 2).row(2)[0]
-        assert beam_selection_profile(2.0, 0.0, beam.d_left, beam.d_right) == 0.0
+        left, right = beam_boundaries(10.0, 10.0, 2)[:2]
+        assert beam_selection_profile(2.0, 0.0, left, right) == 0.0
 
     def test_boundary_with_tiny_sigma(self):
-        beam = build_dictionary(10.0, 10.0, 2).row(2)[1]
+        left, right = beam_boundaries(10.0, 10.0, 2)[1:]
         for sigma in (1e-9, 0.0):
-            assert beam_selection_profile(beam.d_left, sigma, beam.d_left,
-                                          beam.d_right) == pytest.approx(0.5, abs=1e-6)
+            assert beam_selection_profile(left, sigma, left,
+                                          right) == pytest.approx(0.5, abs=1e-6)
 
     def test_complement_is_exact(self):
         rng = np.random.default_rng(23)
-        beam = build_dictionary(30.0, 10.0, 4).row(4)[2]
+        left, right = beam_boundaries(30.0, 10.0, 4)[2:4]
         for _ in range(50):
-            d = rng.uniform(beam.d_left, beam.d_right)
+            d = rng.uniform(left, right)
             sigma = rng.uniform(0.01, 20.0)
-            p_err = beam_selection_profile(d, sigma, beam.d_left, beam.d_right)
-            p_ok = qf((beam.d_left - d) / sigma) - qf((beam.d_right - d) / sigma)
+            p_err = beam_selection_profile(d, sigma, left, right)
+            p_ok = qf((left - d) / sigma) - qf((right - d) / sigma)
             assert p_err + p_ok == pytest.approx(1.0, abs=1e-12)
 
     def test_minimized_at_interior_symmetric_point(self):
-        beam = build_dictionary(30.0, 10.0, 4).row(4)[1]
-        mid = 0.5 * (beam.d_left + beam.d_right)
-        xs = np.linspace(beam.d_left, beam.d_right, 101)
-        vals = beam_selection_profile(xs, 1.0, beam.d_left, beam.d_right)
-        assert abs(xs[int(np.argmin(vals))] - mid) < (beam.coverage / 50)
+        left, right = beam_boundaries(30.0, 10.0, 4)[1:3]
+        mid = 0.5 * (left + right)
+        xs = np.linspace(left, right, 101)
+        vals = beam_selection_profile(xs, 1.0, left, right)
+        assert abs(xs[int(np.argmin(vals))] - mid) < ((right - left) / 50)
         assert vals[0] > min(vals) and vals[-1] > min(vals)
 
 

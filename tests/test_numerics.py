@@ -42,10 +42,13 @@ class TestExponentialCellNodes:
         assert np.dot(w, f(x)) == pytest.approx(ref, rel=1e-12)
 
     def test_truncated_mean(self):
-        # E[X | X <= x_max] of Exp(r) is 1/r - x_max * (1 - q) / q
+        # E[X | X <= x_max] of Exp(r) is 1/r - x_max * (1 - q) / q; a split
+        # outside (0, x_max) leaves one unsplit panel
         q = 0.9999
         x_max = -math.log1p(-q) / self.RATE
-        x, w = exponential_cell_nodes(self.RATE, 64)
+        x, w = exponential_cell_nodes(self.RATE, 64, 0.0)
+        assert np.array_equal(x, gauss_legendre(0.0, x_max, 64)[0])
+        assert np.array_equal(x, exponential_cell_nodes(self.RATE, 64, 1e6)[0])
         want = 1.0 / self.RATE - x_max * (1.0 - q) / q
         assert np.dot(w, x) == pytest.approx(want, rel=1e-12)
 
@@ -57,7 +60,7 @@ class TestExponentialCellNodes:
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_nonpositive_rate_rejected(self, rate):
         with pytest.raises(ValueError):
-            exponential_cell_nodes(rate, 8)
+            exponential_cell_nodes(rate, 8, 20.0)
 
 
 class TestGaussLegendre:
