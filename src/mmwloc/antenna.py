@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import NetworkConfig
-from .numerics import SPEED_OF_LIGHT
+from .numerics import SPEED_OF_LIGHT, check_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,8 +45,7 @@ class UlaArray:
     kappa: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("element count must be >= 1")
+        check_count(self.n_elements, "element count must be >= 1")
         if self.kappa is None:
             object.__setattr__(self, "kappa", SPEED_OF_LIGHT / (2.0 * self.f_c))
 

@@ -49,7 +49,7 @@ from .config import NetworkConfig
 from .errors import NumericError
 from .geometry import nakagami_shape, path_loss_exponent
 from .localization import beam_selection_error, cell_average, misalignment_error
-from .numerics import gauss_legendre
+from .numerics import check_count, gauss_legendre
 
 LOS_NODES = 24
 NLOS_NODES = 32
@@ -58,12 +58,18 @@ NLOS_NODES = 32
 SERIES_TERMS = 8
 SERIES_RADIUS = 0.01
 _EXP_FLOOR = -745.0  # exp underflows below this
-# Kernel entries (beta, position) per chunk, 2^10. The coverage pass holds
-# a few dozen arrays of one float64 per entry, and a fallback entry gathers
-# NLOS_NODES node values, so no array exceeds 2^15 elements (256 kB).
-# Four times the chunk ran `mmwloc optimize` about 25% faster but raised
-# its peak memory from 63 to 73 MB.
+# The coverage pass has two budgets, because its arrays scale two ways.
+# Per-position node tables hold up to NLOS_NODES values per position, and a
+# node-sum entry gathers as many, so both a cell chunk's positions (which
+# set its kernel tables) and a slice of node-sum entries hold _CHUNK_ENTRIES
+# = 2^10 rows. Every other temporary holds one float64 per (pair, position)
+# entry, so an evaluation takes _EVAL_ENTRIES = 2^14 entries: the tables of
+# a 1,024-position chunk serve 16 pairs per evaluation. Either way no array
+# exceeds 2^15 float64 (256 kB) for rows up to k = 32, whose cell has 1,024
+# positions (a larger row's chunk is one cell), except the series gather of
+# SERIES_TERMS coefficients per entry, 2^17 float64 (1 MB).
 _CHUNK_ENTRIES = 2 ** 10
+_EVAL_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,7 @@ class CoverageQuery:
         # every float check is written so that NaN fails it
         if not self.threshold > 0.0:
             raise ValueError("SINR threshold must be positive")
-        if self.k < 1:
-            raise ValueError("dictionary size must be >= 1")
+        check_count(self.k, "dictionary size must be >= 1")
         if self.j is not None and not 1 <= self.j <= self.k:
             raise ValueError("beam index must satisfy 1 <= j <= k")
         if not 0.0 < self.beta <= 1.0:
@@ -163,13 +168,14 @@ class _InterferenceTables:
     Each interferer class (LOS, NLOS) has a Gauss-Legendre node rule per
     position; ``rules`` holds (row of each position or -1, q^-alpha at the
     nodes, node weights times 2*lambda, N). From the rules, each position
-    also gets the moment-series coefficients (``coef``, summed over the
-    classes) and its reach, q^-alpha at the near end of its interferer
-    regions, where q^-alpha is largest, so it bounds every node. Everything
-    depends only on the positions, so the tables are built once and
-    reused across the branch gains, the expansion terms and the partition
-    factors (which only rescale the threshold weight w). ``classes``
-    limits the tables to some interferer classes.
+    also gets the moment-series coefficients (``coef``, term-major
+    (SERIES_TERMS, positions), summed over the classes) and its reach,
+    q^-alpha at the near end of its interferer regions, where q^-alpha is
+    largest, so it bounds every node. Everything depends only on the
+    positions, so the tables are built once and reused across the branch
+    gains, the expansion terms and the partition factors (which only
+    rescale the threshold weight w). ``classes`` limits the tables to some
+    interferer classes.
     """
 
     def __init__(self, x: np.ndarray, cfg: NetworkConfig,
@@ -210,20 +216,21 @@ class _InterferenceTables:
                                two_lambda * wt / (t * t), int(cfg.n_nlos)))
             np.maximum(self.reach, (y_near * y_near + h2) ** (-0.5 * cfg.alpha_nlos),
                        out=self.reach)
-        self.coef = np.zeros((x.size, SERIES_TERMS))
+        # term-major, so that Horner reads contiguous rows
+        self.coef = np.zeros((SERIES_TERMS, x.size))
         for row, qpow, wt, shape in self.rules:
-            coef = _series_coefficients(qpow, wt, shape).T
-            if len(coef) == x.size:  # every position has this rule
+            coef = _series_coefficients(qpow, wt, shape)
+            if coef.shape[1] == x.size:  # every position has this rule
                 self.coef += coef
             else:
-                self.coef[row >= 0] += coef
+                self.coef[:, row >= 0] += coef
 
     def _series(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Horner evaluation of the moment series at weights w."""
-        coef = self.coef[pos]
-        out = coef[:, -1] * w
+        coef = self.coef.take(pos, axis=1)
+        out = coef[-1] * w
         for j in range(SERIES_TERMS - 2, -1, -1):
-            out += coef[:, j]
+            out += coef[j]
             out *= w
         return out
 
@@ -240,15 +247,19 @@ class _InterferenceTables:
     def exponents(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """A_LOS + A_NLOS for 1-D threshold weights w at the table
         positions ``pos`` (one index per weight): the moment series where
-        w * reach <= SERIES_RADIUS, the node rules beyond. Every entry is
-        evaluated on its own, so it gets the same bits in any batch."""
+        w * reach <= SERIES_RADIUS, the node rules beyond, on slices of at
+        most _CHUNK_ENTRIES entries. Every entry is evaluated on its own,
+        so it gets the same bits in any batch."""
         far = w * self.reach[pos] > SERIES_RADIUS
         if not np.any(far):
             return self._series(w, pos)
         out = np.empty_like(w)
         near = ~far
         out[near] = self._series(w[near], pos[near])
-        out[far] = self._nodes(w[far], pos[far])
+        far = np.flatnonzero(far)
+        for i in range(0, far.size, _CHUNK_ENTRIES):
+            part = far[i:i + _CHUNK_ENTRIES]
+            out[part] = self._nodes(w[part], pos[part])
         return out
 
 
@@ -367,8 +378,9 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
     ``threshold`` and ``beta`` may be equal-length 1-D arrays of
     (threshold, beta) pairs, evaluated in one pass and returned as an
     array; scalars give a float. ``localization.cell_average`` walks the
-    grid with _CHUNK_ENTRIES (pair, position) entries at a time; a cell
-    chunk's kernel tables serve every pair.
+    grid in chunks of at most _CHUNK_ENTRIES positions, whose kernel
+    tables serve every pair, and evaluates _EVAL_ENTRIES (pair, position)
+    entries at a time.
     """
     scalar = np.ndim(threshold) == 0 and np.ndim(beta) == 0
     thresholds, betas = np.broadcast_arrays(
@@ -389,7 +401,7 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
             k, d_left, d_right, cfg, tables).reshape((-1,) + shape)
 
     total = cell_average(k, len(betas), cfg, evaluator, _CHUNK_ENTRIES,
-                         "overall coverage")
+                         _EVAL_ENTRIES, "overall coverage")
     return float(total[0]) if scalar else total
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import check_count
+
 
 def row_beamwidth(d_a, h_b: float, k):
     """Beamwidth theta_k = atan(d_a / h_b) / k of row k; d_a and k may be
@@ -34,8 +36,7 @@ def beam_boundaries(d_a, h_b: float, k: int) -> np.ndarray:
     d_a = np.asarray(d_a, dtype=float)[..., None]
     if np.any(d_a <= 0.0) or h_b <= 0.0:
         raise ValueError("cell size and BS height must be positive")
-    if k < 1:
-        raise ValueError("dictionary size must be >= 1")
+    check_count(k, "dictionary size must be >= 1")
     return _edge(np.arange(k + 1), row_beamwidth(d_a, h_b, k), d_a, h_b, k)
 
 

@@ -35,7 +35,7 @@ from .localization import (
     p_misalignment,
     ranging_variance,
 )
-from .numerics import q_inverse
+from .numerics import check_count, q_inverse
 
 # the UE beamwidths, widest first; each level halves the one above it
 UE_GRID = tuple(math.pi / 2 ** i for i in range(1, 9))
@@ -64,9 +64,7 @@ class AccessPolicy:
         if not self.delta_d > 0.0 or not self.delta_psi > 0.0:
             raise ValueError("termination accuracies must be positive")
         for name in ("max_steps", "n_max"):
-            value = getattr(self, name)
-            if not (float(value).is_integer() and value >= 1):  # inf, NaN fail
-                raise ValueError(f"{name} must be an integer >= 1")
+            check_count(getattr(self, name), f"{name} must be an integer >= 1")
         if not self.symbol_duration > 0.0 or not self.initial_sigma_d2 > 0.0:
             raise ValueError("symbol duration and initial variance must be "
                              "positive")
@@ -290,8 +288,7 @@ def delay_iterative(target_k: int, target_theta_u: float,
     """Bisection search: two probing symbols per halving stage, first on
     the BS side down to row target_k, then on the UE side from the widest
     ``UE_GRID`` level down to the target beamwidth."""
-    if target_k < 1:
-        raise ValueError("target dictionary size must be >= 1")
+    check_count(target_k, "target dictionary size must be >= 1")
     if target_theta_u <= 0.0:
         raise ValueError("beamwidths must be positive")
     bs_stages = math.ceil(math.log2(target_k)) if target_k > 1 else 0

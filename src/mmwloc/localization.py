@@ -37,6 +37,7 @@ from .dictionary import beam_boundaries, row_beamwidth
 from .geometry import path_loss_exponent
 from .numerics import (
     SPEED_OF_LIGHT,
+    check_count,
     checked_probability,
     exponential_cell_nodes,
     qfunc,
@@ -45,9 +46,10 @@ from .numerics import (
 
 CELL_NODES = 64
 BEAM_NODES = 32
-# (beta, grid position) entries per chunk of a batched cell average: the
-# grid of row k = 32 for one beta, so a batch holds no larger array than a
-# single beta of the largest default row.
+# Both budgets of the error averages' cell walk (positions per chunk and
+# (beta, position) entries per slice): the grid of row k = 32 for one beta,
+# so a batch holds no larger array than a single beta of the largest
+# default row. They build no per-position tables, so the budgets are equal.
 _AVG_CHUNK_ENTRIES = 2 ** 16
 # Estimation spreads are floored here, so a zero spread is evaluated as its
 # limit (no 0/0 on an interval edge) while no real bound is affected.
@@ -216,11 +218,15 @@ def _cell_grid(k: int, cfg: NetworkConfig):
 
 
 def cell_average(k: int, n_items: int, cfg: NetworkConfig, evaluator,
-                 budget: int, what: str) -> np.ndarray:
+                 positions: int, entries: int, what: str) -> np.ndarray:
     """Probabilities of n_items batch items averaged over row k's grid.
 
-    The grid is walked in chunks of whole cells, each in slices of items,
-    with at most ``budget`` (item, position) entries per slice.
+    The grid is walked in chunks of whole cells, each in slices of items.
+    Two budgets bound the walk, because the evaluator's arrays scale two
+    ways: tables built per chunk grow with its positions, temporaries
+    with the (item, position) entries of a slice. A chunk holds at most
+    ``positions`` positions and a slice at most ``entries`` entries; a
+    chunk is never less than one cell, nor a slice less than one item.
     ``evaluator(theta_k, bounds, x)`` gets each chunk's part of the grid
     (``_cell_grid``'s arrays for c cells) and returns a function giving
     an item slice's values there, shape (items, c, k, nb). Each item is
@@ -228,8 +234,8 @@ def cell_average(k: int, n_items: int, cfg: NetworkConfig, evaluator,
     """
     _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
     n_cells, per_cell = x.shape[0], x[0].size
-    cells_step = min(n_cells, max(1, budget // per_cell))
-    items_step = max(1, budget // (cells_step * per_cell))
+    cells_step = min(n_cells, max(1, positions // per_cell))
+    items_step = max(1, entries // (cells_step * per_cell))
     cell_sums = np.empty((n_items, n_cells))
     for c in range(0, n_cells, cells_step):
         cells = slice(c, c + cells_step)
@@ -259,7 +265,7 @@ def _error_average(k: int, beta, cfg: NetworkConfig, profile, what: str):
         return lambda items: profile(gamma_b, bounds, x, column[items])
 
     out[todo] = cell_average(k, todo.size, cfg, evaluator,
-                             _AVG_CHUNK_ENTRIES, what)
+                             _AVG_CHUNK_ENTRIES, _AVG_CHUNK_ENTRIES, what)
     return out if np.ndim(beta) else float(out[0])
 
 
@@ -271,8 +277,7 @@ def avg_beam_selection_error(k: int, beta, theta_u: float,
     For k == 1 the single beam spans the whole cell and estimates are
     clamped to the cell support, so the error is exactly zero.
     """
-    if k < 1:
-        raise ValueError("dictionary size must be >= 1")
+    check_count(k, "dictionary size must be >= 1")
     if k == 1:
         return np.zeros(np.shape(beta)) if np.ndim(beta) else 0.0
     gamma_u = main_lobe_gain(theta_u, cfg)
@@ -294,8 +299,7 @@ def avg_misalignment_error(k: int, theta_u: float, beta, cfg: NetworkConfig):
     beta per distinct window is averaged and the result scattered back;
     49 of the 50 default betas share one window.
     """
-    if k < 1:
-        raise ValueError("dictionary size must be >= 1")
+    check_count(k, "dictionary size must be >= 1")
 
     def profile(gamma_b, bounds, x, betas):
         return misalignment_error(x, gamma_b, theta_u, betas, cfg)

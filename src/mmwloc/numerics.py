@@ -114,6 +114,13 @@ def checked_probability(p, what: str):
     return out if out.ndim else float(out)
 
 
+def check_count(value, message: str) -> None:
+    """Raise ValueError(message) unless value is an integer >= 1; 2.5, inf
+    and NaN fail, where a bare ``value < 1`` would let them through."""
+    if not (float(value).is_integer() and value >= 1):
+        raise ValueError(message)
+
+
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 

@@ -26,6 +26,7 @@ from .localization import (
     avg_beam_selection_error,
     avg_misalignment_error,
 )
+from .numerics import check_count
 
 
 def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig) -> float:
@@ -35,8 +36,7 @@ def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig) -> float:
     the mean cell, beta = 0.5) and returns the thinnest grid beamwidth
     keeping the misalignment probability under 0.05 there.
     """
-    if k < 1:
-        raise ValueError("dictionary size must be >= 1")
+    check_count(k, "dictionary size must be >= 1")
     d_a = cfg.mean_cell_size
     theta_k = row_beamwidth(d_a, cfg.h_b, k)
     gamma_b = main_lobe_gain(theta_k, cfg)

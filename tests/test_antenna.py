@@ -156,9 +156,12 @@ class TestUlaArray:
         arr = UlaArray(4, f_c=28.0e9, kappa=299_792_458.0 / 28.0e9)
         assert arr.phase_scale == pytest.approx(2 * math.pi, rel=1e-15)
 
-    def test_empty_array_rejected(self):
-        with pytest.raises(ValueError):
-            UlaArray(0)
+    # a fractional count used to build a 3-element response of norm 1.095
+    # for 2.5, and NaN to construct and then fail inside np.arange
+    @pytest.mark.parametrize("count", [0, -1, 2.5, math.nan, math.inf])
+    def test_bad_element_count_rejected(self, count):
+        with pytest.raises(ValueError, match="element count must be >= 1"):
+            UlaArray(count)
 
 
 class TestAoaFisherFactor:

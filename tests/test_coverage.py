@@ -12,6 +12,7 @@ from scipy import integrate
 from mmwloc import CoverageQuery, NetworkConfig, OptimizationSpec, coverage
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.coverage import (
+    _CHUNK_ENTRIES,
     _EXP_FLOOR,
     SERIES_RADIUS,
     _InterferenceTables,
@@ -38,7 +39,7 @@ from mmwloc.localization import (
     ranging_variance,
 )
 from mmwloc.numerics import dbm_to_watt, gauss_legendre, split_panel
-from mmwloc.optimizer import ue_beamwidth_for_dictionary
+from mmwloc.optimizer import default_beta_grid, ue_beamwidth_for_dictionary
 
 
 @pytest.fixture
@@ -193,16 +194,32 @@ def _node_rule(tables, w, p, rule_value):
 
 
 class TestInterferenceKernel:
-    def test_batch_straddling_radius_matches_single_entries(self, cfg):
+    # the thermal batch holds more node-sum entries than one slice takes
+    @pytest.mark.parametrize("noise_psd, entries", [
+        (1e-12, 400), (dbm_to_watt(-174.0), 4 * _CHUNK_ENTRIES)],
+        ids=["default", "thermal-sliced"])
+    def test_batch_straddling_radius_matches_single_entries(
+            self, noise_psd, entries, monkeypatch):
+        cfg = NetworkConfig(noise_psd=noise_psd)
         x = np.linspace(0.0, 400.0, 81)
         tables = _InterferenceTables(x, cfg)
         rng = np.random.default_rng(3)
-        pos = rng.integers(0, x.size, 400)
+        pos = rng.integers(0, x.size, entries)
         # v = w * reach spread over 1e-6 .. 1e4 around the radius
-        w = SERIES_RADIUS / tables.reach[pos] * 10.0 ** rng.uniform(-4, 6, 400)
+        w = SERIES_RADIUS / tables.reach[pos] * 10.0 ** rng.uniform(-4, 6, entries)
         far = w * tables.reach[pos] > SERIES_RADIUS
         assert 0.2 < np.mean(far) < 0.8
+        rows = []
+        real = _InterferenceTables._nodes
+
+        def spy(self, w, pos):
+            rows.append(w.size)
+            return real(self, w, pos)
+
+        monkeypatch.setattr(_InterferenceTables, "_nodes", spy)
         batch = tables.exponents(w, pos)
+        assert sum(rows) == np.count_nonzero(far)
+        assert max(rows) <= _CHUNK_ENTRIES
         single = [tables.exponents(w[i:i + 1], pos[i:i + 1])[0]
                   for i in range(w.size)]
         assert np.array_equal(batch, single)
@@ -386,6 +403,41 @@ class TestBatchedCoverage:
             assert isinstance(single, float) and single == got
             ref = _cell_loop_reference(t, k, tu, beta, cfg)
             assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    # k = 1 and k = 32 both fill a chunk with 1,024 positions, so a slice
+    # holds 16 pairs: the 50 default betas take four slices, the last of
+    # them partial. The first and last pair of every slice are checked (a
+    # single pair at k = 32 walks 64 one-cell chunks).
+    @pytest.mark.parametrize("k", [1, 32])
+    def test_default_grid_matches_single_pairs(self, cfg, k):
+        betas = np.array(default_beta_grid())
+        per_slice = coverage._EVAL_ENTRIES // coverage._CHUNK_ENTRIES
+        assert 1 < per_slice < betas.size and betas.size % per_slice
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        batch = overall_coverage(thresholds, k, tu, betas, cfg)
+        for first in range(0, betas.size, per_slice):
+            for i in (first, min(first + per_slice, betas.size) - 1):
+                single = overall_coverage(float(thresholds[i]), k, tu,
+                                          float(betas[i]), cfg)
+                assert single == batch[i]
+
+    # 96 positions and 300 entries divide neither the 64 cells nor the 50
+    # pairs: at k = 1 a chunk is 3 cells and a slice 3 pairs, at k = 2 one
+    # cell and 4 pairs; thermal noise sends entries through the node sum,
+    # which then runs in slices of 96
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_dividing_budgets_match_single_pairs(self, k, monkeypatch):
+        cfg = NetworkConfig(noise_psd=dbm_to_watt(-174.0))
+        betas = np.array(default_beta_grid())
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        single = [overall_coverage(float(t), k, tu, float(beta), cfg)
+                  for t, beta in zip(thresholds, betas)]
+        monkeypatch.setattr(coverage, "_CHUNK_ENTRIES", 96)
+        monkeypatch.setattr(coverage, "_EVAL_ENTRIES", 300)
+        batch = overall_coverage(thresholds, k, tu, betas, cfg)
+        assert np.array_equal(batch, single)
 
     def test_rate_batch_matches_single_and_saturates_to_zero(self, cfg):
         # beta = 1e-4 drives the rate threshold past 2^900 (saturated)

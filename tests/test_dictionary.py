@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from mmwloc import NetworkConfig
+from mmwloc import CoverageQuery, NetworkConfig
+from mmwloc.coverage import overall_coverage
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.experiments import dump_dictionary
+from mmwloc.initial_access import delay_iterative
+from mmwloc.localization import avg_beam_selection_error, avg_misalignment_error
+from mmwloc.optimizer import ue_beamwidth_for_dictionary
 
 
 class TestConstruction:
@@ -54,6 +58,25 @@ class TestConstruction:
                      (10.0, 0.0, 4), (10.0, 10.0, 0)]:
             with pytest.raises(ValueError):
                 beam_boundaries(*args)
+
+
+# Every entry point that takes a dictionary size k. 2.5 used to build a
+# 4-edge row and a coverage of 0.7197; NaN to fail inside np.arange.
+@pytest.mark.parametrize("call", [
+    lambda k, cfg: beam_boundaries(30.0, 10.0, k),
+    lambda k, cfg: CoverageQuery(threshold=1.0, k=k),
+    lambda k, cfg: overall_coverage(1.0, k, 0.3, 0.5, cfg),
+    lambda k, cfg: avg_beam_selection_error(k, 0.5, 0.3, cfg),
+    lambda k, cfg: avg_misalignment_error(k, 0.3, 0.5, cfg),
+    lambda k, cfg: ue_beamwidth_for_dictionary(k, cfg),
+    lambda k, cfg: delay_iterative(k, 0.3, 1e-6),
+], ids=["boundaries", "query", "overall", "avg-bs", "avg-ma", "ue-beam",
+        "delay"])
+@pytest.mark.parametrize("k", [2.5, math.nan, math.inf, 0],
+                         ids=["fraction", "nan", "inf", "zero"])
+def test_non_integral_dictionary_size_rejected(call, k):
+    with pytest.raises(ValueError, match="dictionary size must be >= 1"):
+        call(k, NetworkConfig())
 
 
 class TestLookup:
