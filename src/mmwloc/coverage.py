@@ -256,9 +256,9 @@ class _InterferenceTables:
         out = np.empty_like(w)
         near = ~far
         out[near] = self._series(w[near], pos[near])
-        far = np.flatnonzero(far)
-        for i in range(0, far.size, _CHUNK_ENTRIES):
-            part = far[i:i + _CHUNK_ENTRIES]
+        far_at = np.flatnonzero(far)
+        for i in range(0, far_at.size, _CHUNK_ENTRIES):
+            part = far_at[i:i + _CHUNK_ENTRIES]
             out[part] = self._nodes(w[part], pos[part])
         return out
 

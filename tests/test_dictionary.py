@@ -60,7 +60,7 @@ class TestConstruction:
                 beam_boundaries(*args)
 
 
-# Every entry point that takes a dictionary size k. 2.5 used to build a
+# Entry points that take a dictionary size k. 2.5 used to build a
 # 4-edge row and a coverage of 0.7197; NaN to fail inside np.arange.
 @pytest.mark.parametrize("call", [
     lambda k, cfg: beam_boundaries(30.0, 10.0, k),
