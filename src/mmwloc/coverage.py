@@ -48,7 +48,8 @@ from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .errors import NumericError
 from .geometry import nakagami_shape, path_loss_exponent
-from .localization import beam_selection_error, cell_average, misalignment_error
+from .localization import (_sounding_time, beam_selection_error, cell_average,
+                           misalignment_error)
 from .numerics import check_count, gauss_legendre
 
 LOS_NODES = 24
@@ -360,7 +361,11 @@ def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
     else:
         p_bs = beam_selection_error(x, gamma_b, gamma_u, beta, d_left,
                                     d_right, cfg)
-    p_ma = misalignment_error(x, gamma_b, theta_u, beta, cfg)
+    # one p_ma row per distinct sounding window, scattered back to the betas
+    _, first, inverse = np.unique(_sounding_time(beta, cfg),
+                                  return_index=True, return_inverse=True)
+    rows = misalignment_error(x, gamma_b, theta_u, np.ravel(beta)[first, None], cfg)
+    p_ma = rows[inverse.reshape(np.shape(beta)[:-1])]
     w0 = (1.0 - p_bs) * (1.0 - p_ma)
     wma = (1.0 - p_bs) * p_ma
     return w0 * t0 + wma * tma + p_bs * tbs

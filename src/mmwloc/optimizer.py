@@ -11,6 +11,7 @@ the noise level, so does the beam pairing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ def ue_beamwidth_for_dictionary(k: int, cfg: NetworkConfig) -> float:
 
 
 def default_beta_grid(step: float = 0.02) -> tuple:
-    """The inner-search grid i * step, i = 1..round(1/step), over (0, 1].
+    """The inner-search grid i * step, i = 1, 2, ... while at most 1: (0, 1].
 
     ``step`` may be the raw text of a config value; one that does not parse
     or lies outside (0, 1] raises ConfigError.
@@ -57,8 +58,8 @@ def default_beta_grid(step: float = 0.02) -> tuple:
         raise ConfigError(f"beta step must be a number, got {step!r}") from None
     if not 0.0 < step <= 1.0:
         raise ConfigError(f"beta step must be in (0, 1], got {step}")
-    n = int(round(1.0 / step))
-    return tuple(round(i * step, 10) for i in range(1, n + 1))
+    betas = (round(i * step, 10) for i in range(1, int(1.0 / step) + 2))
+    return tuple(beta for beta in betas if beta <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,9 @@ class OptimizationSpec:
             raise ValueError("constraint caps must be in (0, 1)")
         if not self.k_candidates or not self.beta_grid:
             raise ValueError("candidate grids must be non-empty")
+        pairs = zip((0.0,) + tuple(self.beta_grid), self.beta_grid)
+        if not all(a < b for a, b in pairs) or not self.beta_grid[-1] <= 1.0:
+            raise ValueError("beta grid must be strictly increasing in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -105,25 +109,31 @@ class OptimizationResult:
 
 
 def optimize_beta(k: int, spec: OptimizationSpec, cfg: NetworkConfig) -> BetaOptimum:
-    """Best feasible beta for dictionary size k; ties go to the later beta of
-    the grid (the larger one: more data resources once localization
-    constraints are met). The caps are evaluated for the whole grid in one
-    call each, and all feasible betas share one coverage pass."""
+    """Best feasible beta for dictionary size k; ties go to the later, larger
+    beta of the grid. Both caps rise with beta as (1 - beta) T_F shrinks, so
+    the feasible betas are a prefix of the grid, whose length is bisected
+    with single-beta p_bs averages (p_ma is averaged over the grid). A full
+    scan finds the same prefix: per position each error is non-decreasing
+    along a sorted grid, as neighbouring betas move every erfc argument by
+    far more than an ulp or not at all (so scipy's ulp-scale non-monotone
+    erfc does not enter), and fixed-order sums with non-negative weights
+    keep that order."""
     theta_u = ue_beamwidth_for_dictionary(k, cfg)
     betas = np.array(spec.beta_grid, dtype=float)
-    p_bs = avg_beam_selection_error(k, betas, theta_u, cfg)
     p_ma = avg_misalignment_error(k, theta_u, betas, cfg)
-    feasible = np.flatnonzero((p_bs <= spec.eps_bs) & (p_ma <= spec.eps_ma))
-    if not feasible.size:
+    n = bisect_left(range(np.count_nonzero(p_ma <= spec.eps_ma)), True,
+                    key=lambda i: avg_beam_selection_error(
+                        k, betas[i], theta_u, cfg) > spec.eps_bs)
+    if not n:
         return BetaOptimum(k=k, theta_u=theta_u, feasible=False, beta_star=None,
                            objective=None, p_bs=None, p_ma=None, feasible_count=0)
-    objectives = rate_coverage(spec.r0, betas[feasible], k, theta_u, cfg)
-    best = max(range(feasible.size), key=lambda i: (objectives[i], i))
-    i = feasible[best]
+    objectives = rate_coverage(spec.r0, betas[:n], k, theta_u, cfg)
+    best = max(range(n), key=lambda i: (objectives[i], i))
     return BetaOptimum(k=k, theta_u=theta_u, feasible=True,
-                       beta_star=spec.beta_grid[i],
-                       objective=float(objectives[best]), p_bs=float(p_bs[i]),
-                       p_ma=float(p_ma[i]), feasible_count=int(feasible.size))
+                       beta_star=spec.beta_grid[best],
+                       objective=float(objectives[best]),
+                       p_bs=avg_beam_selection_error(k, betas[best], theta_u, cfg),
+                       p_ma=float(p_ma[best]), feasible_count=n)
 
 
 def optimize_beamwidth(spec: OptimizationSpec, cfg: NetworkConfig) -> OptimizationResult:

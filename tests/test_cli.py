@@ -127,6 +127,15 @@ class TestCliRuns:
         assert code == 2
         assert "beta step" in capsys.readouterr().err
 
+    def test_beta_step_not_dividing_one_runs(self, tmp_path):
+        # the grid stops at its last beta <= 1 instead of overshooting it
+        code = cli.main(["run", "rate-vs-beta", "--out", str(tmp_path),
+                         "--set", "experiment.beta_step=0.6",
+                         "--set", "experiment.k_list=2"])
+        assert code == 0
+        rows = (tmp_path / "rate_vs_beta.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["2", "0.6"]]
+
     @pytest.mark.parametrize("argv, message", [
         (["run", "error-vs-dictionary", "--set", "experiment.k_max=abc"],
          "experiment.k_max"),

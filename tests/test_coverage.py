@@ -541,6 +541,17 @@ class TestRandomValidConfigs:
             assert np.all((errors >= 0.0) & (errors <= 1.0))
             assert np.all(np.diff(errors) >= 0.0)
 
+    # the same along the whole default grid, which the optimizer bisects
+    # for its feasible prefix and rate-vs-beta sweeps
+    @settings(max_examples=15, deadline=None)
+    @given(cfg=CONFIGS, k=st.sampled_from([1, 2, 4, 16]),
+           theta_u=st.sampled_from(UE_GRID))
+    def test_error_averages_monotone_on_default_grid(self, cfg, k, theta_u):
+        betas = np.array(default_beta_grid())
+        for errors in (avg_beam_selection_error(k, betas, theta_u, cfg),
+                       avg_misalignment_error(k, theta_u, betas, cfg)):
+            assert np.all(np.diff(errors) >= 0.0)
+
     @settings(max_examples=30, deadline=None)
     @given(cfg=CONFIGS, k=st.integers(1, 16), theta_u=st.sampled_from(UE_GRID),
            threshold=_log_uniform(-3.0, 3.0), beta=st.floats(0.0, 1.0))

@@ -19,8 +19,10 @@ from mmwloc.experiments import EXPERIMENT_NAMES
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Arguments beyond the defaults, by golden file: the Monte Carlo oracle
 # runs on a reduced, seeded trial count and the sweeps on reduced grids.
-# The optimal map's one point (objective 1.9e-228) sits where coverage is
-# essentially zero. The 1 mm access sweep grows k deep, and 65 of its 200
+# The optimal map's first point (objective 1.9e-228) sits where coverage is
+# essentially zero; its live point (k* = 32, beta* = 0.98 at the top of a
+# 49-beta feasible prefix, objective 0.434) pins the optimizer where its
+# caps bind. The 1 mm access sweep grows k deep, and 65 of its 200
 # densities clamp to one reference geometry.
 BETA_STEP = ["--set", "experiment.beta_step=0.1"]
 ARGS = {
@@ -33,6 +35,9 @@ ARGS = {
     "optimal_map.csv": ["--set", "experiment.lambda_min=0.2",
                         "--set", "experiment.lambda_points=1",
                         "--set", "experiment.noise_dbw=-20"],
+    "optimal_map_live.csv": ["--set", "experiment.lambda_min=0.05",
+                             "--set", "experiment.lambda_points=1",
+                             "--set", "experiment.noise_dbw=-40"],
 }
 GOLDENS = [
     ("access-resolution", "access_resolution.csv"),
@@ -43,6 +48,7 @@ GOLDENS = [
     ("rate-vs-pbs", "rate_vs_pbs.csv"),
     ("error-vs-dictionary", "error_vs_dictionary.csv"),
     ("optimal-map", "optimal_map.csv"),
+    ("optimal-map", "optimal_map_live.csv"),
 ]
 
 

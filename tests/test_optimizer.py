@@ -1,13 +1,50 @@
 """Two-stage optimization: feasibility handling, invariances, refinement."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_coverage import CONFIGS
 
-from mmwloc import NetworkConfig, OptimizationSpec, optimize_beamwidth, optimize_beta
-from mmwloc.coverage import rate_coverage
-from mmwloc.optimizer import default_beta_grid, ue_beamwidth_for_dictionary
+from mmwloc import (
+    NetworkConfig,
+    OptimizationSpec,
+    coverage,
+    optimize_beamwidth,
+    optimize_beta,
+    optimizer,
+)
+from mmwloc.coverage import overall_coverage, rate_coverage, rate_to_sinr_threshold
+from mmwloc.localization import (
+    _sounding_time,
+    avg_beam_selection_error,
+    avg_misalignment_error,
+)
+from mmwloc.optimizer import BetaOptimum, default_beta_grid, ue_beamwidth_for_dictionary
 
 COARSE = tuple(np.round(np.arange(0.1, 1.0001, 0.1), 10))
+
+
+def _full_scan_reference(k, spec, cfg):
+    """optimize_beta as a scan of the whole grid: both averages at every
+    beta, any feasible set (not only a prefix), one coverage pass over it."""
+    theta_u = ue_beamwidth_for_dictionary(k, cfg)
+    betas = np.array(spec.beta_grid, dtype=float)
+    p_bs = avg_beam_selection_error(k, betas, theta_u, cfg)
+    p_ma = avg_misalignment_error(k, theta_u, betas, cfg)
+    feasible = np.flatnonzero((p_bs <= spec.eps_bs) & (p_ma <= spec.eps_ma))
+    if not feasible.size:
+        return BetaOptimum(k=k, theta_u=theta_u, feasible=False, beta_star=None,
+                           objective=None, p_bs=None, p_ma=None, feasible_count=0)
+    objectives = rate_coverage(spec.r0, betas[feasible], k, theta_u, cfg)
+    best = max(range(feasible.size), key=lambda i: (objectives[i], i))
+    i = feasible[best]
+    return BetaOptimum(k=k, theta_u=theta_u, feasible=True,
+                       beta_star=spec.beta_grid[i],
+                       objective=float(objectives[best]), p_bs=float(p_bs[i]),
+                       p_ma=float(p_ma[i]), feasible_count=int(feasible.size))
 
 
 @pytest.fixture
@@ -78,6 +115,72 @@ class TestOptimizeBeta:
         assert refined.objective - base.objective < 0.02
 
 
+class TestBisectionMatchesFullScan:
+    # the bisection may only skip work: every field, floats included, must
+    # equal the full scan's bit for bit
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=CONFIGS, k=st.integers(1, 16),
+           eps_bs=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           eps_ma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_random_configs_and_caps(self, cfg, k, eps_bs, eps_ma):
+        spec = OptimizationSpec(eps_bs=eps_bs, eps_ma=eps_ma, beta_grid=COARSE)
+        assert optimize_beta(k, spec, cfg) == _full_scan_reference(k, spec, cfg)
+
+    @pytest.mark.parametrize("k", [1, 8, 32])
+    def test_default_grid(self, cfg, k):
+        spec = OptimizationSpec()
+        row = optimize_beta(k, spec, cfg)
+        assert row == _full_scan_reference(k, spec, cfg)
+        assert 0 < row.feasible_count < len(spec.beta_grid)
+
+
+class TestWorkCounts:
+    # a regression back to the full scan, or to one misalignment profile per
+    # pair, fails here and not only in the benchmark
+    @pytest.mark.parametrize("eps", [0.1, 0.999999])
+    def test_bisection_calls_beam_selection_per_beta(self, cfg, monkeypatch,
+                                                     eps):
+        real = optimizer.avg_beam_selection_error
+        betas_seen = []
+
+        def counted(k, beta, theta_u, cfg):
+            betas_seen.append(beta)
+            return real(k, beta, theta_u, cfg)
+
+        monkeypatch.setattr(optimizer, "avg_beam_selection_error", counted)
+        spec = OptimizationSpec(eps_bs=eps, eps_ma=eps)
+        row = optimize_beta(8, spec, cfg)
+        assert row.feasible
+        assert 0 < len(betas_seen) <= math.ceil(math.log2(51)) + 1
+        assert all(np.ndim(beta) == 0 for beta in betas_seen)
+
+    def test_coverage_pass_one_misalignment_row_per_window(self, cfg,
+                                                           monkeypatch):
+        real_mixture, real_ma = coverage._mixture_values, coverage.misalignment_error
+        slices, rows = [], []
+
+        def mixture(*args, **kwargs):
+            slices.append(None)
+            return real_mixture(*args, **kwargs)
+
+        def misalignment(x, gamma_b, theta_u, beta, cfg):
+            windows = _sounding_time(np.ravel(beta), cfg)
+            assert np.unique(windows).size == windows.size
+            rows.append(windows.size)
+            return real_ma(x, gamma_b, theta_u, beta, cfg)
+
+        monkeypatch.setattr(coverage, "_mixture_values", mixture)
+        monkeypatch.setattr(coverage, "misalignment_error", misalignment)
+        betas = np.array(default_beta_grid())
+        k, tu = 4, ue_beamwidth_for_dictionary(4, cfg)
+        overall_coverage(rate_to_sinr_threshold(1.0e8, betas, cfg), k, tu,
+                         betas, cfg)
+        distinct = np.unique(_sounding_time(betas, cfg)).size
+        assert distinct < betas.size
+        assert len(rows) == len(slices) > 0
+        assert sum(rows) <= distinct * len(slices)
+
+
 class TestOptimizeBeamwidth:
     def test_single_candidate_reduces_to_inner_stage(self, cfg):
         spec = OptimizationSpec(beta_grid=COARSE, k_candidates=(8,))
@@ -130,3 +233,30 @@ class TestOptimizeBeamwidth:
         assert grid[0] == pytest.approx(0.02)
         assert grid[-1] == pytest.approx(1.0)
         assert len(grid) == 50
+
+
+class TestBetaGrids:
+    # the goldens and the benchmark read these two grids
+    @pytest.mark.parametrize("step, n", [(0.02, 50), (0.1, 10)])
+    def test_dividing_steps_unchanged(self, step, n):
+        assert default_beta_grid(step) == tuple(round(i * step, 10)
+                                                for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("step, last", [
+        (0.6, 0.6), (0.35, 0.7), (0.26, 0.78), (0.3, 0.9), (0.07, 0.98),
+        (0.45, 0.9), (1.0 / 3.0, 1.0)])
+    def test_non_dividing_steps_stop_at_one(self, step, last):
+        grid = default_beta_grid(step)
+        assert grid == tuple(round(i * step, 10)
+                             for i in range(1, len(grid) + 1))
+        assert grid[-1] == last
+        assert OptimizationSpec(beta_grid=grid).beta_grid == grid
+
+    @pytest.mark.parametrize("grid", [
+        (0.2, 0.1, 0.3), (0.1, 0.1, 0.2), (0.0, 0.5), (0.5, 1.2),
+        (-0.1, 0.5), (0.1, float("nan"), 0.5), (float("nan"),)],
+        ids=["unsorted", "repeated", "zero", "above-one", "negative",
+             "nan-inside", "nan"])
+    def test_spec_rejects_grid(self, grid):
+        with pytest.raises(ValueError, match="beta grid"):
+            OptimizationSpec(beta_grid=grid)
