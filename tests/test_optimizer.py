@@ -22,7 +22,11 @@ from mmwloc.localization import (
     avg_beam_selection_error,
     avg_misalignment_error,
 )
-from mmwloc.optimizer import BetaOptimum, default_beta_grid, ue_beamwidth_for_dictionary
+from mmwloc.optimizer import (
+    BetaOptimum,
+    default_beta_grid,
+    ue_beamwidth_for_dictionary,
+)
 
 COARSE = tuple(np.round(np.arange(0.1, 1.0001, 0.1), 10))
 
@@ -156,7 +160,8 @@ class TestWorkCounts:
 
     def test_coverage_pass_one_misalignment_row_per_window(self, cfg,
                                                            monkeypatch):
-        real_mixture, real_ma = coverage._mixture_values, coverage.misalignment_error
+        real_mixture = coverage._mixture_values
+        real_ma = coverage.misalignment_error
         slices, rows = [], []
 
         def mixture(*args, **kwargs):
