@@ -203,6 +203,8 @@ def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
     """Representative access user: mid-cell of the mean cell, held inside
     the LOS service range (mm-wave access targets LOS users)."""
     d_ref = min(1.0 / (4.0 * lam), 0.75 * cfg.d_s)
+    if not d_ref > 0.0:
+        raise ConfigError(f"density {lam} /m rounds the reference cell to 0")
     return d_ref, 2.0 * d_ref
 
 

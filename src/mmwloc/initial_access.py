@@ -27,13 +27,15 @@ import numpy as np
 from .antenna import beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
 from .dictionary import containing_beam, row_beamwidth
+from .errors import NumericError
 from .localization import (
     SIGMA_FLOOR,
-    aoa_variance,
+    _aoa_factor,
+    _ranging_curvature,
     beam_selection_profile,
     nu_threshold,
+    observation_energy,
     p_misalignment,
-    ranging_variance,
 )
 from .numerics import check_count, q_inverse
 
@@ -201,6 +203,23 @@ def select_ue_beam(sigma_psi2: float, delta_ma: float) -> float:
 # Refinement loop
 # ---------------------------------------------------------------------------
 
+def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
+    """variances(level, k): a step's (ranging, angle) variances as floats,
+    bit-equal to ``ranging_variance``/``aoa_variance``'s: only + - * / run."""
+    zeta = observation_energy(d, 0.0, cfg, obs_time)
+    curvature = _ranging_curvature(cfg, cfg.bandwidth)
+    gains = [main_lobe_gain(t, cfg) for t in UE_GRID]
+    factors = [float(_aoa_factor(beamwidth_to_elements(t))) for t in UE_GRID]
+
+    def variances(level: int, k: int) -> tuple:
+        energy = zeta * main_lobe_gain(theta_1 / k, cfg)
+        info = (energy * gains[level] * curvature, energy * factors[level])
+        if not (0.0 < info[0] < math.inf and 0.0 < info[1] < math.inf):
+            raise NumericError(f"step information out of range at row {k}")
+        return 1.0 / max(info[0], 1e-300), 1.0 / max(info[1], 1e-300)
+    return variances
+
+
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
                        cfg: NetworkConfig) -> AccessTrace:
     """Run the alternating refinement loop, on the estimation bounds, for a
@@ -208,33 +227,20 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
     if not 0.0 <= d <= cell_size:
         raise ValueError("user must lie inside the cell")
 
-    obs_time = policy.symbol_duration * policy.pilot_energy_scale
-    theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
     last = len(UE_GRID) - 1
-
-    # Everything below depends on the user alone, so it is tabulated once:
-    # the beam holding d in every row, and both variances for every
-    # (UE grid level, dictionary row) pair, entry by entry the same IEEE
-    # operations as a scalar call at that pair.
+    # only the row search is tabulated per user; variances are per step
     rows = _row_table(d, cell_size, cfg.h_b, policy.n_max)
-    gamma_b = main_lobe_gain(theta_1 / np.arange(1, policy.n_max + 1), cfg)
-    levels = np.array(UE_GRID)[:, None]
-    var_d_table = ranging_variance(d, gamma_b, main_lobe_gain(levels, cfg),
-                                   0.0, cfg, observation_time=obs_time,
-                                   pilot_bandwidth=cfg.bandwidth)
-    elements = np.array([beamwidth_to_elements(t) for t in UE_GRID])[:, None]
-    var_psi_table = aoa_variance(d, gamma_b, levels, 0.0, cfg,
-                                 observation_time=obs_time, elements=elements)
+    variances = _step_variances(
+        d, row_beamwidth(cell_size, cfg.h_b, 1),
+        policy.symbol_duration * policy.pilot_energy_scale, cfg)
 
-    info_d = 1.0 / policy.initial_sigma_d2
-    info_psi = 0.0
+    info_d, info_psi = 1.0 / policy.initial_sigma_d2, 0.0
+    sigma_d2 = 1.0 / info_d
     k, level = 1, 0
     steps = []
     terminated = "max_iter"
 
     for step in range(1, policy.max_steps + 1):
-        sigma_d2 = 1.0 / info_d
-        sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
         side = "BS" if step % 2 == 1 else "UE"
 
         if side == "BS":
@@ -244,14 +250,11 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
             level = _ue_level(sigma_psi2, policy.delta_ma, level,
                               min(level + 1, last))
 
-        var_d = float(var_d_table[level, k - 1])
-        var_psi = float(var_psi_table[level, k - 1])
+        var_d, var_psi = variances(level, k)
         info_d += 1.0 / var_d
-        if math.isfinite(var_psi):
-            info_psi += 1.0 / var_psi
+        info_psi += 1.0 / var_psi
 
-        sigma_d2 = 1.0 / info_d
-        sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
+        sigma_d2, sigma_psi2 = 1.0 / info_d, 1.0 / info_psi
         steps.append(AccessStep(index=step, side=side, k=k,
                                 theta_u=UE_GRID[level], sigma_d2=sigma_d2,
                                 sigma_psi2=sigma_psi2, symbols=step))

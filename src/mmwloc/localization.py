@@ -128,17 +128,12 @@ def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
 
     The default observation window is the angle-sounding time clipped to
     the localization phase (so beta -> 1 starves it to zero). ``elements``
-    overrides the estimation aperture (the access loop sweeps with the
-    full beam aperture rather than the in-service sounding panel); it may
-    be an integer array broadcasting like gamma_b, one aperture per entry.
-    gamma_b and beta broadcast against x as in ``observation_energy``.
+    overrides the estimation aperture, e.g. with a beam's full one. gamma_b
+    and beta broadcast against x as in ``observation_energy``.
     """
     m = sounding_elements(theta_u, cfg) if elements is None else elements
     # a one-element aperture has a zero factor: info == 0, hence inf
-    if isinstance(m, np.ndarray):
-        factor = np.array([_aoa_factor(int(v)) for v in m.flat]).reshape(m.shape)
-    else:
-        factor = _aoa_factor(m)
+    factor = _aoa_factor(m)
     if observation_time is None:
         observation_time = _sounding_time(beta, cfg)
     zeta = observation_energy(x, beta, cfg, observation_time)

@@ -50,14 +50,14 @@ def default_beta_grid(step: float = 0.02) -> tuple:
     """The inner-search grid i * step, i = 1, 2, ... while at most 1: (0, 1].
 
     ``step`` may be the raw text of a config value; one that does not parse
-    or lies outside (0, 1] raises ConfigError.
+    or lies outside [1e-4, 1] (10,000 betas at most) raises ConfigError.
     """
     try:
         step = float(step)
     except (TypeError, ValueError):
         raise ConfigError(f"beta step must be a number, got {step!r}") from None
-    if not 0.0 < step <= 1.0:
-        raise ConfigError(f"beta step must be in (0, 1], got {step}")
+    if not 1e-4 <= step <= 1.0:
+        raise ConfigError(f"beta step must be in [0.0001, 1], got {step}")
     betas = (round(i * step, 10) for i in range(1, int(1.0 / step) + 2))
     return tuple(beta for beta in betas if beta <= 1.0)
 

@@ -120,7 +120,9 @@ class TestCliRuns:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("step", ["0", "1.5", "-0.1", "abc"])
+    # 1e-6 asked for a million betas, 1e-12 rounded its first ones to 0.0
+    @pytest.mark.parametrize("step", ["0", "1.5", "-0.1", "abc", "1e-6",
+                                      "1e-12"])
     def test_bad_beta_step_exits_2(self, tmp_path, capsys, step):
         code = cli.main(["run", "rate-vs-beta", "--out", str(tmp_path),
                          "--set", f"experiment.beta_step={step}"])
@@ -182,6 +184,22 @@ class TestCliRuns:
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(argv + ["--out", str(tmp_path)])
         assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    # both used to end in a traceback and exit 1: a ZeroDivisionError once
+    # the step information overflowed, a ValueError from a zero beamwidth
+    # once 1 / (4 lambda) rounded to 0
+    @pytest.mark.parametrize("argv, code, message", [
+        (["run", "access-delay", "--set", "experiment.lambda_min=1e306",
+          "--set", "experiment.lambda_max=1e306",
+          "--set", "experiment.lambda_points=1"], 3, "numeric error"),
+        (["run", "access-resolution", "--set", "experiment.lambdas=0.01,1e308"],
+         2, "reference cell"),
+    ])
+    def test_extreme_density_exits_cleanly(self, tmp_path, capsys, argv,
+                                           code, message):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 

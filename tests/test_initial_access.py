@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from mmwloc import AccessPolicy, NetworkConfig, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
+from mmwloc.errors import NumericError
 from mmwloc.initial_access import (
     UE_GRID,
     AccessStep,
     AccessTrace,
     _row_table,
     _select_row,
+    _step_variances,
     _tail_bracket,
     _ue_level,
     delay_exhaustive,
@@ -180,8 +182,9 @@ def _reference_ue_beam(sigma_psi2, delta_ma):
 def _reference_access(d, cell_size, policy, cfg):
     """The refinement loop evaluated step by step: a full row search, a
     full grid search and scalar variance calls at every step.
-    run_initial_access tabulates these per user, brackets the searches,
-    and must reproduce this loop bit for bit."""
+    run_initial_access tabulates the row search per user, brackets the
+    searches, evaluates the variances in float arithmetic, and must
+    reproduce this loop bit for bit."""
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
     theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
     info_d = 1.0 / policy.initial_sigma_d2
@@ -264,6 +267,43 @@ class TestTabulatedLoop:
         want = _reference_access(d, cell_size, policy, cfg)
         assert repr(got) == repr(want)
         assert len(got.steps) > 2
+
+    # GEOMETRIES plus d = d_s, where the path loss switches from LOS to NLOS
+    @pytest.mark.parametrize("d, cell_size", GEOMETRIES + ((20.0, 40.0),))
+    @pytest.mark.parametrize("pilot_energy_scale", [1.0e-3, 2.0e-3])
+    def test_step_variances_match_tables(self, cfg, d, cell_size,
+                                         pilot_energy_scale):
+        # the vectorized (level, row) tables the loop used to read: every
+        # pair up to n_max = 1024 has their bits, as Python floats
+        n_max = 1024
+        obs_time = AccessPolicy().symbol_duration * pilot_energy_scale
+        theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
+        gamma_b = main_lobe_gain(theta_1 / np.arange(1, n_max + 1), cfg)
+        var_d = ranging_variance(d, gamma_b,
+                                 main_lobe_gain(np.array(UE_GRID)[:, None], cfg),
+                                 0.0, cfg, observation_time=obs_time,
+                                 pilot_bandwidth=cfg.bandwidth)
+        var_psi = np.array([aoa_variance(d, gamma_b, t, 0.0, cfg,
+                                         observation_time=obs_time,
+                                         elements=beamwidth_to_elements(t))
+                            for t in UE_GRID])
+        variances = _step_variances(d, theta_1, obs_time, cfg)
+        pairs = [variances(level, k) for level in range(len(UE_GRID))
+                 for k in range(1, n_max + 1)]
+        assert {type(v) for pair in pairs for v in pair} == {float}
+        got = np.array(pairs).reshape(len(UE_GRID), n_max, 2)
+        assert np.isfinite(got).all()
+        assert (got[..., 0].view(np.int64) == var_d.view(np.int64)).all()
+        assert (got[..., 1].view(np.int64) == var_psi.view(np.int64)).all()
+
+    # information past the float range: it overflows for a user 1e-307 m
+    # from the BS foot, and a 1e-320 pilot budget underflows to none
+    @pytest.mark.parametrize("d, cell_size, scale", [
+        (1e-307, 2e-307, 1.0e-3), (15.0, 30.0, 1e-320)])
+    def test_out_of_range_variance_raises(self, cfg, d, cell_size, scale):
+        with pytest.raises(NumericError, match="out of range"):
+            run_initial_access(d, cell_size,
+                               AccessPolicy(pilot_energy_scale=scale), cfg)
 
     @pytest.mark.parametrize("field", [
         "delta_bs", "delta_ma", "delta_d", "delta_psi", "symbol_duration",

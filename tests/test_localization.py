@@ -86,24 +86,22 @@ class TestAoaBound:
         var = aoa_variance(5.0, main_lobe_gain(0.3, cfg), math.pi / 4, 0.5, cfg)
         assert var > 0.0 and math.isfinite(var)
 
-    def test_elements_array_matches_scalar_calls(self, cfg):
-        # an (L, 1) aperture column against P beam gains gives (L, P), each
-        # entry bit-identical to the scalar call; m == 1 stays inf
+    def test_gain_array_matches_scalar_calls(self, cfg):
+        # P beam gains give P entries, each bit-identical to the scalar
+        # call at that gain; m == 1 stays inf
         gamma_b = main_lobe_gain(np.array([0.05, 0.3, 1.2]), cfg)
-        elements = np.array([1, 2, 5, 64])[:, None]
         for x, beta, t_obs in ((5.0, 0.0, 1.43e-8), (35.0, 0.5, None),
                                (0.0, 1.0, None)):
-            table = aoa_variance(x, gamma_b, math.pi / 4, beta, cfg,
-                                 observation_time=t_obs, elements=elements)
-            assert table.shape == (4, 3)
-            for i, m in enumerate(elements[:, 0]):
+            for m in (1, 2, 5, 64):
+                row = aoa_variance(x, gamma_b, math.pi / 4, beta, cfg,
+                                   observation_time=t_obs, elements=m)
+                assert row.shape == (3,)
                 for j, g in enumerate(gamma_b):
                     single = aoa_variance(x, float(g), math.pi / 4, beta, cfg,
-                                          observation_time=t_obs,
-                                          elements=int(m))
+                                          observation_time=t_obs, elements=m)
                     assert isinstance(single, float)
-                    assert table[i, j] == single
-            assert np.isinf(table[0]).all()
+                    assert row[j] == single
+                assert m > 1 or np.isinf(row).all()
 
     def test_scalar_elements_path(self, cfg):
         gamma_b = main_lobe_gain(0.3, cfg)
