@@ -194,8 +194,8 @@ class TestCliRuns:
         (["run", "access-delay", "--set", "experiment.lambda_min=1e306",
           "--set", "experiment.lambda_max=1e306",
           "--set", "experiment.lambda_points=1"], 3, "numeric error"),
-        (["run", "access-resolution", "--set", "experiment.lambdas=0.01,1e308"],
-         2, "reference cell"),
+        (["run", "access-resolution",
+          "--set", "experiment.lambdas=0.01,1e308"], 2, "reference cell"),
     ])
     def test_extreme_density_exits_cleanly(self, tmp_path, capsys, argv,
                                            code, message):

@@ -279,9 +279,9 @@ class TestTabulatedLoop:
         obs_time = AccessPolicy().symbol_duration * pilot_energy_scale
         theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
         gamma_b = main_lobe_gain(theta_1 / np.arange(1, n_max + 1), cfg)
-        var_d = ranging_variance(d, gamma_b,
-                                 main_lobe_gain(np.array(UE_GRID)[:, None], cfg),
-                                 0.0, cfg, observation_time=obs_time,
+        gamma_u = main_lobe_gain(np.array(UE_GRID)[:, None], cfg)
+        var_d = ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
+                                 observation_time=obs_time,
                                  pilot_bandwidth=cfg.bandwidth)
         var_psi = np.array([aoa_variance(d, gamma_b, t, 0.0, cfg,
                                          observation_time=obs_time,
