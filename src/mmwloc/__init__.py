@@ -6,9 +6,6 @@ coverage, initial-access delay, and the optimal beamwidth / frame split.
 
 from .config import NetworkConfig
 from .antenna import (
-    UlaArray,
-    array_response,
-    array_response_derivative,
     beamwidth_to_elements,
     main_lobe_gain,
     sidelobe_gain,

@@ -412,7 +412,7 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
 
 def rate_to_sinr_threshold(r0: float, beta, cfg: NetworkConfig):
     """SINR threshold equivalent to an effective-rate target r0 (inf where
-    it saturates); beta may be an array."""
+    it saturates, NumericError where it rounds to 0); beta may be an array."""
     if not r0 > 0.0:
         raise ValueError("rate threshold must be positive")
     beta = np.asarray(beta, dtype=float)
@@ -421,6 +421,8 @@ def rate_to_sinr_threshold(r0: float, beta, cfg: NetworkConfig):
     exponent = r0 * (cfg.t_init + cfg.t_frame) / (beta * cfg.t_frame * cfg.bandwidth)
     with np.errstate(over="ignore"):
         out = np.where(exponent > 900.0, np.inf, 2.0 ** exponent - 1.0)
+    if np.any(out == 0.0):
+        raise NumericError(f"rate target {r0!r} rounds the SINR threshold to 0")
     return out if out.ndim else float(out)
 
 

@@ -32,6 +32,7 @@ from .initial_access import (
 )
 from .localization import avg_beam_selection_error, avg_misalignment_error
 from .montecarlo import simulate_coverage
+from .numerics import db_to_linear
 from .optimizer import (
     OptimizationSpec,
     default_beta_grid,
@@ -153,6 +154,18 @@ def _knob(spec: ExperimentSpec, name: str):
     if not all(item in valid for item in items):
         raise ConfigError(f"experiment.{name}: {value!r} is outside {valid}")
     return parsed
+
+
+def _db_knob_to_linear(name: str, db: float) -> float:
+    """``db_to_linear`` of a dB value of ``experiment.<name>``; ConfigError
+    where it overflows or rounds to 0, as for ``network.noise_dbw``."""
+    try:
+        linear = db_to_linear(db)
+    except OverflowError:
+        raise ConfigError(f"experiment.{name}: {db!r} dB overflows") from None
+    if linear == 0.0:
+        raise ConfigError(f"experiment.{name}: {db!r} dB rounds to 0")
+    return linear
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -305,6 +318,7 @@ def _run_rate_vs_pbs(spec: ExperimentSpec):
 def _run_optimal_map(spec: ExperimentSpec):
     lams = _lambda_grid(spec)
     noises = sorted(_knob(spec, "noise_dbw"))
+    noise_w = {dbw: _db_knob_to_linear("noise_dbw", dbw) for dbw in noises}
     opt_spec = OptimizationSpec(r0=_knob(spec, "r0"),
                                 eps_bs=_knob(spec, "eps_bs"),
                                 eps_ma=_knob(spec, "eps_ma"))
@@ -313,7 +327,7 @@ def _run_optimal_map(spec: ExperimentSpec):
         lam, dbw = item
         cfg = spec.cfg.with_overrides(
             bs_density=float(lam),
-            noise_psd=10.0 ** (dbw / 10.0) / spec.cfg.bandwidth)
+            noise_psd=noise_w[dbw] / spec.cfg.bandwidth)
         res = optimize_beamwidth(opt_spec, cfg)
         return (float(lam), dbw, res.feasible,
                 res.k_star if res.k_star is not None else "",
@@ -333,7 +347,7 @@ def _run_optimal_map(spec: ExperimentSpec):
 def _run_validate_analytical(spec: ExperimentSpec):
     lams = _knob(spec, "lambdas")
     threshold_db = _knob(spec, "threshold_db")
-    threshold = 10.0 ** (threshold_db / 10.0)
+    threshold = _db_knob_to_linear("threshold_db", threshold_db)
 
     def point(item):
         lam, k, beta = item

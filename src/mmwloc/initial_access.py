@@ -67,12 +67,12 @@ class AccessPolicy:
             raise ValueError("termination accuracies must be positive")
         for name in ("max_steps", "n_max"):
             check_count(getattr(self, name), f"{name} must be an integer >= 1")
-        if not self.symbol_duration > 0.0 or not self.initial_sigma_d2 > 0.0:
-            raise ValueError("symbol duration and initial variance must be "
-                             "positive")
-        if not self.pilot_energy_scale > 0.0 or not self.bs_growth > 0.0:
-            raise ValueError("pilot energy scale and row growth must be "
-                             "positive")
+        # inf would zero the prior ranging information, overflow the row cap
+        # or make a step's information infinite
+        for name in ("symbol_duration", "pilot_energy_scale",
+                     "initial_sigma_d2", "bs_growth"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
     zeta = observation_energy(d, 0.0, cfg, obs_time)
     curvature = _ranging_curvature(cfg, cfg.bandwidth)
     gains = [main_lobe_gain(t, cfg) for t in UE_GRID]
-    factors = [float(_aoa_factor(beamwidth_to_elements(t))) for t in UE_GRID]
+    factors = [_aoa_factor(beamwidth_to_elements(t)) for t in UE_GRID]
 
     def variances(level: int, k: int) -> tuple:
         energy = zeta * main_lobe_gain(theta_1 / k, cfg)

@@ -9,11 +9,11 @@ the effective observation-energy factor
 which is gain- and bandwidth-free. The ranging variance carries the
 pilot-band curvature factor B_pilot^2 * pi^2 / (3 c^2) and observes the
 whole localization phase (1 - beta) * T_F. The angle variance carries the
-aperture information of the sounding subarray (at most
-``ue_sounding_elements``, the calibrated panel the UE estimates with)
-evaluated at boresight: the UE steers its lobe at the estimate, so the
-bound is taken in the beam's own frame, making it independent of the
-arrival angle. Angle sounding occupies its own short correlation window
+aperture information pi^2 (m^2 - 1) / 12 of an m-element half-wavelength
+ULA at boresight, m the sounding subarray (at most ``ue_sounding_elements``,
+the calibrated panel the UE estimates with): the UE steers its lobe at the
+estimate, so the bound is taken in the beam's own frame, independent of
+the arrival angle. Angle sounding occupies its own short correlation window
 (``aoa_sounding_time``, clipped to the localization phase).
 
 Beam-selection error: the ranging estimate, Gaussian around the true
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .antenna import UlaArray, aoa_fisher_factor, beamwidth_to_elements, main_lobe_gain
+from .antenna import beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
 from .dictionary import beam_boundaries, row_beamwidth
 from .geometry import path_loss_exponent
@@ -90,9 +90,10 @@ def _ranging_curvature(cfg: NetworkConfig, pilot_bandwidth: float | None = None)
     return b * b * math.pi * math.pi / (3.0 * SPEED_OF_LIGHT ** 2)
 
 
-@lru_cache(maxsize=512)
 def _aoa_factor(m: int) -> float:
-    return aoa_fisher_factor(UlaArray(m))
+    """pi^2 (m^2 - 1) / 12, see the module docstring; other operation orders
+    round differently at some m: (m^2 - 1) * pi * pi / 12 at m = 64."""
+    return math.pi * math.pi * (m * m - 1) / 12.0
 
 
 def ranging_variance(x, gamma_b, gamma_u: float, beta, cfg: NetworkConfig,
@@ -107,12 +108,6 @@ def ranging_variance(x, gamma_b, gamma_u: float, beta, cfg: NetworkConfig,
     with np.errstate(divide="ignore"):
         out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
     return out if out.ndim else float(out)
-
-
-def sounding_elements(theta_u: float, cfg: NetworkConfig) -> int:
-    """Aperture available to angle estimation: the beam's element count,
-    capped at the calibrated sounding subarray size."""
-    return min(beamwidth_to_elements(theta_u), cfg.ue_sounding_elements)
 
 
 def _sounding_time(beta, cfg: NetworkConfig):
@@ -131,7 +126,10 @@ def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
     overrides the estimation aperture, e.g. with a beam's full one. gamma_b
     and beta broadcast against x as in ``observation_energy``.
     """
-    m = sounding_elements(theta_u, cfg) if elements is None else elements
+    # by default the beam's element count, capped at the sounding subarray
+    m = (min(beamwidth_to_elements(theta_u), cfg.ue_sounding_elements)
+         if elements is None else elements)
+    check_count(m, "element count must be >= 1")
     # a one-element aperture has a zero factor: info == 0, hence inf
     factor = _aoa_factor(m)
     if observation_time is None:

@@ -196,6 +196,23 @@ class TestCliRuns:
           "--set", "experiment.lambda_points=1"], 3, "numeric error"),
         (["run", "access-resolution",
           "--set", "experiment.lambdas=0.01,1e308"], 2, "reference cell"),
+        # dB knobs used to end in an OverflowError, or a ValueError once the
+        # threshold rounded to 0, and tiny rate targets in that ValueError
+        (["run", "validate-analytical", "--set", "experiment.threshold_db=4000"],
+         2, "overflows"),
+        (["run", "validate-analytical", "--set", "experiment.threshold_db=1e308"],
+         2, "overflows"),
+        (["run", "validate-analytical",
+          "--set", "experiment.threshold_db=-4000"], 2, "rounds to 0"),
+        (["run", "optimal-map", "--set", "experiment.noise_dbw=4000"],
+         2, "overflows"),
+        (["run", "optimal-map", "--set", "experiment.noise_dbw=-4000"],
+         2, "rounds to 0"),
+        (["optimize", "--r0", "1e-10"], 3, "rounds the SINR threshold to 0"),
+        (["run", "rate-vs-beta", "--set", "experiment.r0=1e-308"],
+         3, "rounds the SINR threshold to 0"),
+        (["run", "rate-vs-pbs", "--set", "experiment.r0=1e-308"],
+         3, "rounds the SINR threshold to 0"),
     ])
     def test_extreme_density_exits_cleanly(self, tmp_path, capsys, argv,
                                            code, message):

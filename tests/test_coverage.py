@@ -583,3 +583,13 @@ class TestRateCoverage:
 
     def test_threshold_overflow_saturates_to_zero(self, cfg):
         assert rate_coverage(1.0e13, 0.02, 4, math.pi / 8, cfg) == 0.0
+
+    # 2^exponent - 1 rounds to 0 below an exponent of about 1e-16 (5e-324
+    # underflows the exponent itself); in a batch one such beta is enough.
+    # These used to reach the coverage pass's "must be positive" ValueError.
+    @pytest.mark.parametrize("r0, beta", [
+        (1.0e-10, 0.5), (1.0e-308, 0.5), (5.0e-324, 0.5),
+        (5.0e-8, np.array([0.02, 1.0]))])
+    def test_threshold_rounding_to_zero_raises(self, cfg, r0, beta):
+        with pytest.raises(NumericError, match="rounds the SINR threshold"):
+            rate_to_sinr_threshold(r0, beta, cfg)

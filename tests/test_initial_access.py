@@ -112,6 +112,12 @@ class TestRefinementLoop:
         assert trace.total_symbols == 1
         assert trace.terminated == "accuracy_met"
 
+    def test_infinite_accuracies_stay_non_binding(self, cfg):
+        pol = AccessPolicy(delta_d=math.inf, delta_psi=math.inf)
+        trace = run_initial_access(5.0, 10.0, pol, cfg)
+        assert trace.total_symbols == 1
+        assert trace.terminated == "accuracy_met"
+
     def test_tighter_target_never_faster(self, cfg):
         steps = []
         for delta in (1.0, 0.1, 0.01, 0.001):
@@ -305,13 +311,16 @@ class TestTabulatedLoop:
             run_initial_access(d, cell_size,
                                AccessPolicy(pilot_energy_scale=scale), cfg)
 
-    @pytest.mark.parametrize("field", [
-        "delta_bs", "delta_ma", "delta_d", "delta_psi", "symbol_duration",
-        "initial_sigma_d2", "pilot_energy_scale", "bs_growth"])
-    def test_nan_float_rejected(self, field):
+    @pytest.mark.parametrize("field,value", [
+        *(pytest.param(f, math.nan, id=f) for f in (
+            "delta_bs", "delta_ma", "delta_d", "delta_psi", "symbol_duration",
+            "initial_sigma_d2", "pilot_energy_scale", "bs_growth")),
+        # inf used to end in a ZeroDivisionError and an OverflowError
+        ("initial_sigma_d2", math.inf), ("bs_growth", math.inf)])
+    def test_nan_float_rejected(self, field, value):
         # a NaN accuracy used to pass, and the loop ran to max_steps
         with pytest.raises(ValueError):
-            AccessPolicy(**{field: float("nan")})
+            AccessPolicy(**{field: value})
 
     @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 0])
     @pytest.mark.parametrize("field", ["max_steps", "n_max"])

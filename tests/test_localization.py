@@ -7,9 +7,10 @@ import pytest
 from scipy.special import erfc
 
 from mmwloc import NetworkConfig
-from mmwloc.antenna import UlaArray, aoa_fisher_factor, main_lobe_gain
+from mmwloc.antenna import main_lobe_gain
 from mmwloc.dictionary import beam_boundaries
 from mmwloc.localization import (
+    _aoa_factor,
     avg_beam_selection_error,
     avg_misalignment_error,
     aoa_variance,
@@ -29,6 +30,19 @@ def qf(x):
 @pytest.fixture
 def cfg():
     return NetworkConfig()
+
+
+def projected_derivative_residual(m: int, h: float = 1e-7) -> float:
+    """||da||^2 - |<a, da>|^2 / ||a||^2 at boresight by direct complex sums,
+    for the unit-norm half-wavelength ULA response
+    a(psi)_n = exp(i pi n sin psi) / sqrt(m) and da by central differences.
+    Their truncation error is about (pi m h)^2 / 6 relative."""
+    def response(psi):
+        return np.exp(1j * math.pi * np.arange(m) * math.sin(psi)) / math.sqrt(m)
+    a = response(0.0)
+    da = (response(h) - response(-h)) / (2 * h)
+    return (np.vdot(da, da).real
+            - abs(np.vdot(a, da)) ** 2 / np.vdot(a, a).real)
 
 
 class TestRangingBound:
@@ -60,6 +74,25 @@ class TestRangingBound:
 
 
 class TestAoaBound:
+    def test_factor_matches_projected_derivative_residual(self, cfg):
+        # the truncation reaches 1.9e-9 relative at m = 256; closed forms
+        # such as pi^2 m^2 / 12 miss by 1 / m^2, 1.5e-5 there
+        for m in (*range(1, 65), 128, 256):
+            factor = _aoa_factor(m)
+            assert type(factor) is float
+            assert factor == pytest.approx(projected_derivative_residual(m),
+                                           rel=1e-8, abs=0.0)
+        assert _aoa_factor(1) == 0.0
+        assert aoa_variance(5.0, main_lobe_gain(0.3, cfg), math.pi / 4, 0.5,
+                            cfg, elements=1) == math.inf
+
+    # the closed form takes any number: 2.5 would give a finite variance
+    @pytest.mark.parametrize("count", [0, -1, 2.5, math.nan, math.inf])
+    def test_bad_element_count_rejected(self, cfg, count):
+        with pytest.raises(ValueError, match="element count must be >= 1"):
+            aoa_variance(5.0, main_lobe_gain(0.3, cfg), math.pi / 4, 0.5, cfg,
+                         elements=count)
+
     def test_single_element_unidentifiable(self, cfg):
         # a 2*pi UE beam is one element: no angle information at all
         assert aoa_variance(5.0, main_lobe_gain(0.3, cfg), 2 * math.pi, 0.5,
@@ -109,7 +142,7 @@ class TestAoaBound:
                             elements=1) == math.inf
         got = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg, elements=8)
         zeta = observation_energy(5.0, 0.5, cfg, cfg.aoa_sounding_time)
-        assert got == 1.0 / (zeta * gamma_b * aoa_fisher_factor(UlaArray(8)))
+        assert got == 1.0 / (zeta * gamma_b * (math.pi * math.pi * 63 / 12.0))
 
     def test_beta_starves_sounding(self, cfg):
         gamma_b = main_lobe_gain(0.3, cfg)
