@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb, gamma
 
 from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
@@ -111,10 +110,24 @@ class CoverageResult:
     stderr: float
 
 
+def _as_floats(values) -> np.ndarray:
+    """Python integers as a float64 array, inf beyond the float range."""
+    out = []
+    for value in values:
+        try:
+            out.append(float(value))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
 def alzer_eta(n):
     """eta = N * (N!)^(-1/N); equals 1 for the exponential case. N may be
-    an array."""
-    return n * gamma(n + 1) ** (-1.0 / n)
+    an array of integer shapes; N! is exact per distinct shape."""
+    shapes, inverse = np.unique(n, return_inverse=True)
+    factorials = _as_floats(math.factorial(int(s)) for s in shapes.tolist())
+    eta = shapes * factorials ** (-1.0 / shapes)
+    return eta[inverse].reshape(np.shape(n))
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +150,24 @@ def _series_coefficients(qpow: np.ndarray, wt: np.ndarray,
         # einsum sums the short node rows twice as fast as np.sum
         np.einsum("pn->p", moment, out=coef[j])
     j = np.arange(1, SERIES_TERMS + 1)
-    coef *= ((-1.0) ** (j + 1) * comb(shape + j - 1, j, exact=False)
-             / float(shape) ** j)[:, None]
+    binomials = _as_floats(math.comb(shape + i - 1, i) for i in j.tolist())
+    coef *= ((-1.0) ** (j + 1) * binomials / float(shape) ** j)[:, None]
     return coef
 
 
-def _node_sum(w: np.ndarray, qpow: np.ndarray, wt: np.ndarray,
-              shape: int) -> np.ndarray:
+def _node_sum(w: np.ndarray, u: np.ndarray, wt: np.ndarray, shape: int,
+              inv: np.ndarray, power: np.ndarray,
+              total: np.ndarray) -> np.ndarray:
     """sum_nodes (1 - (1 + u)^-N) * wt, u = w * qpow / N, per entry, for
-    weights w (E,) and node tables (E, nodes); qpow is overwritten in
-    place, so pass a fresh copy (a gather). Evaluated as
+    weights w (E,) and the node tables qpow and wt gathered into u and wt
+    (E, nodes). u is overwritten, and inv, power and total are scratch of
+    its shape, so the caller can reuse all four buffers. Evaluated as
     u * sum_{i=1..N} (1 + u)^-i, whose terms are all positive, so it does
     not cancel for small u."""
-    u = qpow
     u *= w[:, None] / shape
-    inv = 1.0 / (1.0 + u)
-    power = inv.copy()
-    total = inv.copy()
+    np.divide(1.0, np.add(1.0, u, out=inv), out=inv)
+    np.copyto(power, inv)
+    np.copyto(total, inv)
     for _ in range(shape - 1):
         power *= inv
         total += power
@@ -189,15 +203,19 @@ class _InterferenceTables:
             0.5 * path_loss_exponent(x, cfg))
         # (n, per-position coefficient) of the Alzer expansion terms
         self.terms = []
+        shapes, inverse = np.unique(shape_x, return_inverse=True)
         for n in range(1, max(cfg.n_los, cfg.n_nlos) + 1):
             active = n <= shape_x
             if not np.any(active):
                 break
-            self.terms.append(
-                (n, np.where(active, (-1.0) ** (n + 1) * comb(shape_x, n), 0.0)))
+            binomials = _as_floats(math.comb(int(s), n)
+                                   for s in shapes.tolist())
+            self.terms.append((n, np.where(
+                active, (-1.0) ** (n + 1) * binomials[inverse], 0.0)))
         h2 = cfg.h_b * cfg.h_b
         two_lambda = 2.0 * cfg.bs_density
         self.rules = []
+        self._scratch = None           # the node sums' buffers, see _nodes
         self.reach = np.zeros(x.size)
         los_mask = x < cfg.d_s
         if "los" in classes and np.any(los_mask):
@@ -236,13 +254,24 @@ class _InterferenceTables:
         return out
 
     def _nodes(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The node rules summed over the classes at weights w."""
+        """The node rules summed over the classes at weights w, at most
+        _CHUNK_ENTRIES entries, in five (entries, nodes) buffers that the
+        tables allocate once and reuse."""
+        if self._scratch is None:
+            self._scratch = np.empty((5, _CHUNK_ENTRIES * max(LOS_NODES,
+                                                              NLOS_NODES)))
         out = np.zeros_like(w)
         for rows, qpow, wt, shape in self.rules:
             row = rows[pos]
             has = row >= 0
             row = row[has]
-            out[has] += _node_sum(w[has], qpow[row], wt[row], shape)
+            dims = (row.size, qpow.shape[1])
+            buffers = [b[:dims[0] * dims[1]].reshape(dims)
+                       for b in self._scratch]
+            # mode="clip" gathers straight into out= (rows are in range)
+            np.take(qpow, row, axis=0, out=buffers[0], mode="clip")
+            np.take(wt, row, axis=0, out=buffers[1], mode="clip")
+            out[has] += _node_sum(w[has], *buffers[:2], shape, *buffers[2:])
         return out
 
     def exponents(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -329,14 +358,16 @@ def _branch_values(x: np.ndarray, threshold, branch_gain, cfg: NetworkConfig,
     for n, coef in tables.terms:
         scale = n * tables.eta * threshold * tables.z_pow / branch_gain
         noise = scale * noise_over_ref
-        live = noise < -_EXP_FLOOR
-        if not np.any(live):
+        # flat indices of the live entries (gathers by index cost less than
+        # by boolean mask); an entry's position is its last-axis index
+        live = np.flatnonzero(noise < -_EXP_FLOOR)
+        if not live.size:
             continue
-        pos = np.nonzero(live)[-1]
+        pos = live % x.size
         exponent = np.maximum(
-            -(noise[live] + tables.exponents(scale[live] * g2, pos)),
+            -(noise.take(live) + tables.exponents(scale.take(live) * g2, pos)),
             _EXP_FLOOR)
-        out[live] += np.broadcast_to(coef, out.shape)[live] * np.exp(exponent)
+        out.reshape(-1)[live] += coef.take(pos) * np.exp(exponent)
     if not np.all(np.isfinite(out)):
         raise NumericError("branch coverage produced non-finite values")
     return out

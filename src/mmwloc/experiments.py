@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import NetworkConfig
@@ -196,7 +195,6 @@ def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_s": round(elapsed, 3),
     }

@@ -117,21 +117,18 @@ def _sounding_time(beta, cfg: NetworkConfig):
 
 
 def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
-                 observation_time: float | None = None,
-                 elements: int | None = None):
+                 observation_time: float | None = None):
     """sigma_psi^2 over positions; inf for a single-element aperture.
 
-    The default observation window is the angle-sounding time clipped to
-    the localization phase (so beta -> 1 starves it to zero). ``elements``
-    overrides the estimation aperture, e.g. with a beam's full one. gamma_b
-    and beta broadcast against x as in ``observation_energy``.
+    The aperture is the beam's element count, capped at the sounding
+    subarray ``ue_sounding_elements``. The default observation window is
+    the angle-sounding time clipped to the localization phase (so beta -> 1
+    starves it to zero). gamma_b and beta broadcast against x as in
+    ``observation_energy``.
     """
-    # by default the beam's element count, capped at the sounding subarray
-    m = (min(beamwidth_to_elements(theta_u), cfg.ue_sounding_elements)
-         if elements is None else elements)
-    check_count(m, "element count must be >= 1")
     # a one-element aperture has a zero factor: info == 0, hence inf
-    factor = _aoa_factor(m)
+    factor = _aoa_factor(min(beamwidth_to_elements(theta_u),
+                             cfg.ue_sounding_elements))
     if observation_time is None:
         observation_time = _sounding_time(beta, cfg)
     zeta = observation_energy(x, beta, cfg, observation_time)
@@ -153,7 +150,10 @@ def beam_selection_profile(x, sigma_d, d_left, d_right):
     1/2 on an edge, 1 outside); sigma_d == inf gives 1.
     """
     sigma = np.maximum(sigma_d, SIGMA_FLOOR)
-    return 1.0 - qfunc((d_left - x) / sigma) + qfunc((d_right - x) / sigma)
+    # both edges in one qfunc call, which has a fixed cost per call
+    left, right = qfunc(np.stack(np.broadcast_arrays((d_left - x) / sigma,
+                                                     (d_right - x) / sigma)))
+    return 1.0 - left + right
 
 
 def p_misalignment(sigma_psi2, nu):

@@ -7,10 +7,11 @@ test suite so the hot loops can avoid per-point adaptive calls.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericError
 
@@ -19,16 +20,143 @@ SPEED_OF_LIGHT = 299_792_458.0
 # [0, 1]; anything farther is a numerical fault, not rounding.
 PROBABILITY_SLACK = 1e-9
 
+# erfc is the cephes ndtr.c algorithm (S. L. Moshier, Methods and Programs
+# for Mathematical Functions, 1989), the one scipy.special.erfc runs: erf's
+# rational T/U in x^2 on |x| < 1, exp(-x^2) P/Q on [1, 8) and exp(-x^2) R/S
+# on [8, sqrt(MAXLOG)], 2 - y below 0. Coefficients are cephes', highest
+# degree first; the denominators are monic (cephes p1evl).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2   # log(DBL_MAX)
+# fl(x * x) > _MAXLOG exactly for x > _X_UNDER (a test pins it): there
+# erfc is 0.0 without arithmetic
+_X_UNDER = math.sqrt(_MAXLOG)
+# erfc(6) < 2^-55, so 2 - erfc(-x) rounds to exactly 2.0 for x < _X_TWO
+_X_TWO = -6.0
+# arrays up to this size run the same operations on Python floats, which
+# costs less than numpy's per-call overhead
+_SMALL_ARRAY = 16
+
+
+# (numerator, denominator) per band; the monic denominators get their
+# leading 1, and 1 * t + c rounds as p1evl's t + c
+_INNER = (_ERF_T, (1.0,) + _ERF_U)          # in x^2, for |x| < 1
+_MID = (_ERFC_P, (1.0,) + _ERFC_Q)          # in |x|, on [1, 8)
+_FAR = (_ERFC_R, (1.0,) + _ERFC_S)          # in |x|, on [8, _X_UNDER]
+
+
+def _polevl(t, coefs: tuple):
+    """Horner's rule in cephes polevl's order, for a float or a 1-D array
+    t (an array is overwritten step by step in a new buffer)."""
+    out = t * coefs[0]
+    for c in coefs[1:-1]:
+        out += c
+        out *= t
+    out += coefs[-1]
+    return out
+
+
+def _erfc_floats(x: np.ndarray) -> list:
+    """erfc over a small 1-D array on Python floats, bit-equal to
+    ``_erfc_array``: the same operations, and exp from numpy."""
+    t = np.minimum(np.abs(x), _X_UNDER)   # t * t cannot overflow
+    out = []
+    for v, z in zip(x.tolist(), np.exp(-(t * t)).tolist()):
+        a = abs(v)
+        if not a >= 1.0:               # NaN too: it stays NaN
+            num, den = _INNER
+            out.append(1.0 - v * _polevl(v * v, num) / _polevl(v * v, den))
+        elif v < _X_TWO:
+            out.append(2.0)
+        elif v > _X_UNDER:
+            out.append(0.0)
+        else:
+            num, den = _MID if a < 8.0 else _FAR
+            y = z * _polevl(a, num) / _polevl(a, den)
+            out.append(2.0 - y if v < 0.0 else y)
+    return out
+
+
+def _erfc_array(x: np.ndarray) -> np.ndarray:
+    """erfc over a 1-D array; each band runs only on its own entries."""
+    out = (x < 0.0) * 2.0              # the limits 2 and 0
+    a = np.abs(x)
+    tail = a >= 1.0
+    at = np.flatnonzero(~tail)         # |x| < 1, and NaN, which stays NaN
+    if at.size:
+        v = x.take(at)
+        z = v * v
+        v *= _polevl(z, _INNER[0])
+        v /= _polevl(z, _INNER[1])
+        out[at] = 1.0 - v
+    tail &= x >= _X_TWO
+    tail &= a <= _X_UNDER
+    far = a >= 8.0
+    far &= tail
+    tail ^= far                        # now 1 <= |x| < 8
+    for mask, band in ((tail, _MID), (far, _FAR)):
+        at = np.flatnonzero(mask)
+        if at.size:
+            t = a.take(at)
+            y = t * t
+            np.negative(y, out=y)
+            np.exp(y, out=y)
+            y *= _polevl(t, band[0])
+            y /= _polevl(t, band[1])
+            # the limit plus y with x's sign: y, or 2 + (-y) == 2 - y
+            np.copysign(y, x.take(at), out=y)
+            y += out.take(at)
+            out[at] = y
+    return out
+
+
+def erfc(x):
+    """Complementary error function, elementwise; a 0-d input gives a
+    numpy float, as a ufunc would. Bit-equal to cephes' erfc except that
+    exp is numpy's, which moves some entries by a few ulps; every entry
+    gets the same bits in any array size, shape or batch."""
+    x = np.asarray(x, dtype=float)
+    if x.size <= _SMALL_ARRAY:
+        out = np.array(_erfc_floats(x.ravel())).reshape(x.shape)
+        return out if out.ndim else out[()]
+    return _erfc_array(x.ravel()).reshape(x.shape)
+
 
 def qfunc(x):
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @lru_cache(maxsize=64)
 def q_inverse(p: float) -> float:
     """x with Q(x) = p; inf for p <= 0 and -inf for p >= 1."""
-    return float(np.sqrt(2.0) * special.erfcinv(2.0 * min(max(p, 0.0), 1.0)))
+    if p <= 0.0:
+        return math.inf
+    if p >= 1.0:
+        return -math.inf
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 @lru_cache(maxsize=None)

@@ -115,9 +115,10 @@ def optimize_beta(k: int, spec: OptimizationSpec, cfg: NetworkConfig) -> BetaOpt
     with single-beta p_bs averages (p_ma is averaged over the grid). A full
     scan finds the same prefix: per position each error is non-decreasing
     along a sorted grid, as neighbouring betas move every erfc argument by
-    far more than an ulp or not at all (so scipy's ulp-scale non-monotone
-    erfc does not enter), and fixed-order sums with non-negative weights
-    keep that order."""
+    far more than an ulp or not at all (so ``numerics.erfc``'s ulp-scale
+    wiggle, which it shares with cephes, does not enter: it never rises on
+    a 3e-6 grid), and fixed-order sums with non-negative weights keep that
+    order."""
     theta_u = ue_beamwidth_for_dictionary(k, cfg)
     betas = np.array(spec.beta_grid, dtype=float)
     p_ma = avg_misalignment_error(k, theta_u, betas, cfg)

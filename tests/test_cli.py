@@ -2,7 +2,10 @@
 
 import csv
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +280,31 @@ class TestCliRuns:
         for row in rows:
             assert (float(row["proposed_ms"]) < float(row["iterative_ms"])
                     < float(row["exhaustive_ms"]))
+
+
+class TestStartup:
+    # scipy.special took over half of every start; the package computes
+    # without it now, and a run must not import it on the way either
+    SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import mmwloc.cli
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+argvs = (["run", "error-vs-dictionary", "--set", "experiment.k_max=3"],
+         ["run", "access-delay", "--set", "experiment.lambda_points=3"])
+codes = [mmwloc.cli.main(argv + ["--out", sys.argv[2]]) for argv in argvs]
+after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([before, codes, after]))
+"""
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(src),
+                               str(tmp_path)], capture_output=True,
+                              text=True, check=True, timeout=120)
+        before, codes, after = json.loads(done.stdout.splitlines()[-1])
+        assert before == [] and codes == [0, 0] and after == []
+        for name in ("error-vs-dictionary", "access-delay"):
+            manifest = json.loads(
+                (tmp_path / f"{name}_manifest.json").read_text())
+            assert set(manifest["versions"]) == {"package", "python", "numpy"}

@@ -218,9 +218,11 @@ def _reference_access(d, cell_size, policy, cfg):
         var_d = float(ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
                                        observation_time=obs_time,
                                        pilot_bandwidth=cfg.bandwidth))
-        var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, cfg,
-                                     observation_time=obs_time,
-                                     elements=beamwidth_to_elements(theta_u)))
+        # the access loop senses with the beam's full aperture
+        full = cfg.with_overrides(
+            ue_sounding_elements=beamwidth_to_elements(theta_u))
+        var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, full,
+                                     observation_time=obs_time))
         info_d += 1.0 / var_d
         if math.isfinite(var_psi):
             info_psi += 1.0 / var_psi
@@ -289,10 +291,13 @@ class TestTabulatedLoop:
         var_d = ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
                                  observation_time=obs_time,
                                  pilot_bandwidth=cfg.bandwidth)
-        var_psi = np.array([aoa_variance(d, gamma_b, t, 0.0, cfg,
-                                         observation_time=obs_time,
-                                         elements=beamwidth_to_elements(t))
-                            for t in UE_GRID])
+        # each level's full aperture, as the access loop senses with
+        var_psi = np.array([
+            aoa_variance(d, gamma_b, t, 0.0,
+                         cfg.with_overrides(
+                             ue_sounding_elements=beamwidth_to_elements(t)),
+                         observation_time=obs_time)
+            for t in UE_GRID])
         variances = _step_variances(d, theta_1, obs_time, cfg)
         pairs = [variances(level, k) for level in range(len(UE_GRID))
                  for k in range(1, n_max + 1)]

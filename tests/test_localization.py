@@ -8,6 +8,7 @@ from scipy.special import erfc
 
 from mmwloc import NetworkConfig
 from mmwloc.antenna import main_lobe_gain
+from mmwloc.errors import ConfigError
 from mmwloc.dictionary import beam_boundaries
 from mmwloc.localization import (
     _aoa_factor,
@@ -84,14 +85,15 @@ class TestAoaBound:
                                            rel=1e-8, abs=0.0)
         assert _aoa_factor(1) == 0.0
         assert aoa_variance(5.0, main_lobe_gain(0.3, cfg), math.pi / 4, 0.5,
-                            cfg, elements=1) == math.inf
+                            cfg.with_overrides(ue_sounding_elements=1)
+                            ) == math.inf
 
-    # the closed form takes any number: 2.5 would give a finite variance
+    # the closed form takes any number: 2.5 would give a finite variance,
+    # so the element count is checked where it enters, at the config
     @pytest.mark.parametrize("count", [0, -1, 2.5, math.nan, math.inf])
     def test_bad_element_count_rejected(self, cfg, count):
-        with pytest.raises(ValueError, match="element count must be >= 1"):
-            aoa_variance(5.0, main_lobe_gain(0.3, cfg), math.pi / 4, 0.5, cfg,
-                         elements=count)
+        with pytest.raises(ConfigError, match="ue_sounding_elements"):
+            cfg.with_overrides(ue_sounding_elements=count)
 
     def test_single_element_unidentifiable(self, cfg):
         # a 2*pi UE beam is one element: no angle information at all
@@ -126,21 +128,26 @@ class TestAoaBound:
         for x, beta, t_obs in ((5.0, 0.0, 1.43e-8), (35.0, 0.5, None),
                                (0.0, 1.0, None)):
             for m in (1, 2, 5, 64):
-                row = aoa_variance(x, gamma_b, math.pi / 4, beta, cfg,
-                                   observation_time=t_obs, elements=m)
+                # a 0.01 rad beam has 629 elements: the cap m sets the aperture
+                capped = cfg.with_overrides(ue_sounding_elements=m)
+                row = aoa_variance(x, gamma_b, 0.01, beta, capped,
+                                   observation_time=t_obs)
                 assert row.shape == (3,)
                 for j, g in enumerate(gamma_b):
-                    single = aoa_variance(x, float(g), math.pi / 4, beta, cfg,
-                                          observation_time=t_obs, elements=m)
+                    single = aoa_variance(x, float(g), 0.01, beta, capped,
+                                          observation_time=t_obs)
                     assert isinstance(single, float)
                     assert row[j] == single
                 assert m > 1 or np.isinf(row).all()
 
     def test_scalar_elements_path(self, cfg):
         gamma_b = main_lobe_gain(0.3, cfg)
-        assert aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg,
-                            elements=1) == math.inf
-        got = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg, elements=8)
+        assert aoa_variance(5.0, gamma_b, math.pi / 4, 0.5,
+                            cfg.with_overrides(ue_sounding_elements=1)
+                            ) == math.inf
+        # the pi/4 beam's 8 elements, uncapped
+        got = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5,
+                           cfg.with_overrides(ue_sounding_elements=8))
         zeta = observation_energy(5.0, 0.5, cfg, cfg.aoa_sounding_time)
         assert got == 1.0 / (zeta * gamma_b * (math.pi * math.pi * 63 / 12.0))
 

@@ -1,18 +1,25 @@
-"""Numerical helpers: quadrature grids, the Gaussian tail, the checked
-probability clamp."""
+"""Numerical helpers: quadrature grids, the Gaussian tail and its
+inverse, the checked probability clamp."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from mmwloc.errors import NumericError
 from mmwloc.numerics import (
+    _MAXLOG,
+    _SMALL_ARRAY,
+    _X_UNDER,
     PROBABILITY_SLACK,
     checked_probability,
+    erfc,
     exponential_cell_nodes,
     gauss_legendre,
+    q_inverse,
     qfunc,
     split_panel,
 )
@@ -101,6 +108,114 @@ class TestQfunc:
     def test_far_tail_does_not_underflow_early(self):
         # erfc keeps the relative accuracy that 1 - Phi(x) would lose
         assert qfunc(30.0) == pytest.approx(4.906713927148187e-198, rel=1e-12)
+
+
+class TestErfc:
+    """The numpy port of cephes erfc against scipy.special.erfc, which runs
+    cephes with libm's exp: numpy's exp moves some entries by a few ulps."""
+
+    GRID = np.linspace(-40.0, 40.0, 2_000_001)
+
+    def test_within_4_ulp_of_scipy(self):
+        got, ref = erfc(self.GRID), special.erfc(self.GRID)
+        ulps = np.abs(got - ref) / np.spacing(np.abs(ref))
+        assert ulps.max() <= 4.0
+        # the bands and their edges: mostly bit-equal
+        assert np.count_nonzero(got != ref) < 0.02 * got.size
+
+    @pytest.mark.parametrize("x, want", [
+        (0.0, 1.0), (-0.0, 1.0), (math.inf, 0.0), (-math.inf, 2.0),
+        (1e200, 0.0), (-1e200, 2.0)])
+    def test_exact_special_values(self, x, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the float path and the array path
+            assert erfc(x) == want
+            assert np.all(erfc(np.full(_SMALL_ARRAY + 1, x)) == want)
+
+    def test_nan_stays_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(erfc(math.nan))
+            got = erfc(np.array([math.nan] + [0.5] * _SMALL_ARRAY))
+        assert math.isnan(got[0]) and np.all(got[1:] == erfc(0.5))
+
+    def test_limits_without_arithmetic(self):
+        below = -np.geomspace(6.0, 1e300, 1000)[1:]
+        assert np.all(erfc(below) == 2.0)
+        assert all(erfc(v) == 2.0 for v in below[:50].tolist())
+        # the underflow point: fl(x * x) > MAXLOG exactly beyond _X_UNDER
+        assert _X_UNDER * _X_UNDER <= _MAXLOG
+        above = math.nextafter(_X_UNDER, math.inf)
+        assert above * above > _MAXLOG
+        assert erfc(above) == 0.0 and erfc(1e300) == 0.0
+        assert erfc(_X_UNDER) == special.erfc(_X_UNDER) > 0.0
+
+    def test_same_bits_in_any_size_shape_or_batch(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-30.0, 30.0, 3000),
+                            rng.uniform(-1.5, 1.5, 1000),
+                            [-6.0, -1.0, 1.0, 8.0, _X_UNDER, -0.0]])
+        whole = erfc(x)
+        # one entry at a time: the small-array path on Python floats
+        single = np.array([erfc(v) for v in x.tolist()])
+        assert np.array_equal(whole, single)
+        assert isinstance(erfc(0.3), np.float64)
+        for size in (2, _SMALL_ARRAY, _SMALL_ARRAY + 1, 100, 1024):
+            parts = [erfc(x[i:i + size]) for i in range(0, x.size, size)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        shaped = x[:3000].reshape(30, 10, 10)
+        assert np.array_equal(erfc(shaped).ravel(), whole[:3000])
+        # a strided view and a reversed copy
+        assert np.array_equal(erfc(x[::-3]), whole[::-3])
+
+    def test_never_increases_on_a_fine_grid(self):
+        # the port, like scipy, wiggles at ulp scale (around 0.84375 it
+        # steps up in 16% of consecutive floats), but not on a grid of
+        # spacing 3e-6, in chunks of 2^20 points
+        lo, step = -10.0, 3e-6
+        n = int((27.0 - lo) / step) + 1
+        prev = math.inf
+        for i in range(0, n, 1 << 20):
+            y = erfc(lo + step * np.arange(i, min(n, i + (1 << 20))))
+            assert y[0] <= prev and np.all(np.diff(y) <= 0.0)
+            prev = y[-1]
+
+    def test_halving_the_argument_never_lowers_it(self):
+        # the UE grid's argument: nu / s halves from one level to the next
+        x = np.geomspace(1e-300, 13.5, 200_001)
+        assert np.all(erfc(2.0 * x) <= erfc(x))
+
+
+class TestQInverse:
+    @staticmethod
+    def reference(p: float):
+        """x with Q(x) = p, solved in log form at 40 digits."""
+        with mpmath.workdps(40):
+            target = mpmath.log(mpmath.mpf(p))
+            return mpmath.findroot(
+                lambda t: mpmath.log(mpmath.erfc(t / mpmath.sqrt(2)) / 2)
+                - target, mpmath.mpf(q_inverse(p)))
+
+    def test_matches_mpmath(self):
+        rng = np.random.default_rng(2)
+        ps = np.concatenate([10.0 ** rng.uniform(-300.0, -0.31, 60),
+                             1.0 - 10.0 ** rng.uniform(-12.0, -0.31, 30),
+                             [1e-300, 1e-12, 0.25, 0.75, 1.0 - 1e-12]])
+        for p in ps.tolist():
+            ref = self.reference(p)
+            assert abs(q_inverse(p) - ref) <= 1e-15 * abs(ref), p
+        assert q_inverse(0.5) == 0.0
+
+    @pytest.mark.parametrize("p, want", [(0.0, math.inf), (-1.0, math.inf),
+                                         (1.0, -math.inf), (2.0, -math.inf)])
+    def test_ends(self, p, want):
+        assert q_inverse(p) == want
+
+    def test_inverts_qfunc(self):
+        for x in (-5.0, -0.3, 0.7, 3.0, 12.0, 37.0):
+            assert qfunc(q_inverse(float(qfunc(x)))) == pytest.approx(
+                float(qfunc(x)), rel=1e-13)
 
 
 class TestCheckedProbability:
