@@ -151,7 +151,7 @@ def beam_selection_profile(x, sigma_d, d_left, d_right):
     """
     sigma = np.maximum(sigma_d, SIGMA_FLOOR)
     # both edges in one qfunc call, which has a fixed cost per call
-    left, right = qfunc(np.stack(np.broadcast_arrays((d_left - x) / sigma,
+    left, right = qfunc(np.array(np.broadcast_arrays((d_left - x) / sigma,
                                                      (d_right - x) / sigma)))
     return 1.0 - left + right
 

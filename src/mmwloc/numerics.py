@@ -57,21 +57,30 @@ _X_TWO = -6.0
 _SMALL_ARRAY = 16
 
 
-# (numerator, denominator) per band; the monic denominators get their
-# leading 1, and 1 * t + c rounds as p1evl's t + c
-_INNER = (_ERF_T, (1.0,) + _ERF_U)          # in x^2, for |x| < 1
-_MID = (_ERFC_P, (1.0,) + _ERFC_Q)          # in |x|, on [1, 8)
-_FAR = (_ERFC_R, (1.0,) + _ERFC_S)          # in |x|, on [8, _X_UNDER]
+# (numerator, monic denominator) per band
+_INNER = (_ERF_T, _ERF_U)             # in x^2, for |x| < 1
+_MID = (_ERFC_P, _ERFC_Q)             # in |x|, on [1, 8)
+_FAR = (_ERFC_R, _ERFC_S)             # in |x|, on [8, _X_UNDER]
 
 
 def _polevl(t, coefs: tuple):
     """Horner's rule in cephes polevl's order, for a float or a 1-D array
-    t (an array is overwritten step by step in a new buffer)."""
+    t (an array result is a new buffer, updated in place)."""
     out = t * coefs[0]
     for c in coefs[1:-1]:
         out += c
         out *= t
     out += coefs[-1]
+    return out
+
+
+def _p1evl(t, coefs: tuple):
+    """``_polevl`` with an implicit leading coefficient 1, as cephes'
+    p1evl."""
+    out = t + coefs[0]
+    for c in coefs[1:]:
+        out *= t
+        out += c
     return out
 
 
@@ -84,21 +93,22 @@ def _erfc_floats(x: np.ndarray) -> list:
         a = abs(v)
         if not a >= 1.0:               # NaN too: it stays NaN
             num, den = _INNER
-            out.append(1.0 - v * _polevl(v * v, num) / _polevl(v * v, den))
+            out.append(1.0 - v * _polevl(v * v, num) / _p1evl(v * v, den))
         elif v < _X_TWO:
             out.append(2.0)
         elif v > _X_UNDER:
             out.append(0.0)
         else:
             num, den = _MID if a < 8.0 else _FAR
-            y = z * _polevl(a, num) / _polevl(a, den)
+            y = z * _polevl(a, num) / _p1evl(a, den)
             out.append(2.0 - y if v < 0.0 else y)
     return out
 
 
 def _erfc_array(x: np.ndarray) -> np.ndarray:
     """erfc over a 1-D array; each band runs only on its own entries."""
-    out = (x < 0.0) * 2.0              # the limits 2 and 0
+    out = (x < 0.0).astype(float)      # the limits 2 and 0
+    out *= 2.0
     a = np.abs(x)
     tail = a >= 1.0
     at = np.flatnonzero(~tail)         # |x| < 1, and NaN, which stays NaN
@@ -106,7 +116,7 @@ def _erfc_array(x: np.ndarray) -> np.ndarray:
         v = x.take(at)
         z = v * v
         v *= _polevl(z, _INNER[0])
-        v /= _polevl(z, _INNER[1])
+        v /= _p1evl(z, _INNER[1])
         out[at] = 1.0 - v
     tail &= x >= _X_TWO
     tail &= a <= _X_UNDER
@@ -121,7 +131,7 @@ def _erfc_array(x: np.ndarray) -> np.ndarray:
             np.negative(y, out=y)
             np.exp(y, out=y)
             y *= _polevl(t, band[0])
-            y /= _polevl(t, band[1])
+            y /= _p1evl(t, band[1])
             # the limit plus y with x's sign: y, or 2 + (-y) == 2 - y
             np.copysign(y, x.take(at), out=y)
             y += out.take(at)

@@ -234,9 +234,8 @@ def test_criterion_8_property_suite():
     # branch ordering
     x = rng.uniform(0.5, 40.0, size=20)
     gb, gu, g = main_lobe_gain(0.2, cfg), main_lobe_gain(0.5, cfg), sidelobe_gain(cfg)
-    t0 = _branch_values(x, THRESHOLD_5DB, gb * gu, cfg)
-    tma = _branch_values(x, THRESHOLD_5DB, gb * g, cfg)
-    tbs = _branch_values(x, THRESHOLD_5DB, g * g, cfg)
+    t0, tma, tbs = _branch_values(x, THRESHOLD_5DB, (gb * gu, gb * g, g * g),
+                                  cfg)
     checks["branch-ordering"] = bool(np.all(t0 >= tma - 1e-12)
                                      and np.all(tma >= tbs - 1e-12))
 

@@ -34,6 +34,7 @@ from mmwloc.localization import (
     avg_beam_selection_error,
     avg_misalignment_error,
     beam_selection_profile,
+    misalignment_error,
     nu_threshold,
     p_misalignment,
     ranging_variance,
@@ -83,8 +84,11 @@ def _cell_loop_reference(threshold, k, theta_u, beta, cfg):
     for i, da_weight in enumerate(da_weights):
         d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
         d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
+        p_ma = misalignment_error(x[i].ravel(),
+                                  main_lobe_gain(float(theta_k[i]), cfg),
+                                  theta_u, beta, cfg)
         values = _mixture_values(x[i].ravel(), threshold, float(theta_k[i]),
-                                 theta_u, beta, k, d_left.ravel(),
+                                 theta_u, beta, p_ma, k, d_left.ravel(),
                                  d_right.ravel(), cfg,
                                  _InterferenceTables(x[i].ravel(), cfg))
         total += da_weight * float(np.dot(values, pos_w[i].ravel()))
@@ -164,8 +168,11 @@ def _series_chunk(cfg, monkeypatch):
     calls = []
     real = _InterferenceTables.exponents
 
-    def spy(self, w, pos):
-        calls.append((self, w.copy(), pos.copy()))
+    def spy(self, w, pos=None):
+        # a call without pos covers every position on w's last axis
+        flat = (np.broadcast_to(np.arange(w.shape[-1]), w.shape).ravel()
+                if pos is None else pos)
+        calls.append((self, w.ravel().copy(), flat.copy()))
         return real(self, w, pos)
 
     monkeypatch.setattr(_InterferenceTables, "exponents", spy)
@@ -224,6 +231,23 @@ class TestInterferenceKernel:
                   for i in range(w.size)]
         assert np.array_equal(batch, single)
 
+    # a (pairs, positions) grid without pos gathers no table; one with
+    # node-sum entries falls back to the gathered form
+    @pytest.mark.parametrize("spread", [(-6, -1), (-4, 5)],
+                             ids=["series-only", "with-node-sums"])
+    def test_grid_matches_gathered_entries(self, spread):
+        x = np.linspace(0.0, 400.0, 81)
+        tables = _InterferenceTables(x, NetworkConfig())
+        rng = np.random.default_rng(8)
+        w = (SERIES_RADIUS / tables.reach
+             * 10.0 ** rng.uniform(*spread, (5, x.size)))
+        assert (np.any(w * tables.reach > SERIES_RADIUS)
+                == (spread[1] > 0))
+        pos = np.tile(np.arange(x.size), 5)
+        grid = tables.exponents(w)
+        assert grid.shape == w.shape
+        assert np.array_equal(grid.ravel(), tables.exponents(w.ravel(), pos))
+
     @pytest.mark.parametrize("noise_psd", [1e-12, dbm_to_watt(-174.0)],
                              ids=["default", "thermal"])
     def test_series_matches_mpmath(self, noise_psd, monkeypatch):
@@ -269,9 +293,8 @@ class TestBranchOrdering:
         g = sidelobe_gain(cfg)
         x = rng.uniform(0.5, 40.0, size=30)
         for threshold in (0.1, 3.16, 50.0):
-            t0 = _branch_values(x, threshold, gamma_b * gamma_u, cfg)
-            tma = _branch_values(x, threshold, gamma_b * g, cfg)
-            tbs = _branch_values(x, threshold, g * g, cfg)
+            t0, tma, tbs = _branch_values(
+                x, threshold, (gamma_b * gamma_u, gamma_b * g, g * g), cfg)
             assert np.all(t0 >= tma - 1e-12)
             assert np.all(tma >= tbs - 1e-12)
 
@@ -282,15 +305,15 @@ class TestCoverageProbability:
         x = np.linspace(0.0, 120.0, 25)
         for gain in (main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg),
                      sidelobe_gain(cfg) ** 2):
-            np.testing.assert_allclose(_branch_values(x, 1e-18, gain, cfg),
-                                       1.0, atol=1e-6)
+            np.testing.assert_allclose(
+                _branch_values(x, 1e-18, (gain,), cfg)[0], 1.0, atol=1e-6)
 
     def test_monotone_in_threshold(self, cfg):
         # a (B, 1) column of thresholds: every position's coverage falls
         x = np.linspace(0.0, 120.0, 25)
         t = np.array([0.1, 1.0, 3.16, 10.0, 100.0])[:, None]
         gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
-        vals = _branch_values(x, t, gain, cfg)
+        vals, = _branch_values(x, t, (gain,), cfg)
         assert vals.shape == (5, 25)
         assert np.all(np.diff(vals, axis=0) <= 1e-12)
 
@@ -305,7 +328,8 @@ class TestCoverageProbability:
         theta_k = row_beamwidth(d_a, cfg.h_b, k)
         gain = main_lobe_gain(theta_k, cfg) * main_lobe_gain(theta_u, cfg)
         x, w = gauss_legendre(bounds[0], bounds[1], BEAM_NODES)
-        got = np.dot(_branch_values(x, t, gain, cfg), w) / (bounds[1] - bounds[0])
+        got = (np.dot(_branch_values(x, t, (gain,), cfg)[0], w)
+               / (bounds[1] - bounds[0]))
 
         def noise_only(x):
             z2 = x * x + cfg.h_b ** 2
@@ -327,8 +351,8 @@ def _beam_coverage(t, k, j, theta_u, beta, d_a, cfg):
     x, w = split_panel(d_left, d_right, cfg.d_s, BEAM_NODES)
     gamma_b, gamma_u = main_lobe_gain(theta_k, cfg), main_lobe_gain(theta_u, cfg)
     g = sidelobe_gain(cfg)
-    t0, tma, tbs = (_branch_values(x, t, gain, cfg)
-                    for gain in (gamma_b * gamma_u, gamma_b * g, g * g))
+    t0, tma, tbs = _branch_values(
+        x, t, (gamma_b * gamma_u, gamma_b * g, g * g), cfg)
     sigma_d = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
     p_bs = beam_selection_profile(x, sigma_d, d_left, d_right) if k > 1 else 0.0
     p_ma = p_misalignment(aoa_variance(x, gamma_b, theta_u, beta, cfg),
@@ -461,7 +485,7 @@ class TestBatchedCoverage:
         ref, floored, skipped, entries = _floored_branch_values(
             x, thresholds, gain, cfg)
         assert skipped > 0.5 * entries
-        got = _branch_values(x, thresholds, gain, cfg)
+        got, = _branch_values(x, thresholds, (gain,), cfg)
         assert np.all(np.abs(got - ref) <= 1e-322)
         assert np.array_equal(got[~floored], ref[~floored])
 
@@ -482,7 +506,7 @@ class TestBatchedCoverage:
                / (cfg.p_t * cfg.k_pl))
         thresholds = (10.0 ** np.array(log_far_noise) / far)[:, None]
         ref, floored, _, _ = _floored_branch_values(x, thresholds, gain, cfg)
-        got = _branch_values(x, thresholds, gain, cfg)
+        got, = _branch_values(x, thresholds, (gain,), cfg)
         assert np.all(np.abs(got - ref) <= 1e-322)
         assert np.array_equal(got[~floored], ref[~floored])
 
@@ -493,7 +517,7 @@ class TestBatchedCoverage:
         gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
         ref, floored, _, _ = _floored_branch_values(x, 1e6, gain, cfg)
         assert np.all(floored) and np.all(ref > 0.0)
-        got = _branch_values(x, 1e6, gain, cfg)
+        got, = _branch_values(x, 1e6, (gain,), cfg)
         assert np.all(got == 0.0)
 
     def test_overshoot_beyond_slack_raises(self, cfg, monkeypatch):

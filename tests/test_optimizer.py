@@ -160,9 +160,17 @@ class TestWorkCounts:
 
     def test_coverage_pass_one_misalignment_row_per_window(self, cfg,
                                                            monkeypatch):
+        # one row per distinct window and cell chunk, shared by the chunk's
+        # pair slices
         real_mixture = coverage._mixture_values
         real_ma = coverage.misalignment_error
-        slices, rows = [], []
+        real_tables = coverage._InterferenceTables
+        chunks, slices, rows = [], [], []
+
+        class CountedTables(real_tables):
+            def __init__(self, *args, **kwargs):
+                chunks.append(None)
+                super().__init__(*args, **kwargs)
 
         def mixture(*args, **kwargs):
             slices.append(None)
@@ -176,14 +184,15 @@ class TestWorkCounts:
 
         monkeypatch.setattr(coverage, "_mixture_values", mixture)
         monkeypatch.setattr(coverage, "misalignment_error", misalignment)
+        monkeypatch.setattr(coverage, "_InterferenceTables", CountedTables)
         betas = np.array(default_beta_grid())
         k, tu = 4, ue_beamwidth_for_dictionary(4, cfg)
         overall_coverage(rate_to_sinr_threshold(1.0e8, betas, cfg), k, tu,
                          betas, cfg)
         distinct = np.unique(_sounding_time(betas, cfg)).size
         assert distinct < betas.size
-        assert len(rows) == len(slices) > 0
-        assert sum(rows) <= distinct * len(slices)
+        assert len(slices) > len(chunks) > 0
+        assert rows == [distinct] * len(chunks)
 
 
 class TestOptimizeBeamwidth:
