@@ -155,13 +155,13 @@ def _series_coefficients(qpow: np.ndarray, wt: np.ndarray,
     return coef
 
 
-def _node_sum(w: np.ndarray, u: np.ndarray, wt: np.ndarray, shape: int,
+def _node_sum(w: np.ndarray, shape: int, u: np.ndarray, wt: np.ndarray,
               inv: np.ndarray, power: np.ndarray,
               total: np.ndarray) -> np.ndarray:
     """sum_nodes (1 - (1 + u)^-N) * wt, u = w * qpow / N, per entry, for
     weights w (E,) and the node tables qpow and wt gathered into u and wt
     (E, nodes). u is overwritten, and inv, power and total are scratch of
-    its shape, so the caller can reuse all four buffers. Evaluated as
+    its shape, so the caller can reuse all five buffers. Evaluated as
     u * sum_{i=1..N} (1 + u)^-i, whose terms are all positive, so it does
     not cancel for small u."""
     u *= w[:, None] / shape
@@ -272,7 +272,7 @@ class _InterferenceTables:
             # mode="clip" gathers straight into out= (rows are in range)
             np.take(qpow, row, axis=0, out=buffers[0], mode="clip")
             np.take(wt, row, axis=0, out=buffers[1], mode="clip")
-            out[has] += _node_sum(w[has], *buffers[:2], shape, *buffers[2:])
+            out[has] += _node_sum(w[has], shape, *buffers)
         return out
 
     def exponents(self, w: np.ndarray, pos=None) -> np.ndarray:
