@@ -110,24 +110,18 @@ class CoverageResult:
     stderr: float
 
 
-def _as_floats(values) -> np.ndarray:
-    """Python integers as a float64 array, inf beyond the float range."""
-    out = []
-    for value in values:
-        try:
-            out.append(float(value))
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
+def _as_float(value: int) -> float:
+    """A Python integer as a float, inf beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
-def alzer_eta(n):
-    """eta = N * (N!)^(-1/N); equals 1 for the exponential case. N may be
-    an array of integer shapes; N! is exact per distinct shape."""
-    shapes, inverse = np.unique(n, return_inverse=True)
-    factorials = _as_floats(math.factorial(int(s)) for s in shapes.tolist())
-    eta = shapes * factorials ** (-1.0 / shapes)
-    return eta[inverse].reshape(np.shape(n))
+def alzer_eta(n: int) -> float:
+    """eta = N * (N!)^(-1/N) for an integer shape N, with N! exact; equals
+    1 for the exponential case."""
+    return n * _as_float(math.factorial(n)) ** (-1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +144,8 @@ def _series_coefficients(qpow: np.ndarray, wt: np.ndarray,
         # einsum sums the short node rows twice as fast as np.sum
         np.einsum("pn->p", moment, out=coef[j])
     j = np.arange(1, SERIES_TERMS + 1)
-    binomials = _as_floats(math.comb(shape + i - 1, i) for i in j.tolist())
+    binomials = np.array([_as_float(math.comb(shape + i - 1, i))
+                          for i in j.tolist()])
     coef *= ((-1.0) ** (j + 1) * binomials / float(shape) ** j)[:, None]
     return coef
 
@@ -198,18 +193,19 @@ class _InterferenceTables:
         self.cfg = cfg
         x = np.asarray(x, dtype=float)
         shape_x = nakagami_shape(x, cfg)
-        self.eta = alzer_eta(shape_x)
+        # the constants are exact per distinct shape, then scattered
+        shapes, inverse = np.unique(shape_x, return_inverse=True)
+        shapes = shapes.tolist()
+        self.eta = np.array([alzer_eta(s) for s in shapes])[inverse]
         self.z_pow = (x * x + cfg.h_b * cfg.h_b) ** (
             0.5 * path_loss_exponent(x, cfg))
         # (n, per-position coefficient) of the Alzer expansion terms
         self.terms = []
-        shapes, inverse = np.unique(shape_x, return_inverse=True)
         for n in range(1, max(cfg.n_los, cfg.n_nlos) + 1):
             active = n <= shape_x
             if not np.any(active):
                 break
-            binomials = _as_floats(math.comb(int(s), n)
-                                   for s in shapes.tolist())
+            binomials = np.array([_as_float(math.comb(s, n)) for s in shapes])
             self.terms.append((n, np.where(
                 active, (-1.0) ** (n + 1) * binomials[inverse], 0.0)))
         h2 = cfg.h_b * cfg.h_b
@@ -278,17 +274,19 @@ class _InterferenceTables:
     def exponents(self, w: np.ndarray, pos=None) -> np.ndarray:
         """A_LOS + A_NLOS for 1-D threshold weights w at the table
         positions ``pos`` (one index per weight), or for weights w of shape
-        (..., positions) with pos None, which gathers no table: the moment
-        series where w * reach <= SERIES_RADIUS, the node rules beyond, on
-        slices of at most _CHUNK_ENTRIES entries. Every entry is evaluated
-        on its own, so it gets the same bits in any batch or layout."""
+        (..., positions) with pos None, which gathers no table unless some
+        entry needs the node rules: the moment series where
+        w * reach <= SERIES_RADIUS, the node rules beyond, on slices of at
+        most _CHUNK_ENTRIES entries. Every entry is evaluated on its own,
+        so it gets the same bits in any batch or layout."""
         reach = self.reach if pos is None else self.reach[pos]
         far = w * reach > SERIES_RADIUS
         if not np.any(far):
             return self._series(w, pos)
-        if pos is None:
-            pos = np.broadcast_to(np.arange(w.shape[-1]), w.shape).ravel()
-            return self.exponents(w.ravel(), pos).reshape(w.shape)
+        shape = w.shape
+        if pos is None:    # the grid's entries with their positions
+            pos = np.broadcast_to(np.arange(shape[-1]), shape).ravel()
+            w, far = w.ravel(), far.ravel()
         out = np.empty_like(w)
         near = ~far
         out[near] = self._series(w[near], pos[near])
@@ -296,7 +294,7 @@ class _InterferenceTables:
         for i in range(0, far_at.size, _CHUNK_ENTRIES):
             part = far_at[i:i + _CHUNK_ENTRIES]
             out[part] = self._nodes(w[part], pos[part])
-        return out
+        return out.reshape(shape)
 
 
 def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
@@ -375,7 +373,9 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
             live = np.flatnonzero(noise < -_EXP_FLOOR)
             if not live.size:
                 continue
-            if live.size == noise.size:    # all live: the tables ungathered
+            # all live: the tables ungathered (0.83x `optimize` wall_s
+            # against the gathered form alone, BENCH_19.json)
+            if live.size == noise.size:
                 exponent = np.maximum(
                     -(noise + tables.exponents(scale * g2)), _EXP_FLOOR)
                 out += coef * np.exp(exponent)
@@ -438,8 +438,8 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
         np.atleast_1d(np.asarray(beta, dtype=float)))
     if not np.all(thresholds > 0.0):
         raise ValueError("SINR threshold must be positive")
-    # one misalignment row per distinct sounding window and cell chunk,
-    # scattered to the betas of every slice
+    # the misalignment error depends on beta only through the sounding
+    # window: one row per window, kept from a slice to the next
     _, first, window = np.unique(_sounding_time(betas, cfg),
                                  return_index=True, return_inverse=True)
 
@@ -449,13 +449,27 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
         d_left = np.broadcast_to(bounds[:, :-1, None], shape).ravel()
         d_right = np.broadcast_to(bounds[:, 1:, None], shape).ravel()
         xc = x.ravel()
+        gamma_b = main_lobe_gain(theta, cfg)
         tables = _InterferenceTables(xc, cfg)
-        rows = misalignment_error(xc, main_lobe_gain(theta, cfg), theta_u,
-                                  betas[first, None], cfg)
-        return lambda pairs: _mixture_values(
-            xc, thresholds[pairs, None], theta, theta_u, betas[pairs, None],
-            rows[window[pairs]], k, d_left, d_right, cfg,
-            tables).reshape((-1,) + shape)
+        rows = {}
+
+        def values(pairs):
+            # the slice's windows that the previous slice lacked, at most
+            # one row per pair, so the slice's entry budget bounds them
+            wins, at = np.unique(window[pairs], return_inverse=True)
+            wins = wins.tolist()
+            new = [i for i in wins if i not in rows]
+            if new:
+                rows.update(zip(new, misalignment_error(
+                    xc, gamma_b, theta_u, betas[first[new], None], cfg)))
+            for i in set(rows) - set(wins):
+                del rows[i]
+            p_ma = np.stack([rows[i] for i in wins])[at]
+            return _mixture_values(
+                xc, thresholds[pairs, None], theta, theta_u,
+                betas[pairs, None], p_ma, k, d_left, d_right, cfg,
+                tables).reshape((-1,) + shape)
+        return values
 
     total = cell_average(k, len(betas), cfg, evaluator, _CHUNK_ENTRIES,
                          _EVAL_ENTRIES, "overall coverage")

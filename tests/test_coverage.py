@@ -30,6 +30,7 @@ from mmwloc.initial_access import UE_GRID
 from mmwloc.localization import (
     BEAM_NODES,
     _cell_grid,
+    _sounding_time,
     aoa_variance,
     avg_beam_selection_error,
     avg_misalignment_error,
@@ -232,10 +233,10 @@ class TestInterferenceKernel:
         assert np.array_equal(batch, single)
 
     # a (pairs, positions) grid without pos gathers no table; one with
-    # node-sum entries falls back to the gathered form
+    # node-sum entries falls back to the gathered form in the same call
     @pytest.mark.parametrize("spread", [(-6, -1), (-4, 5)],
                              ids=["series-only", "with-node-sums"])
-    def test_grid_matches_gathered_entries(self, spread):
+    def test_grid_matches_gathered_entries(self, spread, monkeypatch):
         x = np.linspace(0.0, 400.0, 81)
         tables = _InterferenceTables(x, NetworkConfig())
         rng = np.random.default_rng(8)
@@ -244,7 +245,17 @@ class TestInterferenceKernel:
         assert (np.any(w * tables.reach > SERIES_RADIUS)
                 == (spread[1] > 0))
         pos = np.tile(np.arange(x.size), 5)
+        calls = []
+        real = _InterferenceTables.exponents
+
+        def spy(self, w, pos=None):
+            calls.append(pos)
+            return real(self, w, pos)
+
+        monkeypatch.setattr(_InterferenceTables, "exponents", spy)
         grid = tables.exponents(w)
+        monkeypatch.undo()
+        assert len(calls) == 1
         assert grid.shape == w.shape
         assert np.array_equal(grid.ravel(), tables.exponents(w.ravel(), pos))
 
@@ -461,6 +472,30 @@ class TestBatchedCoverage:
         monkeypatch.setattr(coverage, "_CHUNK_ENTRIES", 96)
         monkeypatch.setattr(coverage, "_EVAL_ENTRIES", 300)
         batch = overall_coverage(thresholds, k, tu, betas, cfg)
+        assert np.array_equal(batch, single)
+
+    # a sounding time beyond the frame gives every beta its own window:
+    # each slice computes its own rows, within the entry budget
+    def test_misalignment_rows_within_entry_budget(self, monkeypatch):
+        cfg = NetworkConfig(aoa_sounding_time=2.0e-3)
+        betas = np.array(default_beta_grid())
+        assert np.unique(_sounding_time(betas, cfg)).size == betas.size
+        tu = ue_beamwidth_for_dictionary(2, cfg)
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        single = [overall_coverage(float(t), 2, tu, float(beta), cfg)
+                  for t, beta in zip(thresholds, betas)]
+        entries = []
+        real = coverage.misalignment_error
+
+        def misalignment(x, gamma_b, theta_u, beta, cfg):
+            entries.append(np.size(x) * np.shape(beta)[0])
+            return real(x, gamma_b, theta_u, beta, cfg)
+
+        monkeypatch.setattr(coverage, "misalignment_error", misalignment)
+        monkeypatch.setattr(coverage, "_CHUNK_ENTRIES", 96)
+        monkeypatch.setattr(coverage, "_EVAL_ENTRIES", 300)
+        batch = overall_coverage(thresholds, 2, tu, betas, cfg)
+        assert len(entries) > 1 and max(entries) <= 300
         assert np.array_equal(batch, single)
 
     def test_rate_batch_matches_single_and_saturates_to_zero(self, cfg):

@@ -160,8 +160,8 @@ class TestWorkCounts:
 
     def test_coverage_pass_one_misalignment_row_per_window(self, cfg,
                                                            monkeypatch):
-        # one row per distinct window and cell chunk, shared by the chunk's
-        # pair slices
+        # one row per distinct window and cell chunk, kept across the
+        # chunk's pair slices (the grid's windows are contiguous in beta)
         real_mixture = coverage._mixture_values
         real_ma = coverage.misalignment_error
         real_tables = coverage._InterferenceTables
@@ -179,7 +179,7 @@ class TestWorkCounts:
         def misalignment(x, gamma_b, theta_u, beta, cfg):
             windows = _sounding_time(np.ravel(beta), cfg)
             assert np.unique(windows).size == windows.size
-            rows.append(windows.size)
+            rows.append((len(chunks), windows.size))
             return real_ma(x, gamma_b, theta_u, beta, cfg)
 
         monkeypatch.setattr(coverage, "_mixture_values", mixture)
@@ -192,7 +192,9 @@ class TestWorkCounts:
         distinct = np.unique(_sounding_time(betas, cfg)).size
         assert distinct < betas.size
         assert len(slices) > len(chunks) > 0
-        assert rows == [distinct] * len(chunks)
+        per_chunk = [sum(n for chunk, n in rows if chunk == c)
+                     for c in range(1, len(chunks) + 1)]
+        assert per_chunk == [distinct] * len(chunks)
 
 
 class TestOptimizeBeamwidth:
