@@ -62,12 +62,13 @@ _EXP_FLOOR = -745.0  # exp underflows below this
 # Per-position node tables hold up to NLOS_NODES values per position, and a
 # node-sum entry gathers as many, so both a cell chunk's positions (which
 # set its kernel tables) and a slice of node-sum entries hold _CHUNK_ENTRIES
-# = 2^10 rows. Every other temporary holds one float64 per (pair, position)
-# entry, so an evaluation takes _EVAL_ENTRIES = 2^14 entries: the tables of
-# a 1,024-position chunk serve 16 pairs per evaluation. Either way no array
-# exceeds 2^15 float64 (256 kB) for rows up to k = 32, whose cell has 1,024
-# positions (a larger row's chunk is one cell), except the series gather of
-# SERIES_TERMS coefficients per entry, 2^17 float64 (1 MB).
+# = 2^10 rows. Every other temporary, the moment series' included, holds
+# one float64 per (pair, position) entry, so an evaluation takes
+# _EVAL_ENTRIES = 2^14 entries: the tables of a 1,024-position chunk serve
+# 16 pairs per evaluation. Either way no array exceeds 2^15 float64
+# (256 kB) for rows up to k = 32, whose cell has 1,024 positions (a larger
+# row's chunk is one cell); the node sums' five buffers are the rows of
+# one allocation.
 _CHUNK_ENTRIES = 2 ** 10
 _EVAL_ENTRIES = 2 ** 14
 
@@ -234,26 +235,21 @@ class _InterferenceTables:
         # term-major, so that Horner reads contiguous rows
         self.coef = np.zeros((SERIES_TERMS, x.size))
         for row, qpow, wt, shape in self.rules:
-            coef = _series_coefficients(qpow, wt, shape)
-            if coef.shape[1] == x.size:  # every position has this rule
-                self.coef += coef
-            else:
-                self.coef[:, row >= 0] += coef
+            self.coef[:, row >= 0] += _series_coefficients(qpow, wt, shape)
 
-    def _series(self, w: np.ndarray, pos) -> np.ndarray:
-        """Horner evaluation of the moment series at weights w (see
-        ``exponents`` for pos)."""
-        coef = self.coef if pos is None else self.coef.take(pos, axis=1)
-        out = coef[-1] * w
+    def _series(self, w: np.ndarray) -> np.ndarray:
+        """Horner evaluation of the moment series at weights w of shape
+        (..., positions)."""
+        out = self.coef[-1] * w
         for j in range(SERIES_TERMS - 2, -1, -1):
-            out += coef[j]
+            out += self.coef[j]
             out *= w
         return out
 
     def _nodes(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The node rules summed over the classes at weights w, at most
-        _CHUNK_ENTRIES entries, in five (entries, nodes) buffers that the
-        tables allocate once and reuse."""
+        """The node rules summed over the classes at 1-D weights w at the
+        table positions pos, at most _CHUNK_ENTRIES entries, in five
+        (entries, nodes) buffers that the tables allocate once and reuse."""
         if self._scratch is None:
             self._scratch = np.empty((5, _CHUNK_ENTRIES * max(LOS_NODES,
                                                               NLOS_NODES)))
@@ -271,30 +267,22 @@ class _InterferenceTables:
             out[has] += _node_sum(w[has], shape, *buffers)
         return out
 
-    def exponents(self, w: np.ndarray, pos=None) -> np.ndarray:
-        """A_LOS + A_NLOS for 1-D threshold weights w at the table
-        positions ``pos`` (one index per weight), or for weights w of shape
-        (..., positions) with pos None, which gathers no table unless some
-        entry needs the node rules: the moment series where
-        w * reach <= SERIES_RADIUS, the node rules beyond, on slices of at
-        most _CHUNK_ENTRIES entries. Every entry is evaluated on its own,
-        so it gets the same bits in any batch or layout."""
-        reach = self.reach if pos is None else self.reach[pos]
-        far = w * reach > SERIES_RADIUS
-        if not np.any(far):
-            return self._series(w, pos)
-        shape = w.shape
-        if pos is None:    # the grid's entries with their positions
-            pos = np.broadcast_to(np.arange(shape[-1]), shape).ravel()
-            w, far = w.ravel(), far.ravel()
-        out = np.empty_like(w)
-        near = ~far
-        out[near] = self._series(w[near], pos[near])
+    def exponents(self, w: np.ndarray) -> np.ndarray:
+        """A_LOS + A_NLOS for threshold weights w of shape (..., positions):
+        the moment series on the whole grid, with 0 in place of the
+        weights beyond its radius (w * reach > SERIES_RADIUS), whose
+        entries the node rules then overwrite, on slices of at most
+        _CHUNK_ENTRIES entries (an entry's position is its flat index
+        modulo the last-axis size). Every entry is evaluated on its own,
+        so it gets the same bits in any batch."""
+        far = w * self.reach > SERIES_RADIUS
+        out = self._series(np.where(far, 0.0, w))
         far_at = np.flatnonzero(far)
+        flat, w = out.reshape(-1), np.ravel(w)
         for i in range(0, far_at.size, _CHUNK_ENTRIES):
             part = far_at[i:i + _CHUNK_ENTRIES]
-            out[part] = self._nodes(w[part], pos[part])
-        return out.reshape(shape)
+            flat[part] = self._nodes(w[part], part % self.reach.size)
+        return out
 
 
 def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
@@ -317,7 +305,7 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
     tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg,
                                  classes)
     w = np.asarray([t_scaled * gain_product], dtype=float)
-    value = float(tables.exponents(w, np.zeros(1, dtype=int))[0])
+    value = float(tables.exponents(w)[0])
     if not np.isfinite(value):
         raise NumericError("interference exponent did not converge")
     return value
@@ -338,14 +326,17 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
     serving classes: the fading shape, its expansion constant, and the
     path-loss exponent switch at the LOS-ball edge.
 
-    An entry whose noise term alone reaches -_EXP_FLOOR adds exactly 0.0
-    and runs neither the kernel nor exp (47.9% of the entries of the
-    default `mmwloc optimize`). The interference exponent is never
+    An entry whose noise term alone reaches -_EXP_FLOOR is dead: it runs
+    the series at w = 0 and adds coef * exp(-inf), exactly +-0.0, and a
+    (term, gain) with no live entry runs neither the kernel nor exp
+    (47.9% of the entries of the default `mmwloc optimize` are dead, 34.9%
+    in such skipped calls). The interference exponent is never
     negative (the node form sums positive terms; the series form keeps an
     even number of alternating, shrinking terms, so it is at least its
     first term minus its second, which is >= 0), so the entry's floored
     exponent would be _EXP_FLOOR whatever the interference is, and its
-    addend coef * exp(_EXP_FLOOR) at most C(N, n) * 4.9e-324. The noise
+    addend coef * exp(_EXP_FLOOR) a subnormal of at most C(N, n) * 4.9e-324,
+    which exp takes over 100 times longer to produce than +-0.0. The noise
     term grows with n, so an entry's floored terms follow its live ones,
     and an entry without one keeps the bits of the floored form. M dropped
     addends sum to at most M * 2^-1022, so a rounded cell sum S can change
@@ -366,26 +357,13 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
         for gain, out in zip(gains, outs):
             scale = scaled / gain
             noise = scale * noise_over_ref
-            # flat indices of the live entries (gathers by index cost less
-            # than by boolean mask); an entry's position is its last-axis
-            # index, the remainder by x.size (numpy's // by a scalar is
-            # 2.5x faster than %)
-            live = np.flatnonzero(noise < -_EXP_FLOOR)
-            if not live.size:
+            live = noise < -_EXP_FLOOR
+            if not np.any(live):
                 continue
-            # all live: the tables ungathered (0.83x `optimize` wall_s
-            # against the gathered form alone, BENCH_19.json)
-            if live.size == noise.size:
-                exponent = np.maximum(
-                    -(noise + tables.exponents(scale * g2)), _EXP_FLOOR)
-                out += coef * np.exp(exponent)
-                continue
-            pos = live - live // x.size * x.size
-            exponent = np.maximum(
-                -(noise.take(live) + tables.exponents(scale.take(live) * g2,
-                                                      pos)),
-                _EXP_FLOOR)
-            out.reshape(-1)[live] += coef.take(pos) * np.exp(exponent)
+            a = tables.exponents(np.where(live, scale * g2, 0.0))
+            exponent = np.where(live, np.maximum(-(noise + a), _EXP_FLOOR),
+                                -np.inf)
+            out += coef * np.exp(exponent)
     if not all(np.all(np.isfinite(out)) for out in outs):
         raise NumericError("branch coverage produced non-finite values")
     return outs

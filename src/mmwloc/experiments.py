@@ -31,7 +31,7 @@ from .initial_access import (
 )
 from .localization import avg_beam_selection_error, avg_misalignment_error
 from .montecarlo import simulate_coverage
-from .numerics import db_to_linear
+from .numerics import check_count, db_to_linear
 from .optimizer import (
     OptimizationSpec,
     default_beta_grid,
@@ -394,15 +394,16 @@ def dump_dictionary(cfg: NetworkConfig, out_dir: Path, cell_size: float | None,
     """Write the (k, j, theta_k, d_left, d_right) table of rows 1..n_max
     for inspection, each value as its repr so that it reads back exactly."""
     d_a = cell_size if cell_size is not None else cfg.mean_cell_size
-    if not (d_a > 0.0 and n_max >= 1):   # NaN fails too
-        raise ValueError("cell size must be positive and n_max >= 1")
+    if not d_a > 0.0:   # NaN fails too
+        raise ValueError("cell size must be positive")
+    check_count(n_max, "n_max must be an integer >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "beam_dictionary.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "j", "theta_k", "d_left", "d_right"])
-        for k in range(1, n_max + 1):
+        for k in range(1, int(n_max) + 1):
             theta_k = repr(row_beamwidth(d_a, cfg.h_b, k))
             edges = beam_boundaries(d_a, cfg.h_b, k).tolist()
             for j in range(1, k + 1):

@@ -28,6 +28,7 @@ from .coverage import CoverageQuery, CoverageResult
 from .dictionary import beam_boundaries, containing_beam, row_beamwidth
 from .geometry import is_los, nakagami_shape, path_loss_exponent
 from .localization import aoa_variance, nu_threshold, ranging_variance
+from .numerics import check_count
 
 BATCH_SIZE = 8192
 # Interferers per arithmetic chunk of _interference_sums: 2^15 float64
@@ -37,6 +38,7 @@ _CHUNK = 1 << 15
 
 def _batch_streams(seed: int, trials: int):
     """Yield (rng, batch_size) pairs with deterministic substreams."""
+    trials = int(trials)
     n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
     for b in range(n_batches):
         size = min(BATCH_SIZE, trials - b * BATCH_SIZE)
@@ -97,6 +99,9 @@ def simulate_laplace(serving_d: float, weight: float, cfg: NetworkConfig,
     The weight plays the role of the scaled threshold times the interferer
     gain product; used to validate the analytical Laplace exponents.
     """
+    if not serving_d >= 0.0:   # NaN fails too
+        raise ValueError("serving distance must be non-negative")
+    check_count(trials, "need at least one trial")
     values = []
     for rng, size in _batch_streams(seed, trials):
         d = np.full(size, float(serving_d))
@@ -145,8 +150,7 @@ def _draw_users(rng, size: int, k: int, theta_u: float, beta: float,
 def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
                       seed: int) -> CoverageResult:
     """Empirical P(SINR >= T) under the full error-aware branch logic."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_count(trials, "need at least one trial")
     successes = 0
     branch_hits = {"aligned": 0, "misaligned": 0, "beam_error": 0}
     gamma_u = main_lobe_gain(query.theta_u, cfg)
@@ -180,8 +184,8 @@ def simulate_error_probabilities(k: int, beta: float, theta_u: float,
                                  cfg: NetworkConfig, trials: int, seed: int) -> dict:
     """Beam-selection and misalignment frequencies of the users a cell-level
     ``simulate_coverage`` query draws: the averaged errors' oracle."""
-    if k < 1 or trials < 1:
-        raise ValueError("need k >= 1 and trials >= 1")
+    check_count(k, "dictionary size must be >= 1")
+    check_count(trials, "need at least one trial")
     bs_count = 0
     ma_count = 0
     for rng, size in _batch_streams(seed, trials):

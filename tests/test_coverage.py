@@ -164,31 +164,38 @@ class TestLaplaceInterference:
 
 
 def _series_chunk(cfg, monkeypatch):
-    """(tables, w, pos, series indices) of the kernel call of a batched
-    rate-coverage pass at k = 8 that holds the largest series entry."""
-    calls = []
+    """(tables, w, series indices, v) of the kernel call of a batched
+    rate-coverage pass at k = 8 that holds the largest series entry, its
+    tables rebuilt at the positions of the call's flattened entries."""
+    positions, calls = {}, []
+    real_init = _InterferenceTables.__init__
     real = _InterferenceTables.exponents
 
-    def spy(self, w, pos=None):
-        # a call without pos covers every position on w's last axis
-        flat = (np.broadcast_to(np.arange(w.shape[-1]), w.shape).ravel()
-                if pos is None else pos)
-        calls.append((self, w.ravel().copy(), flat.copy()))
-        return real(self, w, pos)
+    def init_spy(self, x, cfg, *args):
+        positions[self] = np.asarray(x, dtype=float).copy()
+        real_init(self, x, cfg, *args)
 
+    def spy(self, w):
+        calls.append((self, w.copy()))
+        return real(self, w)
+
+    monkeypatch.setattr(_InterferenceTables, "__init__", init_spy)
     monkeypatch.setattr(_InterferenceTables, "exponents", spy)
     tu = ue_beamwidth_for_dictionary(8, cfg)
     rate_coverage(1.0e8, np.array([0.3, 0.6, 0.9]), 8, tu, cfg)
     monkeypatch.undo()
 
     def series_v(call):
-        tables, w, pos = call
-        v = w * tables.reach[pos]
+        tables, w = call
+        v = w * tables.reach
         return np.where(v <= SERIES_RADIUS, v, 0.0)
 
-    tables, w, pos = max(calls, key=lambda call: series_v(call).max())
-    v = series_v((tables, w, pos))
-    return tables, w, pos, np.flatnonzero(v > 0.0), v
+    call = max(calls, key=lambda call: series_v(call).max())
+    v = series_v(call).ravel()
+    tables, w = call
+    x = np.broadcast_to(positions[tables], w.shape).ravel()
+    return (_InterferenceTables(x, cfg), w.ravel(), np.flatnonzero(v > 0.0),
+            v)
 
 
 def _node_rule(tables, w, p, rule_value):
@@ -209,13 +216,14 @@ class TestInterferenceKernel:
     def test_batch_straddling_radius_matches_single_entries(
             self, noise_psd, entries, monkeypatch):
         cfg = NetworkConfig(noise_psd=noise_psd)
-        x = np.linspace(0.0, 400.0, 81)
-        tables = _InterferenceTables(x, cfg)
+        grid = np.linspace(0.0, 400.0, 81)
         rng = np.random.default_rng(3)
-        pos = rng.integers(0, x.size, entries)
+        # one table position per entry; positions repeat
+        x = grid[rng.integers(0, grid.size, entries)]
+        tables = _InterferenceTables(x, cfg)
         # v = w * reach spread over 1e-6 .. 1e4 around the radius
-        w = SERIES_RADIUS / tables.reach[pos] * 10.0 ** rng.uniform(-4, 6, entries)
-        far = w * tables.reach[pos] > SERIES_RADIUS
+        w = SERIES_RADIUS / tables.reach * 10.0 ** rng.uniform(-4, 6, entries)
+        far = w * tables.reach > SERIES_RADIUS
         assert 0.2 < np.mean(far) < 0.8
         rows = []
         real = _InterferenceTables._nodes
@@ -225,46 +233,21 @@ class TestInterferenceKernel:
             return real(self, w, pos)
 
         monkeypatch.setattr(_InterferenceTables, "_nodes", spy)
-        batch = tables.exponents(w, pos)
+        batch = tables.exponents(w)
         assert sum(rows) == np.count_nonzero(far)
         assert max(rows) <= _CHUNK_ENTRIES
-        single = [tables.exponents(w[i:i + 1], pos[i:i + 1])[0]
-                  for i in range(w.size)]
+        single_tables = {p: _InterferenceTables(np.array([p]), cfg)
+                         for p in np.unique(x).tolist()}
+        single = [single_tables[p].exponents(w[i:i + 1])[0]
+                  for i, p in enumerate(x.tolist())]
         assert np.array_equal(batch, single)
-
-    # a (pairs, positions) grid without pos gathers no table; one with
-    # node-sum entries falls back to the gathered form in the same call
-    @pytest.mark.parametrize("spread", [(-6, -1), (-4, 5)],
-                             ids=["series-only", "with-node-sums"])
-    def test_grid_matches_gathered_entries(self, spread, monkeypatch):
-        x = np.linspace(0.0, 400.0, 81)
-        tables = _InterferenceTables(x, NetworkConfig())
-        rng = np.random.default_rng(8)
-        w = (SERIES_RADIUS / tables.reach
-             * 10.0 ** rng.uniform(*spread, (5, x.size)))
-        assert (np.any(w * tables.reach > SERIES_RADIUS)
-                == (spread[1] > 0))
-        pos = np.tile(np.arange(x.size), 5)
-        calls = []
-        real = _InterferenceTables.exponents
-
-        def spy(self, w, pos=None):
-            calls.append(pos)
-            return real(self, w, pos)
-
-        monkeypatch.setattr(_InterferenceTables, "exponents", spy)
-        grid = tables.exponents(w)
-        monkeypatch.undo()
-        assert len(calls) == 1
-        assert grid.shape == w.shape
-        assert np.array_equal(grid.ravel(), tables.exponents(w.ravel(), pos))
 
     @pytest.mark.parametrize("noise_psd", [1e-12, dbm_to_watt(-174.0)],
                              ids=["default", "thermal"])
     def test_series_matches_mpmath(self, noise_psd, monkeypatch):
         cfg = NetworkConfig(noise_psd=noise_psd)
-        tables, w, pos, series, v = _series_chunk(cfg, monkeypatch)
-        got = tables.exponents(w, pos)
+        tables, w, series, v = _series_chunk(cfg, monkeypatch)
+        got = tables.exponents(w)
         # the 30 entries nearest the radius and 30 more at random
         rng = np.random.default_rng(5)
         picks = np.concatenate([series[np.argsort(v[series])[-30:]],
@@ -275,24 +258,24 @@ class TestInterferenceKernel:
                 return 1 - (1 + mpmath.mpf(u)) ** -shape
 
             for i in picks:
-                ref = _node_rule(tables, mpmath.mpf(w[i]), pos[i], exact)
+                ref = _node_rule(tables, mpmath.mpf(w[i]), i, exact)
                 assert abs(got[i] - ref) <= 1e-14 * ref
 
     def test_fallback_matches_log1p_reference(self, cfg):
-        x = np.linspace(0.0, 400.0, 41)
+        # 11 weights at each of 41 positions
+        x = np.repeat(np.linspace(0.0, 400.0, 41), 11)
         tables = _InterferenceTables(x, cfg)
-        pos = np.repeat(np.arange(x.size), 11)
         # u at the near end of the regions, w * reach / N, from 0.01 to 1e3
-        u_max = np.tile(10.0 ** np.linspace(-2, 3, 11), x.size)
-        w = u_max * cfg.n_nlos / tables.reach[pos]
-        assert np.all(w * tables.reach[pos] > SERIES_RADIUS)
-        got = tables.exponents(w, pos)
+        u_max = np.tile(10.0 ** np.linspace(-2, 3, 11), 41)
+        w = u_max * cfg.n_nlos / tables.reach
+        assert np.all(w * tables.reach > SERIES_RADIUS)
+        got = tables.exponents(w)
 
         def stable(u, shape):
             return -math.expm1(-shape * math.log1p(u))
 
         for i in range(w.size):
-            ref = _node_rule(tables, w[i], pos[i], stable)
+            ref = _node_rule(tables, w[i], i, stable)
             assert abs(got[i] - ref) <= 1e-14 * ref
 
 
@@ -401,8 +384,8 @@ class TestOverallCoverage:
 
 
 def _floored_branch_values(x, thresholds, gain, cfg):
-    """_branch_values without the skip: every entry through the kernel,
-    its exponent floored at _EXP_FLOOR. Returns the values, the mask of
+    """_branch_values with every entry live: each through the kernel at
+    its own weight, its exponent floored at _EXP_FLOOR. Returns the values, the mask of
     values with at least one floored term, and the floored and total
     kernel entries."""
     tables = _InterferenceTables(x, cfg)
@@ -412,8 +395,7 @@ def _floored_branch_values(x, thresholds, gain, cfg):
     for n, coef in tables.terms:
         scale = n * tables.eta * thresholds * tables.z_pow / gain
         noise = scale * noise_over_ref
-        pos = np.broadcast_to(np.arange(x.size), scale.shape).ravel()
-        a = tables.exponents((scale * g2).ravel(), pos).reshape(scale.shape)
+        a = tables.exponents(scale * g2)
         ref = ref + coef * np.exp(np.maximum(-(noise + a), _EXP_FLOOR))
         dead = noise >= -_EXP_FLOOR
         floored = floored | dead
@@ -511,8 +493,8 @@ class TestBatchedCoverage:
 
     def test_exp_floor_skip_is_within_subnormal_bound(self):
         # against every entry evaluated through the kernel and then floored;
-        # _branch_values drops the entries whose noise term alone reaches
-        # the floor, each worth at most C(N, n) * exp(-745)
+        # _branch_values adds +-0.0 for the entries whose noise term alone
+        # reaches the floor, each worth at most C(N, n) * exp(-745) here
         cfg = NetworkConfig(noise_psd=1e-10)
         x = np.linspace(0.0, 400.0, 301)
         gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)

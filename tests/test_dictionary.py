@@ -12,6 +12,7 @@ from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.experiments import dump_dictionary
 from mmwloc.initial_access import delay_iterative
 from mmwloc.localization import avg_beam_selection_error, avg_misalignment_error
+from mmwloc.montecarlo import simulate_error_probabilities
 from mmwloc.optimizer import ue_beamwidth_for_dictionary
 
 
@@ -70,8 +71,9 @@ class TestConstruction:
     lambda k, cfg: avg_misalignment_error(k, 0.3, 0.5, cfg),
     lambda k, cfg: ue_beamwidth_for_dictionary(k, cfg),
     lambda k, cfg: delay_iterative(k, 0.3, 1e-6),
+    lambda k, cfg: simulate_error_probabilities(k, 0.5, 0.3, cfg, 100, 1),
 ], ids=["boundaries", "query", "overall", "avg-bs", "avg-ma", "ue-beam",
-        "delay"])
+        "delay", "mc-errors"])
 @pytest.mark.parametrize("k", [2.5, math.nan, math.inf, 0],
                          ids=["fraction", "nan", "inf", "zero"])
 def test_non_integral_dictionary_size_rejected(call, k):
@@ -140,8 +142,14 @@ class TestCsvDump:
             assert {float(r["theta_k"]) for r in row} == {
                 row_beamwidth(cfg.mean_cell_size, cfg.h_b, k)}
 
-    @pytest.mark.parametrize("cell_size, n_max", [(0.0, 4), (-1.0, 4),
-                                                  (math.nan, 4), (10.0, 0)])
+    def test_integral_float_n_max_accepted(self, tmp_path):
+        a = dump_dictionary(NetworkConfig(), tmp_path / "a", 25.0, 5.0)
+        b = dump_dictionary(NetworkConfig(), tmp_path / "b", 25.0, 5)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("cell_size, n_max", [
+        (0.0, 4), (-1.0, 4), (math.nan, 4), (10.0, 0), (10.0, 2.5),
+        (10.0, math.nan), (10.0, math.inf)])
     def test_invalid_arguments_write_nothing(self, tmp_path, cell_size,
                                              n_max):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Initial-access refinement loop, beam selection rules, baseline delays."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from mmwloc import AccessPolicy, NetworkConfig, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.errors import NumericError
+from mmwloc.experiments import access_reference_geometry
 from mmwloc.initial_access import (
     UE_GRID,
     AccessStep,
@@ -334,6 +336,35 @@ class TestTabulatedLoop:
         # ValueError from np.arange, TypeError from range)
         with pytest.raises(ValueError, match=field):
             AccessPolicy(**{field: value})
+
+
+class TestTraceDigest:
+    """A sha256 pinning every access trace of a fixed grid, so that a
+    change to the loop's arithmetic or decisions shows as one digest."""
+
+    POLICIES = (
+        dict(delta_d=1e-3),
+        dict(n_max=37),
+        dict(bs_growth=3.0),
+        dict(delta_d=2e-3, delta_bs=0.01, delta_ma=0.2, initial_sigma_d2=49.0,
+             pilot_energy_scale=2e-3),
+        dict(delta_d=5e-4, delta_psi=0.01, max_steps=60),
+    )
+    # the concatenated reprs, densities outermost and policies innermost;
+    # the same recipe over np.geomspace(1e-3, 10, 400) gives 8a7f1bca...
+    DIGEST = "b8888eb185f1fff454ca058e6590da8e64ebc2310e4d11723c5de86b7f8e4cb7"
+
+    def test_traces_match_pinned_digest(self, cfg):
+        policies = [AccessPolicy(**kwargs) for kwargs in self.POLICIES]
+        reprs = []
+        for lam in np.geomspace(1e-3, 10.0, 100).tolist():
+            d_ref, d_a = access_reference_geometry(lam, cfg)
+            for d in (0.0, d_ref, 0.3 * d_a, d_a):
+                reprs.extend(repr(run_initial_access(d, d_a, policy, cfg))
+                             for policy in policies)
+        assert len(reprs) == 2000
+        digest = hashlib.sha256("".join(reprs).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 # every cap the bracket treats differently: a tiny one (the absolute

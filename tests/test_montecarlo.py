@@ -164,6 +164,31 @@ class TestBatchStreams:
         assert not np.array_equal(long[0], long[1])
 
 
+# a fractional or non-finite count would fail deep in the batch loop, and
+# simulate_laplace would take 0 trials into np.concatenate
+@pytest.mark.parametrize("call", [
+    lambda n, cfg: simulate_coverage(CoverageQuery(threshold=1.0, k=2), cfg,
+                                     n, seed=1),
+    lambda n, cfg: simulate_error_probabilities(2, 0.5, 0.3, cfg, n, seed=1),
+    lambda n, cfg: simulate_laplace(5.0, 1.0, cfg, n, seed=1),
+], ids=["coverage", "errors", "laplace"])
+@pytest.mark.parametrize("trials", [2.5, math.nan, math.inf, 0, -1])
+def test_bad_trial_count_rejected(call, trials):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        call(trials, NetworkConfig())
+
+
+def test_integral_float_trial_count_accepted(cfg):
+    assert (simulate_laplace(5.0, 1.0, cfg, 300.0, seed=1)
+            == simulate_laplace(5.0, 1.0, cfg, 300, seed=1))
+
+
+@pytest.mark.parametrize("serving_d", [-1.0, math.nan])
+def test_laplace_rejects_negative_serving_distance(cfg, serving_d):
+    with pytest.raises(ValueError, match="serving distance"):
+        simulate_laplace(serving_d, 1.0, cfg, 100, seed=1)
+
+
 class TestDegenerateLimits:
     def test_zero_threshold_certain(self, cfg):
         q = CoverageQuery(threshold=1e-12, k=2, j=1, theta_u=math.pi / 2, beta=0.5)
