@@ -75,31 +75,26 @@ _EVAL_ENTRIES = 2 ** 14
 
 @dataclass(frozen=True)
 class CoverageQuery:
-    """A coverage question: threshold and the serving-beam context.
+    """A cell-level coverage question: the SINR threshold and the (k,
+    theta_u, beta) that set the user's row, UE beam and frame split.
 
-    ``j is None`` asks for the whole-cell mixture over row k's beams;
-    ``cell_size is None`` uses the mean cell 1/(2*lambda) for per-beam
-    queries and the cell-size distribution for cell-level ones.
+    Users are uniform in a cell from the cell-size distribution. No random
+    draw depends on a query, so ``montecarlo.simulate_coverage`` answers
+    the queries of one config from one set of draws.
     """
 
     threshold: float
     k: int
-    j: int | None = None
     theta_u: float = math.pi / 4
     beta: float = 0.5
-    cell_size: float | None = None
 
     def __post_init__(self):
         # every float check is written so that NaN fails it
         if not self.threshold > 0.0:
             raise ValueError("SINR threshold must be positive")
         check_count(self.k, "dictionary size must be >= 1")
-        if self.j is not None and not 1 <= self.j <= self.k:
-            raise ValueError("beam index must satisfy 1 <= j <= k")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.cell_size is not None and not self.cell_size > 0.0:
-            raise ValueError("cell size must be positive")
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
     side in this system), and ``alpha_branch`` selects the LOS or NLOS
     integral by matching the configured exponents.
     """
-    if serving_d < 0.0:
+    if not serving_d >= 0.0:   # NaN fails too
         raise ValueError("serving distance must be non-negative")
     if alpha_branch == cfg.alpha_los:
         classes = ("los",)
@@ -302,6 +297,8 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
         classes = ("nlos",)
     else:
         raise ValueError("alpha_branch must equal the LOS or NLOS exponent")
+    if serving_d == math.inf:
+        return 0.0   # no interferer lies beyond an infinite distance
     tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg,
                                  classes)
     w = np.asarray([t_scaled * gain_product], dtype=float)

@@ -347,22 +347,22 @@ def _run_validate_analytical(spec: ExperimentSpec):
     threshold_db = _knob(spec, "threshold_db")
     threshold = _db_knob_to_linear("threshold_db", threshold_db)
 
-    def point(item):
-        lam, k, beta = item
+    rows = []
+    for lam in sorted(lams):
+        # the four points of one density share the oracle's draws
         cfg = spec.cfg.with_overrides(bs_density=lam)
-        tu = ue_beamwidth_for_dictionary(k, cfg)
-        analytical = overall_coverage(threshold, k, tu, beta, cfg)
-        query = CoverageQuery(threshold=threshold, k=k, j=None,
-                              theta_u=tu, beta=beta)
-        mc = simulate_coverage(query, cfg, spec.trials, seed=spec.seed)
-        tol = max(0.02, 3.0 * mc.stderr)
-        ok = abs(analytical - mc.probability) <= tol
-        return (lam, k, beta, threshold_db, analytical, mc.probability,
-                mc.stderr, tol, "pass" if ok else "FAIL")
-
-    items = [(lam, k, b) for lam in sorted(lams) for k in (4, 16)
-             for b in (0.5, 0.9)]
-    rows = [point(item) for item in items]
+        points = [(k, ue_beamwidth_for_dictionary(k, cfg), beta)
+                  for k in (4, 16) for beta in (0.5, 0.9)]
+        queries = [CoverageQuery(threshold=threshold, k=k, theta_u=tu,
+                                 beta=beta) for k, tu, beta in points]
+        results = simulate_coverage(queries, cfg, spec.trials, seed=spec.seed)
+        for (k, tu, beta), mc in zip(points, results):
+            analytical = overall_coverage(threshold, k, tu, beta, cfg)
+            tol = max(0.02, 3.0 * mc.stderr)
+            ok = abs(analytical - mc.probability) <= tol
+            rows.append((lam, k, beta, threshold_db, analytical,
+                         mc.probability, mc.stderr, tol,
+                         "pass" if ok else "FAIL"))
     out = spec.out_dir / "validate_analytical.csv"
     _write_csv(out, ["lambda", "k", "beta", "threshold_db", "analytical",
                      "montecarlo", "stderr", "tolerance", "status"], rows)

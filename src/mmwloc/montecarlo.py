@@ -9,11 +9,15 @@ neither the chunk size nor the scheduling. Aggregation uses exact
 integer success counts.
 
 The coverage simulator realizes the same conditional model the analysis
-integrates: a user at a uniform position inside the (drawn or given)
-cell, estimate draws from the localization bounds, branch gains chosen by
-the realized beam-selection/misalignment events, and interferers from a
-one-dimensional deployment beyond the serving ground distance with
-side-to-side lobe gains and per-link Nakagami power fading.
+integrates: a user at a uniform position inside a cell drawn from the
+cell-size distribution, estimate draws from the localization bounds,
+branch gains chosen by the realized beam-selection/misalignment events,
+and interferers from a one-dimensional deployment beyond the serving
+ground distance with side-to-side lobe gains and per-link Nakagami power
+fading. One draw, many queries: no draw depends on a coverage query's
+threshold, k, theta_u or beta, so ``simulate_coverage`` draws each batch
+once and runs every query of one config on it; a query's result has the
+same bits alone or among others.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .coverage import CoverageQuery, CoverageResult
-from .dictionary import beam_boundaries, containing_beam, row_beamwidth
+from .dictionary import containing_beam, row_beamwidth
 from .geometry import is_los, nakagami_shape, path_loss_exponent
 from .localization import aoa_variance, nu_threshold, ranging_variance
 from .numerics import check_count
@@ -114,70 +118,69 @@ def simulate_laplace(serving_d: float, weight: float, cfg: NetworkConfig,
     return mean, stderr
 
 
-def _draw_users(rng, size: int, k: int, theta_u: float, beta: float,
-                cfg: NetworkConfig, j: int | None = None,
-                cell_size: float | None = None) -> tuple:
-    """(d, gamma_b, bs_error, ma_error) of one batch: users uniform in a
-    cell from the cell-size distribution, or in beam j of row k of a fixed
-    cell (``cell_size``, else the mean cell), their serving BS gains and
-    their error events under Gaussian estimates drawn from the bounds.
-    """
-    if cell_size is None and j is None:
-        d_a = rng.exponential(cfg.mean_cell_size, size=size)
-    else:
-        d_a = np.full(size, float(cfg.mean_cell_size if cell_size is None
-                                  else cell_size))
-    theta_k = row_beamwidth(d_a, cfg.h_b, k)
-    if j is not None:
-        bounds = beam_boundaries(d_a, cfg.h_b, k)
-        d_left, d_right = bounds[:, j - 1], bounds[:, j]
-        d = d_left + rng.uniform(0.0, 1.0, size=size) * (d_right - d_left)
-    else:
-        d = rng.uniform(0.0, 1.0, size=size) * d_a
-        _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, k)
-    gamma_b = main_lobe_gain(theta_k, cfg)
+def _draw_users(rng, size: int, cfg: NetworkConfig) -> tuple:
+    """(d_a, d, z_d, z_psi) of one batch: cells from the cell-size
+    distribution, users uniform in them, and the standard normals that
+    scale their ranging and angle estimate errors."""
+    d_a = rng.exponential(cfg.mean_cell_size, size=size)
+    d = rng.uniform(0.0, 1.0, size=size) * d_a
+    return d_a, d, rng.standard_normal(size), rng.standard_normal(size)
+
+
+def _error_events(users: tuple, k: int, theta_u: float, beta: float,
+                  cfg: NetworkConfig) -> tuple:
+    """(gamma_b, gamma_u, bs_error, ma_error) of drawn users: the main-lobe
+    gains of their row-k BS beam and of the UE beam, and their error events
+    under Gaussian estimates whose variances are the localization bounds."""
+    d_a, d, z_d, z_psi = users
+    _, d_left, d_right = containing_beam(d, d_a, cfg.h_b, k)
+    gamma_b = main_lobe_gain(row_beamwidth(d_a, cfg.h_b, k), cfg)
     gamma_u = main_lobe_gain(theta_u, cfg)
     sigma_d = np.sqrt(ranging_variance(d, gamma_b, gamma_u, beta, cfg))
     sigma_psi = np.sqrt(aoa_variance(d, gamma_b, theta_u, beta, cfg))
-    d_hat = d + sigma_d * rng.standard_normal(size)
-    # row 1's single clamped beam never misselects; its ranging draw is
-    # still made, so the stream layout does not depend on k
+    d_hat = d + sigma_d * z_d
+    # row 1's single clamped beam never misselects
     bs_error = (k > 1) & ((d_hat < d_left) | (d_hat > d_right))
-    psi_err = np.abs(sigma_psi * rng.standard_normal(size))
-    return d, gamma_b, bs_error, psi_err >= nu_threshold(theta_u)
+    return (gamma_b, gamma_u, bs_error,
+            np.abs(sigma_psi * z_psi) >= nu_threshold(theta_u))
 
 
-def simulate_coverage(query: CoverageQuery, cfg: NetworkConfig, trials: int,
-                      seed: int) -> CoverageResult:
-    """Empirical P(SINR >= T) under the full error-aware branch logic."""
+def simulate_coverage(queries: list[CoverageQuery], cfg: NetworkConfig,
+                      trials: int, seed: int) -> list[CoverageResult]:
+    """Empirical P(SINR >= T) under the full error-aware branch logic: one
+    CoverageResult per cell-level query, in order, all from the same draws.
+    """
+    queries = tuple(queries)
+    check_count(len(queries), "need at least one query")
     check_count(trials, "need at least one trial")
-    successes = 0
-    branch_hits = {"aligned": 0, "misaligned": 0, "beam_error": 0}
-    gamma_u = main_lobe_gain(query.theta_u, cfg)
+    hits = [{"aligned": 0, "misaligned": 0, "beam_error": 0} for _ in queries]
     g = sidelobe_gain(cfg)
     for rng, size in _batch_streams(seed, trials):
-        d, gamma_b, bs_error, ma_error = _draw_users(
-            rng, size, query.k, query.theta_u, query.beta, cfg, query.j,
-            query.cell_size)
-        gain = np.where(bs_error, g * g,
-                        np.where(ma_error, gamma_b * g, gamma_b * gamma_u))
-
+        users = _draw_users(rng, size, cfg)
+        d = users[1]
         shape_s = nakagami_shape(d, cfg)
         fade = rng.standard_gamma(shape_s) / shape_s
-        z2 = d * d + cfg.h_b * cfg.h_b
-        signal = (cfg.p_t * cfg.k_pl * gain * fade
-                  * z2 ** (-0.5 * path_loss_exponent(d, cfg)))
-        interference = _interference_sums(rng, d, cfg)
-        sinr = signal / (cfg.noise_power + interference)
-        ok = sinr >= query.threshold
-        successes += int(ok.sum())
-        branch_hits["aligned"] += int((ok & ~bs_error & ~ma_error).sum())
-        branch_hits["misaligned"] += int((ok & ~bs_error & ma_error).sum())
-        branch_hits["beam_error"] += int((ok & bs_error).sum())
-    p = successes / trials
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    breakdown = {k_: v / trials for k_, v in branch_hits.items()}
-    return CoverageResult(probability=p, breakdown=breakdown, stderr=stderr)
+        attenuation = ((d * d + cfg.h_b * cfg.h_b)
+                       ** (-0.5 * path_loss_exponent(d, cfg)))
+        noise = cfg.noise_power + _interference_sums(rng, d, cfg)
+        for query, branch_hits in zip(queries, hits):
+            gamma_b, gamma_u, bs_error, ma_error = _error_events(
+                users, query.k, query.theta_u, query.beta, cfg)
+            gain = np.where(bs_error, g * g,
+                            np.where(ma_error, gamma_b * g, gamma_b * gamma_u))
+            signal = cfg.p_t * cfg.k_pl * gain * fade * attenuation
+            ok = signal / noise >= query.threshold
+            branch_hits["aligned"] += int((ok & ~bs_error & ~ma_error).sum())
+            branch_hits["misaligned"] += int((ok & ~bs_error & ma_error).sum())
+            branch_hits["beam_error"] += int((ok & bs_error).sum())
+    results = []
+    for branch_hits in hits:
+        p = sum(branch_hits.values()) / trials
+        stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+        breakdown = {k_: v / trials for k_, v in branch_hits.items()}
+        results.append(CoverageResult(probability=p, breakdown=breakdown,
+                                      stderr=stderr))
+    return results
 
 
 def simulate_error_probabilities(k: int, beta: float, theta_u: float,
@@ -189,8 +192,8 @@ def simulate_error_probabilities(k: int, beta: float, theta_u: float,
     bs_count = 0
     ma_count = 0
     for rng, size in _batch_streams(seed, trials):
-        _, _, bs_error, ma_error = _draw_users(rng, size, k, theta_u, beta,
-                                               cfg)
+        _, _, bs_error, ma_error = _error_events(_draw_users(rng, size, cfg),
+                                                 k, theta_u, beta, cfg)
         bs_count += int(bs_error.sum())
         ma_count += int(ma_error.sum())
     p_bs = bs_count / trials

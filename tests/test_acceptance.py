@@ -69,19 +69,21 @@ def test_criterion_1_analytical_vs_oracle_coverage():
     worst = 0.0
     failures = []
     for lam in (0.005, 0.02, 0.1):
-        for k in (4, 16):
-            for beta in (0.5, 0.9):
-                cfg = NetworkConfig(bs_density=lam)
-                theta_u = ue_beamwidth_for_dictionary(k, cfg)
-                analytical = overall_coverage(THRESHOLD_5DB, k, theta_u, beta, cfg)
-                query = CoverageQuery(threshold=THRESHOLD_5DB, k=k, j=None,
-                                      theta_u=theta_u, beta=beta)
-                mc = simulate_coverage(query, cfg, 100_000, seed=SEED)
-                diff = abs(analytical - mc.probability)
-                tol = max(0.02, 3.0 * mc.stderr)
-                worst = max(worst, diff)
-                if diff > tol:
-                    failures.append((lam, k, beta, diff, tol))
+        # the four points of one density share the oracle's draws
+        cfg = NetworkConfig(bs_density=lam)
+        points = [(k, ue_beamwidth_for_dictionary(k, cfg), beta)
+                  for k in (4, 16) for beta in (0.5, 0.9)]
+        results = simulate_coverage(
+            [CoverageQuery(threshold=THRESHOLD_5DB, k=k, theta_u=theta_u,
+                           beta=beta) for k, theta_u, beta in points],
+            cfg, 100_000, seed=SEED)
+        for (k, theta_u, beta), mc in zip(points, results):
+            analytical = overall_coverage(THRESHOLD_5DB, k, theta_u, beta, cfg)
+            diff = abs(analytical - mc.probability)
+            tol = max(0.02, 3.0 * mc.stderr)
+            worst = max(worst, diff)
+            if diff > tol:
+                failures.append((lam, k, beta, diff, tol))
     elapsed = time.time() - start
     ok = not failures and elapsed < 300.0
     _verdict(1, "analytic-vs-oracle coverage", ok,
@@ -240,10 +242,11 @@ def test_criterion_8_property_suite():
                                      and np.all(tma >= tbs - 1e-12))
 
     # simulator determinism
-    q = CoverageQuery(threshold=THRESHOLD_5DB, k=4, j=2,
-                      theta_u=math.pi / 8, beta=0.5)
-    checks["mc-determinism"] = (simulate_coverage(q, cfg, 20_000, seed=SEED)
-                                == simulate_coverage(q, cfg, 20_000, seed=SEED))
+    q = CoverageQuery(threshold=THRESHOLD_5DB, k=4, theta_u=math.pi / 8,
+                      beta=0.5)
+    checks["mc-determinism"] = (
+        simulate_coverage([q], cfg, 20_000, seed=SEED)
+        == simulate_coverage([q], cfg, 20_000, seed=SEED))
 
     # optimizer: feasible-set monotonicity and argmax invariance
     coarse = tuple(np.round(np.arange(0.1, 1.0001, 0.1), 10))

@@ -102,14 +102,13 @@ NAN = float("nan")
 @pytest.mark.parametrize("call", [
     lambda cfg: OptimizationSpec(r0=NAN),
     lambda cfg: CoverageQuery(threshold=NAN, k=4),
-    lambda cfg: CoverageQuery(threshold=1.0, k=4, cell_size=NAN),
     lambda cfg: rate_to_sinr_threshold(NAN, 0.5, cfg),
     lambda cfg: rate_to_sinr_threshold(1.0e8, np.array([0.5, NAN]), cfg),
     lambda cfg: overall_coverage(NAN, 4, math.pi / 8, 0.5, cfg),
     lambda cfg: overall_coverage(np.array([3.16, NAN]), 4, math.pi / 8,
                                  np.array([0.5, 0.5]), cfg),
     lambda cfg: overall_coverage(3.16, 4, math.pi / 8, NAN, cfg),
-], ids=["spec-r0", "query-threshold", "query-cell-size", "rate-r0",
+], ids=["spec-r0", "query-threshold", "rate-r0",
         "rate-beta", "overall-threshold", "overall-threshold-batch",
         "overall-beta"])
 def test_nan_input_rejected(cfg, call):
@@ -161,6 +160,21 @@ class TestLaplaceInterference:
     def test_unknown_branch_rejected(self, cfg):
         with pytest.raises(ValueError):
             laplace_interference(5.0, 1.0, 0.1, 3.0, cfg)
+
+    @pytest.mark.parametrize("branch", ["alpha_los", "alpha_nlos"])
+    def test_infinite_serving_distance_leaves_no_interferers(self, cfg,
+                                                             branch):
+        # no interferer lies beyond an infinite distance, so A is 0
+        assert laplace_interference(math.inf, 3.0, 0.1, getattr(cfg, branch),
+                                    cfg) == 0.0
+
+    @pytest.mark.parametrize("branch", ["alpha_los", "alpha_nlos"])
+    @pytest.mark.parametrize("serving_d", [-1.0, NAN])
+    def test_bad_serving_distance_rejected(self, cfg, branch, serving_d):
+        # NaN fails the distance check like a negative distance
+        with pytest.raises(ValueError, match="serving distance"):
+            laplace_interference(serving_d, 3.0, 0.1, getattr(cfg, branch),
+                                 cfg)
 
 
 def _series_chunk(cfg, monkeypatch):

@@ -1,6 +1,8 @@
 """Simulator invariants: determinism, deployment statistics, degenerate limits,
-and the chunked interference sums against the one-shot form."""
+the chunked interference sums against the one-shot form, and the shared
+draws of a batched coverage call."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -12,7 +14,8 @@ from scipy import integrate, stats
 
 from mmwloc import CoverageQuery, NetworkConfig, montecarlo
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
-from mmwloc.dictionary import beam_boundaries, row_beamwidth
+from mmwloc.dictionary import row_beamwidth
+from mmwloc.experiments import ExperimentSpec, run_experiment
 from mmwloc.geometry import nakagami_shape, path_loss_exponent
 from mmwloc.montecarlo import (
     BATCH_SIZE,
@@ -32,16 +35,16 @@ def cfg():
 
 class TestDeterminism:
     def test_identical_replay(self, cfg):
-        q = CoverageQuery(threshold=3.16, k=4, j=2, theta_u=math.pi / 8, beta=0.5)
-        first = simulate_coverage(q, cfg, 20_000, seed=99)
-        second = simulate_coverage(q, cfg, 20_000, seed=99)
+        q = CoverageQuery(threshold=3.16, k=4, theta_u=math.pi / 8, beta=0.5)
+        [first] = simulate_coverage([q], cfg, 20_000, seed=99)
+        [second] = simulate_coverage([q], cfg, 20_000, seed=99)
         assert first.probability == second.probability
         assert first.breakdown == second.breakdown
 
     def test_seed_changes_result(self, cfg):
-        q = CoverageQuery(threshold=3.16, k=4, j=2, theta_u=math.pi / 8, beta=0.5)
-        a = simulate_coverage(q, cfg, 20_000, seed=1)
-        b = simulate_coverage(q, cfg, 20_000, seed=2)
+        q = CoverageQuery(threshold=3.16, k=4, theta_u=math.pi / 8, beta=0.5)
+        [a] = simulate_coverage([q], cfg, 20_000, seed=1)
+        [b] = simulate_coverage([q], cfg, 20_000, seed=2)
         assert a.probability != b.probability
 
     def test_error_probabilities_replay(self, cfg):
@@ -167,7 +170,7 @@ class TestBatchStreams:
 # a fractional or non-finite count would fail deep in the batch loop, and
 # simulate_laplace would take 0 trials into np.concatenate
 @pytest.mark.parametrize("call", [
-    lambda n, cfg: simulate_coverage(CoverageQuery(threshold=1.0, k=2), cfg,
+    lambda n, cfg: simulate_coverage([CoverageQuery(threshold=1.0, k=2)], cfg,
                                      n, seed=1),
     lambda n, cfg: simulate_error_probabilities(2, 0.5, 0.3, cfg, n, seed=1),
     lambda n, cfg: simulate_laplace(5.0, 1.0, cfg, n, seed=1),
@@ -191,8 +194,8 @@ def test_laplace_rejects_negative_serving_distance(cfg, serving_d):
 
 class TestDegenerateLimits:
     def test_zero_threshold_certain(self, cfg):
-        q = CoverageQuery(threshold=1e-12, k=2, j=1, theta_u=math.pi / 2, beta=0.5)
-        res = simulate_coverage(q, cfg, 5_000, seed=8)
+        q = CoverageQuery(threshold=1e-12, k=2, theta_u=math.pi / 2, beta=0.5)
+        [res] = simulate_coverage([q], cfg, 5_000, seed=8)
         assert res.probability == 1.0
 
     def test_single_row_never_misselects(self, cfg):
@@ -200,24 +203,38 @@ class TestDegenerateLimits:
         assert res["p_bs"] == 0.0
 
     def test_noise_limited_rayleigh_reduction(self):
-        # lambda -> 0, Rayleigh fading, quasi-omni UE, quiet pilots: the
-        # empirical coverage matches the integrated noise-only closed form
+        # lambda -> 0, Rayleigh fading, one beam, quasi-omni UE, quiet
+        # pilots: the empirical coverage matches the noise-only closed form
+        # exp(-T N z^alpha / (P K G(d_a))) averaged over x uniform in
+        # [0, d_a] and d_a ~ Exp(2 lambda); the gain depends on d_a through
+        # theta_1. The noise puts the coverage near 0.47, away from 0 and 1.
         cfg = NetworkConfig(n_los=1, n_nlos=1, bs_density=1e-4,
-                            noise_psd=1e-10, aoa_sounding_time=1e-3)
-        d_a, k, j, tu, beta, t = 16.0, 1, 1, math.pi / 2, 0.5, 3.16
-        q = CoverageQuery(threshold=t, k=k, j=j, theta_u=tu, beta=beta,
-                          cell_size=d_a)
-        res = simulate_coverage(q, cfg, 40_000, seed=17)
-        theta_k = row_beamwidth(d_a, cfg.h_b, k)
-        gain = main_lobe_gain(theta_k, cfg) * main_lobe_gain(tu, cfg)
-        bounds = beam_boundaries(d_a, cfg.h_b, k)
+                            noise_psd=1e-24, aoa_sounding_time=1e-3)
+        tu, beta, t = math.pi / 2, 0.5, 3.16
+        q = CoverageQuery(threshold=t, k=1, theta_u=tu, beta=beta)
+        [res] = simulate_coverage([q], cfg, 40_000, seed=17)
+        assert res.breakdown["aligned"] == res.probability
+        rate = 2.0 * cfg.bs_density
 
-        def noise_only(x):
-            z2 = x * x + cfg.h_b ** 2
-            return math.exp(-t * cfg.noise_power * z2 / (cfg.p_t * cfg.k_pl * gain))
+        def cell_mean(d_a):
+            gain = (main_lobe_gain(row_beamwidth(d_a, cfg.h_b, 1), cfg)
+                    * main_lobe_gain(tu, cfg))
 
-        ref, _ = integrate.quad(noise_only, bounds[j - 1], bounds[j])
-        ref /= bounds[j] - bounds[j - 1]
+            def noise_only(x):
+                z_alpha = ((x * x + cfg.h_b ** 2)
+                           ** (0.5 * path_loss_exponent(x, cfg)))
+                return math.exp(-t * cfg.noise_power * z_alpha
+                                / (cfg.p_t * cfg.k_pl * gain))
+
+            total, _ = integrate.quad(noise_only, 0.0, min(d_a, cfg.d_s))
+            if d_a > cfg.d_s:
+                total += integrate.quad(noise_only, cfg.d_s, d_a)[0]
+            return total / d_a
+
+        ref, _ = integrate.quad(
+            lambda d_a: rate * math.exp(-rate * d_a) * cell_mean(d_a),
+            0.0, math.inf, limit=200)
+        assert 0.2 < ref < 0.8
         assert abs(res.probability - ref) <= max(3 * res.stderr, 0.005)
 
     def test_laplace_at_zero_weight(self, cfg):
@@ -229,39 +246,93 @@ class TestDegenerateLimits:
         assert res["p_bs"] == 1.0 and res["p_ma"] == 1.0
 
     def test_stderr_formula(self, cfg):
-        q = CoverageQuery(threshold=3.16, k=4, j=2, theta_u=math.pi / 8, beta=0.5)
-        res = simulate_coverage(q, cfg, 10_000, seed=21)
+        q = CoverageQuery(threshold=3.16, k=4, theta_u=math.pi / 8, beta=0.5)
+        [res] = simulate_coverage([q], cfg, 10_000, seed=21)
         p = res.probability
         assert res.stderr == pytest.approx(math.sqrt(p * (1 - p) / 10_000), rel=1e-12)
 
 
 class TestCoverageEstimate:
     def test_monotone_in_threshold_under_common_draws(self, cfg):
-        # the draws do not depend on the threshold, so with one seed the
-        # success count can only fall as the threshold rises
-        probs = [simulate_coverage(
-            CoverageQuery(threshold=t, k=4, theta_u=math.pi / 8, beta=0.5),
-            cfg, 5_000, seed=6).probability for t in (0.1, 1.0, 3.16, 100.0)]
+        # the queries share their draws, so the success count can only
+        # fall as the threshold rises
+        probs = [res.probability for res in simulate_coverage(
+            [CoverageQuery(threshold=t, k=4, theta_u=math.pi / 8, beta=0.5)
+             for t in (0.1, 1.0, 3.16, 100.0)], cfg, 5_000, seed=6)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert probs[0] > probs[-1]
 
     def test_breakdown_partitions_the_successes(self, cfg):
         q = CoverageQuery(threshold=1e-6, k=8, theta_u=math.pi / 8, beta=0.999)
-        res = simulate_coverage(q, cfg, 5_000, seed=12)
+        [res] = simulate_coverage([q], cfg, 5_000, seed=12)
         assert min(res.breakdown.values()) > 0.0
         assert sum(res.breakdown.values()) == pytest.approx(res.probability,
                                                            rel=1e-12)
 
     def test_single_row_has_no_beam_error_branch(self, cfg):
         q = CoverageQuery(threshold=1e-6, k=1, theta_u=math.pi / 8, beta=0.999)
-        assert simulate_coverage(q, cfg, 5_000, seed=12).breakdown["beam_error"] == 0.0
+        [res] = simulate_coverage([q], cfg, 5_000, seed=12)
+        assert res.breakdown["beam_error"] == 0.0
 
     @pytest.mark.parametrize("call", [
-        lambda cfg: simulate_coverage(CoverageQuery(threshold=1.0, k=4), cfg,
+        lambda cfg: simulate_coverage([CoverageQuery(threshold=1.0, k=4)], cfg,
                                       0, seed=1),
+        lambda cfg: simulate_coverage([], cfg, 10, seed=1),
         lambda cfg: simulate_error_probabilities(0, 0.5, 1.0, cfg, 10, seed=1),
         lambda cfg: simulate_error_probabilities(4, 0.5, 1.0, cfg, 0, seed=1),
-    ], ids=["coverage-trials", "errors-k", "errors-trials"])
+    ], ids=["coverage-trials", "coverage-no-query", "errors-k",
+            "errors-trials"])
     def test_invalid_sizes_rejected(self, cfg, call):
         with pytest.raises(ValueError):
             call(cfg)
+
+
+# The recipe of the pinned digest: 12 queries (threshold 1e-12 and 3.16,
+# k = 1, 4 and 16, beta = 0.5 and 1) on the default config and on
+# n_los = 3 / n_nlos = 1 at lambda = 0.02, each at 10,000 trials (one full
+# batch and one of 1,808) and seed 3. The digest is the sha256 of the 24
+# results' reprs joined by newlines, recorded when every query was a call
+# of its own; any change to a draw or to a count's arithmetic moves it.
+DIGEST_CONFIGS = (NetworkConfig(),
+                  NetworkConfig(n_los=3, n_nlos=1, bs_density=0.02))
+DIGEST_QUERIES = tuple(
+    CoverageQuery(threshold=t, k=k, theta_u=math.pi / 8, beta=beta)
+    for t in (1e-12, 3.16) for k in (1, 4, 16) for beta in (0.5, 1.0))
+DIGEST_TRIALS = 10_000
+COVERAGE_DIGEST = ("0b98c7f07f6b341a5e7cc3c0306eb634"
+                   "a8b97c9c6e35633ef6d3ed1ccc538d14")
+
+
+class TestSharedDraws:
+    def test_results_match_the_pinned_digest(self):
+        lines = [repr(res) for cfg in DIGEST_CONFIGS for res in
+                 simulate_coverage(DIGEST_QUERIES, cfg, DIGEST_TRIALS, seed=3)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == COVERAGE_DIGEST
+
+    @pytest.mark.parametrize("cfg", DIGEST_CONFIGS, ids=["default", "3-1"])
+    def test_batched_call_equals_one_query_calls(self, cfg):
+        batched = simulate_coverage(DIGEST_QUERIES, cfg, DIGEST_TRIALS, seed=3)
+        alone = [simulate_coverage([q], cfg, DIGEST_TRIALS, seed=3)[0]
+                 for q in DIGEST_QUERIES]
+        assert [repr(r) for r in batched] == [repr(r) for r in alone]
+
+
+class TestWorkCounts:
+    def test_validate_draws_interference_once_per_density_and_batch(
+            self, tmp_path, monkeypatch):
+        # the four (k, beta) points of a density share each batch's sums;
+        # one call per point would make four per (density, batch)
+        real = montecarlo._interference_sums
+        calls = []
+
+        def counted(rng, d, cfg):
+            calls.append((cfg.bs_density, d.size))
+            return real(rng, d, cfg)
+
+        monkeypatch.setattr(montecarlo, "_interference_sums", counted)
+        trials = 2 * BATCH_SIZE + 5
+        run_experiment(ExperimentSpec("validate-analytical", out_dir=tmp_path,
+                                      trials=trials))
+        assert calls == [(lam, size) for lam in (0.005, 0.02, 0.1)
+                         for size in (BATCH_SIZE, BATCH_SIZE, 5)]
