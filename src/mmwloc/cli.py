@@ -22,6 +22,7 @@ from .config import (
     boundary_keys,
     from_boundary_mapping,
     parse_config_text,
+    set_last,
 )
 from .errors import ConfigError, NumericError
 from .experiments import (
@@ -54,10 +55,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="flat key=value config file (boundary units)")
     parser.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory")
-    parser.add_argument("--seed", type=_within(int, -1), default=1)
-    parser.add_argument("--trials", type=_within(int, 0), default=100_000)
+    # each --network.<key> V is a --set network.<key>=V, kept in order
     for key in boundary_keys():
-        parser.add_argument(f"--{key}", dest=key, default=None,
+        parser.add_argument(f"--{key}", dest="set", action="append",
+                            default=[], type=lambda v, key=key: f"{key}={v}",
                             metavar="V", help=argparse.SUPPRESS)
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="dotted-key override (network.* or experiment.*)")
@@ -72,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a named experiment sweep")
     run_p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     _add_common(run_p)
+    run_p.add_argument("--seed", type=_within(int, -1), default=1)
+    run_p.add_argument("--trials", type=_within(int, 0), default=100_000)
 
     dump_p = sub.add_parser("dump-dictionary", help="export the beam database")
     _add_common(dump_p)
@@ -93,15 +96,11 @@ def _collect_overrides(args) -> dict:
             entries.update(parse_config_text(Path(args.config).read_text()))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    for key in boundary_keys():
-        value = getattr(args, key, None)
-        if value is not None:
-            entries[key] = value
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        entries[key.strip()] = value.strip()
+        set_last(entries, key.strip(), value.strip())
     return entries
 
 

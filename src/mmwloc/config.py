@@ -121,14 +121,14 @@ def boundary_keys() -> tuple:
     return tuple(_BOUNDARY_KEYS)
 
 
-def from_boundary_mapping(entries: dict, base: NetworkConfig | None = None) -> NetworkConfig:
+def from_boundary_mapping(entries: dict) -> NetworkConfig:
     """Build a NetworkConfig from boundary-unit key/value pairs.
 
     Unknown ``network.*`` keys raise ConfigError naming the key; keys from
-    other sections are ignored here (the CLI routes them elsewhere).
-    ``network.noise_dbw`` specifies total noise power over the data band.
+    other sections are ignored here (the CLI routes them elsewhere). Of two
+    keys of one field the later wins. ``network.noise_dbw`` specifies total
+    noise power over the data band, converted with the final bandwidth.
     """
-    cfg = base if base is not None else NetworkConfig()
     updates = {}
     noise_w = None
     for key, raw in entries.items():
@@ -144,13 +144,15 @@ def from_boundary_mapping(entries: dict, base: NetworkConfig | None = None) -> N
                 noise_w = db_to_linear(value)
             else:
                 updates[field] = conv(value)
+                if field == "noise_psd":
+                    noise_w = None
         # OverflowError: a dB value of a few thousand overflows the float
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if noise_w is not None:
-        bandwidth = updates.get("bandwidth", cfg.bandwidth)
+        bandwidth = updates.get("bandwidth", NetworkConfig.bandwidth)
         updates["noise_psd"] = noise_w / bandwidth
-    return cfg.with_overrides(**updates) if updates else cfg
+    return NetworkConfig(**updates)
 
 
 def parse_config_text(text: str) -> dict:
@@ -163,5 +165,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        entries[key.strip()] = value.strip()
+        set_last(entries, key.strip(), value.strip())
     return entries
+
+
+def set_last(entries: dict, key: str, value) -> None:
+    """entries[key] = value, moved to the end, where a later entry goes."""
+    entries.pop(key, None)
+    entries[key] = value

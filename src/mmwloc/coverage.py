@@ -366,17 +366,16 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
     return outs
 
 
-def _mixture_values(x: np.ndarray, threshold, theta_k, theta_u: float,
+def _mixture_values(x: np.ndarray, threshold, gamma_b, theta_u: float,
                     beta, p_ma, k: int, d_left, d_right, cfg: NetworkConfig,
                     tables: _InterferenceTables) -> np.ndarray:
     """Pointwise coverage mixing the three branches by the error profile.
 
-    theta_k, d_left and d_right broadcast against the 1-D positions x (the
-    serving row beamwidth and beam interval per position); threshold and
-    beta may be (B, 1) columns of pairs, giving (B, P) values. p_ma is the
+    gamma_b, d_left and d_right broadcast against the 1-D positions x (the
+    BS main-lobe gain and beam interval per position); threshold and beta
+    may be (B, 1) columns of pairs, giving (B, P) values. p_ma is the
     misalignment error there (``misalignment_error``), passed in because
     it depends on beta only through the sounding window."""
-    gamma_b = main_lobe_gain(theta_k, cfg)
     gamma_u = main_lobe_gain(theta_u, cfg)
     g = sidelobe_gain(cfg)
     t0, tma, tbs = _branch_values(
@@ -420,11 +419,11 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
 
     def evaluator(theta_k, bounds, x):
         shape = x.shape
-        theta = np.broadcast_to(theta_k[:, None, None], shape).ravel()
+        gamma_b = np.broadcast_to(main_lobe_gain(theta_k, cfg)[:, None, None],
+                                  shape).ravel()
         d_left = np.broadcast_to(bounds[:, :-1, None], shape).ravel()
         d_right = np.broadcast_to(bounds[:, 1:, None], shape).ravel()
         xc = x.ravel()
-        gamma_b = main_lobe_gain(theta, cfg)
         tables = _InterferenceTables(xc, cfg)
         rows = {}
 
@@ -441,7 +440,7 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
                 del rows[i]
             p_ma = np.stack([rows[i] for i in wins])[at]
             return _mixture_values(
-                xc, thresholds[pairs, None], theta, theta_u,
+                xc, thresholds[pairs, None], gamma_b, theta_u,
                 betas[pairs, None], p_ma, k, d_left, d_right, cfg,
                 tables).reshape((-1,) + shape)
         return values

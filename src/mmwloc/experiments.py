@@ -39,17 +39,6 @@ from .optimizer import (
     ue_beamwidth_for_dictionary,
 )
 
-EXPERIMENT_NAMES = (
-    "access-delay",
-    "access-resolution",
-    "error-vs-dictionary",
-    "rate-vs-beta",
-    "rate-vs-pbs",
-    "optimal-map",
-    "validate-analytical",
-)
-
-
 @dataclass
 class ExperimentSpec:
     """What to run and where to put it."""
@@ -65,7 +54,7 @@ class ExperimentSpec:
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment: {self.name}")
         self.out_dir = Path(self.out_dir)
-        known = {f"experiment.{name}" for name in _KNOBS[self.name]}
+        known = {f"experiment.{name}" for name in _EXPERIMENTS[self.name][1]}
         unknown = sorted(set(self.overrides) - known)
         if unknown:
             raise ConfigError(f"unknown knob for {self.name}: {unknown[0]} "
@@ -104,45 +93,11 @@ _FINITE = _Range(-math.inf, math.inf)
 _PROBABILITY = _Range(0.0, 1.0, closed=True)
 _CAP = _Range(0.0, 1.0)
 
-_RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8, _POSITIVE),
-                       "k_list": (_list_of(int), "4,16", _POSITIVE),
-                       "beta_step": (default_beta_grid, 0.02, _PROBABILITY)}
-# experiment -> {knob: (parse, default, range)}: every ``experiment.<knob>``
-# override an experiment reads; any other key is rejected. beta_step parses
-# to its beta grid, and the range applies to the grid's betas.
-_KNOBS = {
-    "access-delay": {"delta_d": (float, 0.1, _POSITIVE),
-                     "lambda_min": (float, 0.005, _POSITIVE),
-                     "lambda_max": (float, 0.2, _POSITIVE),
-                     "lambda_points": (int, 9, _POSITIVE)},
-    "access-resolution": {"lambdas": (_list_of(float), "0.01,0.02,0.05,0.1",
-                                      _POSITIVE),
-                          "delta_d": (float, 0.01, _POSITIVE)},
-    "error-vs-dictionary": {"beta": (float, 0.5, _PROBABILITY),
-                            "k_max": (int, 32, _POSITIVE)},
-    "rate-vs-beta": _RATE_VS_BETA_KNOBS,
-    "rate-vs-pbs": _RATE_VS_BETA_KNOBS,
-    # the map probes the demanding-rate regime where the partition
-    # trade-off stays active even at the quiet end of the noise grid
-    "optimal-map": {"lambda_min": (float, 0.01, _POSITIVE),
-                    "lambda_max": (float, 0.2, _POSITIVE),
-                    "lambda_points": (int, 5, _POSITIVE),
-                    "noise_dbw": (_list_of(float), "-50,-40,-30,-20",
-                                  _FINITE),
-                    "r0": (float, 6.0e9, _POSITIVE),
-                    "eps_bs": (float, 0.1, _CAP),
-                    "eps_ma": (float, 0.1, _CAP)},
-    "validate-analytical": {"lambdas": (_list_of(float), "0.005,0.02,0.1",
-                                        _POSITIVE),
-                            "threshold_db": (float, 5.0, _FINITE)},
-}
-
-
 def _knob(spec: ExperimentSpec, name: str):
     """The parsed value of ``experiment.<name>`` (or its default); a value
     that does not parse or lies outside the knob's range raises
     ConfigError."""
-    parse, default, valid = _KNOBS[spec.name][name]
+    parse, default, valid = _EXPERIMENTS[spec.name][1][name]
     value = spec.overrides.get(f"experiment.{name}", default)
     try:
         parsed = parse(value)
@@ -188,7 +143,8 @@ def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
         "trials": spec.trials,
         "overrides": spec.overrides,
         # every knob the experiment reads, at the value the run used
-        "knobs": {name: _knob(spec, name) for name in _KNOBS[spec.name]},
+        "knobs": {name: _knob(spec, name)
+                  for name in _EXPERIMENTS[spec.name][1]},
         "config": spec.cfg.to_dict(),
         "outputs": [str(p) for p in outputs],
         "versions": {
@@ -347,20 +303,24 @@ def _run_validate_analytical(spec: ExperimentSpec):
     threshold_db = _knob(spec, "threshold_db")
     threshold = _db_knob_to_linear("threshold_db", threshold_db)
 
+    betas = (0.5, 0.9)
     rows = []
     for lam in sorted(lams):
-        # the four points of one density share the oracle's draws
+        # the four points of one density share the oracle's draws, and the
+        # two betas of one k the analytic pass's kernel tables
         cfg = spec.cfg.with_overrides(bs_density=lam)
-        points = [(k, ue_beamwidth_for_dictionary(k, cfg), beta)
-                  for k in (4, 16) for beta in (0.5, 0.9)]
+        beams = [(k, ue_beamwidth_for_dictionary(k, cfg)) for k in (4, 16)]
         queries = [CoverageQuery(threshold=threshold, k=k, theta_u=tu,
-                                 beta=beta) for k, tu, beta in points]
+                                 beta=beta)
+                   for k, tu in beams for beta in betas]
         results = simulate_coverage(queries, cfg, spec.trials, seed=spec.seed)
-        for (k, tu, beta), mc in zip(points, results):
-            analytical = overall_coverage(threshold, k, tu, beta, cfg)
+        values = [float(value) for k, tu in beams
+                  for value in overall_coverage(threshold, k, tu,
+                                                np.array(betas), cfg)]
+        for query, analytical, mc in zip(queries, values, results):
             tol = max(0.02, 3.0 * mc.stderr)
             ok = abs(analytical - mc.probability) <= tol
-            rows.append((lam, k, beta, threshold_db, analytical,
+            rows.append((lam, query.k, query.beta, threshold_db, analytical,
                          mc.probability, mc.stderr, tol,
                          "pass" if ok else "FAIL"))
     out = spec.out_dir / "validate_analytical.csv"
@@ -369,22 +329,48 @@ def _run_validate_analytical(spec: ExperimentSpec):
     return [out]
 
 
-_RUNNERS = {
-    "access-delay": _run_access_delay,
-    "access-resolution": _run_access_resolution,
-    "error-vs-dictionary": _run_error_vs_dictionary,
-    "rate-vs-beta": lambda s: _run_rate_vs_beta(s)[0],
-    "rate-vs-pbs": _run_rate_vs_pbs,
-    "optimal-map": _run_optimal_map,
-    "validate-analytical": _run_validate_analytical,
+_RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8, _POSITIVE),
+                       "k_list": (_list_of(int), "4,16", _POSITIVE),
+                       "beta_step": (default_beta_grid, 0.02, _PROBABILITY)}
+# experiment -> (runner, {knob: (parse, default, range)}), the knobs being
+# every ``experiment.<knob>`` override the experiment reads; any other key
+# is rejected. beta_step parses to its beta grid, and the range applies to
+# the grid's betas.
+_EXPERIMENTS = {
+    "access-delay": (_run_access_delay, {
+        "delta_d": (float, 0.1, _POSITIVE),
+        "lambda_min": (float, 0.005, _POSITIVE),
+        "lambda_max": (float, 0.2, _POSITIVE),
+        "lambda_points": (int, 9, _POSITIVE)}),
+    "access-resolution": (_run_access_resolution, {
+        "lambdas": (_list_of(float), "0.01,0.02,0.05,0.1", _POSITIVE),
+        "delta_d": (float, 0.01, _POSITIVE)}),
+    "error-vs-dictionary": (_run_error_vs_dictionary, {
+        "beta": (float, 0.5, _PROBABILITY), "k_max": (int, 32, _POSITIVE)}),
+    "rate-vs-beta": (lambda s: _run_rate_vs_beta(s)[0], _RATE_VS_BETA_KNOBS),
+    "rate-vs-pbs": (_run_rate_vs_pbs, _RATE_VS_BETA_KNOBS),
+    # the map probes the demanding-rate regime where the partition
+    # trade-off stays active even at the quiet end of the noise grid
+    "optimal-map": (_run_optimal_map, {
+        "lambda_min": (float, 0.01, _POSITIVE),
+        "lambda_max": (float, 0.2, _POSITIVE),
+        "lambda_points": (int, 5, _POSITIVE),
+        "noise_dbw": (_list_of(float), "-50,-40,-30,-20", _FINITE),
+        "r0": (float, 6.0e9, _POSITIVE),
+        "eps_bs": (float, 0.1, _CAP),
+        "eps_ma": (float, 0.1, _CAP)}),
+    "validate-analytical": (_run_validate_analytical, {
+        "lambdas": (_list_of(float), "0.005,0.02,0.1", _POSITIVE),
+        "threshold_db": (float, 5.0, _FINITE)}),
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(spec: ExperimentSpec):
     """Execute one experiment; returns the list of files written."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    outputs = _RUNNERS[spec.name](spec)
+    outputs = _EXPERIMENTS[spec.name][0](spec)
     outputs.append(_write_manifest(spec, outputs, time.time() - start))
     return outputs
 

@@ -208,7 +208,7 @@ def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
     """variances(level, k): a step's (ranging, angle) variances as floats,
     bit-equal to ``ranging_variance``/``aoa_variance``'s: only + - * / run."""
     zeta = observation_energy(d, 0.0, cfg, obs_time)
-    curvature = _ranging_curvature(cfg, cfg.bandwidth)
+    curvature = _ranging_curvature(cfg.bandwidth)
     gains = [main_lobe_gain(t, cfg) for t in UE_GRID]
     factors = [_aoa_factor(beamwidth_to_elements(t)) for t in UE_GRID]
 

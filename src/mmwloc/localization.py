@@ -85,9 +85,9 @@ def observation_energy(x, beta, cfg: NetworkConfig, observation_time=None):
     return out if out.ndim else float(out)
 
 
-def _ranging_curvature(cfg: NetworkConfig, pilot_bandwidth: float | None = None) -> float:
-    b = cfg.pilot_bandwidth if pilot_bandwidth is None else pilot_bandwidth
-    return b * b * math.pi * math.pi / (3.0 * SPEED_OF_LIGHT ** 2)
+def _ranging_curvature(band: float) -> float:
+    """B^2 pi^2 / (3 c^2), the ranging curvature factor of a pilot band B."""
+    return band * band * math.pi * math.pi / (3.0 * SPEED_OF_LIGHT ** 2)
 
 
 def _aoa_factor(m: int) -> float:
@@ -96,15 +96,14 @@ def _aoa_factor(m: int) -> float:
     return math.pi * math.pi * (m * m - 1) / 12.0
 
 
-def ranging_variance(x, gamma_b, gamma_u: float, beta, cfg: NetworkConfig,
-                     observation_time: float | None = None,
-                     pilot_bandwidth: float | None = None):
-    """sigma_d^2 over positions; inf when the observation time is zero.
+def ranging_variance(x, gamma_b, gamma_u: float, beta, cfg: NetworkConfig):
+    """sigma_d^2 over positions, observed over the localization phase
+    (1 - beta) * T_F in the pilot band; inf when beta == 1.
 
     gamma_b and beta broadcast against x as in ``observation_energy``.
     """
-    zeta = observation_energy(x, beta, cfg, observation_time)
-    info = zeta * gamma_b * gamma_u * _ranging_curvature(cfg, pilot_bandwidth)
+    zeta = observation_energy(x, beta, cfg)
+    info = zeta * gamma_b * gamma_u * _ranging_curvature(cfg.pilot_bandwidth)
     with np.errstate(divide="ignore"):
         out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
     return out if out.ndim else float(out)
@@ -116,22 +115,19 @@ def _sounding_time(beta, cfg: NetworkConfig):
     return np.minimum(cfg.aoa_sounding_time, (1.0 - beta) * cfg.t_frame)
 
 
-def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig,
-                 observation_time: float | None = None):
+def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig):
     """sigma_psi^2 over positions; inf for a single-element aperture.
 
     The aperture is the beam's element count, capped at the sounding
-    subarray ``ue_sounding_elements``. The default observation window is
-    the angle-sounding time clipped to the localization phase (so beta -> 1
+    subarray ``ue_sounding_elements``. The observation window is the
+    angle-sounding time clipped to the localization phase (so beta -> 1
     starves it to zero). gamma_b and beta broadcast against x as in
     ``observation_energy``.
     """
     # a one-element aperture has a zero factor: info == 0, hence inf
     factor = _aoa_factor(min(beamwidth_to_elements(theta_u),
                              cfg.ue_sounding_elements))
-    if observation_time is None:
-        observation_time = _sounding_time(beta, cfg)
-    zeta = observation_energy(x, beta, cfg, observation_time)
+    zeta = observation_energy(x, beta, cfg, _sounding_time(beta, cfg))
     info = zeta * gamma_b * factor
     with np.errstate(divide="ignore"):
         out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)

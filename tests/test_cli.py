@@ -17,6 +17,7 @@ from mmwloc.config import (
     parse_config_text,
 )
 from mmwloc.errors import ConfigError, NumericError
+from mmwloc.numerics import dbm_to_watt
 
 
 class TestConfigBoundary:
@@ -91,6 +92,49 @@ class TestCliRuns:
         assert code == 0
         lines = (tmp_path / "beam_dictionary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 10
+
+    # network.noise_dbw used to be applied after every other key, so a
+    # later noise_dbm_hz was silently dropped; a key set again in a later
+    # source counts as later too
+    @pytest.mark.parametrize("lines, item, psd", [
+        ("network.noise_dbw = -30", "network.noise_dbm_hz=-174",
+         dbm_to_watt(-174)),
+        ("network.noise_dbm_hz = -174", "network.noise_dbw=-30", 1e-12),
+        ("network.noise_dbm_hz = -174\nnetwork.noise_dbw = -30",
+         "network.noise_dbm_hz=-174", dbm_to_watt(-174)),
+        ("network.noise_dbm_hz = -90\nnetwork.noise_dbw = -30\n"
+         "network.noise_dbm_hz = -174", "network.p_t_dbm=30",
+         dbm_to_watt(-174)),
+        # noise_dbw is converted with the final bandwidth
+        ("network.noise_dbw = -30", "network.bandwidth_hz=2e9", 5e-13),
+    ])
+    def test_later_noise_key_wins(self, tmp_path, lines, item, psd):
+        config = tmp_path / "network.cfg"
+        config.write_text(lines + "\n")
+        code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
+                         "--config", str(config), "--set", item,
+                         "--set", "experiment.k_max=1"])
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "error-vs-dictionary_manifest.json").read_text())
+        assert manifest["config"]["noise_psd"] == pytest.approx(
+            psd, rel=1e-12, abs=0.0)
+
+    # the dotted flags used to be read in key-table order, noise_dbw last
+    @pytest.mark.parametrize("flags, psd", [
+        (["--network.noise_dbw", "-30", "--network.noise_dbm_hz", "-174"],
+         dbm_to_watt(-174)),
+        (["--network.noise_dbm_hz", "-174", "--set", "network.noise_dbw=-30"],
+         1e-12),
+    ])
+    def test_later_noise_flag_wins(self, tmp_path, flags, psd):
+        code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
+                         *flags, "--set", "experiment.k_max=1"])
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "error-vs-dictionary_manifest.json").read_text())
+        assert manifest["config"]["noise_psd"] == pytest.approx(
+            psd, rel=1e-12, abs=0.0)
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # nothing reads a carrier frequency, so network.f_c_hz is no key
@@ -244,6 +288,9 @@ class TestCliRuns:
         ["run", "optimal-k-map"],
         ["run", "optimal-beta-map"],
         ["validate"],
+        # both were accepted and silently ignored: only run draws trials
+        ["optimize", "--seed", "3"],
+        ["dump-dictionary", "--trials", "5"],
     ])
     def test_bad_flag_exits_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:

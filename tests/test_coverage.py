@@ -85,10 +85,9 @@ def _cell_loop_reference(threshold, k, theta_u, beta, cfg):
     for i, da_weight in enumerate(da_weights):
         d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
         d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
-        p_ma = misalignment_error(x[i].ravel(),
-                                  main_lobe_gain(float(theta_k[i]), cfg),
-                                  theta_u, beta, cfg)
-        values = _mixture_values(x[i].ravel(), threshold, float(theta_k[i]),
+        gamma_b = main_lobe_gain(float(theta_k[i]), cfg)
+        p_ma = misalignment_error(x[i].ravel(), gamma_b, theta_u, beta, cfg)
+        values = _mixture_values(x[i].ravel(), threshold, gamma_b,
                                  theta_u, beta, p_ma, k, d_left.ravel(),
                                  d_right.ravel(), cfg,
                                  _InterferenceTables(x[i].ravel(), cfg))

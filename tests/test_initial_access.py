@@ -187,6 +187,13 @@ def _reference_ue_beam(sigma_psi2, delta_ma):
     return float(feasible.min()) if feasible.size else max(UE_GRID)
 
 
+def _step_config(cfg, obs_time):
+    """A config whose bounds at beta = 0 are an access step's: both windows
+    one pilot of obs_time seconds, ranging over the data band."""
+    return cfg.with_overrides(t_frame=obs_time, aoa_sounding_time=obs_time,
+                              pilot_bandwidth=cfg.bandwidth)
+
+
 def _reference_access(d, cell_size, policy, cfg):
     """The refinement loop evaluated step by step: a full row search, a
     full grid search and scalar variance calls at every step.
@@ -194,6 +201,7 @@ def _reference_access(d, cell_size, policy, cfg):
     searches, evaluates the variances in float arithmetic, and must
     reproduce this loop bit for bit."""
     obs_time = policy.symbol_duration * policy.pilot_energy_scale
+    step_cfg = _step_config(cfg, obs_time)
     theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
     info_d = 1.0 / policy.initial_sigma_d2
     info_psi = 0.0
@@ -217,14 +225,11 @@ def _reference_access(d, cell_size, policy, cfg):
             theta_u = min(theta_u, max(theta_sel, one_down))
         gamma_b = main_lobe_gain(theta_1 / k, cfg)
         gamma_u = main_lobe_gain(theta_u, cfg)
-        var_d = float(ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
-                                       observation_time=obs_time,
-                                       pilot_bandwidth=cfg.bandwidth))
+        var_d = float(ranging_variance(d, gamma_b, gamma_u, 0.0, step_cfg))
         # the access loop senses with the beam's full aperture
-        full = cfg.with_overrides(
+        full = step_cfg.with_overrides(
             ue_sounding_elements=beamwidth_to_elements(theta_u))
-        var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, full,
-                                     observation_time=obs_time))
+        var_psi = float(aoa_variance(d, gamma_b, theta_u, 0.0, full))
         info_d += 1.0 / var_d
         if math.isfinite(var_psi):
             info_psi += 1.0 / var_psi
@@ -290,15 +295,13 @@ class TestTabulatedLoop:
         theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
         gamma_b = main_lobe_gain(theta_1 / np.arange(1, n_max + 1), cfg)
         gamma_u = main_lobe_gain(np.array(UE_GRID)[:, None], cfg)
-        var_d = ranging_variance(d, gamma_b, gamma_u, 0.0, cfg,
-                                 observation_time=obs_time,
-                                 pilot_bandwidth=cfg.bandwidth)
+        step_cfg = _step_config(cfg, obs_time)
+        var_d = ranging_variance(d, gamma_b, gamma_u, 0.0, step_cfg)
         # each level's full aperture, as the access loop senses with
         var_psi = np.array([
             aoa_variance(d, gamma_b, t, 0.0,
-                         cfg.with_overrides(
-                             ue_sounding_elements=beamwidth_to_elements(t)),
-                         observation_time=obs_time)
+                         step_cfg.with_overrides(
+                             ue_sounding_elements=beamwidth_to_elements(t)))
             for t in UE_GRID])
         variances = _step_variances(d, theta_1, obs_time, cfg)
         pairs = [variances(level, k) for level in range(len(UE_GRID))

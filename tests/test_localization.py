@@ -110,10 +110,10 @@ class TestAoaBound:
 
     def test_inverse_linearity_in_energy(self, cfg):
         gamma_b = main_lobe_gain(0.3, cfg)
-        base = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg,
-                            observation_time=1e-6)
-        quadrupled = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5, cfg,
-                                  observation_time=4e-6)
+        base = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5,
+                            cfg.with_overrides(aoa_sounding_time=1e-6))
+        quadrupled = aoa_variance(5.0, gamma_b, math.pi / 4, 0.5,
+                                  cfg.with_overrides(aoa_sounding_time=4e-6))
         assert quadrupled == pytest.approx(base / 4, rel=1e-12)
 
     def test_angle_independent_of_position_angle(self, cfg):
@@ -125,17 +125,15 @@ class TestAoaBound:
         # P beam gains give P entries, each bit-identical to the scalar
         # call at that gain; m == 1 stays inf
         gamma_b = main_lobe_gain(np.array([0.05, 0.3, 1.2]), cfg)
-        for x, beta, t_obs in ((5.0, 0.0, 1.43e-8), (35.0, 0.5, None),
-                               (0.0, 1.0, None)):
+        for x, beta, window in ((5.0, 0.0, {"aoa_sounding_time": 1.43e-8}),
+                                (35.0, 0.5, {}), (0.0, 1.0, {})):
             for m in (1, 2, 5, 64):
                 # a 0.01 rad beam has 629 elements: the cap m sets the aperture
-                capped = cfg.with_overrides(ue_sounding_elements=m)
-                row = aoa_variance(x, gamma_b, 0.01, beta, capped,
-                                   observation_time=t_obs)
+                capped = cfg.with_overrides(ue_sounding_elements=m, **window)
+                row = aoa_variance(x, gamma_b, 0.01, beta, capped)
                 assert row.shape == (3,)
                 for j, g in enumerate(gamma_b):
-                    single = aoa_variance(x, float(g), 0.01, beta, capped,
-                                          observation_time=t_obs)
+                    single = aoa_variance(x, float(g), 0.01, beta, capped)
                     assert isinstance(single, float)
                     assert row[j] == single
                 assert m > 1 or np.isinf(row).all()

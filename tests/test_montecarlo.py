@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from mmwloc import CoverageQuery, NetworkConfig, montecarlo
+from mmwloc import (CoverageQuery, NetworkConfig, coverage, experiments,
+                    montecarlo)
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.dictionary import row_beamwidth
 from mmwloc.experiments import ExperimentSpec, run_experiment
@@ -336,3 +337,28 @@ class TestWorkCounts:
                                       trials=trials))
         assert calls == [(lam, size) for lam in (0.005, 0.02, 0.1)
                          for size in (BATCH_SIZE, BATCH_SIZE, 5)]
+
+    def test_validate_runs_one_analytic_pass_per_density_and_k(
+            self, tmp_path, monkeypatch):
+        # both betas of a (density, k) share each cell chunk's kernel
+        # tables; one pass per point would make 12 calls and 240 builds
+        real = experiments.overall_coverage
+        calls, builds = [], []
+
+        def counted(threshold, k, theta_u, beta, cfg):
+            calls.append((cfg.bs_density, k, tuple(np.ravel(beta))))
+            return real(threshold, k, theta_u, beta, cfg)
+
+        class CountedTables(coverage._InterferenceTables):
+            def __init__(self, *args, **kwargs):
+                builds.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "overall_coverage", counted)
+        monkeypatch.setattr(coverage, "_InterferenceTables", CountedTables)
+        run_experiment(ExperimentSpec("validate-analytical", out_dir=tmp_path,
+                                      trials=1000))
+        assert calls == [(lam, k, (0.5, 0.9)) for lam in (0.005, 0.02, 0.1)
+                         for k in (4, 16)]
+        # per density, 8 chunks of 8 cells at k = 4 and 32 of 2 at k = 16
+        assert len(builds) == 120

@@ -1,11 +1,18 @@
-"""Dead-surface guard: every public top-level def or class of the package
-is reached by the package's own code, or is kept for a stated reason.
+"""Dead-surface guards.
 
-A name is reached when module-level code of some module (the CLI's entry
-point among it) refers to it, or when a reached def or class does. The
-re-exports in ``__init__.py`` and the imports reach nothing, so a cluster
-of names that only call each other is caught as a whole. References are
-matched by identifier, which can only over-count reach.
+Every public top-level def or class of the package is reached by the
+package's own code, or is kept for a stated reason. A name is reached when
+module-level code of some module (the CLI's entry point among it) refers
+to it, or when a reached def or class does. The re-exports in
+``__init__.py`` and the imports reach nothing, so a cluster of names that
+only call each other is caught as a whole. References are matched by
+identifier, which can only over-count reach.
+
+Every parameter with a default is passed at some call in the package, or
+is kept for a stated reason: a value that only tests set is not an input
+of the analyzer. Calls are matched by the callee's identifier (a class
+name calls its ``__init__``), and a ``*args`` or ``**kwargs`` at a call
+counts as passing everything, which again can only over-count.
 """
 
 import ast
@@ -19,6 +26,15 @@ KEEP = {
                             "and the simulate_laplace oracle test use it",
     "simulate_laplace": "test oracle for the interference kernel",
     "simulate_error_probabilities": "acceptance criterion 2's oracle",
+}
+
+
+# "module.function(parameter)" -> why only the default is set in the package
+DEFAULT_ONLY = {
+    "cli.main(argv)": "the console entry point; tests and the benchmark "
+                      "pass argv",
+    "optimizer.default_beta_grid(step)": "the beta_step knob parses "
+                                         "through it",
 }
 
 
@@ -64,3 +80,65 @@ def test_keep_lists_only_unreached_names():
     defs, roots = _surface()
     assert set(KEEP) <= set(defs)
     assert not set(KEEP) & _reached(defs, roots)
+
+
+def _defaulted_parameters():
+    """(label, callee identifier, parameter, call position or None for a
+    keyword-only one) of every parameter with a default; a method's
+    positions are shifted past ``self``."""
+    found = []
+
+    def visit(node, module, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{name}.", name)
+            elif isinstance(child, ast.FunctionDef):
+                callee = cls if name == "__init__" else name
+                label, shift = f"{module}.{prefix}{name}", 1 if cls else 0
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found.extend((label, callee, a.arg, i - shift)
+                             for i, a in enumerate(positional) if i >= first)
+                found.extend((label, callee, a.arg, None) for a, d in
+                             zip(args.kwonlyargs, args.kw_defaults) if d)
+                visit(child, module, f"{prefix}{name}.", None)
+            else:
+                visit(child, module, prefix, cls)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "", None)
+    return found
+
+
+def _passes(call, name, position) -> bool:
+    """Whether a call passes parameter ``name`` at ``position``."""
+    return (any(k.arg in (None, name) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def _never_passed() -> set:
+    """Labels "module.function(parameter)" of the defaulted parameters that
+    no call in the package passes, by position or by keyword."""
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", None) or getattr(func, "attr",
+                                                              None)
+                calls.setdefault(callee, []).append(node)
+    return {f"{label}({name})"
+            for label, callee, name, position in _defaulted_parameters()
+            if not any(_passes(call, name, position)
+                       for call in calls.get(callee, ()))}
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    assert sorted(_never_passed() - set(DEFAULT_ONLY)) == []
+
+
+def test_default_only_lists_only_unpassed_parameters():
+    assert set(DEFAULT_ONLY) <= _never_passed()
