@@ -313,10 +313,11 @@ def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
 # ---------------------------------------------------------------------------
 
 def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
-                   tables: "_InterferenceTables | None" = None) -> list:
+                   tables: _InterferenceTables) -> list:
     """P(SINR >= T) at 1-D positions x, one array per serving-link gain
     product in ``gains``; the gains share each expansion term's threshold
-    scaling n * eta * T * z^alpha.
+    scaling n * eta * T * z^alpha; ``tables`` are x's
+    ``_InterferenceTables``.
 
     ``threshold`` and the gains broadcast against x along its last axis: a
     (B, 1) column of thresholds gives (B, P) values. Vectorized over mixed
@@ -343,8 +344,6 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
     to its tie-break and may differ from that of the floored form.
     """
     x = np.asarray(x, dtype=float)
-    if tables is None:
-        tables = _InterferenceTables(x, cfg)
     g2 = sidelobe_gain(cfg) ** 2
     noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
     outs = [np.zeros(np.broadcast_shapes(x.shape, np.shape(threshold),

@@ -25,9 +25,9 @@ from .dictionary import beam_boundaries, row_beamwidth
 from .errors import ConfigError
 from .initial_access import (
     AccessPolicy,
+    access_traces,
     delay_exhaustive,
     delay_iterative,
-    run_initial_access,
 )
 from .localization import avg_beam_selection_error, avg_misalignment_error
 from .montecarlo import simulate_coverage
@@ -181,27 +181,28 @@ def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
 
 def _run_access_delay(spec: ExperimentSpec):
     # The loop never reads bs_density: one config serves all densities, and
-    # those clamped to one geometry share its row's columns (not its trace).
+    # those clamped to one geometry share its row's columns (not its trace);
+    # one access_traces call runs the distinct geometries.
     policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
     cfg = spec.cfg
+    lams = _lambda_grid(spec).tolist()
+    geometries = [access_reference_geometry(lam, cfg) for lam in lams]
+    distinct = list(dict.fromkeys(geometries))
     columns = {}
+    for geometry, trace in zip(distinct,
+                               access_traces(distinct, policy, cfg)):
+        theta_b = row_beamwidth(geometry[1], cfg.h_b, trace.final_k)
+        iterative = delay_iterative(trace.final_k, trace.final_theta_u,
+                                    policy.symbol_duration)
+        exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
+                                      policy.symbol_duration)
+        columns[geometry] = (trace.total_symbols, trace.total_delay * 1e3,
+                             iterative * 1e3, exhaustive * 1e3,
+                             trace.final_k, trace.final_theta_u,
+                             trace.terminated)
 
-    def point(lam):
-        d_ref, d_a = geometry = access_reference_geometry(lam, cfg)
-        if geometry not in columns:
-            trace = run_initial_access(d_ref, d_a, policy, cfg)
-            theta_b = row_beamwidth(d_a, cfg.h_b, trace.final_k)
-            iterative = delay_iterative(trace.final_k, trace.final_theta_u,
-                                        policy.symbol_duration)
-            exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
-                                          policy.symbol_duration)
-            columns[geometry] = (trace.total_symbols, trace.total_delay * 1e3,
-                                 iterative * 1e3, exhaustive * 1e3,
-                                 trace.final_k, trace.final_theta_u,
-                                 trace.terminated)
-        return (lam, *columns[geometry])
-
-    rows = [point(float(lam)) for lam in _lambda_grid(spec)]
+    rows = [(lam, *columns[geometry])
+            for lam, geometry in zip(lams, geometries)]
     rows.sort(key=lambda r: r[0])
     out = spec.out_dir / "access_delay.csv"
     _write_csv(out, ["lambda", "steps", "proposed_ms", "iterative_ms",
@@ -212,10 +213,10 @@ def _run_access_delay(spec: ExperimentSpec):
 
 def _run_access_resolution(spec: ExperimentSpec):
     policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
+    lams = sorted(_knob(spec, "lambdas"))
+    geometries = [access_reference_geometry(lam, spec.cfg) for lam in lams]
     rows = []
-    for lam in sorted(_knob(spec, "lambdas")):
-        d_ref, d_a = access_reference_geometry(lam, spec.cfg)
-        trace = run_initial_access(d_ref, d_a, policy, spec.cfg)
+    for lam, trace in zip(lams, access_traces(geometries, policy, spec.cfg)):
         for step in trace.steps:
             rows.append((lam, step.index, step.side, step.k, step.theta_u,
                          step.sigma_d2, step.sigma_psi2, step.symbols))

@@ -9,6 +9,8 @@ error under its cap (growing at most one refinement stage per step), the
 UE takes the thinnest ``UE_GRID`` beamwidth that keeps misalignment under
 its cap (at most one grid level per step). The procedure stops when both
 variances meet the termination accuracies, or at the step budget.
+``access_traces`` runs the loop for many users in chunks, stepping every
+unfinished user of a chunk together; every rule works on arrays of users.
 
 The per-step observation model is the one under-specified piece of the
 refinement procedure; it is pinned here as: wideband access pilots over
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +78,7 @@ class AccessPolicy:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-@dataclass(frozen=True)
-class AccessStep:
+class AccessStep(NamedTuple):
     index: int
     side: str            # 'BS' | 'UE'
     k: int
@@ -99,16 +101,27 @@ class AccessTrace:
     fallback_events: int = 0
 
 
+# (user, row) entries of one chunk's row tables, which no other chunk
+# array exceeds: 32 users at the default n_max of 1024
+_CHUNK_ENTRIES = 2 ** 15
+# a chunk's tables are built in this many parts of its users: the row
+# search holds about six arrays of its input's size at once
+_TABLE_PARTS = 4
+
+_UE_WIDTHS = np.array(UE_GRID)
+_UE_WIDTHS.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
-# Beam selection rules
+# Beam selection rules, each over a batch of users
 # ---------------------------------------------------------------------------
 
 _REL_GUARD, _ABS_GUARD = 1e-6, 1e-14   # slack of the tail bracket
 
 
-def _tail_bracket(sigma: float, cap: float, tails: int) -> tuple:
-    """(lo, hi): a margin below lo surely misses the cap, one at or above
-    hi surely meets it; only those in between need erfc.
+def _tail_bracket(sigma, cap: float, tails: int) -> tuple:
+    """(lo, hi) per spread: a margin below lo surely misses the cap, one at
+    or above hi surely meets it; only those in between need erfc.
 
     Both errors come from erfc at t = margin / s, s = max(sigma,
     SIGMA_FLOOR): the UE side's 2 Q(nu / s), and the BS side's
@@ -123,55 +136,104 @@ def _tail_bracket(sigma: float, cap: float, tails: int) -> tuple:
     and hi = s Qinv((cap - h) / (2 (1 + g))). An edge (margin 0) has error
     >= 1/2 and hi > 0 for any cap <= 1: with the floor it is never sure.
     """
-    s = max(sigma, SIGMA_FLOOR)
+    s = np.maximum(sigma, SIGMA_FLOOR)
     return (s * q_inverse((cap * (1.0 + _REL_GUARD) + _ABS_GUARD) / tails),
             s * q_inverse((cap - _ABS_GUARD) / (2.0 * (1.0 + _REL_GUARD))))
 
 
-def _row_table(d_hat: float, d_a: float, h_b: float, n_max: int) -> tuple:
-    """(d_hat, d_left, d_right, margin, reach), entry r - 2 for row r =
-    2..n_max: the edges of the beam holding d_hat, d_hat's distance to the
-    nearer one, and the largest such distance in row r or any deeper row."""
-    _, left, right = containing_beam(d_hat, d_a, h_b, np.arange(2, n_max + 1))
-    margin = np.minimum(d_hat - left, right - d_hat)
-    return d_hat, left, right, margin, np.maximum.accumulate(margin[::-1])[::-1]
+def _row_table(d_hat, d_a, h_b: float, n_max: int) -> tuple:
+    """(d_hat, d_a, h_b, margin, reach) for users at d_hat in cells of size
+    d_a (1-D arrays): margin[u, r - 2], for row r = 2..n_max, is d_hat's
+    distance to the nearer edge of the row-r beam holding it, and reach
+    the largest such distance in row r or any deeper row."""
+    rows = np.arange(2, n_max + 1)
+    margin = np.empty((d_hat.size, rows.size))
+    part = -(-d_hat.size // _TABLE_PARTS)
+    for a in range(0, d_hat.size, part):
+        x = d_hat[a:a + part, None]
+        left, right = containing_beam(x, d_a[a:a + part, None], h_b,
+                                      rows)[1:]
+        np.subtract(x, left, out=left)
+        right -= x
+        np.minimum(left, right, out=margin[a:a + part])
+    reach = np.maximum.accumulate(margin[:, ::-1], axis=1)[:, ::-1]
+    return d_hat, d_a, h_b, margin, reach
 
 
-def _select_row(table: tuple, sigma_d2: float, delta_bs: float, k: int,
-                c: int) -> int:
-    """min(max(k_sel, k), c), k_sel being the largest row of a ``_row_table``
-    whose containing beam meets the selection-error cap (1 if none does).
+def _last_feasible(table: tuple, users, sigma, ask, first, offset: int,
+                   delta_bs: float):
+    """Per entry (row of ``ask``, a block of the table from column offset
+    on), the last asked column whose row meets the selection-error cap at
+    spread sigma, first - 1 if none does; erfc runs on the asked entries
+    alone."""
+    d_hat, d_a, h_b, _, _ = table
+    at, col = ask.nonzero()
+    out = first - 1
+    if at.size:
+        col += offset
+        u = users[at]
+        _, left, right = containing_beam(d_hat[u], d_a[u], h_b, col + 2)
+        ok = beam_selection_profile(d_hat[u], sigma[at], left,
+                                    right) <= delta_bs
+        np.maximum.at(out, at[ok], col[ok])
+    return out
 
-    Only the rows that can move the result are decided: any row at or
-    above c, then the rows in (k, c) above the last surely feasible one.
-    erfc runs only where ``_tail_bracket`` cannot tell.
+
+def _select_row(table: tuple, users, sigma_d2, delta_bs: float, k, c):
+    """min(max(k_sel, k), c) per entry, k_sel being the largest row of the
+    ``_row_table`` user whose containing beam meets the selection-error cap
+    (1 if none does); users, sigma_d2, k and c are aligned 1-D arrays.
+
+    Only the rows that can move a result are decided: any row at or above
+    c, then the rows in (k, c) above the last surely feasible one. erfc
+    runs only where ``_tail_bracket`` cannot tell, and no block read from
+    the tables is larger than they are.
     """
-    if c <= k or not math.isfinite(sigma_d2):
-        return min(k, c)
-    d_hat, d_left, d_right, margin, reach = table
-    sigma = math.sqrt(sigma_d2)
+    _, _, _, margin, reach = table
+    out = np.minimum(k, c)
+    at = ((k < c) & np.isfinite(sigma_d2)).nonzero()[0]
+    if not at.size:
+        return out
+    users, k, c = users[at], k[at], c[at]
+    sigma = np.sqrt(sigma_d2[at])
     lo, hi = _tail_bracket(sigma, delta_bs, 1)
+    col = c - 2
+    deep = reach[users, col]
+    take = deep >= hi
+    # some row at or above c is undecided: take c if erfc finds one feasible
+    ask = (~take & (deep >= lo)).nonzero()[0]
+    if ask.size:
+        a = col[ask].min()
+        cols = np.arange(a, margin.shape[1])
+        block = margin[users[ask], a:] >= lo[ask, None]
+        block &= cols >= col[ask, None]
+        take[ask] = _last_feasible(table, users[ask], sigma[ask], block,
+                                   col[ask], a, delta_bs) >= col[ask]
+    # the rest: rows k + 1 .. c - 1, columns k - 1 .. c - 3. reach is
+    # non-increasing and below hi from column c - 2 on, so the surely
+    # feasible columns of the window are its first ones
+    rest = (~take).nonzero()[0]
+    if rest.size:
+        first, stop = k[rest] - 1, col[rest]
+        a, b = first.min(), stop.max()
+        cols = np.arange(a, b)
+        inside = (cols >= first[:, None]) & (cols < stop[:, None])
+        sure = reach[users[rest], a:b] >= hi[rest, None]
+        sure &= inside
+        first += np.count_nonzero(sure, axis=1)
+        block = margin[users[rest], a:b] >= lo[rest, None]
+        block &= cols >= first[:, None]
+        block &= inside
+        c[rest] = _last_feasible(table, users[rest], sigma[rest], block,
+                                 first, a, delta_bs) + 2
+    out[at] = c
+    return out
 
-    def feasible(rows):
-        if rows.size:
-            rows = rows[beam_selection_profile(d_hat, sigma, d_left[rows],
-                                               d_right[rows]) <= delta_bs]
-        return rows
 
-    if reach[c - 2] >= hi or feasible(c - 2 + (margin[c - 2:] >= lo)
-                                      .nonzero()[0]).size:
-        return c
-    window = margin[k - 1:c - 2]           # rows k + 1 .. c - 1
-    sure = (window >= hi).nonzero()[0]
-    start = int(sure[-1]) + 1 if sure.size else 0
-    rows = feasible(k - 1 + start + (window[start:] >= lo).nonzero()[0])
-    return int(rows[-1]) + 2 if rows.size else k + start
-
-
-def _ue_level(sigma_psi2: float, delta_ma: float, level: int,
-              last: int) -> int:
-    """min(max(l_sel, level), last), l_sel being the deepest ``UE_GRID``
-    level whose misalignment meets the cap (0 if none does).
+def _ue_level(sigma_psi2, delta_ma: float, level, last):
+    """min(max(l_sel, level), last) per entry, l_sel being the deepest
+    ``UE_GRID`` level whose misalignment meets the cap (0 if none does);
+    sigma_psi2, level and last are aligned 1-D arrays.
 
     Each level halves the width, so nu / s halves exactly from one level
     to the next and the computed 2 Q(nu / s) cannot fall (a test checks
@@ -180,15 +242,21 @@ def _ue_level(sigma_psi2: float, delta_ma: float, level: int,
     a time up to the first miss. erfc runs only where ``_tail_bracket``
     cannot tell. An infinite variance keeps the level, at any cap.
     """
-    if last <= level or sigma_psi2 == math.inf:
-        return min(level, last)
-    lo, hi = _tail_bracket(math.sqrt(sigma_psi2), delta_ma, 2)
-    while level < last:
-        nu = nu_threshold(UE_GRID[level + 1])
-        if nu < hi and (nu < lo
-                        or p_misalignment(sigma_psi2, nu) > delta_ma):
-            break
-        level += 1
+    level = np.minimum(level, last)
+    at = ((level < last) & (sigma_psi2 != math.inf)).nonzero()[0]
+    lo, hi = _tail_bracket(np.sqrt(sigma_psi2[at]), delta_ma, 2)
+    while at.size:
+        nu = nu_threshold(_UE_WIDTHS[level[at] + 1])
+        miss = nu < hi
+        ask = (miss & (nu >= lo)).nonzero()[0]
+        if ask.size:
+            miss[ask] = p_misalignment(sigma_psi2[at[ask]],
+                                       nu[ask]) > delta_ma
+        keep = ~miss
+        at, lo, hi = at[keep], lo[keep], hi[keep]
+        level[at] += 1
+        keep = level[at] < last[at]
+        at, lo, hi = at[keep], lo[keep], hi[keep]
     return level
 
 
@@ -197,7 +265,9 @@ def select_ue_beam(sigma_psi2: float, delta_ma: float) -> float:
     the widest if none does."""
     if not (0.0 < delta_ma <= 1.0 and sigma_psi2 >= 0.0):   # NaN fails
         raise ValueError("need a cap in (0, 1] and a non-negative variance")
-    return UE_GRID[_ue_level(sigma_psi2, delta_ma, 0, len(UE_GRID) - 1)]
+    level = _ue_level(np.array([sigma_psi2], dtype=float), delta_ma,
+                      np.zeros(1, dtype=int), np.full(1, len(UE_GRID) - 1))
+    return UE_GRID[level[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -205,74 +275,162 @@ def select_ue_beam(sigma_psi2: float, delta_ma: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
-    """variances(level, k): a step's (ranging, angle) variances as floats,
-    bit-equal to ``ranging_variance``/``aoa_variance``'s: only + - * / run."""
-    zeta = observation_energy(d, 0.0, cfg, obs_time)
+    """(energy, variances): energy(users, k), a step's pilot energy for the
+    given users of d and theta_1 (1-D arrays) under their dictionary rows,
+    and variances(energy, level, k), the step's (ranging, angle) variances
+    at their UE grid levels, bit-equal to ``ranging_variance``/
+    ``aoa_variance``'s: only + - * / run on each entry."""
+    # one call per user: an array call raises z^2 to an array of path loss
+    # exponents, which rounds unlike the scalar power of the bounds' calls
+    zeta = np.array([observation_energy(x, 0.0, cfg, obs_time)
+                     for x in d.tolist()])
     curvature = _ranging_curvature(cfg.bandwidth)
-    gains = [main_lobe_gain(t, cfg) for t in UE_GRID]
-    factors = [_aoa_factor(beamwidth_to_elements(t)) for t in UE_GRID]
+    gains = main_lobe_gain(_UE_WIDTHS, cfg)
+    factors = np.array([_aoa_factor(beamwidth_to_elements(t))
+                        for t in UE_GRID])
 
-    def variances(level: int, k: int) -> tuple:
-        energy = zeta * main_lobe_gain(theta_1 / k, cfg)
-        info = (energy * gains[level] * curvature, energy * factors[level])
-        if not (0.0 < info[0] < math.inf and 0.0 < info[1] < math.inf):
-            raise NumericError(f"step information out of range at row {k}")
-        return 1.0 / max(info[0], 1e-300), 1.0 / max(info[1], 1e-300)
-    return variances
+    def energy(users, k):
+        return zeta[users] * main_lobe_gain(theta_1[users] / k, cfg)
+
+    def variances(pilot, level, k) -> tuple:
+        info_d = pilot * gains[level]
+        info_d *= curvature
+        info_psi = pilot * factors[level]
+        # both in (0, inf); NaN fails the comparisons
+        least, most = np.minimum(info_d, info_psi), np.maximum(info_d,
+                                                               info_psi)
+        if not (least.min() > 0.0 and most.max() < math.inf):
+            bad = ~((least > 0.0) & (most < math.inf))
+            raise NumericError("step information out of range at row "
+                               f"{k[bad][0]}")
+        return (1.0 / np.maximum(info_d, 1e-300),
+                1.0 / np.maximum(info_psi, 1e-300))
+    return energy, variances
+
+
+def _run_chunk(d, cell_size, policy: AccessPolicy,
+               cfg: NetworkConfig) -> list:
+    """The traces of users at d in cells of cell_size (1-D arrays), every
+    unfinished user stepped together: all share the step's side."""
+    last = len(UE_GRID) - 1
+    table = _row_table(d, cell_size, cfg.h_b, policy.n_max)
+    energy, variances = _step_variances(
+        d, row_beamwidth(cell_size, cfg.h_b, 1),
+        policy.symbol_duration * policy.pilot_energy_scale, cfg)
+
+    users = np.arange(d.size)               # the unfinished ones, in order
+    k = np.ones(d.size, dtype=int)
+    level = np.zeros(d.size, dtype=int)
+    info_d = np.full(d.size, 1.0 / policy.initial_sigma_d2)
+    info_psi = np.zeros(d.size)
+    sigma_d2, sigma_psi2 = 1.0 / info_d, None
+    steps = []
+    # per user: the steps taken, whether the accuracies were met, and the
+    # service beam pair
+    total = np.zeros(d.size, dtype=int)
+    accurate = np.zeros(d.size, dtype=bool)
+    final_k = np.zeros(d.size, dtype=int)
+    final_level = np.zeros(d.size, dtype=int)
+
+    for step in range(1, policy.max_steps + 1):
+        if step % 2 == 1:
+            k = _select_row(table, users, sigma_d2, policy.delta_bs, k,
+                            np.minimum(np.ceil(policy.bs_growth * k),
+                                       policy.n_max).astype(int))
+            pilot = energy(users, k)
+        else:
+            level = _ue_level(sigma_psi2, policy.delta_ma, level,
+                              np.minimum(level + 1, last))
+
+        var_d, var_psi = variances(pilot, level, k)
+        info_d += 1.0 / var_d
+        info_psi += 1.0 / var_psi
+
+        sigma_d2, sigma_psi2 = 1.0 / info_d, 1.0 / info_psi
+        steps.append((users, k, level, sigma_d2, sigma_psi2))
+        met = np.sqrt(sigma_d2) <= policy.delta_d
+        met &= np.sqrt(sigma_psi2) <= policy.delta_psi
+        done = met if step < policy.max_steps else np.ones_like(met)
+        if done.any():
+            # Service beam pair: the selection the final accuracy supports
+            # (the sweep baselines must reach this same resolution).
+            at = done.nonzero()[0]
+            stop = users[at]
+            total[stop] = step
+            accurate[stop] = met[at]
+            final_k[stop] = _select_row(
+                table, stop, sigma_d2[at], policy.delta_bs, k[at],
+                np.full(at.size, policy.n_max))
+            final_level[stop] = _ue_level(
+                sigma_psi2[at], policy.delta_ma, level[at],
+                np.full(at.size, last))
+            keep = ~done
+            (users, k, level, pilot, info_d, info_psi, sigma_d2,
+             sigma_psi2) = (v[keep] for v in (
+                 users, k, level, pilot, info_d, info_psi, sigma_d2,
+                 sigma_psi2))
+            if not users.size:
+                break
+    return _traces(steps, total, accurate, final_k, final_level, policy)
+
+
+def _traces(steps: list, total, accurate, final_k, final_level,
+            policy: AccessPolicy) -> list:
+    """A chunk's AccessTraces, in user order, from its per-step (users, k,
+    level, sigma_d2, sigma_psi2) records and each user's ends."""
+    # record (user u, step s) goes to start[u] + s - 1: each user's steps
+    # in order, the users one after another
+    start = np.cumsum(total) - total
+    index = np.repeat(np.arange(1, len(steps) + 1),
+                      [record[0].size for record in steps])
+    users, k, level, sigma_d2, sigma_psi2 = map(np.concatenate, zip(*steps))
+    at = start[users] + index - 1
+    columns = []
+    for values in (index, k, _UE_WIDTHS[level], sigma_d2, sigma_psi2):
+        column = np.empty_like(values)
+        column[at] = values
+        columns.append(column.tolist())
+    index = columns[0]
+    sides = ("UE", "BS") * (len(steps) // 2 + 1)     # BS on odd steps
+    records = list(map(AccessStep._make, zip(
+        index, map(sides.__getitem__, index), *columns[1:], index)))
+    return [AccessTrace(steps=tuple(records[a:a + n]), total_symbols=n,
+                        total_delay=n * policy.symbol_duration,
+                        terminated="accuracy_met" if ok else "max_iter",
+                        final_k=row, final_theta_u=UE_GRID[lvl])
+            for a, n, ok, row, lvl in zip(
+                start.tolist(), total.tolist(), accurate.tolist(),
+                final_k.tolist(), final_level.tolist())]
+
+
+def access_traces(geometries, policy: AccessPolicy, cfg: NetworkConfig):
+    """The trace of the alternating refinement loop, on the estimation
+    bounds, for each (d, cell_size) in order: a user at ground distance d
+    inside a cell of the given one-sided size.
+
+    The users run in chunks whose row tables hold at most
+    ``_CHUNK_ENTRIES`` entries (one user at least), each chunk's unfinished
+    users stepped together; a chunk's traces are made when it ends.
+    """
+    d, cell_size = np.asarray(geometries, dtype=float).reshape(-1, 2).T
+    if not ((0.0 <= d) & (d <= cell_size)).all():
+        raise ValueError("user must lie inside the cell")
+    per_chunk = max(1, _CHUNK_ENTRIES // max(policy.n_max - 1, 1))
+    for start in range(0, d.size, per_chunk):
+        chunk = slice(start, start + per_chunk)
+        # numpy warns where Python floats overflow silently; the step
+        # information check reports it
+        with np.errstate(over="ignore"):
+            traces = _run_chunk(d[chunk], cell_size[chunk], policy, cfg)
+        yield from traces
 
 
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
                        cfg: NetworkConfig) -> AccessTrace:
     """Run the alternating refinement loop, on the estimation bounds, for a
-    user at ground distance d inside a cell of the given one-sided size."""
-    if not 0.0 <= d <= cell_size:
-        raise ValueError("user must lie inside the cell")
-
-    last = len(UE_GRID) - 1
-    # only the row search is tabulated per user; variances are per step
-    rows = _row_table(d, cell_size, cfg.h_b, policy.n_max)
-    variances = _step_variances(
-        d, row_beamwidth(cell_size, cfg.h_b, 1),
-        policy.symbol_duration * policy.pilot_energy_scale, cfg)
-
-    info_d, info_psi = 1.0 / policy.initial_sigma_d2, 0.0
-    sigma_d2 = 1.0 / info_d
-    k, level = 1, 0
-    steps = []
-    terminated = "max_iter"
-
-    for step in range(1, policy.max_steps + 1):
-        side = "BS" if step % 2 == 1 else "UE"
-
-        if side == "BS":
-            k = _select_row(rows, sigma_d2, policy.delta_bs, k, min(
-                math.ceil(policy.bs_growth * k), policy.n_max))
-        else:
-            level = _ue_level(sigma_psi2, policy.delta_ma, level,
-                              min(level + 1, last))
-
-        var_d, var_psi = variances(level, k)
-        info_d += 1.0 / var_d
-        info_psi += 1.0 / var_psi
-
-        sigma_d2, sigma_psi2 = 1.0 / info_d, 1.0 / info_psi
-        steps.append(AccessStep(index=step, side=side, k=k,
-                                theta_u=UE_GRID[level], sigma_d2=sigma_d2,
-                                sigma_psi2=sigma_psi2, symbols=step))
-        if (math.sqrt(sigma_d2) <= policy.delta_d
-                and math.sqrt(sigma_psi2) <= policy.delta_psi):
-            terminated = "accuracy_met"
-            break
-
-    total_symbols = steps[-1].symbols if steps else 0
-    # Service beam pair: the selection the final accuracy supports (the
-    # sweep baselines must reach this same resolution).
-    final_k = _select_row(rows, sigma_d2, policy.delta_bs, k, policy.n_max)
-    final_level = _ue_level(sigma_psi2, policy.delta_ma, level, last)
-    return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
-                       total_delay=total_symbols * policy.symbol_duration,
-                       terminated=terminated, final_k=final_k,
-                       final_theta_u=UE_GRID[final_level])
+    user at ground distance d inside a cell of the given one-sided size:
+    ``access_traces`` of that one geometry."""
+    return next(access_traces([(d, cell_size)], policy, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,6 @@ _MAXLOG = 7.09782712893383996843e2   # log(DBL_MAX)
 _X_UNDER = math.sqrt(_MAXLOG)
 # erfc(6) < 2^-55, so 2 - erfc(-x) rounds to exactly 2.0 for x < _X_TWO
 _X_TWO = -6.0
-# arrays up to this size run the same operations on Python floats, which
-# costs less than numpy's per-call overhead
-_SMALL_ARRAY = 16
 
 
 # (numerator, monic denominator) per band
@@ -64,8 +61,8 @@ _FAR = (_ERFC_R, _ERFC_S)             # in |x|, on [8, _X_UNDER]
 
 
 def _polevl(t, coefs: tuple):
-    """Horner's rule in cephes polevl's order, for a float or a 1-D array
-    t (an array result is a new buffer, updated in place)."""
+    """Horner's rule in cephes polevl's order, for a 1-D array t (the
+    result is a new buffer, updated in place)."""
     out = t * coefs[0]
     for c in coefs[1:-1]:
         out += c
@@ -81,27 +78,6 @@ def _p1evl(t, coefs: tuple):
     for c in coefs[1:]:
         out *= t
         out += c
-    return out
-
-
-def _erfc_floats(x: np.ndarray) -> list:
-    """erfc over a small 1-D array on Python floats, bit-equal to
-    ``_erfc_array``: the same operations, and exp from numpy."""
-    t = np.minimum(np.abs(x), _X_UNDER)   # t * t cannot overflow
-    out = []
-    for v, z in zip(x.tolist(), np.exp(-(t * t)).tolist()):
-        a = abs(v)
-        if not a >= 1.0:               # NaN too: it stays NaN
-            num, den = _INNER
-            out.append(1.0 - v * _polevl(v * v, num) / _p1evl(v * v, den))
-        elif v < _X_TWO:
-            out.append(2.0)
-        elif v > _X_UNDER:
-            out.append(0.0)
-        else:
-            num, den = _MID if a < 8.0 else _FAR
-            y = z * _polevl(a, num) / _p1evl(a, den)
-            out.append(2.0 - y if v < 0.0 else y)
     return out
 
 
@@ -145,10 +121,8 @@ def erfc(x):
     exp is numpy's, which moves some entries by a few ulps; every entry
     gets the same bits in any array size, shape or batch."""
     x = np.asarray(x, dtype=float)
-    if x.size <= _SMALL_ARRAY:
-        out = np.array(_erfc_floats(x.ravel())).reshape(x.shape)
-        return out if out.ndim else out[()]
-    return _erfc_array(x.ravel()).reshape(x.shape)
+    out = _erfc_array(x.ravel()).reshape(x.shape)
+    return out if out.ndim else out[()]
 
 
 def qfunc(x):

@@ -44,7 +44,7 @@ from mmwloc import (
     run_initial_access,
 )
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
-from mmwloc.coverage import _branch_values
+from mmwloc.coverage import _branch_values, _InterferenceTables
 from mmwloc.dictionary import row_beamwidth
 from mmwloc.localization import (
     _aoa_factor,
@@ -237,7 +237,7 @@ def test_criterion_8_property_suite():
     x = rng.uniform(0.5, 40.0, size=20)
     gb, gu, g = main_lobe_gain(0.2, cfg), main_lobe_gain(0.5, cfg), sidelobe_gain(cfg)
     t0, tma, tbs = _branch_values(x, THRESHOLD_5DB, (gb * gu, gb * g, g * g),
-                                  cfg)
+                                  cfg, _InterferenceTables(x, cfg))
     checks["branch-ordering"] = bool(np.all(t0 >= tma - 1e-12)
                                      and np.all(tma >= tbs - 1e-12))
 

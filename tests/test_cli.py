@@ -32,11 +32,12 @@ class TestConfigBoundary:
         cfg = from_boundary_mapping(entries)
         assert cfg.bs_density == pytest.approx(0.05)
         assert cfg.p_t == pytest.approx(1.0)
-        assert cfg.noise_psd == pytest.approx(1e-12)
+        assert cfg.noise_psd == pytest.approx(1e-12, rel=1e-12, abs=0.0)
 
     def test_noise_total_dbw(self):
         cfg = from_boundary_mapping({"network.noise_dbw": -30})
-        assert cfg.noise_psd == pytest.approx(1e-3 / cfg.bandwidth)
+        assert cfg.noise_psd == pytest.approx(1e-3 / cfg.bandwidth,
+                                              rel=1e-12, abs=0.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -260,6 +261,11 @@ class TestCliRuns:
          3, "rounds the SINR threshold to 0"),
         (["run", "rate-vs-pbs", "--set", "experiment.r0=1e-308"],
          3, "rounds the SINR threshold to 0"),
+        # every density's reference cell is checked before any trace runs,
+        # the one of 1e306 included, which would end in a numeric error
+        (["run", "access-delay", "--set", "experiment.lambda_min=1e306",
+          "--set", "experiment.lambda_max=1e308",
+          "--set", "experiment.lambda_points=2"], 2, "reference cell"),
     ])
     def test_extreme_density_exits_cleanly(self, tmp_path, capsys, argv,
                                            code, message):

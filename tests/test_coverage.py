@@ -301,7 +301,8 @@ class TestBranchOrdering:
         x = rng.uniform(0.5, 40.0, size=30)
         for threshold in (0.1, 3.16, 50.0):
             t0, tma, tbs = _branch_values(
-                x, threshold, (gamma_b * gamma_u, gamma_b * g, g * g), cfg)
+                x, threshold, (gamma_b * gamma_u, gamma_b * g, g * g), cfg,
+                _InterferenceTables(x, cfg))
             assert np.all(t0 >= tma - 1e-12)
             assert np.all(tma >= tbs - 1e-12)
 
@@ -313,14 +314,16 @@ class TestCoverageProbability:
         for gain in (main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg),
                      sidelobe_gain(cfg) ** 2):
             np.testing.assert_allclose(
-                _branch_values(x, 1e-18, (gain,), cfg)[0], 1.0, atol=1e-6)
+                _branch_values(x, 1e-18, (gain,), cfg,
+                               _InterferenceTables(x, cfg))[0],
+                1.0, atol=1e-6)
 
     def test_monotone_in_threshold(self, cfg):
         # a (B, 1) column of thresholds: every position's coverage falls
         x = np.linspace(0.0, 120.0, 25)
         t = np.array([0.1, 1.0, 3.16, 10.0, 100.0])[:, None]
         gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
-        vals, = _branch_values(x, t, (gain,), cfg)
+        vals, = _branch_values(x, t, (gain,), cfg, _InterferenceTables(x, cfg))
         assert vals.shape == (5, 25)
         assert np.all(np.diff(vals, axis=0) <= 1e-12)
 
@@ -335,7 +338,8 @@ class TestCoverageProbability:
         theta_k = row_beamwidth(d_a, cfg.h_b, k)
         gain = main_lobe_gain(theta_k, cfg) * main_lobe_gain(theta_u, cfg)
         x, w = gauss_legendre(bounds[0], bounds[1], BEAM_NODES)
-        got = (np.dot(_branch_values(x, t, (gain,), cfg)[0], w)
+        got = (np.dot(_branch_values(x, t, (gain,), cfg,
+                                     _InterferenceTables(x, cfg))[0], w)
                / (bounds[1] - bounds[0]))
 
         def noise_only(x):
@@ -359,7 +363,8 @@ def _beam_coverage(t, k, j, theta_u, beta, d_a, cfg):
     gamma_b, gamma_u = main_lobe_gain(theta_k, cfg), main_lobe_gain(theta_u, cfg)
     g = sidelobe_gain(cfg)
     t0, tma, tbs = _branch_values(
-        x, t, (gamma_b * gamma_u, gamma_b * g, g * g), cfg)
+        x, t, (gamma_b * gamma_u, gamma_b * g, g * g), cfg,
+        _InterferenceTables(x, cfg))
     sigma_d = np.sqrt(ranging_variance(x, gamma_b, gamma_u, beta, cfg))
     p_bs = beam_selection_profile(x, sigma_d, d_left, d_right) if k > 1 else 0.0
     p_ma = p_misalignment(aoa_variance(x, gamma_b, theta_u, beta, cfg),
@@ -515,7 +520,8 @@ class TestBatchedCoverage:
         ref, floored, skipped, entries = _floored_branch_values(
             x, thresholds, gain, cfg)
         assert skipped > 0.5 * entries
-        got, = _branch_values(x, thresholds, (gain,), cfg)
+        got, = _branch_values(x, thresholds, (gain,), cfg,
+                              _InterferenceTables(x, cfg))
         assert np.all(np.abs(got - ref) <= 1e-322)
         assert np.array_equal(got[~floored], ref[~floored])
 
@@ -536,7 +542,8 @@ class TestBatchedCoverage:
                / (cfg.p_t * cfg.k_pl))
         thresholds = (10.0 ** np.array(log_far_noise) / far)[:, None]
         ref, floored, _, _ = _floored_branch_values(x, thresholds, gain, cfg)
-        got, = _branch_values(x, thresholds, (gain,), cfg)
+        got, = _branch_values(x, thresholds, (gain,), cfg,
+                              _InterferenceTables(x, cfg))
         assert np.all(np.abs(got - ref) <= 1e-322)
         assert np.array_equal(got[~floored], ref[~floored])
 
@@ -547,7 +554,8 @@ class TestBatchedCoverage:
         gain = main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg)
         ref, floored, _, _ = _floored_branch_values(x, 1e6, gain, cfg)
         assert np.all(floored) and np.all(ref > 0.0)
-        got, = _branch_values(x, 1e6, (gain,), cfg)
+        got, = _branch_values(x, 1e6, (gain,), cfg,
+                              _InterferenceTables(x, cfg))
         assert np.all(got == 0.0)
 
     def test_overshoot_beyond_slack_raises(self, cfg, monkeypatch):

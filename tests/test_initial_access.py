@@ -1,6 +1,7 @@
 """Initial-access refinement loop, beam selection rules, baseline delays."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from mmwloc.initial_access import (
     _step_variances,
     _tail_bracket,
     _ue_level,
+    access_traces,
     delay_exhaustive,
     delay_iterative,
     run_initial_access,
@@ -42,23 +44,45 @@ def cfg():
     return NetworkConfig()
 
 
+def _table(d_hat, d_a, h_b, n_max):
+    """The row table of one user."""
+    return _row_table(np.array([d_hat]), np.array([d_a]), h_b, n_max)
+
+
+def _select(table, sigma_d2, cap, ks, cs):
+    """_select_row for a one-user table, one entry per (k, c) pair of ks
+    and cs (ints or aligned lists)."""
+    ks, cs = np.broadcast_arrays(np.array(ks, dtype=int),
+                                 np.array(cs, dtype=int))
+    got = _select_row(table, np.zeros(ks.size, dtype=int),
+                      np.full(ks.size, sigma_d2), cap, ks.ravel(),
+                      cs.ravel())
+    return got.tolist() if ks.ndim else int(got[0])
+
+
+def _level(sigma_psi2, cap, level, last):
+    """_ue_level for one entry."""
+    return int(_ue_level(np.array([sigma_psi2]), cap, np.array([level]),
+                         np.array([last]))[0])
+
+
 class TestSelectBsBeam:
     def test_perfect_ranging_takes_thinnest(self):
-        table = _row_table(50.0, 100.0, 10.0, 32)
-        assert _select_row(table, 0.0, 0.05, 1, 32) == 32
+        table = _table(50.0, 100.0, 10.0, 32)
+        assert _select(table, 0.0, 0.05, 1, 32) == 32
 
     def test_vacuous_cap_takes_thinnest(self):
-        table = _row_table(50.0, 100.0, 10.0, 32)
-        assert _select_row(table, 25.0, 1.0, 1, 32) == 32
+        table = _table(50.0, 100.0, 10.0, 32)
+        assert _select(table, 25.0, 1.0, 1, 32) == 32
 
     def test_window_bounds_the_row(self):
         # every row is feasible here: the result is c, or k if c <= k
-        table = _row_table(50.0, 100.0, 10.0, 32)
-        assert _select_row(table, 0.0, 0.05, 4, 6) == 6
-        assert _select_row(table, 0.0, 0.05, 4, 4) == 4
-        assert _select_row(table, 0.0, 0.05, 4, 2) == 2
+        table = _table(50.0, 100.0, 10.0, 32)
+        assert _select(table, 0.0, 0.05, 4, 6) == 6
+        assert _select(table, 0.0, 0.05, 4, 4) == 4
+        assert _select(table, 0.0, 0.05, 4, 2) == 2
         # an infinite variance meets no cap: the row stays at k
-        assert _select_row(table, math.inf, 0.05, 4, 6) == 4
+        assert _select(table, math.inf, 0.05, 4, 6) == 4
 
     def test_matches_exhaustive_row_scan(self):
         # oracle: scan every row's intervals for the beam holding d_hat,
@@ -73,12 +97,11 @@ class TestSelectBsBeam:
             if beam_selection_profile(d_hat, math.sqrt(sigma_d2), left,
                                       right) <= cap:
                 best = max(best, k)
-        table = _row_table(d_hat, 100.0, 10.0, 64)
-        assert _select_row(table, sigma_d2, cap, 1, 64) == best
+        table = _table(d_hat, 100.0, 10.0, 64)
+        assert _select(table, sigma_d2, cap, 1, 64) == best
         for k, c in ((1, 2), (1, best), (max(best - 1, 1), min(best + 1, 64)),
                      (best, 64)):
-            assert _select_row(table, sigma_d2, cap, k, c) == _window(best, k,
-                                                                      c)
+            assert _select(table, sigma_d2, cap, k, c) == _window(best, k, c)
 
 
 class TestSelectUeBeam:
@@ -289,7 +312,7 @@ class TestTabulatedLoop:
     def test_step_variances_match_tables(self, cfg, d, cell_size,
                                          pilot_energy_scale):
         # the vectorized (level, row) tables the loop used to read: every
-        # pair up to n_max = 1024 has their bits, as Python floats
+        # pair up to n_max = 1024, as one batch, has their bits
         n_max = 1024
         obs_time = AccessPolicy().symbol_duration * pilot_energy_scale
         theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
@@ -303,11 +326,14 @@ class TestTabulatedLoop:
                          step_cfg.with_overrides(
                              ue_sounding_elements=beamwidth_to_elements(t)))
             for t in UE_GRID])
-        variances = _step_variances(d, theta_1, obs_time, cfg)
-        pairs = [variances(level, k) for level in range(len(UE_GRID))
-                 for k in range(1, n_max + 1)]
-        assert {type(v) for pair in pairs for v in pair} == {float}
-        got = np.array(pairs).reshape(len(UE_GRID), n_max, 2)
+        energy, variances = _step_variances(np.array([d]),
+                                            np.array([theta_1]), obs_time,
+                                            cfg)
+        level, k = (grid.ravel() for grid in np.meshgrid(
+            np.arange(len(UE_GRID)), np.arange(1, n_max + 1), indexing="ij"))
+        got = np.stack(variances(energy(np.zeros(k.size, dtype=int), k),
+                                 level, k), axis=-1)
+        got = got.reshape(len(UE_GRID), n_max, 2)
         assert np.isfinite(got).all()
         assert (got[..., 0].view(np.int64) == var_d.view(np.int64)).all()
         assert (got[..., 1].view(np.int64) == var_psi.view(np.int64)).all()
@@ -341,6 +367,82 @@ class TestTabulatedLoop:
             AccessPolicy(**{field: value})
 
 
+class TestLockstep:
+    """access_traces steps the unfinished users of a chunk together; each
+    trace must be the one-user call's, whatever the chunk size."""
+
+    # with POLICY: d = 0, mid-cell and d = d_a, in cells from 0.5 m (every
+    # user stops at step 1) to 400 m (beyond d_s, to max_steps), shuffled
+    # so that every chunk mixes the stopping steps
+    GEOMETRIES = [(f * d_a, d_a) for d_a, f in np.random.default_rng(2)
+                  .permutation(list(itertools.product(
+                      (0.5, 2.0, 10.0, 30.0, 60.0, 150.0, 400.0),
+                      (0.0, 0.5, 1.0)))).tolist()]
+    POLICY = dict(delta_d=0.05, max_steps=12)
+
+    @pytest.mark.parametrize("users", [1, 3, None])
+    @pytest.mark.parametrize("other", [{}, dict(n_max=2, bs_growth=3.0)])
+    def test_batch_matches_one_user_calls(self, cfg, monkeypatch, users,
+                                          other):
+        policy = AccessPolicy(**self.POLICY, **other)
+        want = [repr(run_initial_access(d, d_a, policy, cfg))
+                for d, d_a in self.GEOMETRIES]
+        if users is not None:
+            monkeypatch.setattr(initial_access, "_CHUNK_ENTRIES",
+                                users * (policy.n_max - 1))
+        got = [repr(trace)
+               for trace in access_traces(self.GEOMETRIES, policy, cfg)]
+        assert got == want
+
+    def test_batch_mixes_stops(self, cfg):
+        traces = list(access_traces(self.GEOMETRIES,
+                                    AccessPolicy(**self.POLICY), cfg))
+        assert min(t.total_symbols for t in traces) == 1
+        assert any(t.terminated == "max_iter" for t in traces)
+        assert sum(t.total_symbols == 1 for t in traces) > 3
+
+    def test_no_chunk_array_exceeds_the_budget(self, cfg, monkeypatch):
+        # three users a chunk; the spy sees every row search's inputs and
+        # outputs, the tables, and every array read from or computed on a
+        # table
+        n_max = AccessPolicy().n_max
+        budget = 3 * (n_max - 1)
+        monkeypatch.setattr(initial_access, "_CHUNK_ENTRIES", budget)
+        shapes = []
+
+        class Spied(np.ndarray):
+            def __array_finalize__(self, obj):
+                shapes.append(self.shape)
+
+        def row_table(*args):
+            table = real_table(*args)
+            return (*table[:3], *(t.view(Spied) for t in table[3:]))
+
+        def row_search(*args):
+            out = real_search(*args)
+            shapes.extend(np.shape(a) for a in (*args, *out))
+            return out
+
+        real_table = initial_access._row_table
+        real_search = initial_access.containing_beam
+        monkeypatch.setattr(initial_access, "_row_table", row_table)
+        monkeypatch.setattr(initial_access, "containing_beam", row_search)
+        list(access_traces(self.GEOMETRIES, AccessPolicy(**self.POLICY),
+                           cfg))
+        assert max(math.prod(shape) for shape in shapes) == budget
+        # the final selection of a user at row 1 reads its whole window,
+        # rows 2 to n_max - 1, as one block
+        assert any(shape[1:] == (n_max - 2,) for shape in shapes)
+
+    def test_geometries_checked(self, cfg):
+        policy = AccessPolicy()
+        assert list(access_traces([], policy, cfg)) == []
+        with pytest.raises(ValueError, match="inside the cell"):
+            next(access_traces([(1.0, 2.0), (3.0, 2.0)], policy, cfg))
+        with pytest.raises(ValueError, match="inside the cell"):
+            run_initial_access(math.nan, 2.0, policy, cfg)
+
+
 class TestTraceDigest:
     """A sha256 pinning every access trace of a fixed grid, so that a
     change to the loop's arithmetic or decisions shows as one digest."""
@@ -358,13 +460,16 @@ class TestTraceDigest:
     DIGEST = "b8888eb185f1fff454ca058e6590da8e64ebc2310e4d11723c5de86b7f8e4cb7"
 
     def test_traces_match_pinned_digest(self, cfg):
+        # one batched call per policy; TestLockstep checks that one-user
+        # calls give the same traces
         policies = [AccessPolicy(**kwargs) for kwargs in self.POLICIES]
-        reprs = []
+        geometries = []
         for lam in np.geomspace(1e-3, 10.0, 100).tolist():
             d_ref, d_a = access_reference_geometry(lam, cfg)
-            for d in (0.0, d_ref, 0.3 * d_a, d_a):
-                reprs.extend(repr(run_initial_access(d, d_a, policy, cfg))
-                             for policy in policies)
+            geometries.extend((d, d_a) for d in (0.0, d_ref, 0.3 * d_a, d_a))
+        reprs = [repr(trace) for group in zip(*(
+            access_traces(geometries, policy, cfg) for policy in policies))
+            for trace in group]
         assert len(reprs) == 2000
         digest = hashlib.sha256("".join(reprs).encode()).hexdigest()
         assert digest == self.DIGEST
@@ -385,13 +490,14 @@ def _nudged(value, ulps):
 def _check_row(d_hat, d_a, h_b, n_max, sigma_d2, cap):
     """Every window (k, c) whose ends are row 1, n_max, or the reference
     selection or a neighbour of it, shut windows (c <= k) included."""
-    table = _row_table(d_hat, d_a, h_b, n_max)
+    table = _table(d_hat, d_a, h_b, n_max)
     want = _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, cap)
     ends = {1, want - 1, want, want + 1, n_max} & set(range(1, n_max + 1))
-    for k in ends:
-        for c in ends:
-            assert _select_row(table, sigma_d2, cap, k, c) == _window(
-                want, k, c), (d_hat, d_a, h_b, n_max, sigma_d2, cap, k, c)
+    ks, cs = zip(*itertools.product(ends, repeat=2))
+    # one batch holds every window
+    assert _select(table, sigma_d2, cap, ks, cs) == [
+        _window(want, k, c) for k, c in zip(ks, cs)], (
+            d_hat, d_a, h_b, n_max, sigma_d2, cap)
 
 
 def _check_ue(sigma_psi2, cap):
@@ -444,14 +550,15 @@ class TestTailBracket:
                  "growth": math.ceil(1.5 * k), "full": n_max}[window], n_max)
         d_hat = at * d_a
         sigma = d_a / n_max * 10.0 ** spread
-        table = _row_table(d_hat, d_a, h_b, n_max)
+        table = _table(d_hat, d_a, h_b, n_max)
         want = _reference_row(d_a, h_b, n_max, d_hat, sigma * sigma, cap)
-        assert _select_row(table, sigma * sigma, cap, k, c) == _window(
+        assert _select(table, sigma * sigma, cap, k, c) == _window(
             want, k, c)
 
     def test_sure_row_at_or_above_c_skips_erfc(self, monkeypatch):
         # a surely feasible row at or above c settles the step on its own,
-        # even where rows above the last sure one are undecided
+        # even where rows above the last sure one are undecided: a batch
+        # of such steps, over the users of one table, hands erfc nothing
         calls = []
 
         def counting(*args):
@@ -460,29 +567,34 @@ class TestTailBracket:
 
         monkeypatch.setattr(initial_access, "beam_selection_profile", counting)
         rng = np.random.default_rng(5)
-        settled = undecided_above = 0
-        for d_hat in rng.uniform(0.0, 100.0, 20):
-            table = _row_table(d_hat, 100.0, 10.0, 256)
-            margin = table[3]
+        d_hat = rng.uniform(0.0, 100.0, 20)
+        margin = _row_table(d_hat, np.full(20, 100.0), 10.0, 256)[3]
+        users, spreads, cs = [], [], []
+        undecided_above = 0
+        for u in range(d_hat.size):
             for sigma_d2 in 10.0 ** rng.uniform(-6.0, 0.0, 5):
                 lo, hi = _tail_bracket(math.sqrt(sigma_d2), 0.05, 1)
-                sure = (margin >= hi).nonzero()[0]
+                sure = (margin[u] >= hi).nonzero()[0]
                 if not sure.size:
                     continue
-                undecided_above += bool((margin[sure[-1] + 1:] >= lo).any())
+                undecided_above += bool((margin[u, sure[-1] + 1:] >= lo).any())
                 for c in (2, 3, 8, 64, 255, 256):
                     if sure[-1] >= c - 2:
-                        calls.clear()
-                        assert _select_row(table, sigma_d2, 0.05, 1, c) == c
-                        assert not calls
-                        settled += 1
-        assert settled > 0 and undecided_above > 0
+                        users.append(u)
+                        spreads.append(sigma_d2)
+                        cs.append(c)
+        got = _select_row(_row_table(d_hat, np.full(20, 100.0), 10.0, 256),
+                          np.array(users), np.array(spreads), 0.05,
+                          np.ones(len(cs), dtype=int), np.array(cs))
+        assert got.tolist() == cs
+        assert not calls
+        assert len(cs) > 0 and undecided_above > 0
 
     def test_edge_is_never_sure(self):
         # with the unfloored zero spread the bracket took row 32 here
         d_hat = float(beam_boundaries(100.0, 10.0, 32)[5])
-        assert _select_row(_row_table(d_hat, 100.0, 10.0, 32), 0.0,
-                           0.05, 1, 32) == 31
+        assert _select(_table(d_hat, 100.0, 10.0, 32), 0.0, 0.05, 1,
+                       32) == 31
 
     @pytest.mark.parametrize("n_max", [2, 1024])
     @pytest.mark.parametrize("cap", CAPS)
@@ -490,7 +602,7 @@ class TestTailBracket:
         # a spread putting one row's margin at lo or hi, then a few ulps off
         rng = np.random.default_rng(3)
         for d_hat in rng.uniform(0.0, 100.0, 25):
-            margins = _row_table(d_hat, 100.0, 10.0, n_max)[3]
+            margins = _table(d_hat, 100.0, 10.0, n_max)[3][0]
             margin = margins[rng.integers(margins.size)]
             for z in _tail_bracket(1.0, cap, 1):
                 if 0.0 < z < math.inf and margin > 0.0:
@@ -543,12 +655,12 @@ class TestTailBracket:
                                               last):
         level = min(level, last)
         want = UE_GRID.index(_reference_ue_beam(sigma_psi2, cap))
-        assert _ue_level(sigma_psi2, cap, level, last) == min(max(want, level),
-                                                              last)
+        assert _level(sigma_psi2, cap, level, last) == min(max(want, level),
+                                                           last)
 
     def test_ue_step_decides_at_most_one_level(self, cfg, monkeypatch):
-        # a UE step moves at most one level down: it decides only that
-        # level and hands erfc at most that one
+        # a UE step moves each user at most one level down: it decides
+        # only that level per user and hands erfc at most that one
         decided, evaluated, per_step = [], [], []
 
         def counting_nu(theta_u):
@@ -563,25 +675,30 @@ class TestTailBracket:
             decided.clear()
             evaluated.clear()
             out = _ue_level(sigma_psi2, cap, level, last)
-            if last == level + 1:
-                per_step.append((sum(decided), sum(evaluated)))
+            if np.array_equal(last, np.minimum(level + 1, len(UE_GRID) - 1)):
+                per_step.append((sum(decided), sum(evaluated), level.size))
             return out
 
         monkeypatch.setattr(initial_access, "nu_threshold", counting_nu)
         monkeypatch.setattr(initial_access, "p_misalignment", counting)
         monkeypatch.setattr(initial_access, "_ue_level", step)
-        for d, cell_size in TestTabulatedLoop.GEOMETRIES:
-            for cap in CAPS:
-                run_initial_access(d, cell_size, AccessPolicy(
-                    delta_ma=cap, delta_d=0.002), cfg)
-        loop_steps = len(per_step)
-        # steps whose level below has 2 Q(t) at the cap: only erfc decides
-        for level in range(len(UE_GRID) - 1):
-            for cap in CAPS[:-1]:
-                nu = nu_threshold(UE_GRID[level + 1])
-                step((nu / q_inverse(cap / 2.0)) ** 2, cap, level, level + 1)
-        assert loop_steps > 100
-        assert max(per_step) == (1, 1)
+        for cap in CAPS:
+            list(access_traces(TestTabulatedLoop.GEOMETRIES, AccessPolicy(
+                delta_ma=cap, delta_d=0.002), cfg))
+        assert sum(users for _, _, users in per_step) > 100
+        assert all(d <= users and e <= users for d, e, users in per_step)
+        # one batch of steps whose level below has 2 Q(t) at the cap: only
+        # erfc decides
+        levels, caps = zip(*itertools.product(range(len(UE_GRID) - 1),
+                                              CAPS[:-1]))
+        levels = np.array(levels)
+        for cap in CAPS[:-1]:
+            at = np.array(caps) == cap
+            nu = nu_threshold(np.array(UE_GRID)[levels[at] + 1])
+            per_step.clear()
+            step((nu / q_inverse(cap / 2.0)) ** 2, cap, levels[at],
+                 levels[at] + 1)
+            assert per_step == [(at.sum(), at.sum(), at.sum())]
 
 
 class TestBaselineDelays:

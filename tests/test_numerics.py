@@ -12,7 +12,6 @@ from scipy import integrate, special
 from mmwloc.errors import NumericError
 from mmwloc.numerics import (
     _MAXLOG,
-    _SMALL_ARRAY,
     _X_UNDER,
     PROBABILITY_SLACK,
     checked_probability,
@@ -129,15 +128,15 @@ class TestErfc:
     def test_exact_special_values(self, x, want):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # the float path and the array path
+            # a 0-d and a 1-D array
             assert erfc(x) == want
-            assert np.all(erfc(np.full(_SMALL_ARRAY + 1, x)) == want)
+            assert np.all(erfc(np.full(17, x)) == want)
 
     def test_nan_stays_nan(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(erfc(math.nan))
-            got = erfc(np.array([math.nan] + [0.5] * _SMALL_ARRAY))
+            got = erfc(np.array([math.nan] + [0.5] * 16))
         assert math.isnan(got[0]) and np.all(got[1:] == erfc(0.5))
 
     def test_limits_without_arithmetic(self):
@@ -157,11 +156,11 @@ class TestErfc:
                             rng.uniform(-1.5, 1.5, 1000),
                             [-6.0, -1.0, 1.0, 8.0, _X_UNDER, -0.0]])
         whole = erfc(x)
-        # one entry at a time: the small-array path on Python floats
+        # one entry at a time, as 0-d arrays
         single = np.array([erfc(v) for v in x.tolist()])
         assert np.array_equal(whole, single)
         assert isinstance(erfc(0.3), np.float64)
-        for size in (2, _SMALL_ARRAY, _SMALL_ARRAY + 1, 100, 1024):
+        for size in (2, 16, 17, 100, 1024):
             parts = [erfc(x[i:i + size]) for i in range(0, x.size, size)]
             assert np.array_equal(np.concatenate(parts), whole)
         shaped = x[:3000].reshape(30, 10, 10)

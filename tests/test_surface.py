@@ -26,6 +26,8 @@ KEEP = {
                             "and the simulate_laplace oracle test use it",
     "simulate_laplace": "test oracle for the interference kernel",
     "simulate_error_probabilities": "acceptance criterion 2's oracle",
+    "run_initial_access": "the one-user entry point on access_traces' path; "
+                          "perfbench/spans.py hooks it by name",
 }
 
 
