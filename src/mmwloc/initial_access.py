@@ -104,9 +104,6 @@ class AccessTrace:
 # (user, row) entries of one chunk's row tables, which no other chunk
 # array exceeds: 32 users at the default n_max of 1024
 _CHUNK_ENTRIES = 2 ** 15
-# a chunk's tables are built in this many parts of its users: the row
-# search holds about six arrays of its input's size at once
-_TABLE_PARTS = 4
 
 _UE_WIDTHS = np.array(UE_GRID)
 _UE_WIDTHS.setflags(write=False)
@@ -146,16 +143,12 @@ def _row_table(d_hat, d_a, h_b: float, n_max: int) -> tuple:
     d_a (1-D arrays): margin[u, r - 2], for row r = 2..n_max, is d_hat's
     distance to the nearer edge of the row-r beam holding it, and reach
     the largest such distance in row r or any deeper row."""
-    rows = np.arange(2, n_max + 1)
-    margin = np.empty((d_hat.size, rows.size))
-    part = -(-d_hat.size // _TABLE_PARTS)
-    for a in range(0, d_hat.size, part):
-        x = d_hat[a:a + part, None]
-        left, right = containing_beam(x, d_a[a:a + part, None], h_b,
-                                      rows)[1:]
-        np.subtract(x, left, out=left)
-        right -= x
-        np.minimum(left, right, out=margin[a:a + part])
+    x = d_hat[:, None]
+    left, right = containing_beam(x, d_a[:, None], h_b,
+                                  np.arange(2, n_max + 1))[1:]
+    np.subtract(x, left, out=left)
+    right -= x
+    margin = np.minimum(left, right, out=left)
     reach = np.maximum.accumulate(margin[:, ::-1], axis=1)[:, ::-1]
     return d_hat, d_a, h_b, margin, reach
 

@@ -660,7 +660,8 @@ class TestTailBracket:
 
     def test_ue_step_decides_at_most_one_level(self, cfg, monkeypatch):
         # a UE step moves each user at most one level down: it decides
-        # only that level per user and hands erfc at most that one
+        # only that level, in one batch of the users not yet at the last
+        # level, and hands erfc at most one batch of those
         decided, evaluated, per_step = [], [], []
 
         def counting_nu(theta_u):
@@ -676,7 +677,8 @@ class TestTailBracket:
             evaluated.clear()
             out = _ue_level(sigma_psi2, cap, level, last)
             if np.array_equal(last, np.minimum(level + 1, len(UE_GRID) - 1)):
-                per_step.append((sum(decided), sum(evaluated), level.size))
+                per_step.append((tuple(decided), tuple(evaluated),
+                                 np.count_nonzero(level < last)))
             return out
 
         monkeypatch.setattr(initial_access, "nu_threshold", counting_nu)
@@ -686,7 +688,9 @@ class TestTailBracket:
             list(access_traces(TestTabulatedLoop.GEOMETRIES, AccessPolicy(
                 delta_ma=cap, delta_d=0.002), cfg))
         assert sum(users for _, _, users in per_step) > 100
-        assert all(d <= users and e <= users for d, e, users in per_step)
+        for decided_sizes, evaluated_sizes, users in per_step:
+            assert len(decided_sizes) <= 1 and len(evaluated_sizes) <= 1
+            assert sum(evaluated_sizes) <= sum(decided_sizes) <= users
         # one batch of steps whose level below has 2 Q(t) at the cap: only
         # erfc decides
         levels, caps = zip(*itertools.product(range(len(UE_GRID) - 1),
@@ -698,7 +702,7 @@ class TestTailBracket:
             per_step.clear()
             step((nu / q_inverse(cap / 2.0)) ** 2, cap, levels[at],
                  levels[at] + 1)
-            assert per_step == [(at.sum(), at.sum(), at.sum())]
+            assert per_step == [((at.sum(),), (at.sum(),), at.sum())]
 
 
 class TestBaselineDelays:
