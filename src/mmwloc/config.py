@@ -124,16 +124,14 @@ def boundary_keys() -> tuple:
 def from_boundary_mapping(entries: dict) -> NetworkConfig:
     """Build a NetworkConfig from boundary-unit key/value pairs.
 
-    Unknown ``network.*`` keys raise ConfigError naming the key; keys from
-    other sections are ignored here (the CLI routes them elsewhere). Of two
-    keys of one field the later wins. ``network.noise_dbw`` specifies total
+    Any key outside the ``network.*`` table raises ConfigError naming the
+    key (the CLI routes the other sections elsewhere). Of two keys of one
+    field the later wins. ``network.noise_dbw`` specifies total
     noise power over the data band, converted with the final bandwidth.
     """
     updates = {}
     noise_w = None
     for key, raw in entries.items():
-        if not key.startswith("network."):
-            continue
         try:
             field, conv = _BOUNDARY_KEYS[key]
         except KeyError:

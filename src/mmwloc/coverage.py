@@ -281,26 +281,21 @@ class _InterferenceTables:
 
 
 def laplace_interference(serving_d: float, t_scaled: float, gain_product: float,
-                         alpha_branch: float, cfg: NetworkConfig) -> float:
+                         branch: str, cfg: NetworkConfig) -> float:
     """Attenuation exponent A for one interferer class.
 
     ``t_scaled`` is the scaled threshold multiplying the interferer power
     profile, ``gain_product`` the interferer-side antenna product (side-to-
-    side in this system), and ``alpha_branch`` selects the LOS or NLOS
-    integral by matching the configured exponents.
+    side in this system), and ``branch`` names the class, "los" or "nlos".
     """
     if not serving_d >= 0.0:   # NaN fails too
         raise ValueError("serving distance must be non-negative")
-    if alpha_branch == cfg.alpha_los:
-        classes = ("los",)
-    elif alpha_branch == cfg.alpha_nlos:
-        classes = ("nlos",)
-    else:
-        raise ValueError("alpha_branch must equal the LOS or NLOS exponent")
+    if branch not in ("los", "nlos"):
+        raise ValueError(f"branch must be 'los' or 'nlos', got {branch!r}")
     if serving_d == math.inf:
         return 0.0   # no interferer lies beyond an infinite distance
     tables = _InterferenceTables(np.asarray([serving_d], dtype=float), cfg,
-                                 classes)
+                                 (branch,))
     w = np.asarray([t_scaled * gain_product], dtype=float)
     value = float(tables.exponents(w)[0])
     if not np.isfinite(value):

@@ -153,36 +153,21 @@ def _row_table(d_hat, d_a, h_b: float, n_max: int) -> tuple:
     return d_hat, d_a, h_b, margin, reach
 
 
-def _last_feasible(table: tuple, users, sigma, ask, first, offset: int,
-                   delta_bs: float):
-    """Per entry (row of ``ask``, a block of the table from column offset
-    on), the last asked column whose row meets the selection-error cap at
-    spread sigma, first - 1 if none does; erfc runs on the asked entries
-    alone."""
-    d_hat, d_a, h_b, _, _ = table
-    at, col = ask.nonzero()
-    out = first - 1
-    if at.size:
-        col += offset
-        u = users[at]
-        _, left, right = containing_beam(d_hat[u], d_a[u], h_b, col + 2)
-        ok = beam_selection_profile(d_hat[u], sigma[at], left,
-                                    right) <= delta_bs
-        np.maximum.at(out, at[ok], col[ok])
-    return out
-
-
 def _select_row(table: tuple, users, sigma_d2, delta_bs: float, k, c):
     """min(max(k_sel, k), c) per entry, k_sel being the largest row of the
     ``_row_table`` user whose containing beam meets the selection-error cap
     (1 if none does); users, sigma_d2, k and c are aligned 1-D arrays.
 
-    Only the rows that can move a result are decided: any row at or above
-    c, then the rows in (k, c) above the last surely feasible one. erfc
-    runs only where ``_tail_bracket`` cannot tell, and no block read from
-    the tables is larger than they are.
+    An entry with a surely feasible row at or above c takes c. For any
+    other, reach is below hi from column c - 2 on and does not increase,
+    so a column of k - 1 .. c - 3 whose reach is at or above hi has a
+    surely feasible row below c at or after it: k_sel is at least s, the
+    row of the last such column (k if there is none). One block then
+    decides every row from s + 1 to n_max, erfc running only where
+    ``_tail_bracket`` cannot tell. No block read from the tables is
+    larger than they are.
     """
-    _, _, _, margin, reach = table
+    d_hat, d_a, h_b, margin, reach = table
     out = np.minimum(k, c)
     at = ((k < c) & np.isfinite(sigma_d2)).nonzero()[0]
     if not at.size:
@@ -190,35 +175,24 @@ def _select_row(table: tuple, users, sigma_d2, delta_bs: float, k, c):
     users, k, c = users[at], k[at], c[at]
     sigma = np.sqrt(sigma_d2[at])
     lo, hi = _tail_bracket(sigma, delta_bs, 1)
-    col = c - 2
-    deep = reach[users, col]
-    take = deep >= hi
-    # some row at or above c is undecided: take c if erfc finds one feasible
-    ask = (~take & (deep >= lo)).nonzero()[0]
-    if ask.size:
-        a = col[ask].min()
-        cols = np.arange(a, margin.shape[1])
-        block = margin[users[ask], a:] >= lo[ask, None]
-        block &= cols >= col[ask, None]
-        take[ask] = _last_feasible(table, users[ask], sigma[ask], block,
-                                   col[ask], a, delta_bs) >= col[ask]
-    # the rest: rows k + 1 .. c - 1, columns k - 1 .. c - 3. reach is
-    # non-increasing and below hi from column c - 2 on, so the surely
-    # feasible columns of the window are its first ones
-    rest = (~take).nonzero()[0]
+    rest = (reach[users, c - 2] < hi).nonzero()[0]
     if rest.size:
-        first, stop = k[rest] - 1, col[rest]
-        a, b = first.min(), stop.max()
-        cols = np.arange(a, b)
-        inside = (cols >= first[:, None]) & (cols < stop[:, None])
-        sure = reach[users[rest], a:b] >= hi[rest, None]
-        sure &= inside
-        first += np.count_nonzero(sure, axis=1)
-        block = margin[users[rest], a:b] >= lo[rest, None]
-        block &= cols >= first[:, None]
-        block &= inside
-        c[rest] = _last_feasible(table, users[rest], sigma[rest], block,
-                                 first, a, delta_bs) + 2
+        users, k, sigma, lo = users[rest], k[rest], sigma[rest], lo[rest]
+        a, b = k.min() - 1, c[rest].max() - 2
+        s = np.maximum(np.count_nonzero(reach[users, a:b] >= hi[rest, None],
+                                        axis=1) + a + 1, k)
+        a = s.min() - 1
+        block = margin[users, a:] >= lo[:, None]
+        block &= np.arange(a, margin.shape[1]) >= s[:, None] - 1
+        ask, row = block.nonzero()
+        if ask.size:
+            row += a + 2
+            u = users[ask]
+            _, left, right = containing_beam(d_hat[u], d_a[u], h_b, row)
+            ok = beam_selection_profile(d_hat[u], sigma[ask], left,
+                                        right) <= delta_bs
+            np.maximum.at(s, ask[ok], row[ok])
+        c[rest] = np.minimum(s, c[rest])
     out[at] = c
     return out
 
@@ -318,12 +292,9 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
     info_psi = np.zeros(d.size)
     sigma_d2, sigma_psi2 = 1.0 / info_d, None
     steps = []
-    # per user: the steps taken, whether the accuracies were met, and the
-    # service beam pair
+    # per user: the steps taken and whether the accuracies were met
     total = np.zeros(d.size, dtype=int)
     accurate = np.zeros(d.size, dtype=bool)
-    final_k = np.zeros(d.size, dtype=int)
-    final_level = np.zeros(d.size, dtype=int)
 
     for step in range(1, policy.max_steps + 1):
         if step % 2 == 1:
@@ -345,18 +316,8 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
         met &= np.sqrt(sigma_psi2) <= policy.delta_psi
         done = met if step < policy.max_steps else np.ones_like(met)
         if done.any():
-            # Service beam pair: the selection the final accuracy supports
-            # (the sweep baselines must reach this same resolution).
-            at = done.nonzero()[0]
-            stop = users[at]
-            total[stop] = step
-            accurate[stop] = met[at]
-            final_k[stop] = _select_row(
-                table, stop, sigma_d2[at], policy.delta_bs, k[at],
-                np.full(at.size, policy.n_max))
-            final_level[stop] = _ue_level(
-                sigma_psi2[at], policy.delta_ma, level[at],
-                np.full(at.size, last))
+            total[users[done]] = step
+            accurate[users[done]] = met[done]
             keep = ~done
             (users, k, level, pilot, info_d, info_psi, sigma_d2,
              sigma_psi2) = (v[keep] for v in (
@@ -364,29 +325,41 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
                  sigma_psi2))
             if not users.size:
                 break
-    return _traces(steps, total, accurate, final_k, final_level, policy)
+    return _traces(steps, total, accurate, table, policy)
 
 
-def _traces(steps: list, total, accurate, final_k, final_level,
+def _traces(steps: list, total, accurate, table: tuple,
             policy: AccessPolicy) -> list:
     """A chunk's AccessTraces, in user order, from its per-step (users, k,
-    level, sigma_d2, sigma_psi2) records and each user's ends."""
+    level, sigma_d2, sigma_psi2) records, each user's step count and
+    whether it met the accuracies, and its ``_row_table``."""
     # record (user u, step s) goes to start[u] + s - 1: each user's steps
     # in order, the users one after another
     start = np.cumsum(total) - total
     index = np.repeat(np.arange(1, len(steps) + 1),
                       [record[0].size for record in steps])
-    users, k, level, sigma_d2, sigma_psi2 = map(np.concatenate, zip(*steps))
+    users, *fields = map(np.concatenate, zip(*steps))
     at = start[users] + index - 1
     columns = []
-    for values in (index, k, _UE_WIDTHS[level], sigma_d2, sigma_psi2):
+    for values in (index, *fields):
         column = np.empty_like(values)
         column[at] = values
-        columns.append(column.tolist())
-    index = columns[0]
+        columns.append(column)
+    index, k, level, sigma_d2, sigma_psi2 = columns
+    # Service beam pair: the selection each user's final accuracy supports
+    # (the sweep baselines must reach this same resolution).
+    end = start + total - 1
+    final_k = _select_row(table, np.arange(total.size), sigma_d2[end],
+                          policy.delta_bs, k[end],
+                          np.full(total.size, policy.n_max))
+    final_level = _ue_level(sigma_psi2[end], policy.delta_ma, level[end],
+                            np.full(total.size, len(UE_GRID) - 1))
+    index = index.tolist()
     sides = ("UE", "BS") * (len(steps) // 2 + 1)     # BS on odd steps
     records = list(map(AccessStep._make, zip(
-        index, map(sides.__getitem__, index), *columns[1:], index)))
+        index, map(sides.__getitem__, index),
+        *(v.tolist() for v in (k, _UE_WIDTHS[level], sigma_d2, sigma_psi2)),
+        index)))
     return [AccessTrace(steps=tuple(records[a:a + n]), total_symbols=n,
                         total_delay=n * policy.symbol_duration,
                         terminated="accuracy_met" if ok else "max_iter",
@@ -431,11 +404,10 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
 # ---------------------------------------------------------------------------
 
 def delay_exhaustive(theta_b: float, theta_u: float, symbol_duration: float) -> float:
-    """Full sweep over all ceil(2pi/theta_b) x ceil(2pi/theta_u) pairs."""
-    if theta_b <= 0.0 or theta_u <= 0.0:
-        raise ValueError("beamwidths must be positive")
-    combos = math.ceil(2.0 * math.pi / theta_b) * math.ceil(2.0 * math.pi / theta_u)
-    return combos * symbol_duration
+    """Full sweep over all ceil(2pi/theta_b) x ceil(2pi/theta_u) pairs, each
+    beamwidth in (0, 2pi]."""
+    return (beamwidth_to_elements(theta_b) * beamwidth_to_elements(theta_u)
+            * symbol_duration)
 
 
 def delay_iterative(target_k: int, target_theta_u: float,
@@ -444,7 +416,7 @@ def delay_iterative(target_k: int, target_theta_u: float,
     the BS side down to row target_k, then on the UE side from the widest
     ``UE_GRID`` level down to the target beamwidth."""
     check_count(target_k, "target dictionary size must be >= 1")
-    if target_theta_u <= 0.0:
+    if not target_theta_u > 0.0:   # NaN fails too
         raise ValueError("beamwidths must be positive")
     bs_stages = math.ceil(math.log2(target_k)) if target_k > 1 else 0
     ratio = UE_GRID[0] / target_theta_u

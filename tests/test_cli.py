@@ -43,6 +43,13 @@ class TestConfigBoundary:
         with pytest.raises(ConfigError):
             from_boundary_mapping({"network.bogus": 1})
 
+    @pytest.mark.parametrize("key", ["netwrok.p_t_dbm", "experiment.delta_d",
+                                     "p_t_dbm"])
+    def test_key_outside_network_rejected(self, key):
+        # these used to be skipped: the misspelt section gave p_t = 1.0
+        with pytest.raises(ConfigError, match=key):
+            from_boundary_mapping({key: 40})
+
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")

@@ -58,9 +58,11 @@ QUAD_W_GRID = tuple(10.0 ** np.arange(21))
 KNOWN_NLOS_MISSES = {(5.0, 1e10), (5.0, 1e11)}
 
 
-def _quadrature_misses(cfg, alpha, shape, xs, region):
+def _quadrature_misses(cfg, branch, xs, region):
     """(x, w) points where laplace_interference leaves QUAD_REL_BOUND of
-    scipy.integrate.quad over the interferer region."""
+    scipy.integrate.quad over the region of the branch's interferers."""
+    alpha = getattr(cfg, f"alpha_{branch}")
+    shape = getattr(cfg, f"n_{branch}")
     misses = set()
     for x in xs:
         lo, hi = region(x)
@@ -71,7 +73,7 @@ def _quadrature_misses(cfg, alpha, shape, xs, region):
             ref, _ = integrate.quad(integrand, lo, hi, epsabs=0.0,
                                     epsrel=1e-12, limit=400)
             ref *= 2 * cfg.bs_density
-            got = laplace_interference(x, w, 1.0, alpha, cfg)
+            got = laplace_interference(x, w, 1.0, branch, cfg)
             if abs(got - ref) > QUAD_REL_BOUND * ref:
                 misses.add((x, w))
     return misses
@@ -126,54 +128,61 @@ class TestAlzerEta:
 
 class TestLaplaceInterference:
     def test_vanishing_threshold(self, cfg):
-        assert laplace_interference(5.0, 0.0, 0.1, cfg.alpha_los, cfg) == 0.0
-        assert laplace_interference(5.0, 0.0, 0.1, cfg.alpha_nlos, cfg) == 0.0
+        assert laplace_interference(5.0, 0.0, 0.1, "los", cfg) == 0.0
+        assert laplace_interference(5.0, 0.0, 0.1, "nlos", cfg) == 0.0
 
     def test_vanishing_density(self):
         cfg = NetworkConfig(bs_density=1e-12)
-        a = laplace_interference(5.0, 3.0, 0.1, cfg.alpha_los, cfg)
+        a = laplace_interference(5.0, 3.0, 0.1, "los", cfg)
         assert 0.0 <= a < 1e-9
 
     def test_los_exponent_against_adaptive_quadrature(self, cfg):
-        misses = _quadrature_misses(cfg, cfg.alpha_los, cfg.n_los,
-                                    (0.0, 2.0, 10.0, 19.9),
+        misses = _quadrature_misses(cfg, "los", (0.0, 2.0, 10.0, 19.9),
                                     lambda x: (x, cfg.d_s))
         assert misses == set()
 
     def test_nlos_exponent_against_adaptive_quadrature(self, cfg):
         y_max = cfg.d_s + 20.0 / cfg.bs_density
-        misses = _quadrature_misses(cfg, cfg.alpha_nlos, cfg.n_nlos,
-                                    (5.0, 25.0, 60.0, 90.0),
+        misses = _quadrature_misses(cfg, "nlos", (5.0, 25.0, 60.0, 90.0),
                                     lambda x: (max(x, cfg.d_s), y_max))
         assert misses == KNOWN_NLOS_MISSES
+
+    def test_equal_exponents_keep_the_classes_apart(self, cfg):
+        # the class used to be chosen by matching the exponent, so with
+        # alpha_los == alpha_nlos the NLOS call returned the LOS value
+        # (1.4998 for 10.4635 at x = 5 m, w = 1e6)
+        cfg = cfg.with_overrides(alpha_los=3.0, alpha_nlos=3.0)
+        y_max = cfg.d_s + 20.0 / cfg.bs_density
+        assert _quadrature_misses(cfg, "los", (5.0,),
+                                  lambda x: (x, cfg.d_s)) == set()
+        assert _quadrature_misses(cfg, "nlos", (5.0,),
+                                  lambda x: (cfg.d_s, y_max)) == set()
 
     def test_monte_carlo_oracle(self, cfg):
         # exp(-A_L - A_N) against E[exp(-w * sum f q^-alpha)] over deployments
         from mmwloc.montecarlo import simulate_laplace
         w = 2.0
-        a = (laplace_interference(5.0, w, 1.0, cfg.alpha_los, cfg)
-             + laplace_interference(5.0, w, 1.0, cfg.alpha_nlos, cfg))
+        a = (laplace_interference(5.0, w, 1.0, "los", cfg)
+             + laplace_interference(5.0, w, 1.0, "nlos", cfg))
         mean, stderr = simulate_laplace(5.0, w, cfg, 200_000, seed=31)
         assert abs(math.exp(-a) - mean) <= 3 * stderr
 
     def test_unknown_branch_rejected(self, cfg):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="branch"):
             laplace_interference(5.0, 1.0, 0.1, 3.0, cfg)
 
-    @pytest.mark.parametrize("branch", ["alpha_los", "alpha_nlos"])
+    @pytest.mark.parametrize("branch", ["los", "nlos"])
     def test_infinite_serving_distance_leaves_no_interferers(self, cfg,
                                                              branch):
         # no interferer lies beyond an infinite distance, so A is 0
-        assert laplace_interference(math.inf, 3.0, 0.1, getattr(cfg, branch),
-                                    cfg) == 0.0
+        assert laplace_interference(math.inf, 3.0, 0.1, branch, cfg) == 0.0
 
-    @pytest.mark.parametrize("branch", ["alpha_los", "alpha_nlos"])
+    @pytest.mark.parametrize("branch", ["los", "nlos"])
     @pytest.mark.parametrize("serving_d", [-1.0, NAN])
     def test_bad_serving_distance_rejected(self, cfg, branch, serving_d):
         # NaN fails the distance check like a negative distance
         with pytest.raises(ValueError, match="serving distance"):
-            laplace_interference(serving_d, 3.0, 0.1, getattr(cfg, branch),
-                                 cfg)
+            laplace_interference(serving_d, 3.0, 0.1, branch, cfg)
 
 
 def _series_chunk(cfg, monkeypatch):

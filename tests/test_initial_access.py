@@ -434,6 +434,65 @@ class TestLockstep:
         # rows 2 to n_max - 1, as one block
         assert any(shape[1:] == (n_max - 2,) for shape in shapes)
 
+    @pytest.mark.parametrize("users", [1, 3, None])
+    def test_one_service_beam_selection_per_chunk(self, cfg, monkeypatch,
+                                                  users):
+        # the service beams are selected once a chunk, after its loop: one
+        # row selection up to n_max and one UE level selection down to the
+        # last level, each over every user of the chunk
+        policy = AccessPolicy(**self.POLICY)
+        if users is not None:
+            monkeypatch.setattr(initial_access, "_CHUNK_ENTRIES",
+                                users * (policy.n_max - 1))
+        final = []
+
+        def select_row(table, entries, sigma_d2, cap, k, c):
+            if (c == policy.n_max).all():
+                final.append(("row", entries.size))
+            return real_row(table, entries, sigma_d2, cap, k, c)
+
+        def ue_level(sigma_psi2, cap, level, last):
+            if (last == len(UE_GRID) - 1).all():
+                final.append(("level", level.size))
+            return real_level(sigma_psi2, cap, level, last)
+
+        real_row = initial_access._select_row
+        real_level = initial_access._ue_level
+        monkeypatch.setattr(initial_access, "_select_row", select_row)
+        monkeypatch.setattr(initial_access, "_ue_level", ue_level)
+        list(access_traces(self.GEOMETRIES, policy, cfg))
+        # with max_steps 12 no step's window reaches n_max or the last level
+        per_chunk = initial_access._CHUNK_ENTRIES // (policy.n_max - 1)
+        n = len(self.GEOMETRIES)
+        assert final == [(what, min(per_chunk, n - start))
+                         for start in range(0, n, per_chunk)
+                         for what in ("row", "level")]
+
+    def test_row_selection_calls_erfc_at_most_once(self, cfg, monkeypatch):
+        # a row selection decides its undecided rows, at or above c and
+        # inside its window, in one block: one beam_selection_profile call
+        # at most
+        per_call, calls = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return beam_selection_profile(*args)
+
+        def select_row(*args):
+            calls.clear()
+            out = real(*args)
+            per_call.append(len(calls))
+            return out
+
+        real = initial_access._select_row
+        monkeypatch.setattr(initial_access, "beam_selection_profile", counting)
+        monkeypatch.setattr(initial_access, "_select_row", select_row)
+        for kwargs in TestTraceDigest.POLICIES:
+            list(access_traces(self.GEOMETRIES
+                               + list(TestTabulatedLoop.GEOMETRIES),
+                               AccessPolicy(**kwargs), cfg))
+        assert max(per_call) == 1
+
     def test_geometries_checked(self, cfg):
         policy = AccessPolicy()
         assert list(access_traces([], policy, cfg)) == []
@@ -727,3 +786,16 @@ class TestBaselineDelays:
     def test_iterative_combined(self):
         # 4 BS halvings + 2 UE halvings, 2 symbols each
         assert delay_iterative(16, math.pi / 8, 1.0) == pytest.approx(12.0)
+
+    # NaN used to pass both checks; delay_exhaustive(inf, 1, 1) was 0.0,
+    # and 7.0 counted one beam of a width past 2 pi
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 7.0, 0.0])
+    def test_exhaustive_beamwidth_checked(self, theta):
+        for pair in ((theta, 1.0), (1.0, theta)):
+            with pytest.raises(ValueError, match="beamwidth"):
+                delay_exhaustive(*pair, 1.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, 0.0, -1.0])
+    def test_iterative_beamwidth_checked(self, theta):
+        with pytest.raises(ValueError, match="beamwidth"):
+            delay_iterative(4, theta, 1.0)

@@ -8,11 +8,13 @@ to it, or when a reached def or class does. The re-exports in
 only call each other is caught as a whole. References are matched by
 identifier, which can only over-count reach.
 
-Every parameter with a default is passed at some call in the package, or
-is kept for a stated reason: a value that only tests set is not an input
-of the analyzer. Calls are matched by the callee's identifier (a class
-name calls its ``__init__``), and a ``*args`` or ``**kwargs`` at a call
-counts as passing everything, which again can only over-count.
+Every parameter with a default, a dataclass field with a default among
+them, is passed at some call in the package, or is kept for a stated
+reason: a value that only tests set is not an input of the analyzer.
+Calls are matched by the callee's identifier (a class name calls its
+``__init__``, or its dataclass fields in order), and a ``*args`` or
+``**kwargs`` at a call counts as passing everything, which again can only
+over-count.
 """
 
 import ast
@@ -37,6 +39,17 @@ DEFAULT_ONLY = {
                       "pass argv",
     "optimizer.default_beta_grid(step)": "the beta_step knob parses "
                                          "through it",
+    **{f"initial_access.AccessPolicy({name})": "the pinned access tests run "
+                                               "other policies"
+       for name in ("delta_bs", "delta_ma", "delta_psi", "max_steps",
+                    "symbol_duration", "initial_sigma_d2", "n_max",
+                    "pilot_energy_scale", "bs_growth")},
+    **{f"optimizer.OptimizationSpec({name})": "criteria 6 and 7 and the "
+                                              "optimizer tests use coarse "
+                                              "grids"
+       for name in ("k_candidates", "beta_grid")},
+    "initial_access.AccessTrace(fallback_events)": "perfbench/spans.py "
+                                                   "reads it",
 }
 
 
@@ -86,14 +99,22 @@ def test_keep_lists_only_unreached_names():
 
 def _defaulted_parameters():
     """(label, callee identifier, parameter, call position or None for a
-    keyword-only one) of every parameter with a default; a method's
-    positions are shifted past ``self``."""
+    keyword-only one) of every parameter or dataclass field with a default;
+    a method's positions are shifted past ``self``."""
     found = []
 
     def visit(node, module, prefix, cls):
         for child in ast.iter_child_nodes(node):
             name = getattr(child, "name", None)
             if isinstance(child, ast.ClassDef):
+                if any("dataclass" in _identifiers(decorator)
+                       for decorator in child.decorator_list):
+                    fields = [a for a in child.body
+                              if isinstance(a, ast.AnnAssign)]
+                    found.extend((f"{module}.{prefix}{name}", name,
+                                  a.target.id, i)
+                                 for i, a in enumerate(fields)
+                                 if a.value is not None)
                 visit(child, module, f"{prefix}{name}.", name)
             elif isinstance(child, ast.FunctionDef):
                 callee = cls if name == "__init__" else name
