@@ -278,12 +278,19 @@ def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
 def _run_chunk(d, cell_size, policy: AccessPolicy,
                cfg: NetworkConfig) -> list:
     """The traces of users at d in cells of cell_size (1-D arrays), every
-    unfinished user stepped together: all share the step's side."""
+    unfinished user stepped together: all share the step's side. Each
+    user's records are appended as it steps; its service beam pair, the
+    selection its final accuracy supports (the sweep baselines must reach
+    this same resolution), is made for all the chunk's users at the end."""
     last = len(UE_GRID) - 1
     table = _row_table(d, cell_size, cfg.h_b, policy.n_max)
     energy, variances = _step_variances(
         d, row_beamwidth(cell_size, cfg.h_b, 1),
         policy.symbol_duration * policy.pilot_energy_scale, cfg)
+
+    def met(sigma_d2, sigma_psi2):
+        return ((np.sqrt(sigma_d2) <= policy.delta_d)
+                & (np.sqrt(sigma_psi2) <= policy.delta_psi))
 
     users = np.arange(d.size)               # the unfinished ones, in order
     k = np.ones(d.size, dtype=int)
@@ -291,10 +298,10 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
     info_d = np.full(d.size, 1.0 / policy.initial_sigma_d2)
     info_psi = np.zeros(d.size)
     sigma_d2, sigma_psi2 = 1.0 / info_d, None
-    steps = []
-    # per user: the steps taken and whether the accuracies were met
-    total = np.zeros(d.size, dtype=int)
-    accurate = np.zeros(d.size, dtype=bool)
+    records = [[] for _ in range(d.size)]
+    # per user: the row, level and variances of its last step
+    end_k, end_level = np.empty_like(k), np.empty_like(level)
+    end_d2, end_psi2 = np.empty(d.size), np.empty(d.size)
 
     for step in range(1, policy.max_steps + 1):
         if step % 2 == 1:
@@ -311,13 +318,17 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
         info_psi += 1.0 / var_psi
 
         sigma_d2, sigma_psi2 = 1.0 / info_d, 1.0 / info_psi
-        steps.append((users, k, level, sigma_d2, sigma_psi2))
-        met = np.sqrt(sigma_d2) <= policy.delta_d
-        met &= np.sqrt(sigma_psi2) <= policy.delta_psi
-        done = met if step < policy.max_steps else np.ones_like(met)
+        n = users.size
+        for user, record in zip(users.tolist(), map(AccessStep._make, zip(
+                [step] * n, [("UE", "BS")[step % 2]] * n, k.tolist(),
+                _UE_WIDTHS[level].tolist(), sigma_d2.tolist(),
+                sigma_psi2.tolist(), [step] * n))):
+            records[user].append(record)
+        done = met(sigma_d2, sigma_psi2) | (step == policy.max_steps)
         if done.any():
-            total[users[done]] = step
-            accurate[users[done]] = met[done]
+            stop = users[done]
+            end_k[stop], end_level[stop] = k[done], level[done]
+            end_d2[stop], end_psi2[stop] = sigma_d2[done], sigma_psi2[done]
             keep = ~done
             (users, k, level, pilot, info_d, info_psi, sigma_d2,
              sigma_psi2) = (v[keep] for v in (
@@ -325,48 +336,17 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
                  sigma_psi2))
             if not users.size:
                 break
-    return _traces(steps, total, accurate, table, policy)
-
-
-def _traces(steps: list, total, accurate, table: tuple,
-            policy: AccessPolicy) -> list:
-    """A chunk's AccessTraces, in user order, from its per-step (users, k,
-    level, sigma_d2, sigma_psi2) records, each user's step count and
-    whether it met the accuracies, and its ``_row_table``."""
-    # record (user u, step s) goes to start[u] + s - 1: each user's steps
-    # in order, the users one after another
-    start = np.cumsum(total) - total
-    index = np.repeat(np.arange(1, len(steps) + 1),
-                      [record[0].size for record in steps])
-    users, *fields = map(np.concatenate, zip(*steps))
-    at = start[users] + index - 1
-    columns = []
-    for values in (index, *fields):
-        column = np.empty_like(values)
-        column[at] = values
-        columns.append(column)
-    index, k, level, sigma_d2, sigma_psi2 = columns
-    # Service beam pair: the selection each user's final accuracy supports
-    # (the sweep baselines must reach this same resolution).
-    end = start + total - 1
-    final_k = _select_row(table, np.arange(total.size), sigma_d2[end],
-                          policy.delta_bs, k[end],
-                          np.full(total.size, policy.n_max))
-    final_level = _ue_level(sigma_psi2[end], policy.delta_ma, level[end],
-                            np.full(total.size, len(UE_GRID) - 1))
-    index = index.tolist()
-    sides = ("UE", "BS") * (len(steps) // 2 + 1)     # BS on odd steps
-    records = list(map(AccessStep._make, zip(
-        index, map(sides.__getitem__, index),
-        *(v.tolist() for v in (k, _UE_WIDTHS[level], sigma_d2, sigma_psi2)),
-        index)))
-    return [AccessTrace(steps=tuple(records[a:a + n]), total_symbols=n,
-                        total_delay=n * policy.symbol_duration,
+    final_k = _select_row(table, np.arange(d.size), end_d2, policy.delta_bs,
+                          end_k, np.full(d.size, policy.n_max))
+    final_level = _ue_level(end_psi2, policy.delta_ma, end_level,
+                            np.full(d.size, last))
+    return [AccessTrace(steps=tuple(steps), total_symbols=len(steps),
+                        total_delay=len(steps) * policy.symbol_duration,
                         terminated="accuracy_met" if ok else "max_iter",
                         final_k=row, final_theta_u=UE_GRID[lvl])
-            for a, n, ok, row, lvl in zip(
-                start.tolist(), total.tolist(), accurate.tolist(),
-                final_k.tolist(), final_level.tolist())]
+            for steps, ok, row, lvl in zip(
+                records, met(end_d2, end_psi2).tolist(), final_k.tolist(),
+                final_level.tolist())]
 
 
 def access_traces(geometries, policy: AccessPolicy, cfg: NetworkConfig):
@@ -414,10 +394,9 @@ def delay_iterative(target_k: int, target_theta_u: float,
                     symbol_duration: float) -> float:
     """Bisection search: two probing symbols per halving stage, first on
     the BS side down to row target_k, then on the UE side from the widest
-    ``UE_GRID`` level down to the target beamwidth."""
+    ``UE_GRID`` level down to the target beamwidth, in (0, 2pi]."""
     check_count(target_k, "target dictionary size must be >= 1")
-    if not target_theta_u > 0.0:   # NaN fails too
-        raise ValueError("beamwidths must be positive")
+    beamwidth_to_elements(target_theta_u)   # the width check
     bs_stages = math.ceil(math.log2(target_k)) if target_k > 1 else 0
     ratio = UE_GRID[0] / target_theta_u
     ue_stages = max(0, math.ceil(math.log2(ratio))) if ratio > 1.0 else 0

@@ -30,7 +30,7 @@ from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .coverage import CoverageQuery, CoverageResult
 from .dictionary import containing_beam, row_beamwidth
-from .geometry import is_los, nakagami_shape, path_loss_exponent
+from .geometry import nakagami_shape, path_loss_exponent
 from .localization import aoa_variance, nu_threshold, ranging_variance
 from .numerics import check_count
 
@@ -82,15 +82,14 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
         i1 = int(ends[t1 - 1])
         owner = np.repeat(np.arange(t1 - t0), counts[t0:t1])
         y = d[t0:t1].take(owner) + u[i0:i1] * span[t0:t1].take(owner)
-        los = is_los(y, cfg)
         if cfg.n_los == cfg.n_nlos:
             # a scalar shape draws the same gammas at a lower cost
             fade = rng.standard_gamma(cfg.n_los, size=i1 - i0) / cfg.n_los
         else:
-            shapes = np.where(los, cfg.n_los, cfg.n_nlos)
+            shapes = nakagami_shape(y, cfg)
             fade = rng.standard_gamma(shapes) / shapes
-        exponent = np.where(los, -0.5 * cfg.alpha_los, -0.5 * cfg.alpha_nlos)
-        powers = scale * fade * (y * y + h2) ** exponent
+        powers = (scale * fade
+                  * (y * y + h2) ** (-0.5 * path_loss_exponent(y, cfg)))
         out[t0:t1] = np.bincount(owner, weights=powers, minlength=t1 - t0)
         t0, i0 = t1, i1
     return out

@@ -306,6 +306,19 @@ class TestTabulatedLoop:
         assert repr(got) == repr(want)
         assert len(got.steps) > 2
 
+    # at delta_d = 0.002 and a 400-step budget, (7.5, 15.0) meets the
+    # accuracies at step 22 and (0.0, 30.0) at step 248
+    @pytest.mark.parametrize("user, met_at", [(2, 22), (1, 248)])
+    def test_accuracy_met_on_the_last_budgeted_step(self, cfg, user, met_at):
+        for budget, verdict in ((met_at, "accuracy_met"),
+                                (met_at - 1, "max_iter")):
+            trace = list(access_traces(
+                self.GEOMETRIES, AccessPolicy(delta_d=0.002,
+                                              max_steps=budget), cfg))[user]
+            assert (trace.terminated, trace.total_symbols) == (verdict,
+                                                                budget)
+            assert len(trace.steps) == budget
+
     # GEOMETRIES plus d = d_s, where the path loss switches from LOS to NLOS
     @pytest.mark.parametrize("d, cell_size", GEOMETRIES + ((20.0, 40.0),))
     @pytest.mark.parametrize("pilot_energy_scale", [1.0e-3, 2.0e-3])
@@ -795,7 +808,8 @@ class TestBaselineDelays:
             with pytest.raises(ValueError, match="beamwidth"):
                 delay_exhaustive(*pair, 1.0)
 
-    @pytest.mark.parametrize("theta", [math.nan, 0.0, -1.0])
+    # 7.0 and inf lie past a full turn
+    @pytest.mark.parametrize("theta", [math.nan, 0.0, -1.0, 7.0, math.inf])
     def test_iterative_beamwidth_checked(self, theta):
         with pytest.raises(ValueError, match="beamwidth"):
             delay_iterative(4, theta, 1.0)
