@@ -5,7 +5,8 @@ one entry point per output (the analytic-versus-Monte-Carlo check is
 ``run validate-analytical``). Configuration comes from an optional flat
 key=value file (boundary units: dBm, dBm/Hz, per-km) plus dotted-key
 overrides, each of which is also exposed as a flag of the same dotted
-name.
+name; ``run --seed N``/``--trials N`` set ``experiment.seed``/``.trials``.
+Every input, ``--out`` included, is checked before any computation.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for numeric
 failures.
@@ -31,6 +32,7 @@ from .experiments import (
     dump_dictionary,
     run_experiment,
 )
+from .initial_access import AccessPolicy
 from .optimizer import OptimizationSpec, optimize_beamwidth
 
 EXIT_OK = 0
@@ -73,13 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a named experiment sweep")
     run_p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     _add_common(run_p)
-    run_p.add_argument("--seed", type=_within(int, -1), default=1)
-    run_p.add_argument("--trials", type=_within(int, 0), default=100_000)
+    # each --seed N or --trials N is a --set experiment.<knob>=N, in order
+    for knob in ("seed", "trials"):
+        run_p.add_argument(f"--{knob}", dest="set", action="append",
+                           type=lambda v, k=knob: f"experiment.{k}={v}",
+                           metavar="N", help="validate-analytical's knob")
 
     dump_p = sub.add_parser("dump-dictionary", help="export the beam database")
     _add_common(dump_p)
     dump_p.add_argument("--cell-size", type=_within(float, 0.0), default=None)
-    dump_p.add_argument("--n-max", type=_within(int, 0), default=32)
+    dump_p.add_argument("--n-max", default=32,
+                        type=_within(int, 0, AccessPolicy.n_max + 1))
 
     opt_p = sub.add_parser("optimize", help="optimal beamwidth and frame split")
     _add_common(opt_p)
@@ -93,8 +99,9 @@ def _collect_overrides(args) -> dict:
     entries = {}
     if args.config is not None:
         try:
-            entries.update(parse_config_text(Path(args.config).read_text()))
-        except OSError as exc:
+            entries.update(parse_config_text(
+                args.config.read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     for item in args.set:
         if "=" not in item:
@@ -105,33 +112,29 @@ def _collect_overrides(args) -> dict:
 
 
 def _split_sections(entries: dict) -> tuple:
-    network = {k: v for k, v in entries.items() if k.startswith("network.")}
-    experiment = {k: v for k, v in entries.items()
-                  if k.startswith("experiment.")}
-    unknown = set(entries) - set(network) - set(experiment)
-    if unknown:
-        raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-    return network, experiment
+    """(the rest, for from_boundary_mapping, and the experiment.* knobs)"""
+    knobs = {k: v for k, v in entries.items() if k.startswith("experiment.")}
+    return {k: v for k, v in entries.items() if k not in knobs}, knobs
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        entries = _collect_overrides(args)
-        network_entries, experiment_entries = _split_sections(entries)
-        cfg = from_boundary_mapping(network_entries)
-        if experiment_entries and args.command in ("dump-dictionary",
-                                                   "optimize"):
-            raise ConfigError(f"{args.command} reads no experiment knobs, "
-                              f"got {sorted(experiment_entries)[0]}")
-
+        network, knobs = _split_sections(_collect_overrides(args))
+        cfg = from_boundary_mapping(network)
         if args.command == "run":
             spec = ExperimentSpec(name=args.experiment, cfg=cfg,
-                                  out_dir=args.out, seed=args.seed,
-                                  trials=args.trials,
-                                  overrides=experiment_entries)
-            outputs = run_experiment(spec)
-            for path in outputs:
+                                  out_dir=args.out, overrides=knobs)
+        elif knobs:
+            raise ConfigError(f"{args.command} reads no experiment knobs, "
+                              f"got {sorted(knobs)[0]}")
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # FileExistsError where --out is a file
+            raise ConfigError(f"cannot use output directory: {exc}") from exc
+
+        if args.command == "run":
+            for path in run_experiment(spec):
                 print(path)
         elif args.command == "dump-dictionary":
             print(dump_dictionary(cfg, args.out, args.cell_size, args.n_max))
@@ -145,9 +148,7 @@ def main(argv=None) -> int:
                 print(f"k_star={result.k_star} beta_star={result.beta_star} "
                       f"theta_star={result.theta_star:.6f} "
                       f"objective={result.objective:.6f}")
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            table = out / "optimizer_per_k.csv"
+            table = args.out / "optimizer_per_k.csv"
             with open(table, "w") as fh:
                 fh.write("k,theta_u,feasible,beta_star,objective,p_bs,p_ma\n")
                 for row in result.per_k_table:

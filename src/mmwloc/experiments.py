@@ -1,9 +1,10 @@
 """Named experiment families: sweeps behind the command-line runner.
 
-Each experiment writes one CSV of plain columnar data (comma-separated,
-header row, '.' decimals) plus a run manifest sufficient to reproduce the
-run exactly. Sweep points are emitted in sorted sweep-key order, so
-outputs are byte-identical for a given (config, seed).
+``_EXPERIMENTS`` holds each experiment's runner and knobs. A run writes
+its runner's tables as CSVs of plain columnar data (comma-separated, header
+row, '.' decimals) plus a run manifest sufficient to reproduce it exactly.
+Sweep points are emitted in sorted sweep-key order, so outputs are
+byte-identical for a given (config, knobs), the Monte Carlo seed a knob.
 """
 
 from __future__ import annotations
@@ -41,24 +42,29 @@ from .optimizer import (
 
 @dataclass
 class ExperimentSpec:
-    """What to run and where to put it."""
+    """What to run and where to put it; construction parses and
+    range-checks every knob the run reads into ``knobs``, defaults filled
+    in, so that a bad or unknown knob raises ConfigError before any run."""
 
     name: str
     cfg: NetworkConfig = field(default_factory=NetworkConfig)
     out_dir: Path = Path(".")
-    seed: int = 1
-    trials: int = 100_000
     overrides: dict = field(default_factory=dict)  # experiment.* knobs
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment: {self.name}")
         self.out_dir = Path(self.out_dir)
-        known = {f"experiment.{name}" for name in _EXPERIMENTS[self.name][1]}
+        table = _EXPERIMENTS[self.name][1]
+        known = {f"experiment.{name}" for name in table}
         unknown = sorted(set(self.overrides) - known)
         if unknown:
             raise ConfigError(f"unknown knob for {self.name}: {unknown[0]} "
                               f"(known: {', '.join(sorted(known))})")
+        self.knobs = {
+            name: _parse_knob(name, self.overrides.get(f"experiment.{name}",
+                                                       default), parse, valid)
+            for name, (parse, default, valid) in table.items()}
 
 
 def _list_of(convert):
@@ -92,13 +98,13 @@ _POSITIVE = _Range(0.0, math.inf)
 _FINITE = _Range(-math.inf, math.inf)
 _PROBABILITY = _Range(0.0, 1.0, closed=True)
 _CAP = _Range(0.0, 1.0)
+_POINTS = _Range(1, 10_000, closed=True)  # as beta_step's 10,000 betas
+_ROWS = _Range(1, AccessPolicy.n_max, closed=True)  # deepest access row
 
-def _knob(spec: ExperimentSpec, name: str):
-    """The parsed value of ``experiment.<name>`` (or its default); a value
-    that does not parse or lies outside the knob's range raises
-    ConfigError."""
-    parse, default, valid = _EXPERIMENTS[spec.name][1][name]
-    value = spec.overrides.get(f"experiment.{name}", default)
+
+def _parse_knob(name: str, value, parse, valid: _Range):
+    """``parse(value)`` of ``experiment.<name>``; a value that does not
+    parse or lies outside ``valid`` raises ConfigError."""
     try:
         parsed = parse(value)
     except (TypeError, ValueError) as exc:
@@ -123,6 +129,7 @@ def _db_knob_to_linear(name: str, db: float) -> float:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """The header, then ``rows``: floats as .10g, None as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -139,12 +146,9 @@ def _fmt(v):
 def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
     manifest = {
         "experiment": spec.name,
-        "seed": spec.seed,
-        "trials": spec.trials,
         "overrides": spec.overrides,
         # every knob the experiment reads, at the value the run used
-        "knobs": {name: _knob(spec, name)
-                  for name in _EXPERIMENTS[spec.name][1]},
+        "knobs": spec.knobs,
         "config": spec.cfg.to_dict(),
         "outputs": [str(p) for p in outputs],
         "versions": {
@@ -161,9 +165,9 @@ def _write_manifest(spec: ExperimentSpec, outputs, elapsed: float) -> Path:
     return path
 
 
-def _lambda_grid(spec: ExperimentSpec):
-    return np.geomspace(_knob(spec, "lambda_min"), _knob(spec, "lambda_max"),
-                        _knob(spec, "lambda_points"))
+def _lambda_grid(knobs: dict):
+    return np.geomspace(knobs["lambda_min"], knobs["lambda_max"],
+                        knobs["lambda_points"])
 
 
 def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
@@ -183,9 +187,9 @@ def _run_access_delay(spec: ExperimentSpec):
     # The loop never reads bs_density: one config serves all densities, and
     # those clamped to one geometry share its row's columns (not its trace);
     # one access_traces call runs the distinct geometries.
-    policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
+    policy = AccessPolicy(delta_d=spec.knobs["delta_d"])
     cfg = spec.cfg
-    lams = _lambda_grid(spec).tolist()
+    lams = _lambda_grid(spec.knobs).tolist()
     geometries = [access_reference_geometry(lam, cfg) for lam in lams]
     distinct = list(dict.fromkeys(geometries))
     columns = {}
@@ -204,31 +208,27 @@ def _run_access_delay(spec: ExperimentSpec):
     rows = [(lam, *columns[geometry])
             for lam, geometry in zip(lams, geometries)]
     rows.sort(key=lambda r: r[0])
-    out = spec.out_dir / "access_delay.csv"
-    _write_csv(out, ["lambda", "steps", "proposed_ms", "iterative_ms",
-                     "exhaustive_ms", "k_star", "theta_u_star", "terminated"],
-               rows)
-    return [out]
+    return [("access_delay.csv",
+             ["lambda", "steps", "proposed_ms", "iterative_ms",
+              "exhaustive_ms", "k_star", "theta_u_star", "terminated"], rows)]
 
 
 def _run_access_resolution(spec: ExperimentSpec):
-    policy = AccessPolicy(delta_d=_knob(spec, "delta_d"))
-    lams = sorted(_knob(spec, "lambdas"))
+    policy = AccessPolicy(delta_d=spec.knobs["delta_d"])
+    lams = sorted(spec.knobs["lambdas"])
     geometries = [access_reference_geometry(lam, spec.cfg) for lam in lams]
     rows = []
     for lam, trace in zip(lams, access_traces(geometries, policy, spec.cfg)):
         for step in trace.steps:
             rows.append((lam, step.index, step.side, step.k, step.theta_u,
                          step.sigma_d2, step.sigma_psi2, step.symbols))
-    out = spec.out_dir / "access_resolution.csv"
-    _write_csv(out, ["lambda", "step", "side", "k", "theta_u",
-                     "sigma_d2", "sigma_psi2", "cum_symbols"], rows)
-    return [out]
+    return [("access_resolution.csv",
+             ["lambda", "step", "side", "k", "theta_u", "sigma_d2",
+              "sigma_psi2", "cum_symbols"], rows)]
 
 
 def _run_error_vs_dictionary(spec: ExperimentSpec):
-    beta = _knob(spec, "beta")
-    k_max = _knob(spec, "k_max")
+    beta = spec.knobs["beta"]
 
     def point(k):
         tu = ue_beamwidth_for_dictionary(k, spec.cfg)
@@ -236,17 +236,16 @@ def _run_error_vs_dictionary(spec: ExperimentSpec):
                 avg_beam_selection_error(k, beta, tu, spec.cfg),
                 avg_misalignment_error(k, tu, beta, spec.cfg))
 
-    rows = [point(k) for k in range(1, k_max + 1)]
-    out = spec.out_dir / "error_vs_dictionary.csv"
-    _write_csv(out, ["k", "theta_u", "p_bs", "p_ma"], rows)
-    return [out]
+    rows = [point(k) for k in range(1, spec.knobs["k_max"] + 1)]
+    return [("error_vs_dictionary.csv", ["k", "theta_u", "p_bs", "p_ma"],
+             rows)]
 
 
 def _run_rate_vs_beta(spec: ExperimentSpec):
-    r0 = _knob(spec, "r0")
-    betas = _knob(spec, "beta_step")
+    r0 = spec.knobs["r0"]
+    betas = spec.knobs["beta_step"]
     rows = []
-    for k in sorted(_knob(spec, "k_list")):
+    for k in sorted(spec.knobs["k_list"]):
         tu = ue_beamwidth_for_dictionary(k, spec.cfg)
         grid = np.array(betas)
         rates = rate_coverage(r0, grid, k, tu, spec.cfg)
@@ -254,29 +253,27 @@ def _run_rate_vs_beta(spec: ExperimentSpec):
         p_ma = avg_misalignment_error(k, tu, grid, spec.cfg)
         rows += [(k, beta, tu, float(rate), float(bs), float(ma))
                  for beta, rate, bs, ma in zip(betas, rates, p_bs, p_ma)]
-    out = spec.out_dir / "rate_vs_beta.csv"
-    _write_csv(out, ["k", "beta", "theta_u", "rate_coverage", "p_bs", "p_ma"],
-               rows)
-    return [out], rows
+    return [("rate_vs_beta.csv",
+             ["k", "beta", "theta_u", "rate_coverage", "p_bs", "p_ma"], rows)]
 
 
 def _run_rate_vs_pbs(spec: ExperimentSpec):
-    outputs, beta_rows = _run_rate_vs_beta(spec)
+    tables = _run_rate_vs_beta(spec)
+    [(_, _, beta_rows)] = tables
     rows = sorted(((k, p_bs, rate, beta)
                    for k, beta, _, rate, p_bs, _ in beta_rows),
                   key=lambda r: (r[0], r[1]))
-    out = spec.out_dir / "rate_vs_pbs.csv"
-    _write_csv(out, ["k", "p_bs", "rate_coverage", "beta"], rows)
-    return outputs + [out]
+    return tables + [("rate_vs_pbs.csv", ["k", "p_bs", "rate_coverage",
+                                          "beta"], rows)]
 
 
 def _run_optimal_map(spec: ExperimentSpec):
-    lams = _lambda_grid(spec)
-    noises = sorted(_knob(spec, "noise_dbw"))
+    knobs = spec.knobs
+    lams = _lambda_grid(knobs)
+    noises = sorted(knobs["noise_dbw"])
     noise_w = {dbw: _db_knob_to_linear("noise_dbw", dbw) for dbw in noises}
-    opt_spec = OptimizationSpec(r0=_knob(spec, "r0"),
-                                eps_bs=_knob(spec, "eps_bs"),
-                                eps_ma=_knob(spec, "eps_ma"))
+    opt_spec = OptimizationSpec(r0=knobs["r0"], eps_bs=knobs["eps_bs"],
+                                eps_ma=knobs["eps_ma"])
 
     def point(item):
         lam, dbw = item
@@ -284,29 +281,25 @@ def _run_optimal_map(spec: ExperimentSpec):
             bs_density=float(lam),
             noise_psd=noise_w[dbw] / spec.cfg.bandwidth)
         res = optimize_beamwidth(opt_spec, cfg)
-        return (float(lam), dbw, res.feasible,
-                res.k_star if res.k_star is not None else "",
-                res.beta_star if res.beta_star is not None else "",
-                res.theta_star if res.theta_star is not None else "",
-                res.objective if res.objective is not None else "")
+        return (float(lam), dbw, res.feasible, res.k_star, res.beta_star,
+                res.theta_star, res.objective)
 
     items = [(lam, dbw) for lam in lams for dbw in noises]
     rows = [point(item) for item in items]
     rows.sort(key=lambda r: (r[0], r[1]))
-    out = spec.out_dir / "optimal_map.csv"
-    _write_csv(out, ["lambda", "noise_dbw", "feasible", "k_star", "beta_star",
-                     "theta_star", "objective"], rows)
-    return [out]
+    return [("optimal_map.csv",
+             ["lambda", "noise_dbw", "feasible", "k_star", "beta_star",
+              "theta_star", "objective"], rows)]
 
 
 def _run_validate_analytical(spec: ExperimentSpec):
-    lams = _knob(spec, "lambdas")
-    threshold_db = _knob(spec, "threshold_db")
+    knobs = spec.knobs
+    threshold_db = knobs["threshold_db"]
     threshold = _db_knob_to_linear("threshold_db", threshold_db)
 
     betas = (0.5, 0.9)
     rows = []
-    for lam in sorted(lams):
+    for lam in sorted(knobs["lambdas"]):
         # the four points of one density share the oracle's draws, and the
         # two betas of one k the analytic pass's kernel tables
         cfg = spec.cfg.with_overrides(bs_density=lam)
@@ -314,7 +307,8 @@ def _run_validate_analytical(spec: ExperimentSpec):
         queries = [CoverageQuery(threshold=threshold, k=k, theta_u=tu,
                                  beta=beta)
                    for k, tu in beams for beta in betas]
-        results = simulate_coverage(queries, cfg, spec.trials, seed=spec.seed)
+        results = simulate_coverage(queries, cfg, knobs["trials"],
+                                    seed=knobs["seed"])
         values = [float(value) for k, tu in beams
                   for value in overall_coverage(threshold, k, tu,
                                                 np.array(betas), cfg)]
@@ -324,54 +318,58 @@ def _run_validate_analytical(spec: ExperimentSpec):
             rows.append((lam, query.k, query.beta, threshold_db, analytical,
                          mc.probability, mc.stderr, tol,
                          "pass" if ok else "FAIL"))
-    out = spec.out_dir / "validate_analytical.csv"
-    _write_csv(out, ["lambda", "k", "beta", "threshold_db", "analytical",
-                     "montecarlo", "stderr", "tolerance", "status"], rows)
-    return [out]
+    return [("validate_analytical.csv",
+             ["lambda", "k", "beta", "threshold_db", "analytical",
+              "montecarlo", "stderr", "tolerance", "status"], rows)]
 
 
 _RATE_VS_BETA_KNOBS = {"r0": (float, 1.0e8, _POSITIVE),
-                       "k_list": (_list_of(int), "4,16", _POSITIVE),
+                       "k_list": (_list_of(int), "4,16", _ROWS),
                        "beta_step": (default_beta_grid, 0.02, _PROBABILITY)}
 # experiment -> (runner, {knob: (parse, default, range)}), the knobs being
 # every ``experiment.<knob>`` override the experiment reads; any other key
 # is rejected. beta_step parses to its beta grid, and the range applies to
-# the grid's betas.
+# the grid's betas. A runner returns its [(file name, header, rows)].
 _EXPERIMENTS = {
     "access-delay": (_run_access_delay, {
         "delta_d": (float, 0.1, _POSITIVE),
         "lambda_min": (float, 0.005, _POSITIVE),
         "lambda_max": (float, 0.2, _POSITIVE),
-        "lambda_points": (int, 9, _POSITIVE)}),
+        "lambda_points": (int, 9, _POINTS)}),
     "access-resolution": (_run_access_resolution, {
         "lambdas": (_list_of(float), "0.01,0.02,0.05,0.1", _POSITIVE),
         "delta_d": (float, 0.01, _POSITIVE)}),
     "error-vs-dictionary": (_run_error_vs_dictionary, {
-        "beta": (float, 0.5, _PROBABILITY), "k_max": (int, 32, _POSITIVE)}),
-    "rate-vs-beta": (lambda s: _run_rate_vs_beta(s)[0], _RATE_VS_BETA_KNOBS),
+        "beta": (float, 0.5, _PROBABILITY), "k_max": (int, 32, _ROWS)}),
+    "rate-vs-beta": (_run_rate_vs_beta, _RATE_VS_BETA_KNOBS),
     "rate-vs-pbs": (_run_rate_vs_pbs, _RATE_VS_BETA_KNOBS),
     # the map probes the demanding-rate regime where the partition
     # trade-off stays active even at the quiet end of the noise grid
     "optimal-map": (_run_optimal_map, {
         "lambda_min": (float, 0.01, _POSITIVE),
         "lambda_max": (float, 0.2, _POSITIVE),
-        "lambda_points": (int, 5, _POSITIVE),
+        "lambda_points": (int, 5, _POINTS),
         "noise_dbw": (_list_of(float), "-50,-40,-30,-20", _FINITE),
         "r0": (float, 6.0e9, _POSITIVE),
         "eps_bs": (float, 0.1, _CAP),
         "eps_ma": (float, 0.1, _CAP)}),
     "validate-analytical": (_run_validate_analytical, {
         "lambdas": (_list_of(float), "0.005,0.02,0.1", _POSITIVE),
-        "threshold_db": (float, 5.0, _FINITE)}),
+        "threshold_db": (float, 5.0, _FINITE),
+        "seed": (int, 1, _Range(0, math.inf, closed=True)),
+        "trials": (int, 100_000, _POSITIVE)}),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Execute one experiment; returns the list of files written."""
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment into the existing ``spec.out_dir``; returns
+    the list of files written."""
     start = time.time()
-    outputs = _EXPERIMENTS[spec.name][0](spec)
+    outputs = []
+    for name, header, rows in _EXPERIMENTS[spec.name][0](spec):
+        outputs.append(spec.out_dir / name)
+        _write_csv(outputs[-1], header, rows)
     outputs.append(_write_manifest(spec, outputs, time.time() - start))
     return outputs
 
@@ -379,21 +377,20 @@ def run_experiment(spec: ExperimentSpec):
 def dump_dictionary(cfg: NetworkConfig, out_dir: Path, cell_size: float | None,
                     n_max: int) -> Path:
     """Write the (k, j, theta_k, d_left, d_right) table of rows 1..n_max
-    for inspection, each value as its repr so that it reads back exactly."""
+    into the existing ``out_dir`` for inspection, each value as its repr
+    so that it reads back exactly."""
     d_a = cell_size if cell_size is not None else cfg.mean_cell_size
     if not d_a > 0.0:   # NaN fails too
         raise ValueError("cell size must be positive")
     check_count(n_max, "n_max must be an integer >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "beam_dictionary.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "theta_k", "d_left", "d_right"])
+    path = Path(out_dir) / "beam_dictionary.csv"
+
+    def rows():
         for k in range(1, int(n_max) + 1):
             theta_k = repr(row_beamwidth(d_a, cfg.h_b, k))
-            edges = beam_boundaries(d_a, cfg.h_b, k).tolist()
+            edges = list(map(repr, beam_boundaries(d_a, cfg.h_b, k).tolist()))
             for j in range(1, k + 1):
-                writer.writerow([k, j, theta_k, repr(edges[j - 1]),
-                                 repr(edges[j])])
+                yield k, j, theta_k, edges[j - 1], edges[j]
+
+    _write_csv(path, ["k", "j", "theta_k", "d_left", "d_right"], rows())
     return path

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mmwloc import cli
+from mmwloc import cli, experiments
 from mmwloc.config import (
     NetworkConfig,
     boundary_keys,
@@ -232,6 +232,16 @@ class TestCliRuns:
          "experiment.lambda_min"),
         (["run", "optimal-map", "--set", "experiment.lambda_max=-0.1"],
          "experiment.lambda_max"),
+        # sizes past their caps: 10^12 points or rows used to end in a numpy
+        # _ArrayMemoryError traceback, and a k_max that large never ended
+        *((["run", name, "--set", f"experiment.lambda_points={n}"],
+           "experiment.lambda_points")
+          for name in ("access-delay", "optimal-map")
+          for n in ("10001", "1000000000000")),
+        *((["run", "rate-vs-beta", "--set", f"experiment.k_list=4,{n}"],
+           "experiment.k_list") for n in ("1025", "1000000000000")),
+        *((["run", "error-vs-dictionary", "--set", f"experiment.k_max={n}"],
+           "experiment.k_max") for n in ("1025", "1000000000000")),
     ])
     def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
                                          message):
@@ -288,20 +298,21 @@ class TestCliRuns:
         assert code == 3
 
     @pytest.mark.parametrize("argv", [
-        ["run", "error-vs-dictionary", "--trials", "0"],
-        ["run", "error-vs-dictionary", "--trials", "-5"],
-        ["run", "validate-analytical", "--seed", "-1"],
         ["optimize", "--eps-bs", "0"],
         ["optimize", "--eps-ma", "1"],
         ["optimize", "--r0", "-1"],
         ["dump-dictionary", "--n-max", "0"],
+        # rows past the access loop's deepest used to be written without end
+        ["dump-dictionary", "--n-max", "1025"],
+        ["dump-dictionary", "--n-max", "1000000000000"],
         ["dump-dictionary", "--cell-size", "-1"],
         ["run", "validate-analytical", "--threads", "2"],
         # retired entry points: one experiment per output, no alias
         ["run", "optimal-k-map"],
         ["run", "optimal-beta-map"],
         ["validate"],
-        # both were accepted and silently ignored: only run draws trials
+        # both were accepted and silently ignored: only
+        # validate-analytical draws trials
         ["optimize", "--seed", "3"],
         ["dump-dictionary", "--trials", "5"],
     ])
@@ -309,6 +320,50 @@ class TestCliRuns:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    # --seed and --trials are validate-analytical's knobs; the other six
+    # experiments used to accept both, ignore them and record them in the
+    # manifest
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "validate-analytical", "--trials", "0"], "experiment.trials"),
+        (["run", "validate-analytical", "--trials", "-5"],
+         "experiment.trials"),
+        (["run", "validate-analytical", "--seed", "-1"], "experiment.seed"),
+        *((["run", name, flag, value], "unknown knob")
+          for name in ("access-delay", "access-resolution",
+                       "error-vs-dictionary", "rate-vs-beta", "rate-vs-pbs",
+                       "optimal-map")
+          for flag, value in (("--seed", "3"), ("--trials", "5"))),
+    ])
+    def test_bad_or_unread_seed_and_trials_exit_2(self, tmp_path, capsys,
+                                                  argv, message):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    # an --out naming a file used to end in a FileExistsError traceback,
+    # optimize's only after the whole optimization
+    @pytest.mark.parametrize("argv", [
+        ["run", "error-vs-dictionary", "--set", "experiment.k_max=1"],
+        ["dump-dictionary", "--n-max", "1"],
+        ["optimize"],
+    ])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "output directory" in captured.err and captured.out == ""
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback
+        config = tmp_path / "network.cfg"
+        config.write_bytes(b"network.p_t_dbm = 30 # \xff\xfe\n")
+        code = cli.main(["run", "error-vs-dictionary", "--out", str(tmp_path),
+                         "--config", str(config)])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_validate_outputs_are_bit_identical_across_reruns(self, tmp_path):
         # determinism guarantee: same (config, seed) regenerates the same bytes
@@ -340,6 +395,23 @@ class TestCliRuns:
         for row in rows:
             assert (float(row["proposed_ms"]) < float(row["iterative_ms"])
                     < float(row["exhaustive_ms"]))
+
+
+class TestExperimentTable:
+    def test_defaults_parse_and_only_validate_records_seed_and_trials(
+            self, tmp_path):
+        # construction range-checks every knob, so each default lies in
+        # its own knob's range; the Monte Carlo seed and trials are knobs
+        # of the one experiment that draws, not top-level manifest fields
+        for name, (_, table) in experiments._EXPERIMENTS.items():
+            spec = experiments.ExperimentSpec(name, out_dir=tmp_path)
+            assert set(spec.knobs) == set(table)
+            manifest = json.loads(
+                experiments._write_manifest(spec, [], 0.0).read_text())
+            assert not {"seed", "trials"} & set(manifest)
+            drawn = {"seed", "trials"} & set(manifest["knobs"])
+            assert drawn == ({"seed", "trials"}
+                             if name == "validate-analytical" else set())
 
 
 class TestStartup:

@@ -143,9 +143,9 @@ class TestCsvDump:
                 row_beamwidth(cfg.mean_cell_size, cfg.h_b, k)}
 
     def test_integral_float_n_max_accepted(self, tmp_path):
-        a = dump_dictionary(NetworkConfig(), tmp_path / "a", 25.0, 5.0)
-        b = dump_dictionary(NetworkConfig(), tmp_path / "b", 25.0, 5)
-        assert a.read_bytes() == b.read_bytes()
+        a = dump_dictionary(NetworkConfig(), tmp_path, 25.0, 5.0).read_bytes()
+        b = dump_dictionary(NetworkConfig(), tmp_path, 25.0, 5).read_bytes()
+        assert a == b
 
     @pytest.mark.parametrize("cell_size, n_max", [
         (0.0, 4), (-1.0, 4), (math.nan, 4), (10.0, 0), (10.0, 2.5),

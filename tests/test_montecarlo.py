@@ -334,7 +334,7 @@ class TestWorkCounts:
         monkeypatch.setattr(montecarlo, "_interference_sums", counted)
         trials = 2 * BATCH_SIZE + 5
         run_experiment(ExperimentSpec("validate-analytical", out_dir=tmp_path,
-                                      trials=trials))
+                                      overrides={"experiment.trials": trials}))
         assert calls == [(lam, size) for lam in (0.005, 0.02, 0.1)
                          for size in (BATCH_SIZE, BATCH_SIZE, 5)]
 
@@ -357,7 +357,7 @@ class TestWorkCounts:
         monkeypatch.setattr(experiments, "overall_coverage", counted)
         monkeypatch.setattr(coverage, "_InterferenceTables", CountedTables)
         run_experiment(ExperimentSpec("validate-analytical", out_dir=tmp_path,
-                                      trials=1000))
+                                      overrides={"experiment.trials": 1000}))
         assert calls == [(lam, k, (0.5, 0.9)) for lam in (0.005, 0.02, 0.1)
                          for k in (4, 16)]
         # per density, 8 chunks of 8 cells at k = 4 and 32 of 2 at k = 16
