@@ -64,6 +64,10 @@ class NetworkConfig:
             value = getattr(self, name)
             if not (float(value).is_integer() and value >= 1):  # inf, NaN fail
                 raise ConfigError(f"{name} must be a positive integer")
+        # 170 is the largest N whose N! is a finite double (the Alzer eta)
+        for name in ("n_los", "n_nlos"):
+            if getattr(self, name) > 170:
+                raise ConfigError(f"{name} must be at most 170")
 
     @property
     def noise_power(self) -> float:

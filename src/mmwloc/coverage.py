@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,18 +107,11 @@ class CoverageResult:
     stderr: float
 
 
-def _as_float(value: int) -> float:
-    """A Python integer as a float, inf beyond the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def alzer_eta(n: int) -> float:
     """eta = N * (N!)^(-1/N) for an integer shape N, with N! exact; equals
-    1 for the exponential case."""
-    return n * _as_float(math.factorial(n)) ** (-1.0 / n)
+    1 for the exponential case. N! is a finite double up to 170, where
+    ``NetworkConfig`` caps the shapes."""
+    return n * float(math.factorial(n)) ** (-1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +134,7 @@ def _series_coefficients(qpow: np.ndarray, wt: np.ndarray,
         # einsum sums the short node rows twice as fast as np.sum
         np.einsum("pn->p", moment, out=coef[j])
     j = np.arange(1, SERIES_TERMS + 1)
-    binomials = np.array([_as_float(math.comb(shape + i - 1, i))
+    binomials = np.array([float(math.comb(shape + i - 1, i))
                           for i in j.tolist()])
     coef *= ((-1.0) ** (j + 1) * binomials / float(shape) ** j)[:, None]
     return coef
@@ -186,7 +180,6 @@ class _InterferenceTables:
 
     def __init__(self, x: np.ndarray, cfg: NetworkConfig,
                  classes: tuple = ("los", "nlos")):
-        self.cfg = cfg
         x = np.asarray(x, dtype=float)
         shape_x = nakagami_shape(x, cfg)
         # the constants are exact per distinct shape, then scattered
@@ -201,7 +194,7 @@ class _InterferenceTables:
             active = n <= shape_x
             if not np.any(active):
                 break
-            binomials = np.array([_as_float(math.comb(s, n)) for s in shapes])
+            binomials = np.array([float(math.comb(s, n)) for s in shapes])
             self.terms.append((n, np.where(
                 active, (-1.0) ** (n + 1) * binomials[inverse], 0.0)))
         h2 = cfg.h_b * cfg.h_b
@@ -407,7 +400,7 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
     if not np.all(thresholds > 0.0):
         raise ValueError("SINR threshold must be positive")
     # the misalignment error depends on beta only through the sounding
-    # window: one row per window, kept from a slice to the next
+    # window: one row per window, memoized per chunk
     _, first, window = np.unique(_sounding_time(betas, cfg),
                                  return_index=True, return_inverse=True)
 
@@ -419,20 +412,16 @@ def overall_coverage(threshold, k: int, theta_u: float, beta,
         d_right = np.broadcast_to(bounds[:, 1:, None], shape).ravel()
         xc = x.ravel()
         tables = _InterferenceTables(xc, cfg)
-        rows = {}
+
+        # at most one slice's pair count of rows, so that they stay within
+        # its entry budget
+        @lru_cache(maxsize=max(1, _EVAL_ENTRIES // xc.size))
+        def p_ma_row(i):
+            return misalignment_error(xc, gamma_b, theta_u,
+                                      betas[first[[i]], None], cfg)[0]
 
         def values(pairs):
-            # the slice's windows that the previous slice lacked, at most
-            # one row per pair, so the slice's entry budget bounds them
-            wins, at = np.unique(window[pairs], return_inverse=True)
-            wins = wins.tolist()
-            new = [i for i in wins if i not in rows]
-            if new:
-                rows.update(zip(new, misalignment_error(
-                    xc, gamma_b, theta_u, betas[first[new], None], cfg)))
-            for i in set(rows) - set(wins):
-                del rows[i]
-            p_ma = np.stack([rows[i] for i in wins])[at]
+            p_ma = np.stack([p_ma_row(i) for i in window[pairs].tolist()])
             return _mixture_values(
                 xc, thresholds[pairs, None], gamma_b, theta_u,
                 betas[pairs, None], p_ma, k, d_left, d_right, cfg,

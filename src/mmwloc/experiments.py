@@ -100,6 +100,10 @@ _PROBABILITY = _Range(0.0, 1.0, closed=True)
 _CAP = _Range(0.0, 1.0)
 _POINTS = _Range(1, 10_000, closed=True)  # as beta_step's 10,000 betas
 _ROWS = _Range(1, AccessPolicy.n_max, closed=True)  # deepest access row
+# A Monte Carlo batch draws its interferer positions at once, about
+# montecarlo.BATCH_SIZE * 2 lambda * (d_s + 500 m) doubles: under 70 MB
+# below 1 /m at the default d_s
+_DENSITY = _Range(0.0, 1.0)
 
 
 def _parse_knob(name: str, value, parse, valid: _Range):
@@ -258,13 +262,12 @@ def _run_rate_vs_beta(spec: ExperimentSpec):
 
 
 def _run_rate_vs_pbs(spec: ExperimentSpec):
-    tables = _run_rate_vs_beta(spec)
-    [(_, _, beta_rows)] = tables
+    [(_, _, beta_rows)] = _run_rate_vs_beta(spec)
     rows = sorted(((k, p_bs, rate, beta)
                    for k, beta, _, rate, p_bs, _ in beta_rows),
                   key=lambda r: (r[0], r[1]))
-    return tables + [("rate_vs_pbs.csv", ["k", "p_bs", "rate_coverage",
-                                          "beta"], rows)]
+    return [("rate_vs_pbs.csv", ["k", "p_bs", "rate_coverage", "beta"],
+             rows)]
 
 
 def _run_optimal_map(spec: ExperimentSpec):
@@ -354,7 +357,7 @@ _EXPERIMENTS = {
         "eps_bs": (float, 0.1, _CAP),
         "eps_ma": (float, 0.1, _CAP)}),
     "validate-analytical": (_run_validate_analytical, {
-        "lambdas": (_list_of(float), "0.005,0.02,0.1", _POSITIVE),
+        "lambdas": (_list_of(float), "0.005,0.02,0.1", _DENSITY),
         "threshold_db": (float, 5.0, _FINITE),
         "seed": (int, 1, _Range(0, math.inf, closed=True)),
         "trials": (int, 100_000, _POSITIVE)}),

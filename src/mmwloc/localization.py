@@ -104,8 +104,7 @@ def ranging_variance(x, gamma_b, gamma_u: float, beta, cfg: NetworkConfig):
     """
     zeta = observation_energy(x, beta, cfg)
     info = zeta * gamma_b * gamma_u * _ranging_curvature(cfg.pilot_bandwidth)
-    with np.errstate(divide="ignore"):
-        out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
+    out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
     return out if out.ndim else float(out)
 
 
@@ -129,8 +128,7 @@ def aoa_variance(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig):
                              cfg.ue_sounding_elements))
     zeta = observation_energy(x, beta, cfg, _sounding_time(beta, cfg))
     info = zeta * gamma_b * factor
-    with np.errstate(divide="ignore"):
-        out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
+    out = np.where(info > 0.0, 1.0 / np.maximum(info, 1e-300), np.inf)
     return out if out.ndim else float(out)
 
 

@@ -55,10 +55,12 @@ class TestConfigBoundary:
             parse_config_text("just words\n")
 
     def test_invalid_values_surface_as_config_error(self):
-        # NetworkConfig(n_los=inf) used to raise OverflowError, and an
-        # infinite or fractional ue_sounding_elements passed
+        # NetworkConfig(n_los=inf) used to raise OverflowError, an
+        # infinite or fractional ue_sounding_elements passed, and so did a
+        # shape whose factorial overflows the floats
         for bad in ({"bs_density": -1.0}, {"h_b": float("inf")},
                     {"n_los": float("inf")}, {"n_nlos": 2.5},
+                    {"n_los": 171}, {"n_nlos": 100000},
                     {"ue_sounding_elements": 2.5},
                     {"ue_sounding_elements": float("inf")}):
             with pytest.raises(ConfigError):
@@ -242,6 +244,10 @@ class TestCliRuns:
            "experiment.k_list") for n in ("1025", "1000000000000")),
         *((["run", "error-vs-dictionary", "--set", f"experiment.k_max={n}"],
            "experiment.k_max") for n in ("1025", "1000000000000")),
+        # one Monte Carlo batch's interferers used to be allocated whole:
+        # 775 GiB, an _ArrayMemoryError traceback
+        (["run", "validate-analytical", "--set", "experiment.lambdas=1e8",
+          "--trials", "1"], "experiment.lambdas"),
     ])
     def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
                                          message):
@@ -288,6 +294,14 @@ class TestCliRuns:
                                            code, message):
         assert cli.main(argv + ["--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_shape_past_factorial_range_exits_2(self, tmp_path, capsys):
+        # used to run the per-term loop over 10^5 Alzer terms for minutes
+        code = cli.main(["optimize", "--set", "network.n_los=100000",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "n_los must be at most 170" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_numeric_error_exits_3(self, tmp_path, monkeypatch):

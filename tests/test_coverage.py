@@ -507,6 +507,26 @@ class TestBatchedCoverage:
         assert len(entries) > 1 and max(entries) <= 300
         assert np.array_equal(batch, single)
 
+    def test_one_misalignment_row_per_chunk_and_window(self, monkeypatch):
+        # the default grid's 50 betas share 2 sounding windows, and row
+        # k = 4 walks 8 chunks in 4 slices each: a row per (chunk, window)
+        # is 16 calls, and recomputing the rows per slice makes more
+        cfg = NetworkConfig()
+        betas = np.array(default_beta_grid())
+        assert np.unique(_sounding_time(betas, cfg)).size == 2
+        tu = ue_beamwidth_for_dictionary(4, cfg)
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        calls = []
+        real = coverage.misalignment_error
+
+        def misalignment(x, gamma_b, theta_u, beta, cfg):
+            calls.append(np.shape(beta))
+            return real(x, gamma_b, theta_u, beta, cfg)
+
+        monkeypatch.setattr(coverage, "misalignment_error", misalignment)
+        overall_coverage(thresholds, 4, tu, betas, cfg)
+        assert calls == [(1, 1)] * 16
+
     def test_rate_batch_matches_single_and_saturates_to_zero(self, cfg):
         # beta = 1e-4 drives the rate threshold past 2^900 (saturated)
         tu = ue_beamwidth_for_dictionary(4, cfg)

@@ -58,6 +58,9 @@ def test_rerun_matches_golden_bytes(tmp_path, experiment, name):
     assert cli.main(argv) == 0
     written = tmp_path / (experiment.replace("-", "_") + ".csv")
     assert written.read_bytes() == (GOLDEN / name).read_bytes()
+    # each experiment writes only the CSV named after it, so no file has
+    # two entry points (rate-vs-pbs used to write rate_vs_beta.csv too)
+    assert list(tmp_path.glob("*.csv")) == [written]
 
 
 def test_every_experiment_has_a_golden():
