@@ -47,7 +47,7 @@ import numpy as np
 from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .errors import NumericError
-from .geometry import nakagami_shape, path_loss_exponent
+from .geometry import attenuation, nakagami_shape
 from .localization import (_sounding_time, beam_selection_error, cell_average,
                            misalignment_error)
 from .numerics import check_count, gauss_legendre
@@ -186,8 +186,7 @@ class _InterferenceTables:
         shapes, inverse = np.unique(shape_x, return_inverse=True)
         shapes = shapes.tolist()
         self.eta = np.array([alzer_eta(s) for s in shapes])[inverse]
-        self.z_pow = (x * x + cfg.h_b * cfg.h_b) ** (
-            0.5 * path_loss_exponent(x, cfg))
+        self.z_pow = 1.0 / attenuation(x, cfg)
         # (n, per-position coefficient) of the Alzer expansion terms
         self.terms = []
         for n in range(1, max(cfg.n_los, cfg.n_nlos) + 1):
@@ -310,7 +309,8 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
     ``threshold`` and the gains broadcast against x along its last axis: a
     (B, 1) column of thresholds gives (B, P) values. Vectorized over mixed
     serving classes: the fading shape, its expansion constant, and the
-    path-loss exponent switch at the LOS-ball edge.
+    path-loss power (z^alpha is one over ``geometry.attenuation``) switch
+    at the LOS-ball edge.
 
     An entry whose noise term alone reaches -_EXP_FLOOR is dead: it runs
     the series at w = 0 and adds coef * exp(-inf), exactly +-0.0, and a

@@ -31,7 +31,7 @@ from .initial_access import (
     delay_iterative,
 )
 from .localization import avg_beam_selection_error, avg_misalignment_error
-from .montecarlo import simulate_coverage
+from .montecarlo import BATCH_SIZE, simulate_coverage, window_half_width
 from .numerics import check_count, db_to_linear
 from .optimizer import (
     OptimizationSpec,
@@ -101,9 +101,9 @@ _CAP = _Range(0.0, 1.0)
 _POINTS = _Range(1, 10_000, closed=True)  # as beta_step's 10,000 betas
 _ROWS = _Range(1, AccessPolicy.n_max, closed=True)  # deepest access row
 # A Monte Carlo batch draws its interferer positions at once, about
-# montecarlo.BATCH_SIZE * 2 lambda * (d_s + 500 m) doubles: under 70 MB
-# below 1 /m at the default d_s
-_DENSITY = _Range(0.0, 1.0)
+# BATCH_SIZE * 2 lambda * window_half_width doubles; at most this many
+# (80 MB), which admits every density below 1 /m at the default d_s
+_ORACLE_POSITIONS = 10 ** 7
 
 
 def _parse_knob(name: str, value, parse, valid: _Range):
@@ -300,12 +300,20 @@ def _run_validate_analytical(spec: ExperimentSpec):
     threshold_db = knobs["threshold_db"]
     threshold = _db_knob_to_linear("threshold_db", threshold_db)
 
+    cfgs = [spec.cfg.with_overrides(bs_density=lam)
+            for lam in sorted(knobs["lambdas"])]
+    for cfg in cfgs:
+        positions = BATCH_SIZE * 2.0 * cfg.bs_density * window_half_width(cfg)
+        if positions > _ORACLE_POSITIONS:
+            raise ConfigError(
+                f"experiment.lambdas = {cfg.bs_density!r} at network.d_s_m = "
+                f"{cfg.d_s!r} puts {positions:.3g} interferers in a Monte "
+                f"Carlo batch, over {_ORACLE_POSITIONS:.3g}")
     betas = (0.5, 0.9)
     rows = []
-    for lam in sorted(knobs["lambdas"]):
+    for cfg in cfgs:
         # the four points of one density share the oracle's draws, and the
         # two betas of one k the analytic pass's kernel tables
-        cfg = spec.cfg.with_overrides(bs_density=lam)
         beams = [(k, ue_beamwidth_for_dictionary(k, cfg)) for k in (4, 16)]
         queries = [CoverageQuery(threshold=threshold, k=k, theta_u=tu,
                                  beta=beta)
@@ -318,8 +326,8 @@ def _run_validate_analytical(spec: ExperimentSpec):
         for query, analytical, mc in zip(queries, values, results):
             tol = max(0.02, 3.0 * mc.stderr)
             ok = abs(analytical - mc.probability) <= tol
-            rows.append((lam, query.k, query.beta, threshold_db, analytical,
-                         mc.probability, mc.stderr, tol,
+            rows.append((cfg.bs_density, query.k, query.beta, threshold_db,
+                         analytical, mc.probability, mc.stderr, tol,
                          "pass" if ok else "FAIL"))
     return [("validate_analytical.csv",
              ["lambda", "k", "beta", "threshold_db", "analytical",
@@ -357,7 +365,7 @@ _EXPERIMENTS = {
         "eps_bs": (float, 0.1, _CAP),
         "eps_ma": (float, 0.1, _CAP)}),
     "validate-analytical": (_run_validate_analytical, {
-        "lambdas": (_list_of(float), "0.005,0.02,0.1", _DENSITY),
+        "lambdas": (_list_of(float), "0.005,0.02,0.1", _POSITIVE),
         "threshold_db": (float, 5.0, _FINITE),
         "seed": (int, 1, _Range(0, math.inf, closed=True)),
         "trials": (int, 100_000, _POSITIVE)}),

@@ -247,10 +247,7 @@ def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
     and variances(energy, level, k), the step's (ranging, angle) variances
     at their UE grid levels, bit-equal to ``ranging_variance``/
     ``aoa_variance``'s: only + - * / run on each entry."""
-    # one call per user: an array call raises z^2 to an array of path loss
-    # exponents, which rounds unlike the scalar power of the bounds' calls
-    zeta = np.array([observation_energy(x, 0.0, cfg, obs_time)
-                     for x in d.tolist()])
+    zeta = observation_energy(d, 0.0, cfg, obs_time)
     curvature = _ranging_curvature(cfg.bandwidth)
     gains = main_lobe_gain(_UE_WIDTHS, cfg)
     factors = np.array([_aoa_factor(beamwidth_to_elements(t))

@@ -34,7 +34,7 @@ import numpy as np
 from .antenna import beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
 from .dictionary import beam_boundaries, row_beamwidth
-from .geometry import path_loss_exponent
+from .geometry import attenuation
 from .numerics import (
     SPEED_OF_LIGHT,
     check_count,
@@ -72,16 +72,13 @@ def observation_energy(x, beta, cfg: NetworkConfig, observation_time=None):
     beta (or observation_time) may be a NumPy array broadcasting against
     x, e.g. a (B, 1) column of partition factors against P positions.
     """
-    x = np.asarray(x, dtype=float)
     if observation_time is None:
         observation_time = (1.0 - beta) * cfg.t_frame
-    # written so that NaN fails it; a bool on the access loop's scalars
-    valid = observation_time >= 0.0
-    if not (valid if isinstance(valid, bool) else valid.all()):
+    # written so that NaN fails it
+    if not np.all(observation_time >= 0.0):
         raise ValueError("observation time must be non-negative")
-    z2 = x * x + cfg.h_b * cfg.h_b
-    atten = z2 ** (-0.5 * path_loss_exponent(x, cfg))
-    out = 2.0 * cfg.k_pl * cfg.p_t * atten * observation_time / cfg.noise_psd
+    out = (2.0 * cfg.k_pl * cfg.p_t * attenuation(x, cfg) * observation_time
+           / cfg.noise_psd)
     return out if out.ndim else float(out)
 
 

@@ -30,7 +30,7 @@ from .antenna import main_lobe_gain, sidelobe_gain
 from .config import NetworkConfig
 from .coverage import CoverageQuery, CoverageResult
 from .dictionary import containing_beam, row_beamwidth
-from .geometry import nakagami_shape, path_loss_exponent
+from .geometry import attenuation, nakagami_shape
 from .localization import aoa_variance, nu_threshold, ranging_variance
 from .numerics import check_count
 
@@ -74,7 +74,6 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
         return out
     u = rng.random(total)
     scale = cfg.p_t * cfg.k_pl * sidelobe_gain(cfg) ** 2
-    h2 = cfg.h_b * cfg.h_b
     t0 = i0 = 0
     while t0 < n:
         t1 = max(int(np.searchsorted(ends, i0 + _CHUNK, side="right")),
@@ -88,8 +87,7 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
         else:
             shapes = nakagami_shape(y, cfg)
             fade = rng.standard_gamma(shapes) / shapes
-        powers = (scale * fade
-                  * (y * y + h2) ** (-0.5 * path_loss_exponent(y, cfg)))
+        powers = scale * fade * attenuation(y, cfg)
         out[t0:t1] = np.bincount(owner, weights=powers, minlength=t1 - t0)
         t0, i0 = t1, i1
     return out
@@ -159,15 +157,14 @@ def simulate_coverage(queries: list[CoverageQuery], cfg: NetworkConfig,
         d = users[1]
         shape_s = nakagami_shape(d, cfg)
         fade = rng.standard_gamma(shape_s) / shape_s
-        attenuation = ((d * d + cfg.h_b * cfg.h_b)
-                       ** (-0.5 * path_loss_exponent(d, cfg)))
+        atten = attenuation(d, cfg)
         noise = cfg.noise_power + _interference_sums(rng, d, cfg)
         for query, branch_hits in zip(queries, hits):
             gamma_b, gamma_u, bs_error, ma_error = _error_events(
                 users, query.k, query.theta_u, query.beta, cfg)
             gain = np.where(bs_error, g * g,
                             np.where(ma_error, gamma_b * g, gamma_b * gamma_u))
-            signal = cfg.p_t * cfg.k_pl * gain * fade * attenuation
+            signal = cfg.p_t * cfg.k_pl * gain * fade * atten
             ok = signal / noise >= query.threshold
             branch_hits["aligned"] += int((ok & ~bs_error & ~ma_error).sum())
             branch_hits["misaligned"] += int((ok & ~bs_error & ma_error).sum())

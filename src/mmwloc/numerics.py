@@ -24,7 +24,7 @@ PROBABILITY_SLACK = 1e-9
 # for Mathematical Functions, 1989), the one scipy.special.erfc runs: erf's
 # rational T/U in x^2 on |x| < 1, exp(-x^2) P/Q on [1, 8) and exp(-x^2) R/S
 # on [8, sqrt(MAXLOG)], 2 - y below 0. Coefficients are cephes', highest
-# degree first; the denominators are monic (cephes p1evl).
+# degree first; the monic denominators get their 1.0 below (cephes p1evl).
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
           2.23200534594684319226e3, 7.00332514112805075473e3,
           5.55923013010394962768e4)
@@ -55,9 +55,9 @@ _X_TWO = -6.0
 
 
 # (numerator, monic denominator) per band
-_INNER = (_ERF_T, _ERF_U)             # in x^2, for |x| < 1
-_MID = (_ERFC_P, _ERFC_Q)             # in |x|, on [1, 8)
-_FAR = (_ERFC_R, _ERFC_S)             # in |x|, on [8, _X_UNDER]
+_INNER = (_ERF_T, (1.0,) + _ERF_U)    # in x^2, for |x| < 1
+_MID = (_ERFC_P, (1.0,) + _ERFC_Q)    # in |x|, on [1, 8)
+_FAR = (_ERFC_R, (1.0,) + _ERFC_S)    # in |x|, on [8, _X_UNDER]
 
 
 def _polevl(t, coefs: tuple):
@@ -68,16 +68,6 @@ def _polevl(t, coefs: tuple):
         out += c
         out *= t
     out += coefs[-1]
-    return out
-
-
-def _p1evl(t, coefs: tuple):
-    """``_polevl`` with an implicit leading coefficient 1, as cephes'
-    p1evl."""
-    out = t + coefs[0]
-    for c in coefs[1:]:
-        out *= t
-        out += c
     return out
 
 
@@ -92,7 +82,7 @@ def _erfc_array(x: np.ndarray) -> np.ndarray:
         v = x.take(at)
         z = v * v
         v *= _polevl(z, _INNER[0])
-        v /= _p1evl(z, _INNER[1])
+        v /= _polevl(z, _INNER[1])
         out[at] = 1.0 - v
     tail &= x >= _X_TWO
     tail &= a <= _X_UNDER
@@ -107,7 +97,7 @@ def _erfc_array(x: np.ndarray) -> np.ndarray:
             np.negative(y, out=y)
             np.exp(y, out=y)
             y *= _polevl(t, band[0])
-            y /= _p1evl(t, band[1])
+            y /= _polevl(t, band[1])
             # the limit plus y with x's sign: y, or 2 + (-y) == 2 - y
             np.copysign(y, x.take(at), out=y)
             y += out.take(at)

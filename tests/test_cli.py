@@ -248,6 +248,10 @@ class TestCliRuns:
         # 775 GiB, an _ArrayMemoryError traceback
         (["run", "validate-analytical", "--set", "experiment.lambdas=1e8",
           "--trials", "1"], "experiment.lambdas"),
+        # and so did a wide LOS ball at a sparse density, whose window holds
+        # as many: 72.8 TiB at d_s = 1e15 m
+        (["run", "validate-analytical", "--set", "network.d_s_m=1e15",
+          "--trials", "1"], "network.d_s_m"),
     ])
     def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
                                          message):
@@ -390,6 +394,15 @@ class TestCliRuns:
         a = (tmp_path / "a" / "validate_analytical.csv").read_bytes()
         b = (tmp_path / "b" / "validate_analytical.csv").read_bytes()
         assert a == b
+
+    def test_oracle_budget_admits_densities_below_one_per_meter(self,
+                                                                tmp_path):
+        # a batch of 0.9 /m draws about 7.7M interferers at the default d_s
+        code = cli.main(["run", "validate-analytical", "--trials", "1",
+                         "--set", "experiment.lambdas=0.9",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "validate_analytical.csv").exists()
 
     def test_optimize_subcommand(self, tmp_path, capsys):
         code = cli.main(["optimize", "--out", str(tmp_path),

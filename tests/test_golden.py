@@ -6,7 +6,9 @@ the golden file, recorded with ``mmwloc run <experiment> <args> --out
 tests/golden`` (the manifest it also writes is not kept). A second golden
 of one experiment is its CSV renamed. Every experiment has a golden. The
 beam dictionary's is recorded with ``mmwloc dump-dictionary --cell-size 20
---n-max 8 --out tests/golden``.
+--n-max 8 --out tests/golden``, and the optimizer's per-k table with
+``mmwloc optimize --out tests/golden``, whose printed result line is
+``OPTIMUM`` below.
 """
 
 from pathlib import Path
@@ -39,6 +41,8 @@ ARGS = {
                              "--set", "experiment.lambda_points=1",
                              "--set", "experiment.noise_dbw=-40"],
 }
+# the line ``mmwloc optimize`` prints at the default config
+OPTIMUM = "k_star=8 beta_star=0.32 theta_star=0.098175 objective=0.884453"
 GOLDENS = [
     ("access-resolution", "access_resolution.csv"),
     ("access-delay", "access_delay.csv"),
@@ -74,3 +78,10 @@ def test_dump_dictionary_matches_golden_bytes(tmp_path):
     assert cli.main(argv) == 0
     written = (tmp_path / "beam_dictionary.csv").read_bytes()
     assert written == (GOLDEN / "beam_dictionary.csv").read_bytes()
+
+
+def test_optimize_matches_golden_bytes(tmp_path, capsys):
+    assert cli.main(["optimize", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == OPTIMUM
+    written = (tmp_path / "optimizer_per_k.csv").read_bytes()
+    assert written == (GOLDEN / "optimizer_per_k.csv").read_bytes()

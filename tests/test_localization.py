@@ -305,6 +305,24 @@ class TestObservationEnergy:
                 assert got.shape == (len(betas), len(x))
                 assert np.array_equal(got[i], want)
 
+    def test_each_entry_has_the_bits_of_its_own_call(self, cfg):
+        # the access loop computes a chunk's energies in one call; each
+        # must have the bits of the user's own call, at the LOS-ball edge
+        # and its neighbors too, and so must each row of a beta column
+        rng = np.random.default_rng(12)
+        x = np.concatenate([
+            [0.0, cfg.d_s, np.nextafter(cfg.d_s, -np.inf),
+             np.nextafter(cfg.d_s, np.inf), 1e6],
+            rng.uniform(0.0, 3.0 * cfg.d_s, 2000)])
+        betas = np.array([0.0, 0.02, 0.5, 0.9994])
+        batched = (observation_energy(x, betas[:, None], cfg),
+                   observation_energy(x, 0.0, cfg, 1e-5))
+        for i, beta in enumerate(betas.tolist()):
+            single = [observation_energy(v, beta, cfg) for v in x.tolist()]
+            assert batched[0][i].tolist() == single
+        assert batched[1].tolist() == [observation_energy(v, 0.0, cfg, 1e-5)
+                                       for v in x.tolist()]
+
     def test_negative_observation_time_in_a_batch_rejected(self, cfg):
         with pytest.raises(ValueError):
             observation_energy(5.0, np.array([0.5, 1.5]), cfg)

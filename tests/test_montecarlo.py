@@ -17,7 +17,7 @@ from mmwloc import (CoverageQuery, NetworkConfig, coverage, experiments,
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.dictionary import row_beamwidth
 from mmwloc.experiments import ExperimentSpec, run_experiment
-from mmwloc.geometry import nakagami_shape, path_loss_exponent
+from mmwloc.geometry import attenuation, nakagami_shape
 from mmwloc.montecarlo import (
     BATCH_SIZE,
     _batch_streams,
@@ -118,10 +118,8 @@ def one_shot_interference_sums(rng, d, cfg):
     y = d[owner] + rng.uniform(0.0, 1.0, size=total) * span[owner]
     shapes = nakagami_shape(y, cfg)
     fade = rng.standard_gamma(shapes) / shapes
-    q2 = y * y + cfg.h_b * cfg.h_b
     g2 = sidelobe_gain(cfg) ** 2
-    powers = (cfg.p_t * cfg.k_pl * g2 * fade
-              * q2 ** (-0.5 * path_loss_exponent(y, cfg)))
+    powers = cfg.p_t * cfg.k_pl * g2 * fade * attenuation(y, cfg)
     return np.bincount(owner, weights=powers, minlength=d.shape[0])
 
 
@@ -222,8 +220,7 @@ class TestDegenerateLimits:
                     * main_lobe_gain(tu, cfg))
 
             def noise_only(x):
-                z_alpha = ((x * x + cfg.h_b ** 2)
-                           ** (0.5 * path_loss_exponent(x, cfg)))
+                z_alpha = 1.0 / attenuation(x, cfg)
                 return math.exp(-t * cfg.noise_power * z_alpha
                                 / (cfg.p_t * cfg.k_pl * gain))
 
