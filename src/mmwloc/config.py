@@ -24,6 +24,13 @@ from .errors import ConfigError
 from .numerics import dbm_to_watt, db_to_linear
 
 
+# Largest Nakagami shape N: the coverage expansion's float sum
+# sum_n (-1)^(n+1) C(N, n) e^(-n eta s) cancels, and past N = 23 its
+# relative error exceeds 1e-9 against a 60-digit sum (1.2e-9 at 24,
+# 2.7e-7 at 32, on the coverage kernel at thermal noise).
+MAX_SHAPE = 23
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """All physical / system parameters, linear units."""
@@ -64,10 +71,9 @@ class NetworkConfig:
             value = getattr(self, name)
             if not (float(value).is_integer() and value >= 1):  # inf, NaN fail
                 raise ConfigError(f"{name} must be a positive integer")
-        # 170 is the largest N whose N! is a finite double (the Alzer eta)
         for name in ("n_los", "n_nlos"):
-            if getattr(self, name) > 170:
-                raise ConfigError(f"{name} must be at most 170")
+            if getattr(self, name) > MAX_SHAPE:
+                raise ConfigError(f"{name} must be at most {MAX_SHAPE}")
 
     @property
     def noise_power(self) -> float:

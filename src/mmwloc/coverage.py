@@ -70,6 +70,12 @@ _EXP_FLOOR = -745.0  # exp underflows below this
 # (256 kB) for rows up to k = 32, whose cell has 1,024 positions (a larger
 # row's chunk is one cell); the node sums' five buffers are the rows of
 # one allocation.
+# The evaluation's 2^14-entry float64 temporaries are 131,072 B, exactly
+# glibc's initial 128 KiB mmap threshold. They come from the heap only
+# because frees of the per-chunk NLOS tables, shape (positions, 32), have
+# raised that threshold; with those tables smaller, each temporary would
+# be mapped and faulted in afresh. Whoever shrinks the tables must move
+# _EVAL_ENTRIES below 2^14 in the same change.
 _CHUNK_ENTRIES = 2 ** 10
 _EVAL_ENTRIES = 2 ** 14
 
@@ -109,8 +115,8 @@ class CoverageResult:
 
 def alzer_eta(n: int) -> float:
     """eta = N * (N!)^(-1/N) for an integer shape N, with N! exact; equals
-    1 for the exponential case. N! is a finite double up to 170, where
-    ``NetworkConfig`` caps the shapes."""
+    1 for the exponential case. N! is a finite double up to 170, beyond
+    ``config.MAX_SHAPE``."""
     return n * float(math.factorial(n)) ** (-1.0 / n)
 
 

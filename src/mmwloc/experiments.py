@@ -100,9 +100,11 @@ _PROBABILITY = _Range(0.0, 1.0, closed=True)
 _CAP = _Range(0.0, 1.0)
 _POINTS = _Range(1, 10_000, closed=True)  # as beta_step's 10,000 betas
 _ROWS = _Range(1, AccessPolicy.n_max, closed=True)  # deepest access row
-# A Monte Carlo batch draws its interferer positions at once, about
-# BATCH_SIZE * 2 lambda * window_half_width doubles; at most this many
-# (80 MB), which admits every density below 1 /m at the default d_s
+# A Monte Carlo batch draws about BATCH_SIZE * 2 lambda * window_half_width
+# interferers, chunk by chunk, where a trial with more than a chunk gets
+# one to itself. At most this many per batch, which bounds a batch's work
+# and its largest one-trial chunk (about 1,200 interferers), and admits
+# every density below 1 /m at the default d_s
 _ORACLE_POSITIONS = 10 ** 7
 
 

@@ -47,10 +47,12 @@ from .numerics import (
 CELL_NODES = 64
 BEAM_NODES = 32
 # Both budgets of the error averages' cell walk (positions per chunk and
-# (beta, position) entries per slice): the grid of row k = 32 for one beta,
-# so a batch holds no larger array than a single beta of the largest
-# default row. They build no per-position tables, so the budgets are equal.
-_AVG_CHUNK_ENTRIES = 2 ** 16
+# (beta, position) entries per slice): each float64 temporary is 64 KiB,
+# below glibc's initial 128 KiB mmap threshold, so it is served from the
+# heap rather than mapped and faulted in afresh (eight cells of row k = 32
+# for one beta). They build no per-position tables, so the budgets are
+# equal; the averages have the same bits at any budget.
+_AVG_CHUNK_ENTRIES = 2 ** 13
 # Estimation spreads are floored here, so a zero spread is evaluated as its
 # limit (no 0/0 on an interval edge) while no real bound is affected.
 SIGMA_FLOOR = 1e-150

@@ -5,8 +5,10 @@ substream (SeedSequence spawn key = batch index), so results are
 bit-identical for a given (seed, config) regardless of how batches are
 scheduled. Inside a batch the interferers are drawn in one fixed stream
 order and processed in trial-aligned chunks, so the bits depend on
-neither the chunk size nor the scheduling. Aggregation uses exact
-integer success counts.
+neither the chunk size nor the scheduling; their positions are drawn
+chunk by chunk too, so a batch holds no interferer array larger than
+one chunk, or one trial's interferers where a trial has more, whatever
+the density. Aggregation uses exact integer success counts.
 
 The coverage simulator realizes the same conditional model the analysis
 integrates: a user at a uniform position inside a cell drawn from the
@@ -22,6 +24,7 @@ same bits alone or among others.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -35,13 +38,16 @@ from .localization import aoa_variance, nu_threshold, ranging_variance
 from .numerics import check_count
 
 BATCH_SIZE = 8192
-# Interferers per arithmetic chunk of _interference_sums: 2^15 float64
-# temporaries of 256 KiB stay in cache. The results do not depend on it.
-_CHUNK = 1 << 15
+# Interferers per chunk of _interference_sums: each float64 temporary, and
+# the int64 owner index, is 64 KiB, below glibc's initial 128 KiB mmap
+# threshold, so the chunks are served from the heap rather than mapped
+# and faulted in afresh. The results do not depend on it.
+_CHUNK = 1 << 13
 
 
 def _batch_streams(seed: int, trials: int):
-    """Yield (rng, batch_size) pairs with deterministic substreams."""
+    """Yield (rng, batch_size) pairs with deterministic substreams; the
+    generators are PCG64, whose ``advance`` _interference_sums relies on."""
     trials = int(trials)
     n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
     for b in range(n_batches):
@@ -61,7 +67,11 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
     The counts, then all positions, then all fading gains are drawn in
     trial order; the arithmetic runs on trial-aligned chunks of about
     _CHUNK interferers (a trial with more gets a chunk to itself), and
-    each trial is summed inside one chunk in interferer order.
+    each trial is summed inside one chunk in interferer order. A chunk's
+    positions come from a copy of the stream at the first position, and
+    the stream itself jumps past all of them before the gains: PCG64
+    takes one 64-bit draw per double, so the positions, the gains and
+    the stream's end state are those of one ``rng.random(total)``.
     """
     w = window_half_width(cfg)
     span = np.maximum(w - d, 0.0)
@@ -72,7 +82,8 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
     total = int(ends[-1]) if n else 0
     if total == 0:
         return out
-    u = rng.random(total)
+    position_rng = copy.deepcopy(rng)
+    rng.bit_generator.advance(total)
     scale = cfg.p_t * cfg.k_pl * sidelobe_gain(cfg) ** 2
     t0 = i0 = 0
     while t0 < n:
@@ -80,7 +91,8 @@ def _interference_sums(rng, d: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
                  t0 + 1)
         i1 = int(ends[t1 - 1])
         owner = np.repeat(np.arange(t1 - t0), counts[t0:t1])
-        y = d[t0:t1].take(owner) + u[i0:i1] * span[t0:t1].take(owner)
+        y = (d[t0:t1].take(owner)
+             + position_rng.random(i1 - i0) * span[t0:t1].take(owner))
         if cfg.n_los == cfg.n_nlos:
             # a scalar shape draws the same gammas at a lower cost
             fade = rng.standard_gamma(cfg.n_los, size=i1 - i0) / cfg.n_los

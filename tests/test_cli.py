@@ -11,6 +11,7 @@ import pytest
 
 from mmwloc import cli, experiments
 from mmwloc.config import (
+    MAX_SHAPE,
     NetworkConfig,
     boundary_keys,
     from_boundary_mapping,
@@ -57,9 +58,11 @@ class TestConfigBoundary:
     def test_invalid_values_surface_as_config_error(self):
         # NetworkConfig(n_los=inf) used to raise OverflowError, an
         # infinite or fractional ue_sounding_elements passed, and so did a
-        # shape whose factorial overflows the floats
+        # shape whose factorial overflows the floats; a shape past
+        # MAX_SHAPE cancels in the coverage expansion
         for bad in ({"bs_density": -1.0}, {"h_b": float("inf")},
                     {"n_los": float("inf")}, {"n_nlos": 2.5},
+                    {"n_los": MAX_SHAPE + 1}, {"n_nlos": MAX_SHAPE + 1},
                     {"n_los": 171}, {"n_nlos": 100000},
                     {"ue_sounding_elements": 2.5},
                     {"ue_sounding_elements": float("inf")}):
@@ -305,7 +308,7 @@ class TestCliRuns:
         code = cli.main(["optimize", "--set", "network.n_los=100000",
                          "--out", str(tmp_path)])
         assert code == 2
-        assert "n_los must be at most 170" in capsys.readouterr().err
+        assert f"n_los must be at most {MAX_SHAPE}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_numeric_error_exits_3(self, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from scipy import integrate
 
 from mmwloc import CoverageQuery, NetworkConfig, OptimizationSpec, coverage
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
+from mmwloc.config import MAX_SHAPE
 from mmwloc.coverage import (
     _CHUNK_ENTRIES,
     _EXP_FLOOR,
@@ -124,6 +125,41 @@ class TestAlzerEta:
         assert alzer_eta(1) == pytest.approx(1.0)
         assert alzer_eta(2) == pytest.approx(math.sqrt(2.0))
         assert alzer_eta(3) == pytest.approx(3.0 * 6.0 ** (-1.0 / 3.0))
+
+
+class TestAlzerCancellation:
+    @pytest.mark.parametrize("noise_psd", [1e-12, dbm_to_watt(-174.0)],
+                             ids=["default", "thermal"])
+    def test_branch_sum_within_1e9_at_the_shape_cap(self, noise_psd):
+        # the alternating terms of sum_n (-1)^(n+1) C(N, n) e^(-x_n) reach
+        # about 2^N where coverage is near 1; at MAX_SHAPE the float sum
+        # stays within 1e-9 of a 60-digit sum of the same exponents
+        # wherever it exceeds 1e-12 (the far positions of the default
+        # noise are dead entries, exactly 0)
+        cfg = NetworkConfig(n_los=MAX_SHAPE, n_nlos=MAX_SHAPE,
+                            noise_psd=noise_psd)
+        x = np.linspace(0.05, 60.0, 40)
+        tables = _InterferenceTables(x, cfg)
+        gain = main_lobe_gain(math.pi / 8, cfg) ** 2
+        g2 = sidelobe_gain(cfg) ** 2
+        noise_over_ref = cfg.noise_power / (cfg.p_t * cfg.k_pl)
+        checked = []
+        for threshold in (0.1, 3.16, 31.6):
+            [got] = _branch_values(x, threshold, (gain,), cfg, tables)
+            terms = []
+            for n, coef in tables.terms:
+                scale = n * tables.eta * threshold * tables.z_pow / gain
+                a = tables.exponents(scale * g2)
+                terms.append((coef, np.maximum(-(scale * noise_over_ref + a),
+                                               _EXP_FLOOR)))
+            with mpmath.workdps(60):
+                refs = [mpmath.fsum(mpmath.mpf(c[i]) * mpmath.exp(e[i])
+                                    for c, e in terms)
+                        for i in range(x.size)]
+            checked += [(g, ref) for g, ref in zip(got, refs) if ref > 1e-12]
+        assert len(checked) >= 20
+        for g, ref in checked:
+            assert abs(g - ref) <= 1e-9 * ref
 
 
 class TestLaplaceInterference:

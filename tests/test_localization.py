@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from mmwloc import NetworkConfig
+from mmwloc import NetworkConfig, localization
 from mmwloc.antenna import main_lobe_gain
 from mmwloc.errors import ConfigError
 from mmwloc.dictionary import beam_boundaries
@@ -227,8 +227,8 @@ class TestAveragedErrors:
 
     @pytest.mark.parametrize("k", [1, 2, 8, 32, 64])
     def test_beta_batch_matches_single_calls(self, cfg, k):
-        # 16 betas per chunk at k = 2, one per chunk at k = 32, and at
-        # k = 64 one beta on half the cells; beta = 0.999 is the one beta
+        # 2 betas per slice at k = 2, one beta on an eighth of the cells at
+        # k = 32 and on a sixteenth at k = 64; beta = 0.999 is the one beta
         # here whose sounding window is cut short
         tu = ue_beamwidth_for_dictionary(k, cfg)
         betas = np.array([0.02, 0.3, 0.5, 0.98, 1.0, 0.999] + [0.44] * 40)
@@ -243,6 +243,22 @@ class TestAveragedErrors:
         # beta = 1 leaves no localization resources
         assert batches[1][4] == 1.0
         assert batches[1][5] > batches[1][3]
+
+    @pytest.mark.parametrize("k", [1, 2, 32])
+    def test_same_bits_at_any_budget(self, cfg, k, monkeypatch):
+        # 2^16 is the former budget, 2^13 the default, and 16 entries
+        # less than one cell of any row here, so each chunk is one cell and
+        # each slice one beta
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        betas = np.array([0.02, 0.3, 0.5, 0.9, 0.999, 1.0])
+        values = []
+        for budget in (2 ** 16, 2 ** 13, 16):
+            monkeypatch.setattr(localization, "_AVG_CHUNK_ENTRIES", budget)
+            values.append((avg_beam_selection_error(k, betas, tu, cfg),
+                           avg_misalignment_error(k, tu, betas, cfg)))
+        for bs, ma in values[1:]:
+            assert np.array_equal(bs, values[0][0])
+            assert np.array_equal(ma, values[0][1])
 
     def test_beam_selection_grows_with_beta(self, cfg):
         tu = ue_beamwidth_for_dictionary(8, cfg)

@@ -4,6 +4,7 @@ draws of a batched coverage call."""
 
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -150,8 +151,29 @@ class TestChunkedInterference:
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_memory_does_not_grow_with_the_positions(self):
+        # one batch at lambda = 0.9 from d = 0 draws about 7.7M positions,
+        # 61 MB as one array; chunk by chunk it holds a few 64 KiB arrays
+        # beside the batch's own
+        cfg = NetworkConfig(bs_density=0.9)
+        rng = np.random.default_rng(3)
+        d = np.zeros(BATCH_SIZE)
+        tracemalloc.start()
+        try:
+            _interference_sums(rng, d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
 
 class TestBatchStreams:
+    def test_generators_are_pcg64(self):
+        # _interference_sums jumps the stream past its positions with
+        # PCG64's advance, one step per double
+        for rng, _ in _batch_streams(3, 2 * BATCH_SIZE):
+            assert isinstance(rng.bit_generator, np.random.PCG64)
+
     def test_sizes_cover_the_trials(self):
         sizes = [size for _, size in _batch_streams(3, 2 * BATCH_SIZE + 5)]
         assert sizes == [BATCH_SIZE, BATCH_SIZE, 5]
