@@ -60,24 +60,22 @@ SERIES_TERMS = 8
 SERIES_RADIUS = 0.01
 _EXP_FLOOR = -745.0  # exp underflows below this
 # The coverage pass has two budgets, because its arrays scale two ways.
-# Per-position node tables hold up to NLOS_NODES values per position, and a
+# Node tables hold up to NLOS_NODES values per rule row (LOS_NODES per
+# position inside the LOS ball, NLOS_NODES per position beyond it), and a
 # node-sum entry gathers as many, so both a cell chunk's positions (which
-# set its kernel tables) and a slice of node-sum entries hold _CHUNK_ENTRIES
-# = 2^10 rows. Every other temporary, the moment series' included, holds
-# one float64 per (pair, position) entry, so an evaluation takes
-# _EVAL_ENTRIES = 2^14 entries: the tables of a 1,024-position chunk serve
-# 16 pairs per evaluation. Either way no array exceeds 2^15 float64
-# (256 kB) for rows up to k = 32, whose cell has 1,024 positions (a larger
-# row's chunk is one cell); the node sums' five buffers are the rows of
-# one allocation.
-# The evaluation's 2^14-entry float64 temporaries are 131,072 B, exactly
-# glibc's initial 128 KiB mmap threshold. They come from the heap only
-# because frees of the per-chunk NLOS tables, shape (positions, 32), have
-# raised that threshold; with those tables smaller, each temporary would
-# be mapped and faulted in afresh. Whoever shrinks the tables must move
-# _EVAL_ENTRIES below 2^14 in the same change.
+# set its kernel tables) and a slice of node-sum entries hold
+# _CHUNK_ENTRIES = 2^10 rows; the node sums' five buffers are the rows of
+# one allocation per chunk. Every other temporary (the weights, series,
+# exponents, error profiles and mixture of an evaluation) holds one
+# float64 per (pair, position) entry, so an evaluation takes
+# _EVAL_ENTRIES = 2^13 entries, 64 KiB per temporary: below glibc's
+# initial 128 KiB mmap threshold, so they come from the heap rather than
+# from fresh mappings faulted in per evaluation. At 2^14 they would sit
+# exactly at the threshold and stay on the heap only while frees of
+# larger arrays have raised it. The tables of a 1,024-position chunk
+# serve 8 pairs per evaluation; a larger row's chunk is one cell.
 _CHUNK_ENTRIES = 2 ** 10
-_EVAL_ENTRIES = 2 ** 14
+_EVAL_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,17 @@ class _InterferenceTables:
     """Per-position tables for the interference exponents, plus the
     serving-link profile of each position.
 
-    Each interferer class (LOS, NLOS) has a Gauss-Legendre node rule per
-    position; ``rules`` holds (row of each position or -1, q^-alpha at the
-    nodes, node weights times 2*lambda, N). From the rules, each position
-    also gets the moment-series coefficients (``coef``, term-major
-    (SERIES_TERMS, positions), summed over the classes) and its reach,
-    q^-alpha at the near end of its interferer regions, where q^-alpha is
-    largest, so it bounds every node. Everything depends only on the
+    Each interferer class (LOS, NLOS) has a Gauss-Legendre node rule;
+    ``rules`` holds (rule row of each position or -1, q^-alpha at the
+    nodes of each row, node weights times 2*lambda, N). The LOS rule has
+    a row per position inside the LOS ball. The NLOS region
+    [max(x, d_S), y_max] is the same for every x <= d_S, so those
+    positions share NLOS row 0 and each position beyond d_S has its own.
+    Each position also gets the moment-series coefficients of its rows
+    (``coef``, term-major (SERIES_TERMS, positions), summed over the
+    classes) and its reach, q^-alpha at the near end of its interferer
+    regions, where q^-alpha is largest, so it bounds every node; both are
+    computed per row and gathered. Everything depends only on the
     positions, so the tables are built once and reused across the branch
     gains, the expansion terms and the partition factors (which only
     rescale the threshold weight w). ``classes`` limits the tables to some
@@ -216,19 +218,22 @@ class _InterferenceTables:
                                two_lambda * wt, int(cfg.n_los)))
             self.reach[los_mask] = (x_los * x_los + h2) ** (-0.5 * cfg.alpha_los)
         if "nlos" in classes:
-            y_near = np.maximum(x, cfg.d_s)
+            beyond = x > cfg.d_s
+            y_near = np.concatenate(([cfg.d_s], x[beyond]))
             t, wt = gauss_legendre(1.0 / _nlos_y_max(cfg), 1.0 / y_near,
                                    NLOS_NODES)
             y = 1.0 / t
-            self.rules.append((np.arange(x.size),
-                               (y * y + h2) ** (-0.5 * cfg.alpha_nlos),
+            row = np.where(beyond, np.cumsum(beyond), 0)
+            self.rules.append((row, (y * y + h2) ** (-0.5 * cfg.alpha_nlos),
                                two_lambda * wt / (t * t), int(cfg.n_nlos)))
-            np.maximum(self.reach, (y_near * y_near + h2) ** (-0.5 * cfg.alpha_nlos),
-                       out=self.reach)
+            reach = (y_near * y_near + h2) ** (-0.5 * cfg.alpha_nlos)
+            np.maximum(self.reach, reach[row], out=self.reach)
         # term-major, so that Horner reads contiguous rows
         self.coef = np.zeros((SERIES_TERMS, x.size))
         for row, qpow, wt, shape in self.rules:
-            self.coef[:, row >= 0] += _series_coefficients(qpow, wt, shape)
+            has = row >= 0
+            self.coef[:, has] += _series_coefficients(qpow, wt,
+                                                      shape)[:, row[has]]
 
     def _series(self, w: np.ndarray) -> np.ndarray:
         """Horner evaluation of the moment series at weights w of shape
@@ -266,9 +271,12 @@ class _InterferenceTables:
         weights beyond its radius (w * reach > SERIES_RADIUS), whose
         entries the node rules then overwrite, on slices of at most
         _CHUNK_ENTRIES entries (an entry's position is its flat index
-        modulo the last-axis size). Every entry is evaluated on its own,
-        so it gets the same bits in any batch."""
+        modulo the last-axis size); with no such weight, the series alone.
+        Every entry is evaluated on its own, so it gets the same bits in
+        any batch."""
         far = w * self.reach > SERIES_RADIUS
+        if not far.any():
+            return self._series(w)
         out = self._series(np.where(far, 0.0, w))
         far_at = np.flatnonzero(far)
         flat, w = out.reshape(-1), np.ravel(w)
@@ -348,11 +356,15 @@ def _branch_values(x: np.ndarray, threshold, gains: tuple, cfg: NetworkConfig,
             scale = scaled / gain
             noise = scale * noise_over_ref
             live = noise < -_EXP_FLOOR
-            if not np.any(live):
+            if live.all():
+                a = tables.exponents(scale * g2)
+                exponent = np.maximum(-(noise + a), _EXP_FLOOR)
+            elif live.any():
+                a = tables.exponents(np.where(live, scale * g2, 0.0))
+                exponent = np.where(live, np.maximum(-(noise + a), _EXP_FLOOR),
+                                    -np.inf)
+            else:
                 continue
-            a = tables.exponents(np.where(live, scale * g2, 0.0))
-            exponent = np.where(live, np.maximum(-(noise + a), _EXP_FLOOR),
-                                -np.inf)
             out += coef * np.exp(exponent)
     if not all(np.all(np.isfinite(out)) for out in outs):
         raise NumericError("branch coverage produced non-finite values")

@@ -143,10 +143,10 @@ def beam_selection_profile(x, sigma_d, d_left, d_right):
     1/2 on an edge, 1 outside); sigma_d == inf gives 1.
     """
     sigma = np.maximum(sigma_d, SIGMA_FLOOR)
-    # both edges in one qfunc call, which has a fixed cost per call
-    left, right = qfunc(np.array(np.broadcast_arrays((d_left - x) / sigma,
-                                                     (d_right - x) / sigma)))
-    return 1.0 - left + right
+    # one qfunc call per edge: stacking both edges into one input would
+    # double the largest temporary of a coverage slice, past glibc's
+    # 128 KiB mmap threshold (see coverage._EVAL_ENTRIES)
+    return 1.0 - qfunc((d_left - x) / sigma) + qfunc((d_right - x) / sigma)
 
 
 def p_misalignment(sigma_psi2, nu):
@@ -182,8 +182,9 @@ def misalignment_error(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _cell_grid(k: int, cfg: NetworkConfig):
-    """Quadrature grid over (cell size, position-within-beam) for row k.
+def _cell_grid(k: int, bs_density: float, h_b: float, d_s: float):
+    """Quadrature grid over (cell size, position-within-beam) for row k,
+    keyed by the geometry it reads: configs that differ elsewhere share it.
 
     Returns (d_a, da_weights, theta_k, bounds, x, pos_w), shapes (nc,),
     (nc,), (nc,), (nc, k+1), (nc, k, nb), (nc, k, nb), nc = CELL_NODES,
@@ -193,10 +194,10 @@ def _cell_grid(k: int, cfg: NetworkConfig):
     split there (the variance profiles jump).
     """
     d_a, da_weights = exponential_cell_nodes(
-        2.0 * cfg.bs_density, CELL_NODES, split=cfg.d_s)
-    bounds = beam_boundaries(d_a, cfg.h_b, k)
-    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s, BEAM_NODES)
-    grid = (d_a, da_weights, row_beamwidth(d_a, cfg.h_b, k), bounds, x,
+        2.0 * bs_density, CELL_NODES, split=d_s)
+    bounds = beam_boundaries(d_a, h_b, k)
+    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], d_s, BEAM_NODES)
+    grid = (d_a, da_weights, row_beamwidth(d_a, h_b, k), bounds, x,
             w / d_a[:, None, None])
     for arr in grid:
         arr.setflags(write=False)
@@ -218,7 +219,8 @@ def cell_average(k: int, n_items: int, cfg: NetworkConfig, evaluator,
     an item slice's values there, shape (items, c, k, nb). Each item is
     summed per cell, then over cells: it gets the same bits in any batch.
     """
-    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(
+        k, cfg.bs_density, cfg.h_b, cfg.d_s)
     n_cells, per_cell = x.shape[0], x[0].size
     cells_step = min(n_cells, max(1, positions // per_cell))
     items_step = max(1, entries // (cells_step * per_cell))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mmwloc import CoverageQuery, NetworkConfig, OptimizationSpec, coverage
+from mmwloc import (CoverageQuery, NetworkConfig, OptimizationSpec, coverage,
+                    localization)
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.config import MAX_SHAPE
 from mmwloc.coverage import (
@@ -83,7 +84,8 @@ def _quadrature_misses(cfg, branch, xs, region):
 def _cell_loop_reference(threshold, k, theta_u, beta, cfg):
     """overall_coverage one cell node and one (threshold, beta) pair at a
     time, with a dot product per cell: the loop the batched pass replaced."""
-    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(k, cfg)
+    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(
+        k, cfg.bs_density, cfg.h_b, cfg.d_s)
     total = 0.0
     for i, da_weight in enumerate(da_weights):
         d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
@@ -300,6 +302,45 @@ class TestInterferenceKernel:
                   for i, p in enumerate(x.tolist())]
         assert np.array_equal(batch, single)
 
+    # positions inside the LOS ball, exactly on its edge and beyond it; the
+    # noise moves entries between the live and dead paths of the branch
+    # values, and 3/1 shapes give the classes different expansion terms
+    @pytest.mark.parametrize("overrides", [
+        {}, {"noise_psd": dbm_to_watt(-174.0)}, {"n_los": 3, "n_nlos": 1}],
+        ids=["default", "thermal", "shapes-3-1"])
+    def test_shared_nlos_rule_matches_one_position_builds(self, overrides):
+        cfg = NetworkConfig(**overrides)
+        x = np.concatenate([np.linspace(0.0, cfg.d_s, 9), [cfg.d_s],
+                            np.linspace(cfg.d_s + 0.5, 400.0, 12)])
+        beyond = x > cfg.d_s
+        tables = _InterferenceTables(x, cfg)
+        rows, qpow, wt, _ = tables.rules[-1]
+        # one row shared by the LOS ball, one per position beyond it
+        assert qpow.shape[0] == wt.shape[0] == 1 + np.count_nonzero(beyond)
+        assert np.all(rows[~beyond] == 0)
+        singles = [_InterferenceTables(x[i:i + 1], cfg) for i in range(x.size)]
+        assert np.array_equal(tables.coef,
+                              np.concatenate([s.coef for s in singles], axis=1))
+        assert np.array_equal(tables.reach,
+                              np.concatenate([s.reach for s in singles]))
+        # v = w * reach at 0.1, 3.2 and 1000 times the series radius
+        w = SERIES_RADIUS / tables.reach * 10.0 ** np.array([[-1.0], [0.5],
+                                                               [3.0]])
+        got = tables.exponents(w)
+        for i, single in enumerate(singles):
+            assert np.array_equal(got[:, i],
+                                  single.exponents(w[:, i:i + 1])[:, 0])
+        # a batch with no entry beyond the radius skips the node path
+        assert np.array_equal(tables.exponents(w[0]), got[0])
+        gains = (main_lobe_gain(0.2, cfg) * main_lobe_gain(0.5, cfg),
+                 sidelobe_gain(cfg) ** 2)
+        thresholds = np.array([[0.1], [3.16], [100.0]])
+        batch = _branch_values(x, thresholds, gains, cfg, tables)
+        for i, single in enumerate(singles):
+            alone = _branch_values(x[i:i + 1], thresholds, gains, cfg, single)
+            for values, value in zip(batch, alone):
+                assert np.array_equal(values[:, i], value[:, 0])
+
     @pytest.mark.parametrize("noise_psd", [1e-12, dbm_to_watt(-174.0)],
                              ids=["default", "thermal"])
     def test_series_matches_mpmath(self, noise_psd, monkeypatch):
@@ -425,7 +466,7 @@ class TestOverallCoverage:
     def test_equals_direct_beam_sum(self, cfg, t, beta):
         # every beam of every cell node, each mixed on its own
         k, tu = 4, math.pi / 8
-        d_a, da_weights = _cell_grid(k, cfg)[:2]
+        d_a, da_weights = _cell_grid(k, cfg.bs_density, cfg.h_b, cfg.d_s)[:2]
         acc = 0.0
         for cell, cell_weight in zip(d_a, da_weights):
             bounds = beam_boundaries(cell, cfg.h_b, k)
@@ -485,7 +526,7 @@ class TestBatchedCoverage:
             assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     # k = 1 and k = 32 both fill a chunk with 1,024 positions, so a slice
-    # holds 16 pairs: the 50 default betas take four slices, the last of
+    # holds 8 pairs: the 50 default betas take seven slices, the last of
     # them partial. The first and last pair of every slice are checked (a
     # single pair at k = 32 walks 64 one-cell chunks).
     @pytest.mark.parametrize("k", [1, 32])
@@ -501,6 +542,53 @@ class TestBatchedCoverage:
                 single = overall_coverage(float(thresholds[i]), k, tu,
                                           float(betas[i]), cfg)
                 assert single == batch[i]
+
+    # k = 32 fills a chunk with one 1,024-position cell, so every
+    # evaluation of the 50 default betas but the last holds a full budget
+    def test_evaluation_temporaries_below_mmap_threshold(self, monkeypatch):
+        cfg = NetworkConfig()
+        betas = np.array(default_beta_grid())
+        tu = ue_beamwidth_for_dictionary(32, cfg)
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        sizes = []
+        real_exponents = _InterferenceTables.exponents
+        real_mixture = coverage._mixture_values
+        real_qfunc = localization.qfunc
+
+        def exponents(self, w):
+            sizes.append(np.asarray(w).nbytes)
+            return real_exponents(self, w)
+
+        def mixture(*args):
+            out = real_mixture(*args)
+            sizes.append(out.nbytes)
+            return out
+
+        def qfunc(x):
+            sizes.append(np.asarray(x, dtype=float).nbytes)
+            return real_qfunc(x)
+
+        monkeypatch.setattr(_InterferenceTables, "exponents", exponents)
+        monkeypatch.setattr(coverage, "_mixture_values", mixture)
+        monkeypatch.setattr(localization, "qfunc", qfunc)
+        overall_coverage(thresholds, 32, tu, betas, cfg)
+        # glibc maps allocations of 128 KiB and up afresh, by default
+        assert max(sizes) == 8 * coverage._EVAL_ENTRIES < 128 * 1024
+
+    # the budget before it was halved: every pair keeps its bits
+    @pytest.mark.parametrize("k, noise_psd", [
+        (4, 1e-12), (32, 1e-12), (4, dbm_to_watt(-174.0))],
+        ids=["k4", "k32", "k4-thermal"])
+    def test_former_evaluation_budget_gives_same_bits(self, k, noise_psd,
+                                                      monkeypatch):
+        cfg = NetworkConfig(noise_psd=noise_psd)
+        betas = np.array(default_beta_grid())
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        thresholds = rate_to_sinr_threshold(1.0e8, betas, cfg)
+        batch = overall_coverage(thresholds, k, tu, betas, cfg)
+        monkeypatch.setattr(coverage, "_EVAL_ENTRIES", 2 ** 14)
+        assert np.array_equal(
+            overall_coverage(thresholds, k, tu, betas, cfg), batch)
 
     # 96 positions and 300 entries divide neither the 64 cells nor the 50
     # pairs: at k = 1 a chunk is 3 cells and a slice 3 pairs, at k = 2 one
@@ -545,7 +633,7 @@ class TestBatchedCoverage:
 
     def test_one_misalignment_row_per_chunk_and_window(self, monkeypatch):
         # the default grid's 50 betas share 2 sounding windows, and row
-        # k = 4 walks 8 chunks in 4 slices each: a row per (chunk, window)
+        # k = 4 walks 8 chunks in 7 slices each: a row per (chunk, window)
         # is 16 calls, and recomputing the rows per slice makes more
         cfg = NetworkConfig()
         betas = np.array(default_beta_grid())
