@@ -183,25 +183,27 @@ def misalignment_error(x, gamma_b, theta_u: float, beta, cfg: NetworkConfig):
 
 @lru_cache(maxsize=64)
 def _cell_grid(k: int, bs_density: float, h_b: float, d_s: float):
-    """Quadrature grid over (cell size, position-within-beam) for row k,
-    keyed by the geometry it reads: configs that differ elsewhere share it.
-
-    Returns (d_a, da_weights, theta_k, bounds, x, pos_w), shapes (nc,),
-    (nc,), (nc,), (nc, k+1), (nc, k, nb), (nc, k, nb), nc = CELL_NODES,
-    nb = BEAM_NODES: cell-size nodes and weights, and per node cell its row
-    beamwidth, beam edges, positions and position weights (with the
-    uniform 1/d_a density). Beam panels straddling the LOS-ball edge are
-    split there (the variance profiles jump).
-    """
+    """Cell grid of row k, keyed by the geometry it reads (configs that
+    differ elsewhere share it): (d_a, da_weights, theta_k, bounds), shapes
+    (nc,) x 3 and (nc, k+1), nc = CELL_NODES, the cell-size nodes and
+    weights and each cell's row beamwidth and beam edges. Positions are
+    not cached: ``_cell_positions`` builds them per chunk."""
     d_a, da_weights = exponential_cell_nodes(
         2.0 * bs_density, CELL_NODES, split=d_s)
-    bounds = beam_boundaries(d_a, h_b, k)
-    x, w = split_panel(bounds[:, :-1], bounds[:, 1:], d_s, BEAM_NODES)
-    grid = (d_a, da_weights, row_beamwidth(d_a, h_b, k), bounds, x,
-            w / d_a[:, None, None])
+    bounds = beam_boundaries(d_a, h_b, k)   # checks k before the division
+    grid = (d_a, da_weights, row_beamwidth(d_a, h_b, k), bounds)
     for arr in grid:
         arr.setflags(write=False)
     return grid
+
+
+def _cell_positions(d_a, bounds, d_s: float):
+    """Positions and weights (uniform 1/d_a density), shapes (c, k, nb), of
+    cells d_a with beam edges bounds, panels split at the LOS-ball edge d_s
+    (the variance profiles jump there); same bits in any chunk."""
+    x, pos_w = split_panel(bounds[:, :-1], bounds[:, 1:], d_s, BEAM_NODES)
+    pos_w /= d_a[:, None, None]
+    return x, pos_w
 
 
 def cell_average(k: int, n_items: int, cfg: NetworkConfig, evaluator,
@@ -214,23 +216,24 @@ def cell_average(k: int, n_items: int, cfg: NetworkConfig, evaluator,
     with the (item, position) entries of a slice. A chunk holds at most
     ``positions`` positions and a slice at most ``entries`` entries; a
     chunk is never less than one cell, nor a slice less than one item.
-    ``evaluator(theta_k, bounds, x)`` gets each chunk's part of the grid
-    (``_cell_grid``'s arrays for c cells) and returns a function giving
-    an item slice's values there, shape (items, c, k, nb). Each item is
-    summed per cell, then over cells: it gets the same bits in any batch.
+    ``evaluator(theta_k, bounds, x)`` gets each chunk's c cells of the grid
+    and positions (built per chunk) and returns a function giving an item
+    slice's values there, shape (items, c, k, nb). Each item is summed per
+    cell, then over cells: it gets the same bits in any batch.
     """
-    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(
+    d_a, da_weights, theta_k, bounds = _cell_grid(
         k, cfg.bs_density, cfg.h_b, cfg.d_s)
-    n_cells, per_cell = x.shape[0], x[0].size
+    n_cells, per_cell = d_a.size, k * BEAM_NODES
     cells_step = min(n_cells, max(1, positions // per_cell))
     items_step = max(1, entries // (cells_step * per_cell))
     cell_sums = np.empty((n_items, n_cells))
     for c in range(0, n_cells, cells_step):
         cells = slice(c, c + cells_step)
-        values = evaluator(theta_k[cells], bounds[cells], x[cells])
+        x, pos_w = _cell_positions(d_a[cells], bounds[cells], cfg.d_s)
+        values = evaluator(theta_k[cells], bounds[cells], x)
         for i in range(0, n_items, items_step):
             items = slice(i, i + items_step)
-            cell_sums[items, cells] = np.sum(values(items) * pos_w[cells],
+            cell_sums[items, cells] = np.sum(values(items) * pos_w,
                                              axis=(-2, -1))
     return checked_probability(np.sum(cell_sums * da_weights, axis=-1), what)
 

@@ -182,20 +182,17 @@ def split_panel(a, b, cut: float, n: int):
 
     Integrands here switch propagation regime at the LOS-ball edge, so
     panels straddling it must not be integrated as one smooth piece.
-    Returns (x, w) with a trailing axis of n nodes either way.
+    Returns (x, w) with a trailing axis of n nodes either way; only the
+    straddling panels' n nodes are overwritten by the two half rules.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    straddle = (a < cut) & (cut < b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    x, w = gauss_legendre(a, b, n)
+    at = (a < cut) & (cut < b)
     half = n // 2
-    x_plain, w_plain = gauss_legendre(a, b, n)
-    lo_x, lo_w = gauss_legendre(a, np.minimum(b, cut), half)
-    hi_x, hi_w = gauss_legendre(np.maximum(a, cut), b, n - half)
-    x_split = np.concatenate([lo_x, hi_x], axis=-1)
-    w_split = np.concatenate([lo_w, hi_w], axis=-1)
-    mask = straddle[..., None]
-    return np.where(mask, x_split, x_plain), np.where(mask, w_split, w_plain)
+    x[at, :half], w[at, :half] = gauss_legendre(a[at], cut, half)
+    x[at, half:], w[at, half:] = gauss_legendre(cut, b[at], n - half)
+    return x, w
 
 
 def checked_probability(p, what: str):

@@ -44,6 +44,7 @@ from mmwloc.localization import (
 )
 from mmwloc.numerics import dbm_to_watt, gauss_legendre, split_panel
 from mmwloc.optimizer import default_beta_grid, ue_beamwidth_for_dictionary
+from test_numerics import where_split_panel
 
 
 @pytest.fixture
@@ -84,20 +85,63 @@ def _quadrature_misses(cfg, branch, xs, region):
 def _cell_loop_reference(threshold, k, theta_u, beta, cfg):
     """overall_coverage one cell node and one (threshold, beta) pair at a
     time, with a dot product per cell: the loop the batched pass replaced."""
-    _, da_weights, theta_k, bounds, x, pos_w = _cell_grid(
+    d_a, da_weights, theta_k, bounds = _cell_grid(
         k, cfg.bs_density, cfg.h_b, cfg.d_s)
     total = 0.0
     for i, da_weight in enumerate(da_weights):
-        d_left = np.broadcast_to(bounds[i, :-1, None], x[i].shape)
-        d_right = np.broadcast_to(bounds[i, 1:, None], x[i].shape)
+        x, w = split_panel(bounds[i, :-1], bounds[i, 1:], cfg.d_s, BEAM_NODES)
+        d_left = np.broadcast_to(bounds[i, :-1, None], x.shape)
+        d_right = np.broadcast_to(bounds[i, 1:, None], x.shape)
         gamma_b = main_lobe_gain(float(theta_k[i]), cfg)
-        p_ma = misalignment_error(x[i].ravel(), gamma_b, theta_u, beta, cfg)
-        values = _mixture_values(x[i].ravel(), threshold, gamma_b,
+        p_ma = misalignment_error(x.ravel(), gamma_b, theta_u, beta, cfg)
+        values = _mixture_values(x.ravel(), threshold, gamma_b,
                                  theta_u, beta, p_ma, k, d_left.ravel(),
                                  d_right.ravel(), cfg,
-                                 _InterferenceTables(x[i].ravel(), cfg))
-        total += da_weight * float(np.dot(values, pos_w[i].ravel()))
+                                 _InterferenceTables(x.ravel(), cfg))
+        total += da_weight * float(np.dot(values, w.ravel() / d_a[i]))
     return min(max(total, 0.0), 1.0)
+
+
+class TestCellPositions:
+    """cell_average builds each chunk's positions from the cached beam
+    edges; every chunk must hold the bits of the whole-grid arrays that
+    the cell grid used to cache."""
+
+    @staticmethod
+    def _whole_grid(k, cfg):
+        # the whole-grid formula: both rules merged by np.where, then w / d_a
+        d_a, _, _, bounds = _cell_grid(k, cfg.bs_density, cfg.h_b, cfg.d_s)
+        x, w = where_split_panel(bounds[:, :-1], bounds[:, 1:], cfg.d_s,
+                                 BEAM_NODES)
+        straddle = (bounds[:, :-1] < cfg.d_s) & (cfg.d_s < bounds[:, 1:])
+        return x, w / d_a[:, None, None], np.count_nonzero(straddle)
+
+    # at density 0.05 the LOS-ball edge d_S = 20 m falls inside one panel
+    # of each of 32 cells; at 0.5 every cell is shorter than d_S
+    @pytest.mark.parametrize("density, straddling", [(0.05, 32), (0.5, 0)])
+    @pytest.mark.parametrize("k", [1, 2, 32])
+    def test_chunks_equal_whole_grid_bits(self, monkeypatch, k, density,
+                                          straddling):
+        cfg = NetworkConfig(bs_density=density)
+        build, chunks = localization._cell_positions, []
+
+        def recording(*args):
+            chunks.append(build(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(localization, "_cell_positions", recording)
+        tu = ue_beamwidth_for_dictionary(k, cfg)
+        avg_misalignment_error(k, tu, 0.5, cfg)
+        error_walk = len(chunks)
+        overall_coverage(3.16, k, tu, 0.5, cfg)
+        x_ref, w_ref, count = self._whole_grid(k, cfg)
+        assert count == straddling
+        # the error averages' chunks hold at most 2^13 positions, 64 KiB
+        assert max(x.nbytes for x, _ in chunks[:error_walk]) <= 2 ** 16
+        for walk in (chunks[:error_walk], chunks[error_walk:]):
+            x, w = (np.concatenate(arrays) for arrays in zip(*walk))
+            assert x.shape == x_ref.shape and x.tobytes() == x_ref.tobytes()
+            assert w.shape == w_ref.shape and w.tobytes() == w_ref.tobytes()
 
 
 NAN = float("nan")

@@ -1,6 +1,7 @@
 """Localization bounds and the beam-selection / misalignment probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mmwloc.errors import ConfigError
 from mmwloc.dictionary import beam_boundaries
 from mmwloc.localization import (
     _aoa_factor,
+    _cell_grid,
     avg_beam_selection_error,
     avg_misalignment_error,
     aoa_variance,
@@ -383,3 +385,25 @@ def test_nan_partition_rejected(cfg, call):
     # information: infinite variances and an error probability of 1
     with pytest.raises(ValueError):
         call(cfg)
+
+
+class TestCellGridMemory:
+    """The cell grid caches only its beam edges; positions are built per
+    chunk. Holding the whole (64, 32, 32) position and weight grids of
+    row k = 32 took 1,067,008 B, and building them peaked at 4.1 MB."""
+
+    def test_cached_arrays_are_edges_only(self, cfg):
+        grid = _cell_grid(32, cfg.bs_density, cfg.h_b, cfg.d_s)
+        assert sum(arr.nbytes for arr in grid) <= 32 * 1024
+
+    def test_build_peak(self, cfg):
+        key = (32, cfg.bs_density, cfg.h_b, cfg.d_s)
+        _cell_grid(*key)          # warms the Gauss-Legendre reference rules
+        _cell_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            _cell_grid(*key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024

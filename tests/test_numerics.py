@@ -97,6 +97,61 @@ class TestSplitPanel:
         xg, wg = gauss_legendre(a, b, 8)
         assert np.array_equal(xs, xg) and np.array_equal(ws, wg)
 
+    # (a, b, cut) for each kind of panel set, random panels drawn in [0, 4)
+    @staticmethod
+    def _panels(case, rng):
+        a = rng.uniform(0.0, 4.0, (8, 5))
+        b = a + rng.uniform(0.01, 2.0, a.shape)
+        if case == "none":
+            return a, b, 7.0
+        if case == "all":
+            return rng.uniform(0.0, 1.0, a.shape), b + 1.0, 1.0
+        if case == "mixed":
+            return a, b, 2.5
+        cut = float(a[3, 2] if case == "a_at_cut" else b[3, 2])
+        # the panel with an edge at the cut does not straddle it; others do
+        return a, b, cut
+
+    @pytest.mark.parametrize("n", [7, 32])
+    @pytest.mark.parametrize("case", ["none", "all", "mixed", "a_at_cut",
+                                      "b_at_cut"])
+    def test_equals_where_form_bits(self, case, n):
+        a, b, cut = self._panels(case, np.random.default_rng(n))
+        straddle = (a < cut) & (cut < b)
+        if case in ("none", "all"):
+            assert np.all(straddle == (case == "all"))
+        else:
+            assert 0 < np.count_nonzero(straddle) < straddle.size
+        _assert_same_bits(split_panel(a, b, cut, n),
+                          where_split_panel(a, b, cut, n))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (1.0, 3.0), (0.0, 1.0),
+                                      (0.0, 0.5), (np.array([0.0, 2.0]), 3.0)])
+    def test_0d_and_broadcast_inputs_equal_where_form_bits(self, a, b):
+        got = split_panel(a, b, 1.0, 8)
+        assert got[0].shape == np.shape(a) + (8,)
+        _assert_same_bits(got, where_split_panel(a, b, 1.0, 8))
+
+
+def where_split_panel(a, b, cut, n):
+    """split_panel as both rules on every panel merged by np.where: the
+    form whose bits the overwriting one keeps."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    straddle = (a < cut) & (cut < b)
+    half = n // 2
+    x_plain, w_plain = gauss_legendre(a, b, n)
+    lo_x, lo_w = gauss_legendre(a, np.minimum(b, cut), half)
+    hi_x, hi_w = gauss_legendre(np.maximum(a, cut), b, n - half)
+    mask = straddle[..., None]
+    return (np.where(mask, np.concatenate([lo_x, hi_x], axis=-1), x_plain),
+            np.where(mask, np.concatenate([lo_w, hi_w], axis=-1), w_plain))
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
 
 class TestQfunc:
     def test_known_values(self):
