@@ -10,7 +10,8 @@ UE takes the thinnest ``UE_GRID`` beamwidth that keeps misalignment under
 its cap (at most one grid level per step). The procedure stops when both
 variances meet the termination accuracies, or at the step budget.
 ``access_traces`` runs the loop for many users in chunks, stepping every
-unfinished user of a chunk together; every rule works on arrays of users.
+unfinished user of a chunk together; every rule works on arrays of users,
+and a BS selection computes only the dictionary rows it decides.
 
 The per-step observation model is the one under-specified piece of the
 refinement procedure; it is pinned here as: wideband access pilots over
@@ -101,9 +102,15 @@ class AccessTrace:
     fallback_events: int = 0
 
 
-# (user, row) entries of one chunk's row tables, which no other chunk
-# array exceeds: 32 users at the default n_max of 1024
-_CHUNK_ENTRIES = 2 ** 15
+# users of one chunk, stepped together. Each keeps its AccessStep records,
+# about 210 B each, until the chunk's traces are made: at the 21 steps a
+# 1 mm ``access-delay`` user takes on average, a chunk holds about 2,700
+# records (0.6 MB)
+_CHUNK_USERS = 128
+# (entry, row) pairs of one row block of a beam selection, so that a
+# block's float64 temporaries are 64 KiB, below glibc's initial 128 KiB
+# mmap threshold; it holds a chunk's users one row each
+_BLOCK_ENTRIES = 2 ** 13
 
 _UE_WIDTHS = np.array(UE_GRID)
 _UE_WIDTHS.setflags(write=False)
@@ -138,36 +145,100 @@ def _tail_bracket(sigma, cap: float, tails: int) -> tuple:
             s * q_inverse((cap - _ABS_GUARD) / (2.0 * (1.0 + _REL_GUARD))))
 
 
-def _row_table(d_hat, d_a, h_b: float, n_max: int) -> tuple:
-    """(d_hat, d_a, h_b, margin, reach) for users at d_hat in cells of size
-    d_a (1-D arrays): margin[u, r - 2], for row r = 2..n_max, is d_hat's
-    distance to the nearer edge of the row-r beam holding it, and reach
-    the largest such distance in row r or any deeper row."""
-    x = d_hat[:, None]
-    left, right = containing_beam(x, d_a[:, None], h_b,
-                                  np.arange(2, n_max + 1))[1:]
-    np.subtract(x, left, out=left)
-    right -= x
-    margin = np.minimum(left, right, out=left)
-    reach = np.maximum.accumulate(margin[:, ::-1], axis=1)[:, ::-1]
-    return d_hat, d_a, h_b, margin, reach
+def _margins(geometry: tuple, users, rows):
+    """d's distance to the nearer edge of the row-``rows`` beam holding it,
+    for the ``geometry`` users (users and rows are aligned 1-D arrays)."""
+    d_hat, d_a, h_b, _ = geometry
+    x = d_hat[users]
+    _, left, right = containing_beam(x, d_a[users], h_b, rows)
+    return np.minimum(x - left, right - x)
 
 
-def _select_row(table: tuple, users, sigma_d2, delta_bs: float, k, c):
-    """min(max(k_sel, k), c) per entry, k_sel being the largest row of the
-    ``_row_table`` user whose containing beam meets the selection-error cap
-    (1 if none does); users, sigma_d2, k and c are aligned 1-D arrays.
+_EDGE_GUARD = 2.0 ** -46    # slack of the width bound, 64 ulps
 
-    An entry with a surely feasible row at or above c takes c. For any
-    other, reach is below hi from column c - 2 on and does not increase,
-    so a column of k - 1 .. c - 3 whose reach is at or above hi has a
-    surely feasible row below c at or after it: k_sel is at least s, the
-    row of the last such column (k if there is none). One block then
-    decides every row from s + 1 to n_max, erfc running only where
-    ``_tail_bracket`` cannot tell. No block read from the tables is
-    larger than they are.
+
+def _margin_bound(d, d_a, h_b: float, m) -> tuple:
+    """(scale, slack): in every row r >= m, the margin of d in the beam
+    holding it is at most scale / r + slack.
+
+    That beam spans the angles [(j - 1) theta_r, j theta_r], where (j - 1)
+    theta_r <= atan(d / h_b) and theta_r <= theta_m, so none exceeds phi =
+    min(theta_1, atan(d / h_b) + theta_m). As sec^2 rises on [0, pi/2),
+    the beam's ground width is at most h_b theta_r sec^2(phi), and the
+    margin at most half of that. Rounding moves each computed edge by a
+    few ulps of its tan, which is a few ulps times r of the width, and the
+    margin by an ulp of d: ``slack`` covers both. It moves phi by a few
+    ulps too, which sec^2 amplifies by at most tan(phi) <= d_a / h_b: the
+    relative guard covers that and the rounding of the bound itself.
     """
-    d_hat, d_a, h_b, margin, reach = table
+    theta_1 = row_beamwidth(d_a, h_b, 1)
+    phi = np.minimum(theta_1, np.arctan2(d, h_b) + theta_1 / m)
+    scale = (h_b * theta_1 / (2.0 * np.cos(phi) ** 2)
+             * (1.0 + _REL_GUARD + _EDGE_GUARD * d_a / h_b))
+    return scale, _EDGE_GUARD * (scale + d_a)
+
+
+def _last_row(geometry: tuple, users, m, lo):
+    """Per entry, a row (at most n_max) past which every row r >= m has a
+    margin below lo, and so surely misses the cap."""
+    d_hat, d_a, h_b, n_max = geometry
+    scale, slack = _margin_bound(d_hat[users], d_a[users], h_b, m)
+    with np.errstate(divide="ignore", over="ignore"):
+        last = np.floor(scale / np.maximum(lo - slack, 0.0))
+    return np.minimum(last, n_max).astype(int)
+
+
+def _scan(geometry: tuple, users, lo, hi, start, stop, step: int) -> tuple:
+    """(sure, ask, row) of entries that each scan the rows start, start +
+    step, ... short of stop until a surely feasible one (margin >= hi):
+    sure is that row per entry (stop if there is none), and (ask, row) the
+    pairs scanned before it that the bracket cannot decide (lo <= margin <
+    hi). Each round takes up to 1, 4, 16, ... rows an entry, as most
+    scans end on their first row, in at most ``_BLOCK_ENTRIES`` pairs."""
+    sure, start = stop.copy(), start.copy()
+    at = ((stop - start) * step > 0).nonzero()[0]
+    asks, rows_asked = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    grow = 1
+    while at.size:
+        left = (stop[at] - start[at]) * step
+        width = min(max(1, _BLOCK_ENTRIES // at.size), int(left.max()), grow)
+        grow *= 4
+        cols = np.arange(width)
+        rows = start[at, None] + step * cols
+        inside = cols < left[:, None]
+        margin = np.full(rows.shape, np.nan)
+        margin[inside] = _margins(geometry, np.repeat(
+            users[at], np.minimum(left, width)), rows[inside])
+        hit = margin >= hi[at, None]
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), width)
+        entry, col = ((margin >= lo[at, None])
+                      & (cols < first[:, None])).nonzero()
+        asks.append(at[entry])
+        rows_asked.append(rows[entry, col])
+        found = first < width
+        sure[at[found]] = rows[found, first[found]]
+        start[at] += step * width
+        at = at[~found & (left > width)]
+    return sure, np.concatenate(asks), np.concatenate(rows_asked)
+
+
+def _select_row(geometry: tuple, users, sigma_d2, delta_bs: float, k, c):
+    """min(max(k_sel, k), c) per entry, k_sel being the largest row up to
+    n_max whose beam holding the user meets the selection-error cap (1 if
+    none does). The users index ``geometry`` = (d_hat, d_a, h_b, n_max),
+    whose first two are 1-D arrays; users, sigma_d2, k and c are aligned
+    1-D arrays.
+
+    Only the rows that can move the result are decided, and erfc runs
+    only on those ``_tail_bracket`` cannot tell: in one call for the rows
+    at or above c and in one for those below.
+    - Row c first; a surely feasible row there settles most steps.
+    - Then the rows above c up to ``_last_row``, past which every row
+      surely misses: a feasible one among them also makes the step take c.
+    - Failing both, the rows below c down to k + 1, from the top (or
+      their ``_last_row``): the first surely feasible one, or a feasible
+      one above it, is the result, and k if there is none.
+    """
     out = np.minimum(k, c)
     at = ((k < c) & np.isfinite(sigma_d2)).nonzero()[0]
     if not at.size:
@@ -175,24 +246,38 @@ def _select_row(table: tuple, users, sigma_d2, delta_bs: float, k, c):
     users, k, c = users[at], k[at], c[at]
     sigma = np.sqrt(sigma_d2[at])
     lo, hi = _tail_bracket(sigma, delta_bs, 1)
-    rest = (reach[users, c - 2] < hi).nonzero()[0]
-    if rest.size:
-        users, k, sigma, lo = users[rest], k[rest], sigma[rest], lo[rest]
-        a, b = k.min() - 1, c[rest].max() - 2
-        s = np.maximum(np.count_nonzero(reach[users, a:b] >= hi[rest, None],
-                                        axis=1) + a + 1, k)
-        a = s.min() - 1
-        block = margin[users, a:] >= lo[:, None]
-        block &= np.arange(a, margin.shape[1]) >= s[:, None] - 1
-        ask, row = block.nonzero()
+    d_hat, d_a, h_b, _ = geometry
+
+    def feasible(ask, row):
+        x = d_hat[users[ask]]
+        _, left, right = containing_beam(x, d_a[users[ask]], h_b, row)
+        return beam_selection_profile(x, sigma[ask], left, right) <= delta_bs
+
+    margin = _margins(geometry, users, c)
+    open_ = margin < hi               # no surely feasible row at c or above
+    if open_.any():
+        rest = open_.nonzero()[0]
+        ask = rest[margin[rest] >= lo[rest]]
+        top = _last_row(geometry, users[rest], c[rest], lo[rest])
+        up, ask_up, row_up = _scan(geometry, users[rest], lo[rest], hi[rest],
+                                   c[rest] + 1, top + 1, 1)
+        open_[rest[up <= top]] = False
+        row = np.append(c[ask], row_up)
+        ask = np.append(ask, rest[ask_up])
+        keep = open_[ask]
+        ask, row = ask[keep], row[keep]
         if ask.size:
-            row += a + 2
-            u = users[ask]
-            _, left, right = containing_beam(d_hat[u], d_a[u], h_b, row)
-            ok = beam_selection_profile(d_hat[u], sigma[ask], left,
-                                        right) <= delta_bs
-            np.maximum.at(s, ask[ok], row[ok])
-        c[rest] = np.minimum(s, c[rest])
+            open_[ask[feasible(ask, row)]] = False
+        rest = open_.nonzero()[0]
+        if rest.size:
+            start = np.minimum(c[rest] - 1, _last_row(
+                geometry, users[rest], k[rest] + 1, lo[rest]))
+            best, ask, row = _scan(geometry, users[rest], lo[rest], hi[rest],
+                                   start, k[rest], -1)
+            if ask.size:
+                ok = feasible(rest[ask], row)
+                np.maximum.at(best, ask[ok], row[ok])
+            c[rest] = best
     out[at] = c
     return out
 
@@ -280,7 +365,7 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
     selection its final accuracy supports (the sweep baselines must reach
     this same resolution), is made for all the chunk's users at the end."""
     last = len(UE_GRID) - 1
-    table = _row_table(d, cell_size, cfg.h_b, policy.n_max)
+    geometry = (d, cell_size, cfg.h_b, policy.n_max)
     energy, variances = _step_variances(
         d, row_beamwidth(cell_size, cfg.h_b, 1),
         policy.symbol_duration * policy.pilot_energy_scale, cfg)
@@ -302,7 +387,7 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
 
     for step in range(1, policy.max_steps + 1):
         if step % 2 == 1:
-            k = _select_row(table, users, sigma_d2, policy.delta_bs, k,
+            k = _select_row(geometry, users, sigma_d2, policy.delta_bs, k,
                             np.minimum(np.ceil(policy.bs_growth * k),
                                        policy.n_max).astype(int))
             pilot = energy(users, k)
@@ -333,8 +418,9 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
                  sigma_psi2))
             if not users.size:
                 break
-    final_k = _select_row(table, np.arange(d.size), end_d2, policy.delta_bs,
-                          end_k, np.full(d.size, policy.n_max))
+    final_k = _select_row(geometry, np.arange(d.size), end_d2,
+                          policy.delta_bs, end_k,
+                          np.full(d.size, policy.n_max))
     final_level = _ue_level(end_psi2, policy.delta_ma, end_level,
                             np.full(d.size, last))
     return [AccessTrace(steps=tuple(steps), total_symbols=len(steps),
@@ -351,21 +437,21 @@ def access_traces(geometries, policy: AccessPolicy, cfg: NetworkConfig):
     bounds, for each (d, cell_size) in order: a user at ground distance d
     inside a cell of the given one-sided size.
 
-    The users run in chunks whose row tables hold at most
-    ``_CHUNK_ENTRIES`` entries (one user at least), each chunk's unfinished
-    users stepped together; a chunk's traces are made when it ends.
+    The users run in chunks of ``_CHUNK_USERS``, each chunk's unfinished
+    users stepped together; a chunk's traces are made when it ends, and
+    its beam selections compute only the rows they decide.
     """
     d, cell_size = np.asarray(geometries, dtype=float).reshape(-1, 2).T
     if not ((0.0 <= d) & (d <= cell_size)).all():
         raise ValueError("user must lie inside the cell")
-    per_chunk = max(1, _CHUNK_ENTRIES // max(policy.n_max - 1, 1))
-    for start in range(0, d.size, per_chunk):
-        chunk = slice(start, start + per_chunk)
+    for start in range(0, d.size, _CHUNK_USERS):
+        chunk = slice(start, start + _CHUNK_USERS)
         # numpy warns where Python floats overflow silently; the step
         # information check reports it
         with np.errstate(over="ignore"):
             traces = _run_chunk(d[chunk], cell_size[chunk], policy, cfg)
         yield from traces
+        del traces      # so the next chunk runs without this one's records
 
 
 def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,

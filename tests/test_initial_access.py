@@ -3,10 +3,14 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwloc import AccessPolicy, NetworkConfig, initial_access
@@ -18,7 +22,8 @@ from mmwloc.initial_access import (
     UE_GRID,
     AccessStep,
     AccessTrace,
-    _row_table,
+    _last_row,
+    _margin_bound,
     _select_row,
     _step_variances,
     _tail_bracket,
@@ -45,12 +50,18 @@ def cfg():
 
 
 def _table(d_hat, d_a, h_b, n_max):
-    """The row table of one user."""
-    return _row_table(np.array([d_hat]), np.array([d_a]), h_b, n_max)
+    """The geometry of one user, as _select_row reads it."""
+    return np.array([d_hat]), np.array([d_a]), h_b, n_max
+
+
+def _margin_rows(d_hat, d_a, h_b, n_max):
+    """The margin of d_hat in its beam of each row 2..n_max."""
+    _, left, right = containing_beam(d_hat, d_a, h_b, np.arange(2, n_max + 1))
+    return np.minimum(d_hat - left, right - d_hat)
 
 
 def _select(table, sigma_d2, cap, ks, cs):
-    """_select_row for a one-user table, one entry per (k, c) pair of ks
+    """_select_row for a one-user geometry, one entry per (k, c) pair of ks
     and cs (ints or aligned lists)."""
     ks, cs = np.broadcast_arrays(np.array(ks, dtype=int),
                                  np.array(cs, dtype=int))
@@ -401,8 +412,7 @@ class TestLockstep:
         want = [repr(run_initial_access(d, d_a, policy, cfg))
                 for d, d_a in self.GEOMETRIES]
         if users is not None:
-            monkeypatch.setattr(initial_access, "_CHUNK_ENTRIES",
-                                users * (policy.n_max - 1))
+            monkeypatch.setattr(initial_access, "_CHUNK_USERS", users)
         got = [repr(trace)
                for trace in access_traces(self.GEOMETRIES, policy, cfg)]
         assert got == want
@@ -414,38 +424,41 @@ class TestLockstep:
         assert any(t.terminated == "max_iter" for t in traces)
         assert sum(t.total_symbols == 1 for t in traces) > 3
 
-    def test_no_chunk_array_exceeds_the_budget(self, cfg, monkeypatch):
-        # three users a chunk; the spy sees every row search's inputs and
-        # outputs, the tables, and every array read from or computed on a
-        # table
+    def test_no_row_table_and_no_block_past_the_budget(self, cfg,
+                                                       monkeypatch):
+        # three users a chunk and row blocks of 16 (user, row) pairs; the
+        # spy sees every array computed from a chunk's positions (the
+        # margins, their blocks and masks, the energies) and every beam
+        # search's inputs and outputs: none runs over all rows, and none
+        # is larger than a block
         n_max = AccessPolicy().n_max
-        budget = 3 * (n_max - 1)
-        monkeypatch.setattr(initial_access, "_CHUNK_ENTRIES", budget)
+        budget = 16
+        monkeypatch.setattr(initial_access, "_CHUNK_USERS", 3)
+        monkeypatch.setattr(initial_access, "_BLOCK_ENTRIES", budget)
         shapes = []
 
         class Spied(np.ndarray):
             def __array_finalize__(self, obj):
                 shapes.append(self.shape)
 
-        def row_table(*args):
-            table = real_table(*args)
-            return (*table[:3], *(t.view(Spied) for t in table[3:]))
+        def run_chunk(d, cell_size, *args):
+            return real_chunk(d.view(Spied), cell_size.view(Spied), *args)
 
-        def row_search(*args):
+        def beam_search(*args):
             out = real_search(*args)
             shapes.extend(np.shape(a) for a in (*args, *out))
             return out
 
-        real_table = initial_access._row_table
+        real_chunk = initial_access._run_chunk
         real_search = initial_access.containing_beam
-        monkeypatch.setattr(initial_access, "_row_table", row_table)
-        monkeypatch.setattr(initial_access, "containing_beam", row_search)
+        monkeypatch.setattr(initial_access, "_run_chunk", run_chunk)
+        monkeypatch.setattr(initial_access, "containing_beam", beam_search)
         list(access_traces(self.GEOMETRIES, AccessPolicy(**self.POLICY),
                            cfg))
+        assert not any(n_max - 1 in shape for shape in shapes)
         assert max(math.prod(shape) for shape in shapes) == budget
-        # the final selection of a user at row 1 reads its whole window,
-        # rows 2 to n_max - 1, as one block
-        assert any(shape[1:] == (n_max - 2,) for shape in shapes)
+        # the scans ran blocks of several rows a user
+        assert any(len(shape) == 2 and shape[1] > 1 for shape in shapes)
 
     @pytest.mark.parametrize("users", [1, 3, None])
     def test_one_service_beam_selection_per_chunk(self, cfg, monkeypatch,
@@ -455,14 +468,13 @@ class TestLockstep:
         # last level, each over every user of the chunk
         policy = AccessPolicy(**self.POLICY)
         if users is not None:
-            monkeypatch.setattr(initial_access, "_CHUNK_ENTRIES",
-                                users * (policy.n_max - 1))
+            monkeypatch.setattr(initial_access, "_CHUNK_USERS", users)
         final = []
 
-        def select_row(table, entries, sigma_d2, cap, k, c):
+        def select_row(geometry, entries, sigma_d2, cap, k, c):
             if (c == policy.n_max).all():
                 final.append(("row", entries.size))
-            return real_row(table, entries, sigma_d2, cap, k, c)
+            return real_row(geometry, entries, sigma_d2, cap, k, c)
 
         def ue_level(sigma_psi2, cap, level, last):
             if (last == len(UE_GRID) - 1).all():
@@ -475,26 +487,31 @@ class TestLockstep:
         monkeypatch.setattr(initial_access, "_ue_level", ue_level)
         list(access_traces(self.GEOMETRIES, policy, cfg))
         # with max_steps 12 no step's window reaches n_max or the last level
-        per_chunk = initial_access._CHUNK_ENTRIES // (policy.n_max - 1)
+        per_chunk = initial_access._CHUNK_USERS
         n = len(self.GEOMETRIES)
         assert final == [(what, min(per_chunk, n - start))
                          for start in range(0, n, per_chunk)
                          for what in ("row", "level")]
 
-    def test_row_selection_calls_erfc_at_most_once(self, cfg, monkeypatch):
-        # a row selection decides its undecided rows, at or above c and
-        # inside its window, in one block: one beam_selection_profile call
-        # at most
+    def test_row_selection_hands_erfc_only_undecided_rows(self, cfg,
+                                                          monkeypatch):
+        # a row selection hands erfc only (user, row) pairs whose margin
+        # the bracket cannot decide, in two calls at most: one for the
+        # rows at or above c and one for those below
         per_call, calls = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return beam_selection_profile(*args)
+        def counting(x, sigma, left, right):
+            calls.append((x, sigma, left, right))
+            return beam_selection_profile(x, sigma, left, right)
 
-        def select_row(*args):
+        def select_row(geometry, entries, sigma_d2, cap, k, c):
             calls.clear()
-            out = real(*args)
+            out = real(geometry, entries, sigma_d2, cap, k, c)
             per_call.append(len(calls))
+            for x, sigma, left, right in calls:
+                lo, hi = _tail_bracket(sigma, cap, 1)
+                margin = np.minimum(x - left, right - x)
+                assert ((lo <= margin) & (margin < hi)).all()
             return out
 
         real = initial_access._select_row
@@ -504,7 +521,7 @@ class TestLockstep:
             list(access_traces(self.GEOMETRIES
                                + list(TestTabulatedLoop.GEOMETRIES),
                                AccessPolicy(**kwargs), cfg))
-        assert max(per_call) == 1
+        assert max(per_call) == 2
 
     def test_geometries_checked(self, cfg):
         policy = AccessPolicy()
@@ -515,9 +532,61 @@ class TestLockstep:
             run_initial_access(math.nan, 2.0, policy, cfg)
 
 
+class TestGrowthClamp:
+    """Which reading of the per-step growth clamp the loop takes."""
+
+    def test_step_takes_c_when_only_a_deeper_row_meets_the_cap(self, cfg):
+        # the reference user at lambda = 0.2 /m and delta_d = 0.01 m: at
+        # step 3 (k = 1, c = 2) row 2 misses the cap at the variance that
+        # step selects at, yet the step takes row 2, because row 3 meets
+        # it. The loop reads the clamp as min(max(k_sel, k), c) with k_sel
+        # the largest feasible row up to n_max. The other reading (the
+        # largest feasible row in (k, c], k if none) would keep row 1 here;
+        # adopting it changes one place, _select_row's scan of the rows
+        # above c
+        policy = AccessPolicy(delta_d=0.01)
+        d, d_a = access_reference_geometry(0.2, cfg)
+        steps = run_initial_access(d, d_a, policy, cfg).steps
+        assert [(s.index, s.side, s.k) for s in steps[:3]] == [
+            (1, "BS", 1), (2, "UE", 1), (3, "BS", 2)]
+        seen = steps[1].sigma_d2
+
+        def p_bs(k):
+            _, left, right = containing_beam(d, d_a, cfg.h_b, k)
+            return float(beam_selection_profile(d, math.sqrt(seen), left,
+                                                right))
+
+        assert p_bs(2) == pytest.approx(0.23, abs=5e-3)
+        assert p_bs(2) > policy.delta_bs >= p_bs(3)
+        assert _reference_row(d_a, cfg.h_b, policy.n_max, d, seen,
+                              policy.delta_bs) > 2
+
+
+def dispatch_level():
+    """The highest SIMD target numpy's loops dispatch to in this process:
+    the last target ``np.show_runtime()`` lists as found."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                                  __cpu_features__)
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return found[-1] if found else None
+
+
+# masks numpy's AVX-512 loops with no rebuild; np.show_runtime() then
+# finds X86_V3 alone
+AVX512_MASK = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
 class TestTraceDigest:
     """A sha256 pinning every access trace of a fixed grid, so that a
-    change to the loop's arithmetic or decisions shows as one digest."""
+    change to the loop's arithmetic or decisions shows as one digest.
+
+    Bits are fixed per (numpy version, dispatch level, config): numpy
+    picks its exp, power, tan and arctan loops by CPU at run time, so
+    there is one pin per dispatch level, both for numpy 2.4.6."""
 
     POLICIES = (
         dict(delta_d=1e-3),
@@ -530,11 +599,17 @@ class TestTraceDigest:
     # the concatenated reprs, densities outermost and policies innermost;
     # the same recipe over np.geomspace(1e-3, 10, 400) gives 8a7f1bca...
     DIGEST = "b8888eb185f1fff454ca058e6590da8e64ebc2310e4d11723c5de86b7f8e4cb7"
+    # the same recipe under AVX512_MASK: 53 traces differ, in their
+    # sigma_d2 and sigma_psi2 only
+    MASKED_DIGEST = (
+        "50b3c32a2fc2ca49ed9bb4f96b8473950c59d46f1dc01c3c92122ddd08b61858")
+    DIGESTS = {"AVX512_SPR": DIGEST, "X86_V3": MASKED_DIGEST}
 
-    def test_traces_match_pinned_digest(self, cfg):
+    @classmethod
+    def digest(cls, cfg) -> str:
         # one batched call per policy; TestLockstep checks that one-user
         # calls give the same traces
-        policies = [AccessPolicy(**kwargs) for kwargs in self.POLICIES]
+        policies = [AccessPolicy(**kwargs) for kwargs in cls.POLICIES]
         geometries = []
         for lam in np.geomspace(1e-3, 10.0, 100).tolist():
             d_ref, d_a = access_reference_geometry(lam, cfg)
@@ -543,8 +618,33 @@ class TestTraceDigest:
             access_traces(geometries, policy, cfg) for policy in policies))
             for trace in group]
         assert len(reprs) == 2000
-        digest = hashlib.sha256("".join(reprs).encode()).hexdigest()
-        assert digest == self.DIGEST
+        return hashlib.sha256("".join(reprs).encode()).hexdigest()
+
+    def test_traces_match_pinned_digest(self, cfg):
+        level = dispatch_level()
+        assert level in self.DIGESTS, f"no digest pinned at {level}"
+        assert self.digest(cfg) == self.DIGESTS[level]
+
+    SCRIPT = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from mmwloc import NetworkConfig
+from test_initial_access import TestTraceDigest, dispatch_level
+print(dispatch_level(), TestTraceDigest.digest(NetworkConfig()))
+"""
+
+    def test_masked_dispatch_matches_its_digest(self):
+        # the masked pin, recomputed in a fresh interpreter under the mask
+        src = Path(initial_access.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(src),
+             str(Path(__file__).resolve().parent)],
+            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_MASK),
+            capture_output=True, text=True, check=True, timeout=300)
+        level, digest = done.stdout.split()
+        if level != "X86_V3":
+            pytest.skip(f"the mask leaves dispatch level {level} here")
+        assert digest == self.MASKED_DIGEST
 
 
 # every cap the bracket treats differently: a tiny one (the absolute
@@ -630,7 +730,7 @@ class TestTailBracket:
     def test_sure_row_at_or_above_c_skips_erfc(self, monkeypatch):
         # a surely feasible row at or above c settles the step on its own,
         # even where rows above the last sure one are undecided: a batch
-        # of such steps, over the users of one table, hands erfc nothing
+        # of such steps, over the users of one geometry, hands erfc nothing
         calls = []
 
         def counting(*args):
@@ -640,7 +740,7 @@ class TestTailBracket:
         monkeypatch.setattr(initial_access, "beam_selection_profile", counting)
         rng = np.random.default_rng(5)
         d_hat = rng.uniform(0.0, 100.0, 20)
-        margin = _row_table(d_hat, np.full(20, 100.0), 10.0, 256)[3]
+        margin = np.array([_margin_rows(x, 100.0, 10.0, 256) for x in d_hat])
         users, spreads, cs = [], [], []
         undecided_above = 0
         for u in range(d_hat.size):
@@ -655,7 +755,7 @@ class TestTailBracket:
                         users.append(u)
                         spreads.append(sigma_d2)
                         cs.append(c)
-        got = _select_row(_row_table(d_hat, np.full(20, 100.0), 10.0, 256),
+        got = _select_row((d_hat, np.full(20, 100.0), 10.0, 256),
                           np.array(users), np.array(spreads), 0.05,
                           np.ones(len(cs), dtype=int), np.array(cs))
         assert got.tolist() == cs
@@ -674,7 +774,7 @@ class TestTailBracket:
         # a spread putting one row's margin at lo or hi, then a few ulps off
         rng = np.random.default_rng(3)
         for d_hat in rng.uniform(0.0, 100.0, 25):
-            margins = _table(d_hat, 100.0, 10.0, n_max)[3][0]
+            margins = _margin_rows(d_hat, 100.0, 10.0, n_max)
             margin = margins[rng.integers(margins.size)]
             for z in _tail_bracket(1.0, cap, 1):
                 if 0.0 < z < math.inf and margin > 0.0:
@@ -775,6 +875,66 @@ class TestTailBracket:
             step((nu / q_inverse(cap / 2.0)) ** 2, cap, levels[at],
                  levels[at] + 1)
             assert per_step == [((at.sum(),), (at.sum(),), at.sum())]
+
+
+class TestWidthBound:
+    """_margin_bound, which ends the row scans, against computed margins."""
+
+    # d anywhere in the cell, on an edge of another row or a few ulps off
+    # it, mid-beam in row r, where the margin comes closest to the bound in
+    # narrow cells, or in row r's last beam, whose right edge is pinned to
+    # d_a; cells from 1e-8 to 2e4 BS heights wide, and any m <= r. The
+    # example is a mid-beam d whose margin exceeds the unguarded bound
+    @settings(max_examples=500, deadline=None)
+    @given(d_a=st.floats(1e-6, 1e4), h_b=st.floats(0.5, 100.0),
+           r=st.integers(2, 4096), below=st.integers(0, 4096),
+           at=st.floats(0.0, 1.0), other=st.integers(1, 4096),
+           ulps=st.integers(-2, 2),
+           where=st.sampled_from(["inside", "edge", "middle", "last"]))
+    @example(d_a=3.1920920463247326e-06, h_b=71.59503194010414, r=2198,
+             below=0, at=0.001364877161055505, other=1, ulps=0,
+             where="middle")
+    def test_margin_within_the_bound(self, d_a, h_b, r, below, at, other,
+                                     ulps, where):
+        if where == "edge":
+            edge = float(beam_boundaries(d_a, h_b, other)[round(at * other)])
+            d = _nudged(edge, ulps)
+        elif where in ("middle", "last"):
+            j = r if where == "last" else max(1, round(at * r))
+            left, right = beam_boundaries(d_a, h_b, r)[j - 1:j + 1].tolist()
+            d = (_nudged(0.5 * (left + right), ulps) if where == "middle"
+                 else left + at * (right - left))
+        else:
+            d = at * d_a
+        d = min(max(d, 0.0), d_a)
+        m = max(1, r - below)
+        _, left, right = containing_beam(d, d_a, h_b, r)
+        scale, slack = _margin_bound(d, d_a, h_b, m)
+        assert min(d - left, right - d) <= scale / r + slack
+
+    @settings(max_examples=200, deadline=None)
+    @given(d_a=st.floats(1.0, 200.0), at=st.floats(0.0, 1.0),
+           h_b=st.floats(2.0, 30.0), m=st.integers(1, 1024),
+           spread=st.floats(-4.0, 1.0), cap=st.sampled_from(CAPS))
+    def test_rows_past_the_last_surely_miss(self, d_a, at, h_b, m, spread,
+                                            cap):
+        n_max = 1024
+        d = at * d_a
+        lo, _ = _tail_bracket(d_a / n_max * 10.0 ** spread, cap, 1)
+        last = int(_last_row(_table(d, d_a, h_b, n_max), np.zeros(1, int),
+                             np.array([m]), np.array([lo]))[0])
+        assert last <= n_max
+        past = _margin_rows(d, d_a, h_b, n_max)[max(m, last + 1) - 2:]
+        assert (past < lo).all()
+
+    def test_bound_prunes_the_service_selection(self):
+        # a user mid-cell at a spread of a 64th of the cell: its final
+        # selection, from row 1, scans fewer than a fifth of the rows
+        d_a, h_b, n_max = 30.0, 10.0, 1024
+        lo, _ = _tail_bracket(d_a / 64, 0.05, 1)
+        last = _last_row(_table(0.5 * d_a, d_a, h_b, n_max),
+                         np.zeros(1, int), np.array([2]), np.array([lo]))
+        assert 2 < last[0] < n_max / 5
 
 
 class TestBaselineDelays:
