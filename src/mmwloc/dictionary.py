@@ -34,8 +34,9 @@ def beam_boundaries(d_a, h_b: float, k: int) -> np.ndarray:
     trailing axis of length k+1.
     """
     d_a = np.asarray(d_a, dtype=float)[..., None]
-    if np.any(d_a <= 0.0) or h_b <= 0.0:
-        raise ValueError("cell size and BS height must be positive")
+    # NaN fails these checks too
+    if not (((0.0 < d_a) & (d_a < np.inf)).all() and 0.0 < h_b < np.inf):
+        raise ValueError("cell size and BS height must be positive and finite")
     check_count(k, "dictionary size must be >= 1")
     return _edge(np.arange(k + 1), row_beamwidth(d_a, h_b, k), d_a, h_b, k)
 

@@ -393,8 +393,8 @@ def dump_dictionary(cfg: NetworkConfig, out_dir: Path, cell_size: float | None,
     into the existing ``out_dir`` for inspection, each value as its repr
     so that it reads back exactly."""
     d_a = cell_size if cell_size is not None else cfg.mean_cell_size
-    if not d_a > 0.0:   # NaN fails too
-        raise ValueError("cell size must be positive")
+    if not 0.0 < d_a < math.inf:   # NaN fails too
+        raise ValueError("cell size must be positive and finite")
     check_count(n_max, "n_max must be an integer >= 1")
     path = Path(out_dir) / "beam_dictionary.csv"
 

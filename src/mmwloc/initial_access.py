@@ -145,15 +145,6 @@ def _tail_bracket(sigma, cap: float, tails: int) -> tuple:
             s * q_inverse((cap - _ABS_GUARD) / (2.0 * (1.0 + _REL_GUARD))))
 
 
-def _margins(geometry: tuple, users, rows):
-    """d's distance to the nearer edge of the row-``rows`` beam holding it,
-    for the ``geometry`` users (users and rows are aligned 1-D arrays)."""
-    d_hat, d_a, h_b, _ = geometry
-    x = d_hat[users]
-    _, left, right = containing_beam(x, d_a[users], h_b, rows)
-    return np.minimum(x - left, right - x)
-
-
 _EDGE_GUARD = 2.0 ** -46    # slack of the width bound, 64 ulps
 
 
@@ -190,11 +181,14 @@ def _last_row(geometry: tuple, users, m, lo):
 
 def _scan(geometry: tuple, users, lo, hi, start, stop, step: int) -> tuple:
     """(sure, ask, row) of entries that each scan the rows start, start +
-    step, ... short of stop until a surely feasible one (margin >= hi):
-    sure is that row per entry (stop if there is none), and (ask, row) the
-    pairs scanned before it that the bracket cannot decide (lo <= margin <
-    hi). Each round takes up to 1, 4, 16, ... rows an entry, as most
-    scans end on their first row, in at most ``_BLOCK_ENTRIES`` pairs."""
+    step, ... short of stop until a surely feasible one (margin >= hi, a
+    row's margin being d's distance to the nearer edge of the beam holding
+    it): sure is that row per entry (stop if there is none), and (ask, row)
+    the pairs scanned before it that the bracket cannot decide (lo <=
+    margin < hi). Each round takes up to 1, 4, 16, ... rows an entry, as
+    most scans end on their first row, in at most ``_BLOCK_ENTRIES``
+    pairs."""
+    d_hat, d_a, h_b, _ = geometry
     sure, start = stop.copy(), start.copy()
     at = ((stop - start) * step > 0).nonzero()[0]
     asks, rows_asked = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
@@ -206,9 +200,11 @@ def _scan(geometry: tuple, users, lo, hi, start, stop, step: int) -> tuple:
         cols = np.arange(width)
         rows = start[at, None] + step * cols
         inside = cols < left[:, None]
+        entries = np.repeat(users[at], np.minimum(left, width))
+        x = d_hat[entries]
+        _, lower, upper = containing_beam(x, d_a[entries], h_b, rows[inside])
         margin = np.full(rows.shape, np.nan)
-        margin[inside] = _margins(geometry, np.repeat(
-            users[at], np.minimum(left, width)), rows[inside])
+        margin[inside] = np.minimum(x - lower, upper - x)
         hit = margin >= hi[at, None]
         first = np.where(hit.any(axis=1), hit.argmax(axis=1), width)
         entry, col = ((margin >= lo[at, None])
@@ -229,15 +225,15 @@ def _select_row(geometry: tuple, users, sigma_d2, delta_bs: float, k, c):
     whose first two are 1-D arrays; users, sigma_d2, k and c are aligned
     1-D arrays.
 
-    Only the rows that can move the result are decided, and erfc runs
-    only on those ``_tail_bracket`` cannot tell: in one call for the rows
-    at or above c and in one for those below.
-    - Row c first; a surely feasible row there settles most steps.
-    - Then the rows above c up to ``_last_row``, past which every row
-      surely misses: a feasible one among them also makes the step take c.
-    - Failing both, the rows below c down to k + 1, from the top (or
-      their ``_last_row``): the first surely feasible one, or a feasible
-      one above it, is the result, and k if there is none.
+    Only the rows that can move the result are decided, in one pass:
+    - the rows from c up to ``_last_row``, past which every row surely
+      misses; the first round is row c alone, and a sure row there
+      settles most steps. A feasible one among them makes the step take c.
+    - For the users with no sure row there, the rows below c down to k +
+      1, from the top (or their ``_last_row``): the first sure one, or a
+      feasible one above it, is the result, and k if there is none.
+    erfc runs once, on the rows of both scans that ``_tail_bracket``
+    cannot tell, save the upward ones of users settled at c.
     """
     out = np.minimum(k, c)
     at = ((k < c) & np.isfinite(sigma_d2)).nonzero()[0]
@@ -246,38 +242,26 @@ def _select_row(geometry: tuple, users, sigma_d2, delta_bs: float, k, c):
     users, k, c = users[at], k[at], c[at]
     sigma = np.sqrt(sigma_d2[at])
     lo, hi = _tail_bracket(sigma, delta_bs, 1)
-    d_hat, d_a, h_b, _ = geometry
-
-    def feasible(ask, row):
-        x = d_hat[users[ask]]
-        _, left, right = containing_beam(x, d_a[users[ask]], h_b, row)
-        return beam_selection_profile(x, sigma[ask], left, right) <= delta_bs
-
-    margin = _margins(geometry, users, c)
-    open_ = margin < hi               # no surely feasible row at c or above
-    if open_.any():
-        rest = open_.nonzero()[0]
-        ask = rest[margin[rest] >= lo[rest]]
-        top = _last_row(geometry, users[rest], c[rest], lo[rest])
-        up, ask_up, row_up = _scan(geometry, users[rest], lo[rest], hi[rest],
-                                   c[rest] + 1, top + 1, 1)
-        open_[rest[up <= top]] = False
-        row = np.append(c[ask], row_up)
-        ask = np.append(ask, rest[ask_up])
-        keep = open_[ask]
-        ask, row = ask[keep], row[keep]
+    top = np.maximum(_last_row(geometry, users, c, lo), c)
+    up, ask, row = _scan(geometry, users, lo, hi, c, top + 1, 1)
+    rest = (up > top).nonzero()[0]
+    if rest.size:
+        start = np.minimum(c[rest] - 1, _last_row(
+            geometry, users[rest], k[rest] + 1, lo[rest]))
+        best, down, row_down = _scan(geometry, users[rest], lo[rest],
+                                     hi[rest], start, k[rest], -1)
+        keep = up[ask] > top[ask]
+        ask = np.append(ask[keep], rest[down])
+        row = np.append(row[keep], row_down)
+        # a feasible row above c makes the step take c
+        gain = np.minimum(row, c[ask])
+        c[rest] = best
         if ask.size:
-            open_[ask[feasible(ask, row)]] = False
-        rest = open_.nonzero()[0]
-        if rest.size:
-            start = np.minimum(c[rest] - 1, _last_row(
-                geometry, users[rest], k[rest] + 1, lo[rest]))
-            best, ask, row = _scan(geometry, users[rest], lo[rest], hi[rest],
-                                   start, k[rest], -1)
-            if ask.size:
-                ok = feasible(rest[ask], row)
-                np.maximum.at(best, ask[ok], row[ok])
-            c[rest] = best
+            d_hat, d_a, h_b, _ = geometry
+            x = d_hat[users[ask]]
+            _, left, right = containing_beam(x, d_a[users[ask]], h_b, row)
+            ok = beam_selection_profile(x, sigma[ask], left, right) <= delta_bs
+            np.maximum.at(c, ask[ok], gain[ok])
     out[at] = c
     return out
 
@@ -442,6 +426,8 @@ def access_traces(geometries, policy: AccessPolicy, cfg: NetworkConfig):
     its beam selections compute only the rows they decide.
     """
     d, cell_size = np.asarray(geometries, dtype=float).reshape(-1, 2).T
+    if not ((0.0 < cell_size) & (cell_size < math.inf)).all():  # NaN fails
+        raise ValueError("cell size must be positive and finite")
     if not ((0.0 <= d) & (d <= cell_size)).all():
         raise ValueError("user must lie inside the cell")
     for start in range(0, d.size, _CHUNK_USERS):

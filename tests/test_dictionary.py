@@ -60,6 +60,13 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 beam_boundaries(*args)
 
+    # each used to return NaN edges, or [0, 10, inf] for the infinite cell
+    @pytest.mark.parametrize("d_a, h_b", [
+        (math.nan, 10.0), (5.0, math.nan), (math.inf, 10.0)])
+    def test_non_finite_geometry_rejected(self, d_a, h_b):
+        with pytest.raises(ValueError, match="positive and finite"):
+            beam_boundaries(d_a, h_b, 2)
+
 
 # Entry points that take a dictionary size k. 2.5 used to build a
 # 4-edge row and a coverage of 0.7197; NaN to fail inside np.arange.
@@ -148,8 +155,8 @@ class TestCsvDump:
         assert a == b
 
     @pytest.mark.parametrize("cell_size, n_max", [
-        (0.0, 4), (-1.0, 4), (math.nan, 4), (10.0, 0), (10.0, 2.5),
-        (10.0, math.nan), (10.0, math.inf)])
+        (0.0, 4), (-1.0, 4), (math.nan, 4), (math.inf, 4), (10.0, 0),
+        (10.0, 2.5), (10.0, math.nan), (10.0, math.inf)])
     def test_invalid_arguments_write_nothing(self, tmp_path, cell_size,
                                              n_max):
         with pytest.raises(ValueError):

@@ -8,13 +8,20 @@ of one experiment is its CSV renamed. Every experiment has a golden. The
 beam dictionary's is recorded with ``mmwloc dump-dictionary --cell-size 20
 --n-max 8 --out tests/golden``, and the optimizer's per-k table with
 ``mmwloc optimize --out tests/golden``, whose printed result line is
-``OPTIMUM`` below.
+``OPTIMUM`` below. That table prints full float reprs, whose bits depend
+on numpy's SIMD dispatch level, so it has one golden per level: the
+X86_V3 one is recorded under ``NPY_DISABLE_CPU_FEATURES="X86_V4
+AVX512_ICL AVX512_SPR"`` and renamed.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import AVX512_MASK, dispatch_level
 from mmwloc import cli
 from mmwloc.experiments import EXPERIMENT_NAMES
 
@@ -80,8 +87,41 @@ def test_dump_dictionary_matches_golden_bytes(tmp_path):
     assert written == (GOLDEN / "beam_dictionary.csv").read_bytes()
 
 
+# the optimizer's per-k golden by dispatch level, the AVX-512 one where no
+# other is pinned; under the mask the k = 4 and k = 8 objectives and k =
+# 8's p_ma move by 1 ulp, and the printed line stays the same
+OPTIMIZER_GOLDENS = {"X86_V3": "optimizer_per_k_x86_v3.csv"}
+
+
 def test_optimize_matches_golden_bytes(tmp_path, capsys):
     assert cli.main(["optimize", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == OPTIMUM
     written = (tmp_path / "optimizer_per_k.csv").read_bytes()
-    assert written == (GOLDEN / "optimizer_per_k.csv").read_bytes()
+    name = OPTIMIZER_GOLDENS.get(dispatch_level(), "optimizer_per_k.csv")
+    assert written == (GOLDEN / name).read_bytes()
+
+
+OPTIMIZE = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from conftest import dispatch_level
+from mmwloc import cli
+print(dispatch_level())
+cli.main(["optimize", "--out", sys.argv[3]])
+"""
+
+
+def test_masked_dispatch_matches_its_golden(tmp_path):
+    # the X86_V3 golden, recomputed in a fresh interpreter under the mask
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", OPTIMIZE, str(src),
+         str(Path(__file__).resolve().parent), str(tmp_path)],
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_MASK),
+        capture_output=True, text=True, check=True, timeout=300)
+    level, line = done.stdout.splitlines()[:2]
+    if level != "X86_V3":
+        pytest.skip(f"the mask leaves dispatch level {level} here")
+    assert line == OPTIMUM
+    written = (tmp_path / "optimizer_per_k.csv").read_bytes()
+    assert written == (GOLDEN / OPTIMIZER_GOLDENS["X86_V3"]).read_bytes()

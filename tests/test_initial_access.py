@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import AVX512_MASK, dispatch_level
 from mmwloc import AccessPolicy, NetworkConfig, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
@@ -114,6 +115,36 @@ class TestSelectBsBeam:
                      (best, 64)):
             assert _select(table, sigma_d2, cap, k, c) == _window(best, k, c)
 
+    def test_sure_row_c_costs_one_margin_a_user(self, monkeypatch):
+        # the upward scan's first round is row c alone: where that row is
+        # surely feasible for every user, the selection computes one
+        # margin a user and hands erfc nothing
+        sizes = []
+
+        def beam_search(d, *args):
+            sizes.append(np.size(d))
+            return real_search(d, *args)
+
+        real_search = initial_access.containing_beam
+        monkeypatch.setattr(initial_access, "containing_beam", beam_search)
+        rng = np.random.default_rng(7)
+        d_hat = rng.uniform(0.0, 100.0, 20)
+        margin = np.array([_margin_rows(x, 100.0, 10.0, 256) for x in d_hat])
+        users, spreads, cs = [], [], []
+        for u in range(d_hat.size):
+            for sigma_d2 in 10.0 ** rng.uniform(-6.0, 0.0, 5):
+                _, hi = _tail_bracket(math.sqrt(sigma_d2), 0.05, 1)
+                for c in (2, 3, 8, 64):
+                    if margin[u, c - 2] >= hi:
+                        users.append(u)
+                        spreads.append(sigma_d2)
+                        cs.append(c)
+        got = _select_row((d_hat, np.full(20, 100.0), 10.0, 256),
+                          np.array(users), np.array(spreads), 0.05,
+                          np.ones(len(cs), dtype=int), np.array(cs))
+        assert got.tolist() == cs
+        assert sizes == [len(cs)] and len(cs) > 20
+
 
 class TestSelectUeBeam:
     def test_perfect_estimate_takes_thinnest(self):
@@ -188,6 +219,14 @@ class TestRefinementLoop:
             d, cell_size, pol, cfg.with_overrides(bs_density=lam)))
             for lam in (1e-4, 0.005, 0.05, 0.2, 5.0)}
         assert len(traces) == 1
+
+    # (1, inf) used to give a trace; (0, 0) and (inf, inf) to warn before
+    # failing on a beamwidth or on the step information
+    @pytest.mark.parametrize("geometry", [
+        (1.0, math.inf), (0.0, 0.0), (math.inf, math.inf)])
+    def test_cell_size_checked(self, cfg, geometry):
+        with pytest.raises(ValueError, match="positive and finite"):
+            next(access_traces([geometry], AccessPolicy(), cfg))
 
 
 def _reference_row(d_a, h_b, n_max, d_hat, sigma_d2, delta_bs):
@@ -496,8 +535,8 @@ class TestLockstep:
     def test_row_selection_hands_erfc_only_undecided_rows(self, cfg,
                                                           monkeypatch):
         # a row selection hands erfc only (user, row) pairs whose margin
-        # the bracket cannot decide, in two calls at most: one for the
-        # rows at or above c and one for those below
+        # the bracket cannot decide, in one call at most: the undecided
+        # rows of both scans go together
         per_call, calls = [], []
 
         def counting(x, sigma, left, right):
@@ -521,7 +560,7 @@ class TestLockstep:
             list(access_traces(self.GEOMETRIES
                                + list(TestTabulatedLoop.GEOMETRIES),
                                AccessPolicy(**kwargs), cfg))
-        assert max(per_call) == 2
+        assert max(per_call) == 1
 
     def test_geometries_checked(self, cfg):
         policy = AccessPolicy()
@@ -560,24 +599,6 @@ class TestGrowthClamp:
         assert p_bs(2) > policy.delta_bs >= p_bs(3)
         assert _reference_row(d_a, cfg.h_b, policy.n_max, d, seen,
                               policy.delta_bs) > 2
-
-
-def dispatch_level():
-    """The highest SIMD target numpy's loops dispatch to in this process:
-    the last target ``np.show_runtime()`` lists as found."""
-    try:
-        from numpy._core._multiarray_umath import (__cpu_dispatch__,
-                                                   __cpu_features__)
-    except ImportError:     # numpy 1.x
-        from numpy.core._multiarray_umath import (__cpu_dispatch__,
-                                                  __cpu_features__)
-    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
-    return found[-1] if found else None
-
-
-# masks numpy's AVX-512 loops with no rebuild; np.show_runtime() then
-# finds X86_V3 alone
-AVX512_MASK = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 class TestTraceDigest:
