@@ -32,7 +32,6 @@ from .montecarlo import (
 )
 from .initial_access import (
     AccessPolicy,
-    AccessStep,
     AccessTrace,
     delay_exhaustive,
     delay_iterative,

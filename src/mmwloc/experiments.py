@@ -206,7 +206,8 @@ def _run_access_delay(spec: ExperimentSpec):
                                     policy.symbol_duration)
         exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
                                       policy.symbol_duration)
-        columns[geometry] = (trace.total_symbols, trace.total_delay * 1e3,
+        steps = len(trace.steps)
+        columns[geometry] = (steps, steps * policy.symbol_duration * 1e3,
                              iterative * 1e3, exhaustive * 1e3,
                              trace.final_k, trace.final_theta_u,
                              trace.terminated)
@@ -225,9 +226,9 @@ def _run_access_resolution(spec: ExperimentSpec):
     geometries = [access_reference_geometry(lam, spec.cfg) for lam in lams]
     rows = []
     for lam, trace in zip(lams, access_traces(geometries, policy, spec.cfg)):
-        for step in trace.steps:
-            rows.append((lam, step.index, step.side, step.k, step.theta_u,
-                         step.sigma_d2, step.sigma_psi2, step.symbols))
+        # step i is the i-th symbol, a BS step if i is odd
+        rows.extend((lam, i, ("UE", "BS")[i % 2], *step, i)
+                    for i, step in enumerate(trace.steps.tolist(), 1))
     return [("access_resolution.csv",
              ["lambda", "step", "side", "k", "theta_u", "sigma_d2",
               "sigma_psi2", "cum_symbols"], rows)]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,21 +78,16 @@ class AccessPolicy:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-class AccessStep(NamedTuple):
-    index: int
-    side: str            # 'BS' | 'UE'
-    k: int
-    theta_u: float
-    sigma_d2: float
-    sigma_psi2: float
-    symbols: int         # cumulative symbols consumed
+# one access step of a user: the dictionary row and UE beamwidth it ran
+# with, and the ranging and angle variances after it
+STEP = np.dtype([("k", int), ("theta_u", float), ("sigma_d2", float),
+                 ("sigma_psi2", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessTrace:
-    steps: tuple
-    total_symbols: int
-    total_delay: float
+    steps: np.ndarray    # read-only STEP records, step 1 first; odd steps
+                         # are BS steps, and each step is one symbol
     terminated: str      # 'accuracy_met' | 'max_iter'
     final_k: int         # service-beam row supported by the final accuracy
     final_theta_u: float
@@ -102,10 +96,10 @@ class AccessTrace:
     fallback_events: int = 0
 
 
-# users of one chunk, stepped together. Each keeps its AccessStep records,
-# about 210 B each, until the chunk's traces are made: at the 21 steps a
-# 1 mm ``access-delay`` user takes on average, a chunk holds about 2,700
-# records (0.6 MB)
+# users of one chunk, stepped together. Its step columns, 32 B a record
+# plus 8 B of user index, live until its traces are made, which keep the
+# 32 B: at the 21 steps a 1 mm ``access-delay`` user takes on average, a
+# chunk holds about 2,700 records (86 kB)
 _CHUNK_USERS = 128
 # (entry, row) pairs of one row block of a beam selection, so that a
 # block's float64 temporaries are 64 KiB, below glibc's initial 128 KiB
@@ -344,10 +338,10 @@ def _step_variances(d, theta_1, obs_time, cfg: NetworkConfig):
 def _run_chunk(d, cell_size, policy: AccessPolicy,
                cfg: NetworkConfig) -> list:
     """The traces of users at d in cells of cell_size (1-D arrays), every
-    unfinished user stepped together: all share the step's side. Each
-    user's records are appended as it steps; its service beam pair, the
-    selection its final accuracy supports (the sweep baselines must reach
-    this same resolution), is made for all the chunk's users at the end."""
+    unfinished user stepped together: all share the step's side. The step
+    records and the service beam pairs, the selections the final accuracies
+    support (the sweep baselines must reach this same resolution), are made
+    for all the chunk's users at the end."""
     last = len(UE_GRID) - 1
     geometry = (d, cell_size, cfg.h_b, policy.n_max)
     energy, variances = _step_variances(
@@ -364,7 +358,7 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
     info_d = np.full(d.size, 1.0 / policy.initial_sigma_d2)
     info_psi = np.zeros(d.size)
     sigma_d2, sigma_psi2 = 1.0 / info_d, None
-    records = [[] for _ in range(d.size)]
+    columns = []    # per step: (users, k, theta_u, sigma_d2, sigma_psi2)
     # per user: the row, level and variances of its last step
     end_k, end_level = np.empty_like(k), np.empty_like(level)
     end_d2, end_psi2 = np.empty(d.size), np.empty(d.size)
@@ -384,12 +378,7 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
         info_psi += 1.0 / var_psi
 
         sigma_d2, sigma_psi2 = 1.0 / info_d, 1.0 / info_psi
-        n = users.size
-        for user, record in zip(users.tolist(), map(AccessStep._make, zip(
-                [step] * n, [("UE", "BS")[step % 2]] * n, k.tolist(),
-                _UE_WIDTHS[level].tolist(), sigma_d2.tolist(),
-                sigma_psi2.tolist(), [step] * n))):
-            records[user].append(record)
+        columns.append((users, k, _UE_WIDTHS[level], sigma_d2, sigma_psi2))
         done = met(sigma_d2, sigma_psi2) | (step == policy.max_steps)
         if done.any():
             stop = users[done]
@@ -407,12 +396,19 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
                           np.full(d.size, policy.n_max))
     final_level = _ue_level(end_psi2, policy.delta_ma, end_level,
                             np.full(d.size, last))
-    return [AccessTrace(steps=tuple(steps), total_symbols=len(steps),
-                        total_delay=len(steps) * policy.symbol_duration,
-                        terminated="accuracy_met" if ok else "max_iter",
-                        final_k=row, final_theta_u=UE_GRID[lvl])
-            for steps, ok, row, lvl in zip(
-                records, met(end_d2, end_psi2).tolist(), final_k.tolist(),
+    # the chunk's records by user, and by step within one as the sort is
+    # stable, split into a read-only view per user
+    users, *fields = map(np.concatenate, zip(*columns))
+    order = np.argsort(users, kind="stable")
+    records = np.empty(users.size, STEP)
+    for name, column in zip(STEP.names, fields):
+        records[name] = column[order]
+    records.setflags(write=False)
+    steps = np.split(records, np.cumsum(np.bincount(users))[:-1])
+    return [AccessTrace(steps=s, final_k=row, final_theta_u=UE_GRID[lvl],
+                        terminated="accuracy_met" if ok else "max_iter")
+            for s, ok, row, lvl in zip(
+                steps, met(end_d2, end_psi2).tolist(), final_k.tolist(),
                 final_level.tolist())]
 
 

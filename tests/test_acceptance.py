@@ -146,7 +146,7 @@ def test_criterion_4_delay_ordering():
         d_ref = min(1.0 / (4.0 * lam), 0.75 * cfg.d_s)
         trace = run_initial_access(d_ref, 2.0 * d_ref, policy, cfg)
         theta_b = row_beamwidth(2.0 * d_ref, cfg.h_b, trace.final_k)
-        proposed = trace.total_delay
+        proposed = len(trace.steps) * policy.symbol_duration
         iterative = delay_iterative(trace.final_k, trace.final_theta_u,
                                     policy.symbol_duration)
         exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
@@ -165,7 +165,7 @@ def test_criterion_5_sparse_deployment_checkpoint():
     for delta_d in (0.01, 0.1):
         policy = AccessPolicy(delta_d=delta_d)
         trace = run_initial_access(15.0, 30.0, policy, cfg)
-        steps[delta_d] = (trace.total_symbols, trace.terminated)
+        steps[delta_d] = (len(trace.steps), trace.terminated)
     ok = (steps[0.01][1] == "accuracy_met" and 14 <= steps[0.01][0] <= 26
           and steps[0.1][1] == "accuracy_met" and 2 <= steps[0.1][0] <= 4)
     _verdict(5, "sparse-deployment checkpoint", ok,

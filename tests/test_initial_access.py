@@ -13,15 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AVX512_MASK, dispatch_level
-from mmwloc import AccessPolicy, NetworkConfig, initial_access
+from conftest import AVX512_MASK, dispatch_level, parent_repr
+from mmwloc import AccessPolicy, NetworkConfig, experiments, initial_access
 from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain
 from mmwloc.dictionary import beam_boundaries, containing_beam, row_beamwidth
 from mmwloc.errors import NumericError
-from mmwloc.experiments import access_reference_geometry
+from mmwloc.experiments import ExperimentSpec, access_reference_geometry
 from mmwloc.initial_access import (
+    STEP,
     UE_GRID,
-    AccessStep,
     AccessTrace,
     _last_row,
     _margin_bound,
@@ -176,48 +176,56 @@ class TestRefinementLoop:
     def test_loose_targets_terminate_immediately(self, cfg):
         pol = AccessPolicy(delta_d=1e6, delta_psi=math.pi)
         trace = run_initial_access(5.0, 10.0, pol, cfg)
-        assert trace.total_symbols == 1
+        assert len(trace.steps) == 1
         assert trace.terminated == "accuracy_met"
 
     def test_infinite_accuracies_stay_non_binding(self, cfg):
         pol = AccessPolicy(delta_d=math.inf, delta_psi=math.inf)
         trace = run_initial_access(5.0, 10.0, pol, cfg)
-        assert trace.total_symbols == 1
+        assert len(trace.steps) == 1
         assert trace.terminated == "accuracy_met"
 
     def test_tighter_target_never_faster(self, cfg):
         steps = []
         for delta in (1.0, 0.1, 0.01, 0.001):
             pol = AccessPolicy(delta_d=delta, max_steps=400)
-            steps.append(run_initial_access(15.0, 30.0, pol, cfg).total_symbols)
+            steps.append(len(run_initial_access(15.0, 30.0, pol, cfg).steps))
         assert all(a <= b for a, b in zip(steps, steps[1:]))
 
     def test_ranging_variance_non_increasing(self, cfg):
         pol = AccessPolicy(delta_d=0.01)
         trace = run_initial_access(15.0, 30.0, pol, cfg)
-        sig = [s.sigma_d2 for s in trace.steps]
+        sig = trace.steps["sigma_d2"].tolist()
         assert all(a >= b for a, b in zip(sig, sig[1:]))
 
-    def test_delay_accounting(self, cfg):
+    def test_delay_accounting(self):
+        # the experiments read a trace's delay, and each step's side and
+        # symbols, off its step records
         pol = AccessPolicy(delta_d=0.05)
-        trace = run_initial_access(15.0, 30.0, pol, cfg)
-        assert trace.total_delay == pytest.approx(
-            trace.total_symbols * pol.symbol_duration)
-        assert [s.side for s in trace.steps[:2]] == ["BS", "UE"]
+        [(_, _, rows)] = experiments._run_access_delay(ExperimentSpec(
+            "access-delay", overrides={"experiment.delta_d": pol.delta_d}))
+        for _, steps, delay_ms, *_ in rows:
+            assert delay_ms == pytest.approx(
+                steps * pol.symbol_duration * 1e3)
+        [(_, _, rows)] = experiments._run_access_resolution(ExperimentSpec(
+            "access-resolution", overrides={"experiment.lambdas": "0.01"}))
+        assert [r[2] for r in rows[:2]] == ["BS", "UE"]
+        assert [(r[1], r[7]) for r in rows] == [(i, i) for i in range(
+            1, len(rows) + 1)]
 
     def test_step_budget_flagged(self, cfg):
         pol = AccessPolicy(delta_d=1e-9, max_steps=6)
         trace = run_initial_access(15.0, 30.0, pol, cfg)
         assert trace.terminated == "max_iter"
-        assert trace.total_symbols == 6
+        assert len(trace.steps) == 6
 
     @pytest.mark.parametrize("d, cell_size", [(15.0, 30.0), (40.0, 80.0)])
     def test_trace_ignores_bs_density(self, cfg, d, cell_size):
         # the access sweeps run every density under one config
         pol = AccessPolicy(delta_d=0.002)
-        traces = {repr(run_initial_access(
-            d, cell_size, pol, cfg.with_overrides(bs_density=lam)))
-            for lam in (1e-4, 0.005, 0.05, 0.2, 5.0)}
+        traces = {parent_repr(run_initial_access(
+            d, cell_size, pol, cfg.with_overrides(bs_density=lam)),
+            pol.symbol_duration) for lam in (1e-4, 0.005, 0.05, 0.2, 5.0)}
         assert len(traces) == 1
 
     # (1, inf) used to give a trace; (0, 0) and (inf, inf) to warn before
@@ -308,20 +316,16 @@ def _reference_access(d, cell_size, policy, cfg):
             info_psi += 1.0 / var_psi
         sigma_d2 = 1.0 / info_d
         sigma_psi2 = 1.0 / info_psi if info_psi > 0.0 else math.inf
-        steps.append(AccessStep(index=step, side=side, k=k, theta_u=theta_u,
-                                sigma_d2=sigma_d2, sigma_psi2=sigma_psi2,
-                                symbols=step))
+        steps.append((k, theta_u, sigma_d2, sigma_psi2))
         if (math.sqrt(sigma_d2) <= policy.delta_d
                 and math.sqrt(sigma_psi2) <= policy.delta_psi):
             terminated = "accuracy_met"
             break
-    total_symbols = steps[-1].symbols if steps else 0
     final_k = max(_reference_row(cell_size, cfg.h_b, policy.n_max, d,
                                  sigma_d2, policy.delta_bs), k)
     final_theta_u = min(theta_u, _reference_ue_beam(sigma_psi2,
                                                     policy.delta_ma))
-    return AccessTrace(steps=tuple(steps), total_symbols=total_symbols,
-                       total_delay=total_symbols * policy.symbol_duration,
+    return AccessTrace(steps=np.array(steps, dtype=STEP),
                        terminated=terminated, final_k=final_k,
                        final_theta_u=final_theta_u)
 
@@ -353,7 +357,8 @@ class TestTabulatedLoop:
                               **(self.OTHER if other else {}))
         got = run_initial_access(d, cell_size, policy, cfg)
         want = _reference_access(d, cell_size, policy, cfg)
-        assert repr(got) == repr(want)
+        assert (parent_repr(got, policy.symbol_duration)
+                == parent_repr(want, policy.symbol_duration))
         assert len(got.steps) > 2
 
     # at delta_d = 0.002 and a 400-step budget, (7.5, 15.0) meets the
@@ -365,8 +370,7 @@ class TestTabulatedLoop:
             trace = list(access_traces(
                 self.GEOMETRIES, AccessPolicy(delta_d=0.002,
                                               max_steps=budget), cfg))[user]
-            assert (trace.terminated, trace.total_symbols) == (verdict,
-                                                                budget)
+            assert trace.terminated == verdict
             assert len(trace.steps) == budget
 
     # GEOMETRIES plus d = d_s, where the path loss switches from LOS to NLOS
@@ -448,20 +452,47 @@ class TestLockstep:
     def test_batch_matches_one_user_calls(self, cfg, monkeypatch, users,
                                           other):
         policy = AccessPolicy(**self.POLICY, **other)
-        want = [repr(run_initial_access(d, d_a, policy, cfg))
+        want = [parent_repr(run_initial_access(d, d_a, policy, cfg),
+                            policy.symbol_duration)
                 for d, d_a in self.GEOMETRIES]
         if users is not None:
             monkeypatch.setattr(initial_access, "_CHUNK_USERS", users)
-        got = [repr(trace)
+        got = [parent_repr(trace, policy.symbol_duration)
                for trace in access_traces(self.GEOMETRIES, policy, cfg)]
         assert got == want
 
     def test_batch_mixes_stops(self, cfg):
         traces = list(access_traces(self.GEOMETRIES,
                                     AccessPolicy(**self.POLICY), cfg))
-        assert min(t.total_symbols for t in traces) == 1
+        assert min(len(t.steps) for t in traces) == 1
         assert any(t.terminated == "max_iter" for t in traces)
-        assert sum(t.total_symbols == 1 for t in traces) > 3
+        assert sum(len(t.steps) == 1 for t in traces) > 3
+
+    @pytest.mark.parametrize("users", [3, None])
+    def test_step_records(self, cfg, monkeypatch, users):
+        # each trace holds read-only STEP records, one per step it took,
+        # though the users of its chunk stop at different steps
+        policy = AccessPolicy(**self.POLICY)
+        if users is not None:
+            monkeypatch.setattr(initial_access, "_CHUNK_USERS", users)
+        stops = []
+        for trace in access_traces(self.GEOMETRIES, policy, cfg):
+            steps = trace.steps
+            assert steps.dtype == STEP
+            for name in STEP.names:
+                with pytest.raises(ValueError, match="read-only"):
+                    steps[name][-1] = 1
+            with pytest.raises(ValueError):
+                steps.setflags(write=True)
+            # the first step meeting the accuracies, else the budget
+            met = ((np.sqrt(steps["sigma_d2"]) <= policy.delta_d)
+                   & (np.sqrt(steps["sigma_psi2"]) <= policy.delta_psi))
+            stop = int(met.argmax()) + 1 if met.any() else policy.max_steps
+            assert len(steps) == stop
+            assert trace.terminated == ("accuracy_met" if met.any()
+                                        else "max_iter")
+            stops.append(stop)
+        assert 1 in stops and policy.max_steps in stops
 
     def test_no_row_table_and_no_block_past_the_budget(self, cfg,
                                                        monkeypatch):
@@ -586,9 +617,9 @@ class TestGrowthClamp:
         policy = AccessPolicy(delta_d=0.01)
         d, d_a = access_reference_geometry(0.2, cfg)
         steps = run_initial_access(d, d_a, policy, cfg).steps
-        assert [(s.index, s.side, s.k) for s in steps[:3]] == [
-            (1, "BS", 1), (2, "UE", 1), (3, "BS", 2)]
-        seen = steps[1].sigma_d2
+        # steps 1 (BS), 2 (UE) and 3 (BS)
+        assert steps["k"][:3].tolist() == [1, 1, 2]
+        seen = float(steps["sigma_d2"][1])
 
         def p_bs(k):
             _, left, right = containing_beam(d, d_a, cfg.h_b, k)
@@ -617,8 +648,9 @@ class TestTraceDigest:
              pilot_energy_scale=2e-3),
         dict(delta_d=5e-4, delta_psi=0.01, max_steps=60),
     )
-    # the concatenated reprs, densities outermost and policies innermost;
-    # the same recipe over np.geomspace(1e-3, 10, 400) gives 8a7f1bca...
+    # the concatenated parent_repr texts, densities outermost and policies
+    # innermost; the same recipe over np.geomspace(1e-3, 10, 400) gives
+    # 9d943e5f...
     DIGEST = "b8888eb185f1fff454ca058e6590da8e64ebc2310e4d11723c5de86b7f8e4cb7"
     # the same recipe under AVX512_MASK: 53 traces differ, in their
     # sigma_d2 and sigma_psi2 only
@@ -635,9 +667,10 @@ class TestTraceDigest:
         for lam in np.geomspace(1e-3, 10.0, 100).tolist():
             d_ref, d_a = access_reference_geometry(lam, cfg)
             geometries.extend((d, d_a) for d in (0.0, d_ref, 0.3 * d_a, d_a))
-        reprs = [repr(trace) for group in zip(*(
-            access_traces(geometries, policy, cfg) for policy in policies))
-            for trace in group]
+        reprs = [parent_repr(trace, policy.symbol_duration)
+                 for group in zip(*(access_traces(geometries, policy, cfg)
+                                    for policy in policies))
+                 for policy, trace in zip(policies, group)]
         assert len(reprs) == 2000
         return hashlib.sha256("".join(reprs).encode()).hexdigest()
 
