@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import beamwidth_to_elements, main_lobe_gain
+from .antenna import TWO_PI, beamwidth_to_elements, main_lobe_gain
 from .config import NetworkConfig
 from .dictionary import containing_beam, row_beamwidth
 from .errors import NumericError
@@ -96,11 +96,14 @@ class AccessTrace:
     fallback_events: int = 0
 
 
-# users of one chunk, stepped together. Its step columns, 32 B a record
-# plus 8 B of user index, live until its traces are made, which keep the
-# 32 B: at the 21 steps a 1 mm ``access-delay`` user takes on average, a
-# chunk holds about 2,700 records (86 kB)
-_CHUNK_USERS = 128
+# users of one chunk, stepped together. While a chunk runs, its step
+# columns (each stepping user's row, level and two variances, the row and
+# level arrays shared by the steps that keep them) and then its 32 B
+# records take about 64 B a record; its traces keep the 32 B. At the 21
+# steps a 1 mm ``access-delay`` user takes on average, a chunk holds about
+# 10,900 records (0.7 MB while it runs), and at most, at max_steps = 200,
+# 102,400 (6.6 MB)
+_CHUNK_USERS = 512
 # (entry, row) pairs of one row block of a beam selection, so that a
 # block's float64 temporaries are 64 KiB, below glibc's initial 128 KiB
 # mmap threshold; it holds a chunk's users one row each
@@ -358,8 +361,10 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
     info_d = np.full(d.size, 1.0 / policy.initial_sigma_d2)
     info_psi = np.zeros(d.size)
     sigma_d2, sigma_psi2 = 1.0 / info_d, None
-    columns = []    # per step: (users, k, theta_u, sigma_d2, sigma_psi2)
-    # per user: the row, level and variances of its last step
+    columns = []    # per step: its users' k, level, sigma_d2, sigma_psi2
+    # per user: its step count, and the row, level and variances of its
+    # last step
+    counts = np.empty_like(k)
     end_k, end_level = np.empty_like(k), np.empty_like(level)
     end_d2, end_psi2 = np.empty(d.size), np.empty(d.size)
 
@@ -378,10 +383,11 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
         info_psi += 1.0 / var_psi
 
         sigma_d2, sigma_psi2 = 1.0 / info_d, 1.0 / info_psi
-        columns.append((users, k, _UE_WIDTHS[level], sigma_d2, sigma_psi2))
+        columns.append((k, level, sigma_d2, sigma_psi2))
         done = met(sigma_d2, sigma_psi2) | (step == policy.max_steps)
         if done.any():
             stop = users[done]
+            counts[stop] = step
             end_k[stop], end_level[stop] = k[done], level[done]
             end_d2[stop], end_psi2[stop] = sigma_d2[done], sigma_psi2[done]
             keep = ~done
@@ -396,15 +402,19 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
                           np.full(d.size, policy.n_max))
     final_level = _ue_level(end_psi2, policy.delta_ma, end_level,
                             np.full(d.size, last))
-    # the chunk's records by user, and by step within one as the sort is
-    # stable, split into a read-only view per user
-    users, *fields = map(np.concatenate, zip(*columns))
-    order = np.argsort(users, kind="stable")
-    records = np.empty(users.size, STEP)
-    for name, column in zip(STEP.names, fields):
-        records[name] = column[order]
+    # the chunk's records by user, and by step within one: step i of a
+    # user goes to its offset plus i - 1; the users of step i are those
+    # with at least i steps, in order
+    ends = np.cumsum(counts)
+    offsets = ends - counts
+    records = np.empty(ends[-1], STEP)
+    fields = [records[name] for name in STEP.names]
+    for index, (rows, levels, *values) in enumerate(columns):
+        at = offsets[counts > index] + index
+        for field, value in zip(fields, (rows, _UE_WIDTHS[levels], *values)):
+            field[at] = value
     records.setflags(write=False)
-    steps = np.split(records, np.cumsum(np.bincount(users))[:-1])
+    steps = np.split(records, ends[:-1])
     return [AccessTrace(steps=s, final_k=row, final_theta_u=UE_GRID[lvl],
                         terminated="accuracy_met" if ok else "max_iter")
             for s, ok, row, lvl in zip(
@@ -448,11 +458,19 @@ def run_initial_access(d: float, cell_size: float, policy: AccessPolicy,
 # Baseline search delays
 # ---------------------------------------------------------------------------
 
-def delay_exhaustive(theta_b: float, theta_u: float, symbol_duration: float) -> float:
+def delay_exhaustive(theta_b, theta_u, symbol_duration: float):
     """Full sweep over all ceil(2pi/theta_b) x ceil(2pi/theta_u) pairs, each
-    beamwidth in (0, 2pi]."""
-    return (beamwidth_to_elements(theta_b) * beamwidth_to_elements(theta_u)
-            * symbol_duration)
+    beamwidth in (0, 2pi]; theta_b and theta_u may be arrays (they
+    broadcast). The beam counts are whole floats, so their product rounds
+    as the integers' would."""
+    beams = []
+    for theta in (theta_b, theta_u):
+        theta = np.asarray(theta, dtype=float)
+        if not ((0.0 < theta) & (theta <= TWO_PI)).all():   # NaN fails
+            raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
+        beams.append(np.ceil(TWO_PI / theta))
+    out = beams[0] * beams[1] * symbol_duration
+    return out if out.ndim else float(out)
 
 
 def delay_iterative(target_k: int, target_theta_u: float,

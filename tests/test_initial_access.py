@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,46 @@ class TestLockstep:
             stops.append(stop)
         assert 1 in stops and policy.max_steps in stops
 
+    @pytest.mark.parametrize("users", [1, 3, None, len(GEOMETRIES)])
+    def test_records_as_the_argsort_assembly(self, cfg, monkeypatch, users):
+        # a chunk's records are scattered into place; they must be what the
+        # concatenate + stable argsort by user of its step-major columns
+        # made, the columns built here from one-user traces. A chunk's
+        # traces are read-only views of one array, in user order, each
+        # beginning where the one before it ends
+        policy = AccessPolicy(**self.POLICY)
+        alone = [run_initial_access(d, d_a, policy, cfg).steps
+                 for d, d_a in self.GEOMETRIES]
+        if users is not None:
+            monkeypatch.setattr(initial_access, "_CHUNK_USERS", users)
+        width = initial_access._CHUNK_USERS
+        traces = list(access_traces(self.GEOMETRIES, policy, cfg))
+        for start in range(0, len(traces), width):
+            steps = alone[start:start + width]
+            columns = []    # per step: (users, k, theta_u, sigma_d2, ...)
+            for i in range(max(map(len, steps))):
+                at = [u for u, s in enumerate(steps) if len(s) > i]
+                columns.append((np.array(at), *(
+                    np.array([steps[u][name][i] for u in at])
+                    for name in STEP.names)))
+            users_of, *fields = map(np.concatenate, zip(*columns))
+            order = np.argsort(users_of, kind="stable")
+            want = np.empty(users_of.size, STEP)
+            for name, column in zip(STEP.names, fields):
+                want[name] = column[order]
+
+            chunk = [t.steps for t in traces[start:start + width]]
+            base = chunk[0].base
+            assert base.dtype == STEP and not base.flags.writeable
+            assert base.tobytes() == want.tobytes()
+            origin = base.__array_interface__["data"][0]
+            offset = 0
+            for s in chunk:
+                assert s.base is base and not s.flags.writeable
+                assert s.__array_interface__["data"][0] == origin + offset
+                offset += s.nbytes
+            assert offset == base.nbytes
+
     def test_no_row_table_and_no_block_past_the_budget(self, cfg,
                                                        monkeypatch):
         # three users a chunk and row blocks of 16 (user, row) pairs; the
@@ -600,6 +641,32 @@ class TestLockstep:
             next(access_traces([(1.0, 2.0), (3.0, 2.0)], policy, cfg))
         with pytest.raises(ValueError, match="inside the cell"):
             run_initial_access(math.nan, 2.0, policy, cfg)
+
+
+class TestChunkMemory:
+    """A chunk's records are scattered into place from its step columns.
+    Building them with a concatenate, a stable argsort by user and a
+    gather per field peaked at 1,678 kB on this set in 512-user chunks;
+    the scatter peaks near 1 MB, a third of which is the service beam
+    selection's row blocks."""
+
+    def test_access_traces_peak(self, cfg):
+        # the 512 largest distinct cells of the ``access`` benchmark's
+        # densities at a 1 mm target: about 26 steps a user
+        lams = np.geomspace(0.005, 0.2, 3000).tolist()
+        geometries = list(dict.fromkeys(
+            access_reference_geometry(lam, cfg) for lam in lams))[:512]
+        policy = AccessPolicy(delta_d=0.001)
+        list(access_traces(geometries[:8], policy, cfg))   # warms caches
+        tracemalloc.start()
+        try:
+            records = sum(len(trace.steps)
+                          for trace in access_traces(geometries, policy, cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records > 12_000
+        assert peak < 1_250_000
 
 
 class TestGrowthClamp:
@@ -1013,6 +1080,40 @@ class TestBaselineDelays:
     def test_iterative_combined(self):
         # 4 BS halvings + 2 UE halvings, 2 symbols each
         assert delay_iterative(16, math.pi / 8, 1.0) == pytest.approx(12.0)
+
+    def test_sweep_baselines_keep_scalar_bits(self, cfg):
+        # access-delay builds the service beamwidth and both delays with
+        # array calls: each entry must have the bits of its scalar calls,
+        # for every (k, UE_GRID level) in the clamped 0.75 d_s cell and in
+        # every distinct cell of the ``access`` benchmark's densities
+        policy = AccessPolicy()
+        lams = np.geomspace(0.005, 0.2, 3000).tolist()
+        distinct = list(dict.fromkeys(
+            access_reference_geometry(lam, cfg) for lam in lams))
+        assert distinct[0] == (0.75 * cfg.d_s, 1.5 * cfg.d_s)
+        pairs = list(itertools.product(range(1, policy.n_max + 1), UE_GRID))
+        cells = [distinct[0][1]] * len(pairs) + [c for _, c in distinct]
+        pairs += [(1 + i % policy.n_max, UE_GRID[i % len(UE_GRID)])
+                  for i in range(len(distinct))]
+        k, theta_u = map(list, zip(*pairs))
+        theta_b = row_beamwidth(np.array(cells), cfg.h_b, np.array(k))
+        got = (theta_b, *experiments._sweep_baselines(
+            np.array(cells), np.array(k), np.array(theta_u), cfg.h_b,
+            policy.symbol_duration))
+        scalar_b = [row_beamwidth(c, cfg.h_b, r) for c, r in zip(cells, k)]
+        exhaustive = [delay_exhaustive(b, t, policy.symbol_duration)
+                      for b, t in zip(scalar_b, theta_u)]
+        want = (scalar_b,
+                [delay_iterative(r, t, policy.symbol_duration)
+                 for r, t in pairs],
+                exhaustive)
+        for array, scalars in zip(got, want):
+            assert array.tobytes() == np.array(scalars).tobytes()
+        # a scalar call rounds as the product of the integer beam counts
+        assert exhaustive == [beamwidth_to_elements(b)
+                              * beamwidth_to_elements(t)
+                              * policy.symbol_duration
+                              for b, t in zip(scalar_b, theta_u)]
 
     # NaN used to pass both checks; delay_exhaustive(inf, 1, 1) was 0.0,
     # and 7.0 counted one beam of a width past 2 pi
