@@ -15,6 +15,14 @@ from .config import NetworkConfig
 TWO_PI = 2.0 * math.pi
 
 
+def check_beamwidth(theta) -> None:
+    """Raise ValueError unless theta (a scalar or an array) lies in
+    (0, 2*pi] throughout; NaN fails."""
+    valid = (0.0 < theta) & (theta <= TWO_PI)
+    if not (valid if isinstance(valid, bool) else valid.all()):
+        raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
+
+
 def main_lobe_gain(theta, cfg: NetworkConfig):
     """Main-lobe gain G0 * (2*pi - (2*pi - theta) * eps) / theta of the
     two-level sectorized pattern for a beam of angular width theta; theta
@@ -23,9 +31,7 @@ def main_lobe_gain(theta, cfg: NetworkConfig):
     With the sidelobe gain G0 * eps the pattern conserves total radiated
     power: gain_main * theta + gain_side * (2*pi - theta) == 2*pi * G0.
     """
-    valid = (0.0 < theta) & (theta <= TWO_PI)
-    if not (valid if isinstance(valid, bool) else valid.all()):
-        raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
+    check_beamwidth(theta)
     return cfg.g0 * (TWO_PI - (TWO_PI - theta) * cfg.eps_sidelobe) / theta
 
 
@@ -35,6 +41,5 @@ def sidelobe_gain(cfg: NetworkConfig) -> float:
 
 def beamwidth_to_elements(theta: float) -> int:
     """Element count realizing a beam of width theta: ceil(2*pi/theta), >= 1."""
-    if not 0.0 < theta <= TWO_PI:
-        raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
+    check_beamwidth(theta)
     return max(1, math.ceil(TWO_PI / theta))

@@ -65,6 +65,10 @@ class NetworkConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if self.eps_sidelobe >= 1.0:
             raise ConfigError("eps_sidelobe must be < 1")
+        try:    # two side lobes' gain product scales each interferer
+            (self.g0 * self.eps_sidelobe) ** 2
+        except OverflowError:
+            raise ConfigError("g0 * eps_sidelobe squared overflows") from None
         if self.alpha_nlos < self.alpha_los:
             raise ConfigError("alpha_nlos must be >= alpha_los")
         for name in ("n_los", "n_nlos", "ue_sounding_elements"):

@@ -25,6 +25,7 @@ from .coverage import CoverageQuery, overall_coverage, rate_coverage
 from .dictionary import beam_boundaries, row_beamwidth
 from .errors import ConfigError
 from .initial_access import (
+    SYMBOL_DURATION,
     AccessPolicy,
     access_traces,
     delay_exhaustive,
@@ -189,25 +190,6 @@ def access_reference_geometry(lam: float, cfg: NetworkConfig) -> tuple:
 # Experiment bodies
 # ---------------------------------------------------------------------------
 
-def _sweep_baselines(cell_size, k, theta_u, h_b: float,
-                     symbol_duration: float) -> tuple:
-    """(iterative, exhaustive): both sweep baselines' delays per entry of
-    the aligned 1-D arrays of a service pair (row k of a cell of
-    cell_size, theta_u), each with the bits of its scalar
-    ``delay_iterative`` or ``delay_exhaustive`` call."""
-    pairs = list(zip(k.tolist(), theta_u.tolist()))
-    delay = {pair: delay_iterative(*pair, symbol_duration)
-             for pair in dict.fromkeys(pairs)}
-    return (np.array([delay[pair] for pair in pairs]),
-            delay_exhaustive(row_beamwidth(cell_size, h_b, k), theta_u,
-                             symbol_duration))
-
-
-def _trace_columns(trace) -> tuple:
-    return (len(trace.steps), trace.final_k, trace.final_theta_u,
-            trace.terminated)
-
-
 def _run_access_delay(spec: ExperimentSpec):
     # The loop never reads bs_density: one config serves all densities, and
     # those clamped to one geometry share its row's columns (not its trace);
@@ -218,15 +200,16 @@ def _run_access_delay(spec: ExperimentSpec):
     lams = _lambda_grid(spec.knobs).tolist()
     geometries = [access_reference_geometry(lam, cfg) for lam in lams]
     distinct = list(dict.fromkeys(geometries))
-    steps, final_k, theta_u, terminated = zip(
-        *map(_trace_columns, access_traces(distinct, policy, cfg)))
-    iterative, exhaustive = _sweep_baselines(
-        np.array([cell for _, cell in distinct]), np.array(final_k),
-        np.array(theta_u), cfg.h_b, policy.symbol_duration)
+    steps, final_k, theta_u, terminated = zip(*(
+        (len(t.steps), t.final_k, t.final_theta_u, t.terminated)
+        for t in access_traces(distinct, policy, cfg)))
+    k, tu = np.array(final_k), np.array(theta_u)
+    theta_b = row_beamwidth(np.array(distinct)[:, 1], cfg.h_b, k)
     columns = dict(zip(distinct, zip(
-        steps, (np.array(steps) * policy.symbol_duration * 1e3).tolist(),
-        (iterative * 1e3).tolist(), (exhaustive * 1e3).tolist(), final_k,
-        theta_u, terminated)))
+        steps, (np.array(steps) * SYMBOL_DURATION * 1e3).tolist(),
+        (delay_iterative(k, tu, SYMBOL_DURATION) * 1e3).tolist(),
+        (delay_exhaustive(theta_b, tu, SYMBOL_DURATION) * 1e3).tolist(),
+        final_k, theta_u, terminated)))
 
     rows = [(lam, *columns[geometry])
             for lam, geometry in zip(lams, geometries)]

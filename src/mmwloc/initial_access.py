@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import TWO_PI, beamwidth_to_elements, main_lobe_gain
+from .antenna import (
+    TWO_PI,
+    beamwidth_to_elements,
+    check_beamwidth,
+    main_lobe_gain,
+)
 from .config import NetworkConfig
 from .dictionary import containing_beam, row_beamwidth
 from .errors import NumericError
@@ -44,6 +49,8 @@ from .numerics import check_count, q_inverse
 
 # the UE beamwidths, widest first; each level halves the one above it
 UE_GRID = tuple(math.pi / 2 ** i for i in range(1, 9))
+# one pilot symbol [s]: each access step, and each probe of a sweep
+SYMBOL_DURATION = 14.3e-6
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,6 @@ class AccessPolicy:
     delta_psi: float = math.pi      # angle termination accuracy [rad, rms];
                                     # non-binding by default (ranging gates)
     max_steps: int = 200
-    symbol_duration: float = 14.3e-6
     initial_sigma_d2: float = 25.0  # coarse sub-6GHz ranging variance [m^2]
     n_max: int = 1024               # deepest dictionary row during access
     pilot_energy_scale: float = 1.0e-3     # calibrated per-step pilot budget
@@ -72,8 +78,7 @@ class AccessPolicy:
             check_count(getattr(self, name), f"{name} must be an integer >= 1")
         # inf would zero the prior ranging information, overflow the row cap
         # or make a step's information infinite
-        for name in ("symbol_duration", "pilot_energy_scale",
-                     "initial_sigma_d2", "bs_growth"):
+        for name in ("pilot_energy_scale", "initial_sigma_d2", "bs_growth"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -349,7 +354,7 @@ def _run_chunk(d, cell_size, policy: AccessPolicy,
     geometry = (d, cell_size, cfg.h_b, policy.n_max)
     energy, variances = _step_variances(
         d, row_beamwidth(cell_size, cfg.h_b, 1),
-        policy.symbol_duration * policy.pilot_energy_scale, cfg)
+        SYMBOL_DURATION * policy.pilot_energy_scale, cfg)
 
     def met(sigma_d2, sigma_psi2):
         return ((np.sqrt(sigma_d2) <= policy.delta_d)
@@ -463,24 +468,22 @@ def delay_exhaustive(theta_b, theta_u, symbol_duration: float):
     beamwidth in (0, 2pi]; theta_b and theta_u may be arrays (they
     broadcast). The beam counts are whole floats, so their product rounds
     as the integers' would."""
-    beams = []
-    for theta in (theta_b, theta_u):
-        theta = np.asarray(theta, dtype=float)
-        if not ((0.0 < theta) & (theta <= TWO_PI)).all():   # NaN fails
-            raise ValueError(f"beamwidth must be in (0, 2*pi], got {theta}")
-        beams.append(np.ceil(TWO_PI / theta))
-    out = beams[0] * beams[1] * symbol_duration
+    check_beamwidth(theta_b)
+    check_beamwidth(theta_u)
+    pairs = np.ceil(TWO_PI / theta_b) * np.ceil(TWO_PI / theta_u)
+    out = pairs * symbol_duration
     return out if out.ndim else float(out)
 
 
-def delay_iterative(target_k: int, target_theta_u: float,
-                    symbol_duration: float) -> float:
+def delay_iterative(target_k, target_theta_u, symbol_duration: float):
     """Bisection search: two probing symbols per halving stage, first on
     the BS side down to row target_k, then on the UE side from the widest
-    ``UE_GRID`` level down to the target beamwidth, in (0, 2pi]."""
+    ``UE_GRID`` level down to the target beamwidth, in (0, 2pi]; both may
+    be arrays (they broadcast). ceil(log2 k) is the binary exponent of
+    k - 1, and on the grid UE_GRID[0] / theta_u is a power of two."""
     check_count(target_k, "target dictionary size must be >= 1")
-    beamwidth_to_elements(target_theta_u)   # the width check
-    bs_stages = math.ceil(math.log2(target_k)) if target_k > 1 else 0
-    ratio = UE_GRID[0] / target_theta_u
-    ue_stages = max(0, math.ceil(math.log2(ratio))) if ratio > 1.0 else 0
-    return 2.0 * (bs_stages + ue_stages) * symbol_duration
+    check_beamwidth(target_theta_u)
+    bs_stages = np.frexp(np.asarray(target_k) - 1.0)[1]
+    ue_stages = np.ceil(np.log2(UE_GRID[0] / target_theta_u))
+    out = 2.0 * (bs_stages + np.maximum(ue_stages, 0.0)) * symbol_duration
+    return out if out.ndim else float(out)

@@ -212,9 +212,11 @@ def checked_probability(p, what: str):
 
 
 def check_count(value, message: str) -> None:
-    """Raise ValueError(message) unless value is an integer >= 1; 2.5, inf
-    and NaN fail, where a bare ``value < 1`` would let them through."""
-    if not (float(value).is_integer() and value >= 1):
+    """Raise ValueError(message) unless value (a scalar or an array) is an
+    integer >= 1 throughout; 2.5, inf and NaN fail, unlike ``value < 1``."""
+    value = np.asarray(value, dtype=float)
+    if not (np.isfinite(value) & (value >= 1)
+            & (value == np.floor(value))).all():
         raise ValueError(message)
 
 

@@ -46,6 +46,7 @@ from mmwloc import (
 from mmwloc.antenna import main_lobe_gain, sidelobe_gain
 from mmwloc.coverage import _branch_values, _InterferenceTables
 from mmwloc.dictionary import row_beamwidth
+from mmwloc.initial_access import SYMBOL_DURATION
 from mmwloc.localization import (
     _aoa_factor,
     avg_beam_selection_error,
@@ -146,11 +147,11 @@ def test_criterion_4_delay_ordering():
         d_ref = min(1.0 / (4.0 * lam), 0.75 * cfg.d_s)
         trace = run_initial_access(d_ref, 2.0 * d_ref, policy, cfg)
         theta_b = row_beamwidth(2.0 * d_ref, cfg.h_b, trace.final_k)
-        proposed = len(trace.steps) * policy.symbol_duration
+        proposed = len(trace.steps) * SYMBOL_DURATION
         iterative = delay_iterative(trace.final_k, trace.final_theta_u,
-                                    policy.symbol_duration)
+                                    SYMBOL_DURATION)
         exhaustive = delay_exhaustive(theta_b, trace.final_theta_u,
-                                      policy.symbol_duration)
+                                      SYMBOL_DURATION)
         ordered = ordered and (proposed < iterative < exhaustive)
         reductions.append(1.0 - proposed / exhaustive)
     ok = ordered and max(reductions) >= 0.70

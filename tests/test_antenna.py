@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from mmwloc import NetworkConfig
-from mmwloc.antenna import beamwidth_to_elements, main_lobe_gain, sidelobe_gain
+from mmwloc.antenna import (
+    beamwidth_to_elements,
+    check_beamwidth,
+    main_lobe_gain,
+    sidelobe_gain,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -60,3 +65,23 @@ class TestBeamwidthToElements:
         widths = np.linspace(0.01, TWO_PI, 300)
         counts = [beamwidth_to_elements(t) for t in widths]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+class TestCheckBeamwidth:
+    @pytest.mark.parametrize("good", [TWO_PI, math.pi / 256, 5e-324])
+    def test_widths_in_range_pass(self, good):
+        check_beamwidth(good)
+        check_beamwidth(np.float64(good))
+        check_beamwidth(np.array([0.3, good]))
+
+    # NaN fails, where a bare theta <= 0 or theta > 2 pi would pass it
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 7.0, math.inf, math.nan])
+    def test_widths_out_of_range_fail(self, bad):
+        for theta in (bad, np.float64(bad), np.array([[0.3], [bad]])):
+            with pytest.raises(ValueError, match="beamwidth"):
+                check_beamwidth(theta)
+        cfg = NetworkConfig()
+        for call in (lambda: main_lobe_gain(bad, cfg),
+                     lambda: beamwidth_to_elements(bad)):
+            with pytest.raises(ValueError, match="beamwidth"):
+                call()

@@ -1,13 +1,18 @@
 """Command-line runner: exit codes, outputs, override plumbing, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwloc import cli, experiments
 from mmwloc.config import (
@@ -255,6 +260,11 @@ class TestCliRuns:
         # as many: 72.8 TiB at d_s = 1e15 m
         (["run", "validate-analytical", "--set", "network.d_s_m=1e15",
           "--trials", "1"], "network.d_s_m"),
+        # a side-lobe gain past 1e154 used to end in an OverflowError
+        # traceback where its square scales the interference
+        (["optimize", "--set", "network.g0_dbi=1600"], "eps_sidelobe squared"),
+        (["run", "validate-analytical", "--set", "network.g0_dbi=3000",
+          "--trials", "1"], "eps_sidelobe squared"),
     ])
     def test_bad_experiment_knob_exits_2(self, tmp_path, capsys, argv,
                                          message):
@@ -425,6 +435,45 @@ class TestCliRuns:
         for row in rows:
             assert (float(row["proposed_ms"]) < float(row["iterative_ms"])
                     < float(row["exhaustive_ms"]))
+
+
+# fast runs that between them read every network.* value
+FAST_RUNS = (
+    ("run", "rate-vs-beta", "--set", "experiment.k_list=1,2",
+     "--set", "experiment.beta_step=0.5"),
+    ("run", "validate-analytical", "--trials", "50"),
+    ("run", "access-resolution"),
+    ("run", "error-vs-dictionary", "--set", "experiment.k_max=2"),
+)
+# magnitudes near both ends of the float range, read linear or in dB
+EXTREMES = ("1e300", "-1e300", "1e-300", "-1e-300", "3000", "-3000")
+
+
+class TestExitCodeContract:
+    # any one network value at an extreme magnitude ends in exit 0, 2 or 3,
+    # an error with a one-line message, never in a traceback;
+    # network.g0_dbi = 3000 used to end in an OverflowError
+    @settings(max_examples=60, deadline=None)
+    @given(run=st.sampled_from(FAST_RUNS),
+           key=st.sampled_from(boundary_keys()),
+           value=st.sampled_from(EXTREMES))
+    @example(run=FAST_RUNS[0], key="network.g0_dbi", value="3000")
+    @example(run=FAST_RUNS[1], key="network.g0_dbi", value="3000")
+    def test_extreme_network_value_keeps_the_exit_codes(self, run, key,
+                                                        value):
+        err = io.StringIO()
+        with (tempfile.TemporaryDirectory() as out,
+              warnings.catch_warnings(record=True),
+              contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            # numpy's RuntimeWarnings pass as a CLI user sees them, not as
+            # the errors the suite's warning filter makes of them
+            warnings.simplefilter("default", RuntimeWarning)
+            code = cli.main([*run, "--set", f"{key}={value}", "--out", out])
+        assert code in (0, 2, 3)
+        if code:
+            [line] = err.getvalue().splitlines()
+            assert line.startswith(("config error: ", "numeric error: "))
 
 
 class TestExperimentTable:

@@ -22,6 +22,7 @@ from mmwloc.errors import NumericError
 from mmwloc.experiments import ExperimentSpec, access_reference_geometry
 from mmwloc.initial_access import (
     STEP,
+    SYMBOL_DURATION,
     UE_GRID,
     AccessTrace,
     _last_row,
@@ -207,7 +208,7 @@ class TestRefinementLoop:
             "access-delay", overrides={"experiment.delta_d": pol.delta_d}))
         for _, steps, delay_ms, *_ in rows:
             assert delay_ms == pytest.approx(
-                steps * pol.symbol_duration * 1e3)
+                steps * SYMBOL_DURATION * 1e3)
         [(_, _, rows)] = experiments._run_access_resolution(ExperimentSpec(
             "access-resolution", overrides={"experiment.lambdas": "0.01"}))
         assert [r[2] for r in rows[:2]] == ["BS", "UE"]
@@ -226,7 +227,7 @@ class TestRefinementLoop:
         pol = AccessPolicy(delta_d=0.002)
         traces = {parent_repr(run_initial_access(
             d, cell_size, pol, cfg.with_overrides(bs_density=lam)),
-            pol.symbol_duration) for lam in (1e-4, 0.005, 0.05, 0.2, 5.0)}
+            SYMBOL_DURATION) for lam in (1e-4, 0.005, 0.05, 0.2, 5.0)}
         assert len(traces) == 1
 
     # (1, inf) used to give a trace; (0, 0) and (inf, inf) to warn before
@@ -282,7 +283,7 @@ def _reference_access(d, cell_size, policy, cfg):
     run_initial_access tabulates the row search per user, brackets the
     searches, evaluates the variances in float arithmetic, and must
     reproduce this loop bit for bit."""
-    obs_time = policy.symbol_duration * policy.pilot_energy_scale
+    obs_time = SYMBOL_DURATION * policy.pilot_energy_scale
     step_cfg = _step_config(cfg, obs_time)
     theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
     info_d = 1.0 / policy.initial_sigma_d2
@@ -358,8 +359,8 @@ class TestTabulatedLoop:
                               **(self.OTHER if other else {}))
         got = run_initial_access(d, cell_size, policy, cfg)
         want = _reference_access(d, cell_size, policy, cfg)
-        assert (parent_repr(got, policy.symbol_duration)
-                == parent_repr(want, policy.symbol_duration))
+        assert (parent_repr(got, SYMBOL_DURATION)
+                == parent_repr(want, SYMBOL_DURATION))
         assert len(got.steps) > 2
 
     # at delta_d = 0.002 and a 400-step budget, (7.5, 15.0) meets the
@@ -382,7 +383,7 @@ class TestTabulatedLoop:
         # the vectorized (level, row) tables the loop used to read: every
         # pair up to n_max = 1024, as one batch, has their bits
         n_max = 1024
-        obs_time = AccessPolicy().symbol_duration * pilot_energy_scale
+        obs_time = SYMBOL_DURATION * pilot_energy_scale
         theta_1 = row_beamwidth(cell_size, cfg.h_b, 1)
         gamma_b = main_lobe_gain(theta_1 / np.arange(1, n_max + 1), cfg)
         gamma_u = main_lobe_gain(np.array(UE_GRID)[:, None], cfg)
@@ -417,7 +418,7 @@ class TestTabulatedLoop:
 
     @pytest.mark.parametrize("field,value", [
         *(pytest.param(f, math.nan, id=f) for f in (
-            "delta_bs", "delta_ma", "delta_d", "delta_psi", "symbol_duration",
+            "delta_bs", "delta_ma", "delta_d", "delta_psi",
             "initial_sigma_d2", "pilot_energy_scale", "bs_growth")),
         # inf used to end in a ZeroDivisionError and an OverflowError
         ("initial_sigma_d2", math.inf), ("bs_growth", math.inf)])
@@ -454,11 +455,11 @@ class TestLockstep:
                                           other):
         policy = AccessPolicy(**self.POLICY, **other)
         want = [parent_repr(run_initial_access(d, d_a, policy, cfg),
-                            policy.symbol_duration)
+                            SYMBOL_DURATION)
                 for d, d_a in self.GEOMETRIES]
         if users is not None:
             monkeypatch.setattr(initial_access, "_CHUNK_USERS", users)
-        got = [parent_repr(trace, policy.symbol_duration)
+        got = [parent_repr(trace, SYMBOL_DURATION)
                for trace in access_traces(self.GEOMETRIES, policy, cfg)]
         assert got == want
 
@@ -734,7 +735,7 @@ class TestTraceDigest:
         for lam in np.geomspace(1e-3, 10.0, 100).tolist():
             d_ref, d_a = access_reference_geometry(lam, cfg)
             geometries.extend((d, d_a) for d in (0.0, d_ref, 0.3 * d_a, d_a))
-        reprs = [parent_repr(trace, policy.symbol_duration)
+        reprs = [parent_repr(trace, SYMBOL_DURATION)
                  for group in zip(*(access_traces(geometries, policy, cfg)
                                     for policy in policies))
                  for policy, trace in zip(policies, group)]
@@ -1081,39 +1082,65 @@ class TestBaselineDelays:
         # 4 BS halvings + 2 UE halvings, 2 symbols each
         assert delay_iterative(16, math.pi / 8, 1.0) == pytest.approx(12.0)
 
-    def test_sweep_baselines_keep_scalar_bits(self, cfg):
-        # access-delay builds the service beamwidth and both delays with
-        # array calls: each entry must have the bits of its scalar calls,
-        # for every (k, UE_GRID level) in the clamped 0.75 d_s cell and in
-        # every distinct cell of the ``access`` benchmark's densities
-        policy = AccessPolicy()
+    def test_broadcast_delays_match_integer_counts(self, cfg):
+        # access-delay calls each baseline once, on arrays: every entry must
+        # have the bits of the integer stage and beam counts, for every (k,
+        # UE_GRID level) in the clamped 0.75 d_s cell, with the widths one
+        # ulp either side of each level, and in every distinct cell of the
+        # ``access`` benchmark's densities; wider UE beams take no stage
+        n_max = AccessPolicy().n_max
         lams = np.geomspace(0.005, 0.2, 3000).tolist()
         distinct = list(dict.fromkeys(
             access_reference_geometry(lam, cfg) for lam in lams))
+        assert len(distinct) == 2022
         assert distinct[0] == (0.75 * cfg.d_s, 1.5 * cfg.d_s)
-        pairs = list(itertools.product(range(1, policy.n_max + 1), UE_GRID))
+        widths = [w for level in UE_GRID
+                  for w in (math.nextafter(level, 0.0), level,
+                            math.nextafter(level, math.inf))]
+        widths += [math.pi, 2.0 * math.pi]
+        pairs = list(itertools.product(range(1, n_max + 1), widths))
         cells = [distinct[0][1]] * len(pairs) + [c for _, c in distinct]
-        pairs += [(1 + i % policy.n_max, UE_GRID[i % len(UE_GRID)])
+        pairs += [(1 + i % n_max, UE_GRID[i % len(UE_GRID)])
                   for i in range(len(distinct))]
-        k, theta_u = map(list, zip(*pairs))
-        theta_b = row_beamwidth(np.array(cells), cfg.h_b, np.array(k))
-        got = (theta_b, *experiments._sweep_baselines(
-            np.array(cells), np.array(k), np.array(theta_u), cfg.h_b,
-            policy.symbol_duration))
-        scalar_b = [row_beamwidth(c, cfg.h_b, r) for c, r in zip(cells, k)]
-        exhaustive = [delay_exhaustive(b, t, policy.symbol_duration)
-                      for b, t in zip(scalar_b, theta_u)]
-        want = (scalar_b,
-                [delay_iterative(r, t, policy.symbol_duration)
-                 for r, t in pairs],
-                exhaustive)
-        for array, scalars in zip(got, want):
-            assert array.tobytes() == np.array(scalars).tobytes()
-        # a scalar call rounds as the product of the integer beam counts
-        assert exhaustive == [beamwidth_to_elements(b)
-                              * beamwidth_to_elements(t)
-                              * policy.symbol_duration
-                              for b, t in zip(scalar_b, theta_u)]
+        k, theta_u = map(np.array, zip(*pairs))
+        theta_b = row_beamwidth(np.array(cells), cfg.h_b, k)
+        scalar_b = [row_beamwidth(c, cfg.h_b, r)
+                    for c, r in zip(cells, k.tolist())]
+        assert theta_b.tobytes() == np.array(scalar_b).tobytes()
+
+        def ue_stages(t):
+            return max(0, math.ceil(math.log2(UE_GRID[0] / t)))
+
+        # on the grid, the UE stages are the level's index
+        assert [ue_stages(t) for t in UE_GRID] == list(range(len(UE_GRID)))
+        iterative = [2.0 * ((r - 1).bit_length() + ue_stages(t))
+                     * SYMBOL_DURATION for r, t in pairs]
+        exhaustive = [beamwidth_to_elements(b) * beamwidth_to_elements(t)
+                      * SYMBOL_DURATION for b, t in zip(scalar_b, theta_u)]
+        got = (delay_iterative(k, theta_u, SYMBOL_DURATION),
+               delay_exhaustive(theta_b, theta_u, SYMBOL_DURATION))
+        for array, want in zip(got, (iterative, exhaustive)):
+            assert array.tobytes() == np.array(want).tobytes()
+        # a scalar call gives a float with the same bits
+        for index in (0, 1, len(pairs) - 1):
+            assert delay_iterative(int(k[index]), float(theta_u[index]),
+                                   SYMBOL_DURATION) == iterative[index]
+            assert delay_exhaustive(scalar_b[index], float(theta_u[index]),
+                                    SYMBOL_DURATION) == exhaustive[index]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 2.5])
+    def test_iterative_counts_checked_inside_arrays(self, bad):
+        with pytest.raises(ValueError, match="dictionary size"):
+            delay_iterative(np.array([4.0, bad, 8.0]), math.pi / 4, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 7.0])
+    def test_beamwidths_checked_inside_arrays(self, bad):
+        widths = np.array([0.3, bad, math.pi / 4])
+        for call in (lambda: delay_iterative(np.array([1, 2, 4]), widths, 1.0),
+                     lambda: delay_exhaustive(widths, 0.3, 1.0),
+                     lambda: delay_exhaustive(0.3, widths, 1.0)):
+            with pytest.raises(ValueError, match="beamwidth"):
+                call()
 
     # NaN used to pass both checks; delay_exhaustive(inf, 1, 1) was 0.0,
     # and 7.0 counted one beam of a width past 2 pi

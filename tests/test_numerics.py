@@ -14,6 +14,7 @@ from mmwloc.numerics import (
     _MAXLOG,
     _X_UNDER,
     PROBABILITY_SLACK,
+    check_count,
     checked_probability,
     erfc,
     exponential_cell_nodes,
@@ -293,3 +294,17 @@ class TestCheckedProbability:
     def test_arrays_are_clipped_elementwise(self):
         got = checked_probability(np.array([-1e-12, 0.5, 1.0 + 1e-12]), "p")
         assert np.array_equal(got, [0.0, 0.5, 1.0])
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("good", [1, 4.0, 1024, True, 2 ** 52])
+    def test_integers_pass(self, good):
+        check_count(good, "count")
+        check_count(np.array([1, good, 3.0]), "count")
+
+    # a bare value < 1 would pass 2.5, inf and NaN
+    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan, 0, -3, 1e-300])
+    def test_bad_counts_fail_alone_and_inside_arrays(self, bad):
+        for value in (bad, np.array([4.0, bad, 8.0]), [[1], [bad]]):
+            with pytest.raises(ValueError, match="^count$"):
+                check_count(value, "count")

@@ -42,8 +42,8 @@ DEFAULT_ONLY = {
     **{f"initial_access.AccessPolicy({name})": "the pinned access tests run "
                                                "other policies"
        for name in ("delta_bs", "delta_ma", "delta_psi", "max_steps",
-                    "symbol_duration", "initial_sigma_d2", "n_max",
-                    "pilot_energy_scale", "bs_growth")},
+                    "initial_sigma_d2", "n_max", "pilot_energy_scale",
+                    "bs_growth")},
     **{f"optimizer.OptimizationSpec({name})": "criteria 6 and 7 and the "
                                               "optimizer tests use coarse "
                                               "grids"
